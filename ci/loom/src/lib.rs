@@ -87,7 +87,7 @@ mod models {
     }
 }
 
-/// Loom models of the sharded executor's window protocol
+/// Loom models of the k-shard driver's window protocol
 /// (`crates/net/src/shard.rs`): per-window barrier alignment, atomic
 /// `next_event_ps` publication, the bounded-mailbox-plus-spill-lane
 /// handoff, and the full multi-window worker loop with its two exits
@@ -232,7 +232,7 @@ mod shard_models {
         });
     }
 
-    /// The production worker loop of `ShardedNet::run_until`, windows
+    /// The production worker loop of `lit_net::shard::run_windows`, windows
     /// and all, with one shard "panicking" (trapping a payload and
     /// flagging the shared abort) partway through a window. Mirrors the
     /// production break conditions exactly: the *only* pre-window exit

@@ -12,17 +12,13 @@
 use lit_baselines::{
     FcfsDiscipline, ScfqDiscipline, StopAndGoDiscipline, VirtualClockDiscipline, WfqDiscipline,
 };
-use lit_bench::{drive_arrival_batches, drive_discipline, register_sessions, Bencher};
+use lit_bench::{drive_discipline, register_sessions, Bencher};
 use lit_core::LitDiscipline;
 use lit_net::{Discipline, LinkParams};
 use lit_sim::Duration;
 
 const SESSIONS: u32 = 48;
 const PACKETS: u64 = 10_000;
-/// Burst size for the scalar-vs-batched arrival arms: the fixed-cell
-/// common case where `on_arrival_batch` amortizes its divisions.
-const BATCH: usize = 64;
-const BATCHES: u64 = 2_000;
 
 fn bench_discipline(b: &Bencher, name: &str, mk: impl Fn() -> Box<dyn Discipline>) {
     b.run(&format!("sched_ops/{name}/48sess"), || {
@@ -47,59 +43,5 @@ fn main() {
     bench_discipline(&b, "stop-and-go", || {
         Box::new(StopAndGoDiscipline::new(Duration::from_ms(10)))
     });
-
-    // Scalar-vs-batched eq. 8–11: same packets, same sessions, but the
-    // batched arm hands each 64-packet same-session burst to one
-    // `on_arrival_batch` call instead of 64 dispatched `on_arrival`s.
-    let drive = |batched: bool| {
-        move || {
-            let mut d = LitDiscipline::new(link);
-            register_sessions(&mut d, SESSIONS);
-            drive_arrival_batches(&mut d, SESSIONS, BATCHES, BATCH, batched)
-        }
-    };
-    b.run(
-        &format!("sched_ops/leave-in-time/scalar-arrivals/48sess-batch{BATCH}"),
-        drive(false),
-    );
-    b.run(
-        &format!("sched_ops/leave-in-time/batched-arrivals/48sess-batch{BATCH}"),
-        drive(true),
-    );
-    let results = b.results();
-    let best = |tag: &str| {
-        results
-            .iter()
-            .find(|r| r.name.contains(tag))
-            .map(|r| r.best_ns.max(1))
-    };
-    if let (Some(scalar), Some(batch)) = (best("/scalar-arrivals/"), best("/batched-arrivals/")) {
-        let pkts = (BATCHES as u128 * BATCH as u128).max(1);
-        let speedup = scalar as f64 / batch as f64;
-        println!(
-            "sched_ops: batched arrivals {speedup:.2}x over scalar \
-             ({:.1} vs {:.1} ns/pkt over {pkts} pkts)",
-            batch as f64 / pkts as f64,
-            scalar as f64 / pkts as f64,
-        );
-        // `--batch-guard F` (CI): fail if the batched path does not beat
-        // the scalar one by at least the given factor.
-        let mut it = std::env::args().skip(1);
-        while let Some(arg) = it.next() {
-            if arg == "--batch-guard" {
-                let want: f64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--batch-guard takes a factor");
-                if speedup < want {
-                    eprintln!(
-                        "sched_ops: FAIL batched speedup {speedup:.2}x below required {want:.2}x"
-                    );
-                    std::process::exit(1);
-                }
-                println!("sched_ops: batched speedup guard {want:.2}x passed");
-            }
-        }
-    }
     b.write_json("sched_ops");
 }

@@ -12,7 +12,7 @@
 //! full session table — exactly what grows with scale.
 //!
 //! **Shard sweep.** Builds the 32-node fat tandem as a real `Network`
-//! at shard counts 1/2/4/8 (1 = the scalar engine, ≥2 = the
+//! at shard counts 1/2/4/8 (1 = the one-shard driver, ≥2 = the
 //! lookahead-windowed sharded engine, 4-node chains per shard at 8) and
 //! measures aggregate events/sec over a fixed horizon. The artifact
 //! records `cores` (`available_parallelism`) next to the curve because
@@ -62,7 +62,7 @@ use std::time::Instant;
 /// The full sweep: decade steps from 1k to 1M live sessions.
 const SCALES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
-/// Shard counts for the network sweep; 1 is the scalar engine.
+/// Shard counts for the network sweep; 1 is the one-shard driver.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Nodes in the sharded fat tandem: 8 shards own 4-node chains.

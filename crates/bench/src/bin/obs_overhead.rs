@@ -138,7 +138,6 @@ fn time_arms(sc: &Scenario, reps: u32, k: u32, trace_cap: usize) -> ArmSamples {
         backend: None,
         stats: None,
         oracle: OracleMode::Off,
-        batch: false,
         shards: None,
         regulator: None,
     };

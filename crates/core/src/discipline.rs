@@ -33,10 +33,9 @@ use lit_net::{
 use lit_sim::{Duration, Time};
 
 /// Struct-of-arrays per-session state: one flat column per field, indexed
-/// by dense `SessionId`. A scan over many sessions (or a batch over one)
-/// touches contiguous memory instead of hopping across `Option<Struct>`
-/// slots, and every column is a plain fixed-point array the optimizer can
-/// keep in registers across a batch.
+/// by dense `SessionId`. A scan over many sessions touches contiguous
+/// memory instead of hopping across `Option<Struct>` slots, and every
+/// column is a plain fixed-point array.
 ///
 /// `k_prev_ps` holds the eq. 11 recursion state with `0` standing in for
 /// "no packet yet": the paper sets `K₀ = t₁`, and since `E₁ ≥ t₁ ≥ 0` the
@@ -178,80 +177,6 @@ impl Discipline for LitDiscipline {
         pkt.deadline = f;
         pkt.d = d;
         ScheduleDecision::at(eligible, f)
-    }
-
-    fn on_arrival_batch(
-        &mut self,
-        pkts: &mut [Packet],
-        now: Time,
-        out: &mut Vec<ScheduleDecision>,
-    ) {
-        let Some(first) = pkts.first() else { return };
-        let idx = first.session.index();
-        self.check_registered(idx);
-        let c = &mut self.cols;
-
-        // Hoist the session's columns into locals once per batch: the
-        // eq. 8–11 recursion then runs over plain u64 ps values with no
-        // per-packet table loads or enum dispatch. Every arithmetic step
-        // is the checked twin of the operator the scalar path uses, so
-        // results (and overflow panics) are bit-identical.
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let jitter = c.jitter[idx];
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let rate = c.rate_bps[idx];
-        let coeffs = lit_net::DelayCoeffs {
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-            num_ps: c.d_num_ps[idx],
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-            den: c.d_den[idx],
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-            base_ps: c.d_base_ps[idx],
-        };
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let mut k_prev = c.k_prev_ps[idx];
-        let now_ps = now.as_ps();
-        out.reserve(pkts.len());
-
-        // Consecutive equal lengths (the common case: fixed-size cells)
-        // reuse the divisions for d and L/r — an amortization the scalar
-        // path cannot perform without caching state across calls.
-        let mut memo_len = u32::MAX;
-        let mut memo_d_ps = 0u64;
-        let mut memo_lr_ps = 0u64;
-        for pkt in pkts.iter_mut() {
-            debug_assert_eq!(pkt.session.index(), idx, "mixed-session batch");
-            let e_ps = if jitter {
-                now_ps
-                    .checked_add(pkt.hold.as_ps())
-                    // lit-lint: allow(no-panic-hot-path, "same failure as the scalar path's `now + pkt.hold`: an eligibility past the clock horizon must stop the run")
-                    .expect("time overflowed")
-            } else {
-                now_ps
-            };
-            if pkt.len_bits != memo_len {
-                memo_len = pkt.len_bits;
-                memo_d_ps = coeffs.d_ps(memo_len);
-                memo_lr_ps = Duration::from_bits_at_rate(memo_len as u64, rate).as_ps();
-            }
-            let base_ps = e_ps.max(k_prev);
-            let f_ps = base_ps
-                .checked_add(memo_d_ps)
-                // lit-lint: allow(no-panic-hot-path, "same failure as the scalar path's `base + d`: a deadline past the clock horizon must stop the run")
-                .expect("time overflowed");
-            k_prev = base_ps
-                .checked_add(memo_lr_ps)
-                // lit-lint: allow(no-panic-hot-path, "same failure as the scalar path's `base + L/r`: a K stamp past the clock horizon must stop the run")
-                .expect("time overflowed");
-            pkt.deadline = Time::from_ps(f_ps);
-            pkt.d = Duration::from_ps(memo_d_ps);
-            out.push(ScheduleDecision {
-                eligible: Time::from_ps(e_ps),
-                key: f_ps as u128,
-            });
-        }
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        c.k_prev_ps[idx] = k_prev;
     }
 
     fn on_departure(&mut self, pkt: &mut Packet, finish: Time) {
@@ -432,52 +357,5 @@ mod tests {
         disc.on_arrival(&mut p, Time::from_ms(1));
         // Fresh recursion: F = 1 + 13.25, not max(1, 13.25) + 13.25.
         assert_eq!(p.deadline, Time::from_us(14_250));
-    }
-
-    #[test]
-    fn batch_matches_scalar_bit_exactly() {
-        // Mixed lengths and nonzero upstream holds, jitter control on:
-        // the batched eq. 8–11 path must produce the identical decisions,
-        // deadlines, d stamps, and K recursion as per-packet calls.
-        let lens: [u32; 7] = [424, 424, 424, 848, 848, 212, 424];
-        let run = |batched: bool| {
-            let mut disc = LitDiscipline::new(LinkParams::paper_t1());
-            let mut s = spec(32_000, true);
-            s.max_len_bits = 848;
-            disc.register_session(&s, &DelayAssignment::LenOverRate);
-            let mut out = Vec::new();
-            let mut pkts: Vec<Packet> = lens
-                .iter()
-                .enumerate()
-                .map(|(i, &len)| {
-                    let mut p = Packet::new(SessionId(0), i as u64 + 1, len, Time::ZERO);
-                    p.hold = Duration::from_us(137 * i as u64);
-                    p
-                })
-                .collect();
-            let now = Time::from_ms(3);
-            if batched {
-                disc.on_arrival_batch(&mut pkts, now, &mut out);
-            } else {
-                for p in pkts.iter_mut() {
-                    let dec = disc.on_arrival(p, now);
-                    out.push(dec);
-                }
-            }
-            let stamps: Vec<_> = pkts.iter().map(|p| (p.deadline, p.d)).collect();
-            // One more scalar arrival afterwards: the stored K must agree.
-            let mut tail = Packet::new(SessionId(0), 99, 424, Time::ZERO);
-            let tail_dec = disc.on_arrival(&mut tail, Time::from_secs(1));
-            (out, stamps, tail_dec)
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn batch_on_empty_slice_is_a_no_op() {
-        let mut disc = mk(false);
-        let mut out = Vec::new();
-        disc.on_arrival_batch(&mut [], Time::ZERO, &mut out);
-        assert!(out.is_empty());
     }
 }

@@ -79,7 +79,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             hot_paths: [
-                "crates/net/src/network.rs",
+                "crates/net/src/node.rs",
                 "crates/net/src/shard.rs",
                 "crates/net/src/arena.rs",
                 "crates/net/src/equeue.rs",

@@ -98,8 +98,7 @@ pub fn global_regulator() -> Option<RegulatorBackend> {
 /// One queued entry of a node's shared interleaved regulator.
 #[derive(Debug)]
 pub(crate) struct RegEntry<P> {
-    /// The held packet (a `Packet` on the scalar engine, a `PacketRef`
-    /// on the sharded one).
+    /// The held packet (the node step queues arena `PacketRef`s).
     pub(crate) item: P,
     /// The priority key the discipline assigned on arrival, carried
     /// through the hold so release enqueues with the original key.
@@ -194,26 +193,6 @@ pub trait Discipline: Send {
     /// eq. (10)–(11) may be advanced here.
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision;
 
-    /// A batch of packets of **one session** all arrived at `now`, in
-    /// sequence order. Pushes one decision per packet onto `out`, in
-    /// order; must be observably identical to calling [`Self::on_arrival`]
-    /// on each packet in turn (the default does exactly that).
-    ///
-    /// Struct-of-arrays disciplines override this to amortize dispatch
-    /// and per-session state loads across the batch and run the eq. 8–11
-    /// recursion over flat fixed-point arrays.
-    fn on_arrival_batch(
-        &mut self,
-        pkts: &mut [Packet],
-        now: Time,
-        out: &mut Vec<ScheduleDecision>,
-    ) {
-        for pkt in pkts {
-            let dec = self.on_arrival(pkt, now);
-            out.push(dec);
-        }
-    }
-
     /// Connection teardown: the session's packets have all drained and its
     /// id may be reused by a future establishment (see `IdSlab`). The
     /// discipline drops per-session state so the reused slot starts fresh.
@@ -283,37 +262,18 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_is_scalar_loop() {
-        // A discipline with per-packet state (a running counter): the
-        // default batch implementation must advance it exactly like the
-        // scalar calls, in order.
-        struct Counting {
-            seen: u64,
-        }
-        impl Discipline for Counting {
+    fn default_unregister_is_a_no_op() {
+        struct Stateless;
+        impl Discipline for Stateless {
             fn name(&self) -> &'static str {
-                "counting"
+                "stateless"
             }
             fn register_session(&mut self, _: &SessionSpec, _: &DelayAssignment) {}
-            fn on_arrival(&mut self, _pkt: &mut Packet, now: Time) -> ScheduleDecision {
-                self.seen += 1;
-                ScheduleDecision {
-                    eligible: now,
-                    key: self.seen as u128,
-                }
+            fn on_arrival(&mut self, _: &mut Packet, now: Time) -> ScheduleDecision {
+                ScheduleDecision::at(now, now)
             }
             fn on_departure(&mut self, _: &mut Packet, _: Time) {}
         }
-        let mut d = Counting { seen: 0 };
-        let mut pkts: Vec<Packet> = (0..4)
-            .map(|i| Packet::new(SessionId(0), i, 424, Time::ZERO))
-            .collect();
-        let mut out = Vec::new();
-        d.on_arrival_batch(&mut pkts, Time::from_ms(1), &mut out);
-        let keys: Vec<u128> = out.iter().map(|d| d.key).collect();
-        assert_eq!(keys, vec![1, 2, 3, 4]);
-        assert!(out.iter().all(|d| d.eligible == Time::from_ms(1)));
-        // unregister_session default is a no-op and must not panic.
-        d.unregister_session(SessionId(0));
+        Stateless.unregister_session(SessionId(0));
     }
 }

@@ -40,6 +40,7 @@ mod arena;
 mod discipline;
 mod equeue;
 mod network;
+mod node;
 pub mod oracle;
 mod packet;
 pub mod shard;
@@ -66,7 +67,7 @@ pub use table::{IdSlab, SessionTable};
 mod tests {
     use super::*;
     use lit_sim::{Duration, Time};
-    use lit_traffic::{BurstSource, DeterministicSource, PoissonSource, TraceSource};
+    use lit_traffic::{DeterministicSource, PoissonSource, TraceSource};
 
     /// Plain FCFS used to exercise the executor machinery.
     struct Fifo {
@@ -404,52 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_arrivals_match_scalar() {
-        // The batched-arrival executor drains same-instant same-(session,
-        // hop) arrivals in one discipline call. Since the drained pops mint
-        // no sequence numbers and pushes keep their order, a batched run
-        // must be bit-identical to the scalar one — including the total
-        // event-push count. Zero-length bursts make the check non-vacuous:
-        // tx_time(0) = 0, so a whole burst lands at the next hop at one
-        // instant and real multi-packet batches form (with nonzero lengths
-        // the upstream link serializes arrivals and every batch has size 1).
-        let run = |batch: bool| {
-            let mut b = NetworkBuilder::new().seed(35).batch_arrivals(batch);
-            let nodes = b.tandem(3, LinkParams::paper_t1());
-            let mut sids = Vec::new();
-            // Distinct prime periods: sessions bursting at the same instant
-            // would interleave their arrivals (round-robin over same-time
-            // Inject events) and break the same-(session, hop) runs that
-            // pop_if drains.
-            for period_ms in [5u64, 7, 11, 13] {
-                sids.push(b.add_session(
-                    SessionSpec::atm(SessionId(0), 150_000),
-                    &nodes,
-                    Box::new(BurstSource::new(Duration::from_ms(period_ms), 6, 0)),
-                ));
-            }
-            for _ in 0..4 {
-                sids.push(b.add_session(
-                    SessionSpec::atm(SessionId(0), 150_000),
-                    &nodes,
-                    Box::new(PoissonSource::new(Duration::from_ms(4), 424)),
-                ));
-            }
-            let mut net = b.build(&fifo_factory(Duration::from_us(30)));
-            net.run_until(Time::from_secs(10));
-            let stats = sids
-                .iter()
-                .map(|&s| {
-                    let st = net.session_stats(s);
-                    (st.delivered, st.max_delay(), st.jitter())
-                })
-                .collect::<Vec<_>>();
-            (net.event_count(), stats)
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn tiny_bucket_queue_equals_exact() {
         // A 1-ps bucket quantizes nothing: the bucketed queue must behave
         // identically to the exact heap (both are FIFO among equal keys).
@@ -548,6 +503,39 @@ mod tests {
         assert_eq!(net.oracle_drain_check(), 1);
         assert_eq!(net.oracle_totals().ccdf_bound, 1);
         assert_eq!(net.session_stats(sid).oracle_violations, delivered + 1);
+    }
+
+    #[test]
+    fn jitter_oracle_reference_is_delivered_side_under_every_shard_count() {
+        // A ten-cell burst on a two-hop tandem: every cell is injected —
+        // and the injected-side D^ref_max reaches 10·L/r = 10 ms — before
+        // the first one is delivered. Against the delivered-side maximum
+        // (k ms after the k-th delivery) and a spread of −5 ms, the jitter
+        // (k−1)·tx trips the check for k = 1..6 and no later; against the
+        // injected-side 10 ms it never would. One shard and two must
+        // count the same six.
+        let run = |shards: usize| {
+            let mut b = NetworkBuilder::new()
+                .oracle(OracleConfig::new(OracleMode::Count))
+                .shards(shards);
+            let nodes = b.tandem(2, LinkParams::paper_t1());
+            let sid = b.add_session(
+                SessionSpec::atm(SessionId(0), 424_000),
+                &nodes,
+                Box::new(TraceSource::from_pairs([(Time::from_ms(1), 424); 10])),
+            );
+            let mut net = b.build(&fifo_factory(Duration::ZERO));
+            assert_eq!(net.shard_count(), shards);
+            net.set_session_bounds(
+                sid,
+                lit_net_bounds(i128::MAX / 2, -(Duration::from_ms(5).as_ps() as i128)),
+            );
+            net.run_until(Time::from_secs(1));
+            assert_eq!(net.session_stats(sid).delivered, 10);
+            net.oracle_totals().jitter_bound
+        };
+        assert_eq!(run(1), 6);
+        assert_eq!(run(2), 6);
     }
 
     #[test]

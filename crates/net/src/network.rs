@@ -1,110 +1,47 @@
-//! The network: nodes in a topology, sessions on routes, and the
-//! discrete-event executor that moves packets through them.
+//! The network: nodes in a topology, sessions on routes, built by
+//! [`NetworkBuilder`] and run through the [`Network`] facade.
 //!
-//! Model (paper §2–3): each server node owns one outgoing link of capacity
-//! `Cₙ` and propagation delay `Γₙ`; a session follows a fixed route of
-//! nodes established at connection time; a packet "arrives" at a node when
-//! its **last bit** arrives; the node may hold it in a delay regulator
-//! until its eligibility time, then serves eligible packets in increasing
-//! priority-key order (non-preemptively, one at a time); the last bit
-//! leaves at the finish time and reaches the next node one propagation
-//! delay later. Delivery past the final node includes that link's
-//! propagation delay, matching the `Σ (L_MAX/Cₙ + Γₙ)` structure of the
-//! paper's β constant.
+//! What a node *does* to a packet is defined once, in [`crate::node`];
+//! how events reach it is one of the two drivers in [`crate::shard`].
+//! This module only assembles them: it partitions the nodes, registers
+//! every session where its hops live, and presents one set of
+//! statistics and oracle results whichever driver ran.
 
-use crate::discipline::{
-    Discipline, DisciplineFactory, RegFifo, RegulatorBackend, ScheduleDecision,
-};
-use crate::equeue::{EligibleQueue, QueueKind};
+use crate::discipline::{DisciplineFactory, RegulatorBackend};
+use crate::equeue::QueueKind;
+use crate::node::{Ev, NodeCore, Topology};
 use crate::oracle::{
-    ccdf_shift_violation, OracleConfig, OracleMode, OracleRt, OracleTotals, SessionBounds,
-    ViolationKind,
+    ccdf_shift_violation, OracleConfig, OracleMode, OracleTotals, SessionBounds, ViolationKind,
 };
-use crate::packet::{NodeId, Packet, SessionId};
+use crate::packet::{NodeId, SessionId};
+use crate::shard::{owner_of, Shard};
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
-use crate::stats::{DeliveryRecord, NodeStats, SessionStats, StatsConfig};
-use lit_obs::{PacketView, Probe};
-use lit_sim::{Duration, EventBackend, EventQueue, SeedSeq, SimRng, Time};
-use lit_traffic::{Emission, Source};
-
-/// The probe's view of a packet (identity + timing, no scheduler state).
-fn pview(pkt: &Packet) -> PacketView {
-    PacketView {
-        session: pkt.session.0,
-        seq: pkt.seq,
-        hop: pkt.hop,
-        len_bits: pkt.len_bits,
-        created: pkt.created,
-        arrived: pkt.arrived,
-    }
-}
-
-/// Runtime state of one server node.
-struct NodeRt {
-    link: LinkParams,
-    discipline: Box<dyn Discipline>,
-    queue: EligibleQueue<Packet>,
-    /// The packet currently being transmitted, if any.
-    current: Option<Packet>,
-    /// The shared head-gated regulator FIFO of this node. Only populated
-    /// under [`RegulatorBackend::Interleaved`]; stays empty (and costs
-    /// nothing) under the per-session backend.
-    fifo: RegFifo<Packet>,
-}
-
-/// Runtime state of one session.
-struct SessionRt {
-    spec: SessionSpec,
-    /// `(node index, delay assignment at that node)` along the route.
-    hops: Vec<(u32, DelayAssignment)>,
-    source: Box<dyn Source>,
-    rng: SimRng,
-    next_seq: u64,
-    /// Next emission already pulled from the source, awaiting injection.
-    pending: Option<Emission>,
-    /// Reference-server clock `W_{i-1,s}` (eq. 1); `None` before packet 1.
-    ref_w: Option<Time>,
-}
-
-/// Events of the executor.
-enum Event {
-    /// Inject the pending emission of session `sid` (arrival at hop 0).
-    Inject { sid: u32 },
-    /// A packet's last bit arrives at its current hop's node.
-    Arrive { pkt: Packet },
-    /// A regulated packet becomes eligible at its node. `at` is the
-    /// eligibility instant the regulator computed; the oracle verifies
-    /// the executor releases the packet exactly then.
-    Eligible { pkt: Packet, key: u128, at: Time },
-    /// The head of `node`'s shared interleaved-regulator FIFO reaches its
-    /// eligibility instant `at`: release every leading entry whose own
-    /// eligibility has passed, then re-arm at the new head's instant.
-    RegFire { node: u32, at: Time },
-    /// The node finished transmitting its current packet.
-    TxDone { node: u32 },
-}
+use crate::stats::{NodeStats, SessionStats, StatsConfig};
+use lit_obs::Probe;
+use lit_sim::{Duration, EventBackend, SeedSeq, Time};
+use lit_traffic::Source;
+use std::sync::Arc;
 
 /// A session definition awaiting `build`.
-pub(crate) struct SessionDef {
-    pub(crate) spec: SessionSpec,
-    pub(crate) hops: Vec<(u32, DelayAssignment)>,
-    pub(crate) source: Box<dyn Source>,
+struct SessionDef {
+    spec: SessionSpec,
+    hops: Vec<(u32, DelayAssignment)>,
+    source: Box<dyn Source>,
 }
 
 /// Builds a [`Network`]: add nodes, add sessions on routes, then `build`
 /// with a discipline factory.
 pub struct NetworkBuilder {
-    pub(crate) links: Vec<LinkParams>,
-    pub(crate) sessions: Vec<SessionDef>,
-    pub(crate) stats_cfg: StatsConfig,
-    pub(crate) master_seed: u64,
-    pub(crate) queue_kind: QueueKind,
-    pub(crate) event_backend: EventBackend,
-    pub(crate) oracle: OracleConfig,
-    pub(crate) probe: Option<Box<dyn Probe>>,
-    pub(crate) batch_arrivals: bool,
-    pub(crate) shards: usize,
-    pub(crate) regulator: RegulatorBackend,
+    links: Vec<LinkParams>,
+    sessions: Vec<SessionDef>,
+    stats_cfg: StatsConfig,
+    master_seed: u64,
+    queue_kind: QueueKind,
+    event_backend: EventBackend,
+    oracle: OracleConfig,
+    probe: Option<Box<dyn Probe>>,
+    shards: usize,
+    regulator: RegulatorBackend,
 }
 
 impl Default for NetworkBuilder {
@@ -125,7 +62,6 @@ impl NetworkBuilder {
             event_backend: EventBackend::default(),
             oracle: OracleConfig::off(),
             probe: None,
-            batch_arrivals: false,
             shards: 1,
             regulator: RegulatorBackend::PerSession,
         }
@@ -139,9 +75,7 @@ impl NetworkBuilder {
     /// behind earlier-queued packets of other sessions, so the paper's
     /// per-session lateness allowance no longer applies and the oracle
     /// swaps that check for the interleaved-regulator release-order and
-    /// shaping-delay invariants. Batched arrival dispatch is ignored under
-    /// the interleaved backend (holds couple sessions, so arrivals cannot
-    /// be drained per session).
+    /// shaping-delay invariants.
     pub fn regulator(mut self, backend: RegulatorBackend) -> Self {
         self.regulator = backend;
         self
@@ -149,18 +83,15 @@ impl NetworkBuilder {
 
     /// Partition the nodes across `n` shard workers, each running its own
     /// event loop inside conservative lookahead windows (default: 1, the
-    /// scalar executor). Results are byte-identical across every sharded
-    /// count (`n ≥ 2`); they also match the scalar engine whenever no
-    /// two network events share an instant (staggered sources). With
-    /// same-instant ties the engines may order concurrent packets of
-    /// *different* sessions at one node differently — scalar breaks ties
-    /// in queue-push order, sharded in canonical content order — and the
-    /// sharded jitter oracle checks against the delivered-side reference
-    /// maximum where scalar reads it injection-side (never looser, and
-    /// itself shard-count-invariant); see [`crate::shard`] for both
-    /// deviations. Falls back to the scalar executor when a probe is
-    /// installed, the oracle is in panic mode, or a cross-shard link has
-    /// zero propagation delay (no lookahead); the degrade bumps
+    /// one-shard driver). Results are byte-identical across every count
+    /// `n ≥ 2`; they also match one shard whenever no two network events
+    /// share an instant (staggered sources). With same-instant ties the
+    /// drivers may order concurrent packets of *different* sessions at
+    /// one node differently — one shard breaks ties in event-set push
+    /// order, `k` shards in canonical content order; see [`crate::shard`].
+    /// Falls back to one shard when a probe is installed, the oracle is
+    /// in panic mode, or a cross-shard link has zero propagation delay
+    /// (no lookahead); the degrade bumps
     /// [`crate::shard::shard_fallbacks`] and shows in
     /// [`Network::shard_count`].
     pub fn shards(mut self, n: usize) -> Self {
@@ -168,21 +99,10 @@ impl NetworkBuilder {
         self
     }
 
-    /// Drain same-instant arrivals of one session at one node as a batch
-    /// through [`Discipline::on_arrival_batch`] (default: off). Observably
-    /// identical to scalar dispatch — the batch is exactly the run of
-    /// consecutive `Arrive` events the scalar loop would pop anyway, and
-    /// every push happens in the same order with the same sequence
-    /// numbers. Ignored (scalar dispatch) while a probe or the oracle is
-    /// installed, so per-packet hook and check ordering stays untouched.
-    pub fn batch_arrivals(mut self, on: bool) -> Self {
-        self.batch_arrivals = on;
-        self
-    }
-
     /// Install an observability probe (default: none). With no probe the
-    /// executor pays one always-false branch per hook site and never
-    /// materializes a [`PacketView`] — the zero-cost-when-off contract.
+    /// node step pays one always-false branch per hook site and never
+    /// materializes a [`lit_obs::PacketView`] — the zero-cost-when-off
+    /// contract.
     pub fn probe(mut self, probe: Box<dyn Probe>) -> Self {
         self.probe = Some(probe);
         self
@@ -204,9 +124,12 @@ impl NetworkBuilder {
     }
 
     /// Select the engine of the future-event set (default:
-    /// [`EventBackend::Heap`]). Both backends pop the identical event
-    /// sequence, so this is purely a performance knob; the calendar pays
-    /// off on large event populations.
+    /// [`EventBackend::Heap`]). All three backends pop the identical
+    /// event sequence, so this is purely a performance knob. Measured by
+    /// `lit-bench` against the heap: the wheel costs +56…+59 ns/event
+    /// and the calendar +24…+34 ns/event on the shallow-event-set
+    /// workloads, and they win −8.5 / −5.0 ns/event only at an event set
+    /// 1e5 deep (`crates/bench/src/bin/lit-bench/README.md`).
     pub fn event_backend(mut self, backend: EventBackend) -> Self {
         self.event_backend = backend;
         self
@@ -275,760 +198,251 @@ impl NetworkBuilder {
     }
 
     /// Instantiate the network, creating one discipline per node and
-    /// registering every session at every node it traverses. The engine
-    /// is scalar unless [`NetworkBuilder::shards`] asked for more than
-    /// one shard *and* sharding is admissible (see [`Self::shards`]).
+    /// registering every session at every node it traverses. One shard
+    /// owns every node unless [`NetworkBuilder::shards`] asked for more
+    /// *and* sharding is admissible (see [`Self::shards`]).
     pub fn build(self, factory: &DisciplineFactory<'_>) -> Network {
-        let shards = self.effective_shards();
-        if shards <= 1 && self.shards > 1 {
+        let nshards = self.effective_shards();
+        if nshards <= 1 && self.shards > 1 {
             crate::shard::record_fallback();
         }
-        if shards > 1 {
-            Network {
-                inner: Engine::Sharded(Box::new(crate::shard::ShardedNet::build(
-                    self, factory, shards,
-                ))),
+        let n_nodes = self.links.len();
+        let owner = |node: u32| owner_of(node as usize, n_nodes, nshards);
+
+        let mut sources = Vec::with_capacity(self.sessions.len());
+        let mut topo = Topology {
+            links: self.links,
+            specs: Vec::with_capacity(self.sessions.len()),
+            hops: Vec::with_capacity(self.sessions.len()),
+        };
+        for def in self.sessions {
+            topo.specs.push(def.spec);
+            topo.hops.push(def.hops);
+            sources.push(def.source);
+        }
+        let topo = Arc::new(topo);
+
+        let mut shards: Vec<Shard> = (0..nshards)
+            .map(|id| {
+                let core = NodeCore::new(
+                    Arc::clone(&topo),
+                    |n| owner(n as u32) == id,
+                    factory,
+                    self.queue_kind,
+                    self.oracle,
+                    self.regulator,
+                );
+                Shard::new(id, nshards, core, self.event_backend)
+            })
+            .collect();
+
+        // Register sessions: disciplines and a stats row on each hop's
+        // owner, the injector (with its RNG from the global per-session
+        // seed sequence — identical streams for every shard count) on
+        // the first hop's owner.
+        let mut seeds = SeedSeq::new(self.master_seed);
+        for (sid, (route, source)) in topo.hops.iter().zip(sources).enumerate() {
+            let rng = seeds.next_rng();
+            for (node, delay) in route {
+                shards[owner(*node)]
+                    .core
+                    .register_hop(sid, *node, delay, &self.stats_cfg);
             }
-        } else {
-            Network {
-                inner: Engine::Scalar(Box::new(self.build_scalar(factory))),
+            let first = &mut shards[owner(route[0].0)];
+            if let Some(at) = first.core.install_injector(sid, source, rng) {
+                first.sink.events.push(at, Ev::Inject { sid: sid as u32 });
             }
         }
+
+        let lookahead_ps = if nshards > 1 {
+            crate::shard::wire(&mut shards, &topo)
+        } else {
+            u64::MAX
+        };
+        if let Some(mut p) = self.probe {
+            let session_hops: Vec<usize> = topo.hops.iter().map(Vec::len).collect();
+            p.on_build(self.master_seed, n_nodes, &session_hops);
+            // A probe forces one shard, so shard 0 sees every hook.
+            shards[0].core.probe = Some(p);
+        }
+
+        let mut net = Network {
+            topo,
+            shards,
+            lookahead_ps,
+            stats_cfg: self.stats_cfg,
+            merged_sessions: Vec::new(),
+            merged_nodes: Vec::new(),
+            drained: false,
+        };
+        net.merge();
+        net
     }
 
     /// The shard count `build` will actually use: the requested count,
-    /// clamped to the node count, degraded to 1 (scalar) whenever the
-    /// sharded engine cannot reproduce scalar observability — a probe
-    /// hooks every dispatch in global order, panic-mode oracling must
-    /// stop at the *first* violation globally — or whenever a
-    /// cross-shard hop has zero propagation delay, which would make the
-    /// conservative lookahead window empty.
-    pub(crate) fn effective_shards(&self) -> usize {
+    /// clamped to the node count, degraded to 1 whenever lookahead
+    /// windows cannot reproduce one-shard observability — a probe hooks
+    /// every dispatch in global order, panic-mode oracling must stop at
+    /// the *first* violation globally — or whenever a cross-shard hop
+    /// has zero propagation delay, which would make the conservative
+    /// lookahead window empty.
+    fn effective_shards(&self) -> usize {
         let s = self.shards.min(self.links.len()).max(1);
         if s <= 1 || self.probe.is_some() || self.oracle.mode == OracleMode::Panic {
             return 1;
         }
-        let owner = |node: usize| crate::shard::owner_of(node, self.links.len(), s);
-        for def in &self.sessions {
-            for w in def.hops.windows(2) {
-                // lit-lint: allow(no-panic-hot-path, "windows(2) yields exactly two elements")
-                let (a, b) = (w[0].0 as usize, w[1].0 as usize);
-                // lit-lint: allow(no-panic-hot-path, "route nodes index the builder's link table by construction")
-                if owner(a) != owner(b) && self.links[a].propagation == lit_sim::Duration::ZERO {
-                    return 1;
-                }
-            }
-        }
-        s
-    }
-
-    /// Instantiate the scalar (single-threaded) engine.
-    pub(crate) fn build_scalar(self, factory: &DisciplineFactory<'_>) -> ScalarNet {
-        let mut nodes: Vec<NodeRt> = self
-            .links
-            .iter()
-            .map(|link| NodeRt {
-                link: *link,
-                discipline: factory(link),
-                queue: EligibleQueue::new(self.queue_kind),
-                current: None,
-                fifo: RegFifo::new(),
+        let owner = |node: u32| owner_of(node as usize, self.links.len(), s);
+        let zero_lookahead = self.sessions.iter().any(|def| {
+            def.hops.windows(2).any(|w| {
+                owner(w[0].0) != owner(w[1].0)
+                    && self.links[w[0].0 as usize].propagation == Duration::ZERO
             })
-            .collect();
-
-        let mut seeds = SeedSeq::new(self.master_seed);
-        let mut events = EventQueue::with_backend(self.event_backend);
-        let mut session_stats = Vec::with_capacity(self.sessions.len());
-        let mut sessions: Vec<SessionRt> = Vec::with_capacity(self.sessions.len());
-        let session_hops: Vec<usize> = self.sessions.iter().map(|d| d.hops.len()).collect();
-
-        for (i, def) in self.sessions.into_iter().enumerate() {
-            for (n, delay) in &def.hops {
-                // lit-lint: allow(no-panic-hot-path, "build-time loop; every route id was range-checked by add_session_with_hops")
-                nodes[*n as usize]
-                    .discipline
-                    .register_session(&def.spec, delay);
-            }
-            session_stats.push(SessionStats::new(&self.stats_cfg, def.hops.len()));
-            let mut rt = SessionRt {
-                spec: def.spec,
-                hops: def.hops,
-                source: def.source,
-                rng: seeds.next_rng(),
-                next_seq: 1, // the paper numbers packets from 1
-                pending: None,
-                ref_w: None,
-            };
-            rt.pending = rt.source.next_emission(&mut rt.rng);
-            if let Some(e) = rt.pending {
-                events.push(e.at, Event::Inject { sid: i as u32 });
-            }
-            sessions.push(rt);
-        }
-
-        let mut probe = self.probe;
-        if let Some(p) = probe.as_deref_mut() {
-            p.on_build(self.master_seed, self.links.len(), &session_hops);
-        }
-
-        // Batching is observably identical only when nothing watches the
-        // per-packet dispatch order: probes and the oracle both hook each
-        // arrival individually, so they force the scalar path. The
-        // interleaved regulator couples sessions through the shared FIFO,
-        // so its arrivals cannot be drained per session either.
-        let batch_arrivals = self.batch_arrivals
-            && probe.is_none()
-            && self.oracle.mode == OracleMode::Off
-            && self.regulator == RegulatorBackend::PerSession;
-
-        let mut oracle = OracleRt::new(self.oracle, &session_hops);
-        oracle.interleaved = self.regulator == RegulatorBackend::Interleaved;
-
-        ScalarNet {
-            nodes,
-            sessions,
-            events,
-            now: Time::ZERO,
-            node_stats: (0..self.links.len()).map(|_| NodeStats::new()).collect(),
-            session_stats,
-            oracle,
-            probe,
-            batch_arrivals,
-            batch_pkts: Vec::new(),
-            batch_out: Vec::new(),
-            regulator: self.regulator,
+        });
+        if zero_lookahead {
+            1
+        } else {
+            s
         }
     }
 }
 
-/// The scalar (single-threaded) engine: topology + sessions +
-/// future-event set + accumulated statistics. Public API lives on the
-/// [`Network`] facade, which dispatches between this and the sharded
-/// engine.
-pub(crate) struct ScalarNet {
-    nodes: Vec<NodeRt>,
-    sessions: Vec<SessionRt>,
-    events: EventQueue<Event>,
-    now: Time,
-    node_stats: Vec<NodeStats>,
-    session_stats: Vec<SessionStats>,
-    oracle: OracleRt,
-    probe: Option<Box<dyn Probe>>,
-    /// Batched-arrival dispatch enabled (see
-    /// [`NetworkBuilder::batch_arrivals`]).
-    batch_arrivals: bool,
-    /// Scratch buffers reused across batches (capacity persists).
-    batch_pkts: Vec<Packet>,
-    batch_out: Vec<ScheduleDecision>,
-    /// How the nodes realize their delay regulators (see
-    /// [`NetworkBuilder::regulator`]).
-    regulator: RegulatorBackend,
+/// The network: topology + sessions + node-step cores + accumulated
+/// statistics.
+///
+/// One [`crate::node::NodeCore`] per shard does all the work; with one
+/// shard its rows *are* the statistics, with `k ≥ 2` the field-disjoint
+/// per-shard rows are merged after every [`Network::run_until`].
+/// Statistics, traces and oracle counts are byte-identical across all
+/// `k ≥ 2`, and match one shard whenever no two events share an instant
+/// — see [`NetworkBuilder::shards`] for the tie-order caveat on
+/// tie-heavy workloads, and [`Network::shard_count`] for which driver
+/// actually ran.
+pub struct Network {
+    topo: Arc<Topology>,
+    /// One entry: the one-shard driver. More: the k-shard driver.
+    shards: Vec<Shard>,
+    /// Minimum cross-shard propagation delay (the lookahead `L`).
+    lookahead_ps: u64,
+    stats_cfg: StatsConfig,
+    /// The merged view of the shards' rows; empty with one shard, whose
+    /// rows are read in place.
+    merged_sessions: Vec<SessionStats>,
+    merged_nodes: Vec<NodeStats>,
+    /// Whether the drain-time check already ran (guards the `Drop` hook).
+    drained: bool,
 }
 
-impl ScalarNet {
+impl Network {
     /// Advance the simulation until no event at or before `until` remains.
     /// May be called repeatedly with growing horizons.
     pub fn run_until(&mut self, until: Time) {
-        while let Some(t) = self.events.peek_time() {
-            if t > until {
-                break;
-            }
-            // Pop cannot come back empty right after a successful peek;
-            // the `else` arm keeps the executor panic-free regardless.
-            let Some((t, ev)) = self.events.pop() else {
-                break;
-            };
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.dispatch(ev);
+        match self.shards.as_mut_slice() {
+            [one] => one.run_fifo(until),
+            many => crate::shard::run_windows(many, self.lookahead_ps, until),
         }
-        self.now = self.now.max(until);
+        for shard in &mut self.shards {
+            shard.core.now = shard.core.now.max(until);
+        }
+        self.merge();
     }
 
-    /// Current simulation clock.
+    /// Rebuild the merged statistics view from the shards' field-disjoint
+    /// rows, in fixed shard order (commutative merges make the order a
+    /// formality, but fixing it keeps float accumulations bit-stable).
+    /// Nothing to do with one shard.
+    fn merge(&mut self) {
+        if self.shards.len() < 2 {
+            return;
+        }
+        self.merged_sessions = (0..self.topo.hops.len())
+            .map(|sid| {
+                let mut row = SessionStats::new(&self.stats_cfg, self.topo.hops[sid].len());
+                for st in self
+                    .shards
+                    .iter()
+                    .filter_map(|s| s.core.stats[sid].as_ref())
+                {
+                    row.absorb(st);
+                }
+                row
+            })
+            .collect();
+        let (n_nodes, k) = (self.topo.links.len(), self.shards.len());
+        self.merged_nodes = (0..n_nodes)
+            .map(|n| self.shards[owner_of(n, n_nodes, k)].core.node_stats[n].clone())
+            .collect();
+    }
+
+    /// The core that owns `node`.
+    fn owner_mut(&mut self, node: usize) -> &mut NodeCore {
+        let sh = owner_of(node, self.topo.links.len(), self.shards.len());
+        &mut self.shards[sh].core
+    }
+
+    /// Current simulation clock (every core's, after `run_until`).
     pub fn now(&self) -> Time {
-        self.now
+        self.shards[0].core.now
     }
 
     /// Statistics of one session.
     pub fn session_stats(&self, id: SessionId) -> &SessionStats {
-        // lit-lint: allow(no-panic-hot-path, "public accessor: panicking on an invalid id is the documented contract")
-        &self.session_stats[id.index()]
+        match self.shards.as_slice() {
+            [one] => one.core.stats[id.index()].as_ref(),
+            _ => self.merged_sessions.get(id.index()),
+        }
+        .expect("unknown session id")
     }
 
     /// Statistics of one node.
     pub fn node_stats(&self, id: NodeId) -> &NodeStats {
-        // lit-lint: allow(no-panic-hot-path, "public accessor: panicking on an invalid id is the documented contract")
-        &self.node_stats[id.index()]
+        match self.shards.as_slice() {
+            [one] => &one.core.node_stats[id.index()],
+            _ => &self.merged_nodes[id.index()],
+        }
     }
 
     /// The spec a session was registered with.
     pub fn session_spec(&self, id: SessionId) -> &SessionSpec {
-        // lit-lint: allow(no-panic-hot-path, "public accessor: panicking on an invalid id is the documented contract")
-        &self.sessions[id.index()].spec
+        &self.topo.specs[id.index()]
     }
 
     /// Number of sessions.
     pub fn num_sessions(&self) -> usize {
-        self.sessions.len()
+        self.topo.specs.len()
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.topo.links.len()
     }
 
     /// The per-hop delay assignments of a session (node index, assignment).
     pub fn session_hops(&self, id: SessionId) -> &[(u32, DelayAssignment)] {
-        // lit-lint: allow(no-panic-hot-path, "public accessor: panicking on an invalid id is the documented contract")
-        &self.sessions[id.index()].hops
+        &self.topo.hops[id.index()]
     }
 
-    fn dispatch(&mut self, ev: Event) {
-        match ev {
-            Event::Inject { sid } => self.inject(sid),
-            Event::Arrive { pkt } if self.batch_arrivals => self.arrive_batched(pkt),
-            Event::Arrive { pkt } => self.arrive(pkt),
-            Event::Eligible { pkt, key, at } => {
-                // Resolved only for reporting; u32::MAX is the probes'
-                // "unknown node" convention, so a bad id degrades the
-                // report instead of killing the run.
-                let node = self
-                    .sessions
-                    .get(pkt.session.index())
-                    .and_then(|s| s.hops.get(pkt.hop as usize))
-                    .map_or(u32::MAX, |h| h.0);
-                if self.oracle.enabled() && self.now != at {
-                    let now = self.now;
-                    self.oracle.violate(ViolationKind::ReleaseTime, || {
-                        format!(
-                            "session {} seq {} released at {now}, eligibility was {at}",
-                            pkt.session.0, pkt.seq
-                        )
-                    });
-                    if let Some(p) = self.probe.as_deref_mut() {
-                        p.on_violation(
-                            now,
-                            ViolationKind::ReleaseTime.label(),
-                            pkt.session.0,
-                            pkt.seq,
-                            node,
-                        );
-                    }
-                }
-                // This event only exists for packets the regulator held
-                // (`E > arrival`), so `now − arrived` is the holding time
-                // of eq. 8–9 and is strictly positive.
-                if let Some(p) = self.probe.as_deref_mut() {
-                    let held = self
-                        .now
-                        .checked_since(pkt.arrived)
-                        .unwrap_or(Duration::ZERO);
-                    p.on_eligible(self.now, node, pview(&pkt), held);
-                }
-                self.enqueue_eligible(node, pkt, key);
-            }
-            Event::RegFire { node, at } => self.reg_fire(node, at),
-            Event::TxDone { node } => self.tx_done(node),
-        }
-    }
-
-    /// The head of `node_idx`'s interleaved-regulator FIFO reached its
-    /// eligibility instant: release the head and every successor whose own
-    /// eligibility has also passed (head gating makes releases cascade),
-    /// then re-arm the timer at the new head's instant. On every release
-    /// the oracle checks the interleaved regulator's defining equation —
-    /// the release instant equals `max(previous release, entry E)` — and
-    /// the Thomas–Le Boudec shaping ceiling: a packet is never held past
-    /// its own eligibility longer than the largest `E − a` offset any
-    /// packet ever brought into this FIFO.
-    fn reg_fire(&mut self, node_idx: u32, at: Time) {
-        if self.oracle.enabled() && self.now != at {
-            let now = self.now;
-            self.oracle.violate(ViolationKind::ReleaseTime, || {
-                format!("node {node_idx}: regulator timer fired at {now}, was armed for {at}")
-            });
-        }
-        loop {
-            // lit-lint: allow(no-panic-hot-path, "executor invariant: RegFire events carry node ids from the build-time topology")
-            let node = &mut self.nodes[node_idx as usize];
-            let Some(head) = node.fifo.queue.front() else {
-                break;
-            };
-            if head.eligible > self.now {
-                let next = head.eligible;
-                self.events.push(
-                    next,
-                    Event::RegFire {
-                        node: node_idx,
-                        at: next,
-                    },
-                );
-                break;
-            }
-            // lit-lint: allow(no-panic-hot-path, "front() above proved the queue non-empty")
-            let entry = node.fifo.queue.pop_front().expect("non-empty fifo");
-            let expected = node.fifo.last_release.max(entry.eligible);
-            let ceiling_ps = node.fifo.max_hold_ps;
-            node.fifo.last_release = self.now;
-            let now = self.now;
-            if self.oracle.enabled() {
-                if now != expected {
-                    self.oracle.violate(ViolationKind::RegulatorFifo, || {
-                        format!(
-                            "node {node_idx} session {} seq {}: released at {now}, \
-                             interleaved regulator requires max(last release, E) = {expected}",
-                            entry.item.session.0, entry.item.seq
-                        )
-                    });
-                    if let Some(p) = self.probe.as_deref_mut() {
-                        p.on_violation(
-                            now,
-                            ViolationKind::RegulatorFifo.label(),
-                            entry.item.session.0,
-                            entry.item.seq,
-                            node_idx,
-                        );
-                    }
-                }
-                let shaping_ps = now.checked_since(entry.eligible).map_or(0, |d| d.as_ps());
-                if shaping_ps > ceiling_ps {
-                    self.oracle.violate(ViolationKind::ShapingBound, || {
-                        format!(
-                            "node {node_idx} session {} seq {}: held {shaping_ps} ps past \
-                             its eligibility, service-curve ceiling is {ceiling_ps} ps",
-                            entry.item.session.0, entry.item.seq
-                        )
-                    });
-                    if let Some(p) = self.probe.as_deref_mut() {
-                        p.on_violation(
-                            now,
-                            ViolationKind::ShapingBound.label(),
-                            entry.item.session.0,
-                            entry.item.seq,
-                            node_idx,
-                        );
-                    }
-                }
-            }
-            if let Some(p) = self.probe.as_deref_mut() {
-                let held = now
-                    .checked_since(entry.item.arrived)
-                    .unwrap_or(Duration::ZERO);
-                p.on_eligible(now, node_idx, pview(&entry.item), held);
-            }
-            self.enqueue_eligible(node_idx, entry.item, entry.key);
-        }
-    }
-
-    /// Materialize the pending emission of `sid` as a packet at hop 0 and
-    /// pull/schedule the next one.
-    fn inject(&mut self, sid: u32) {
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: Inject events carry indices minted by build over this same vec")
-        let s = &mut self.sessions[sid as usize];
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: an Inject event is only pushed when `pending` was just filled")
-        let e = s.pending.take().expect("Inject without pending emission");
-        debug_assert_eq!(e.at, self.now);
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        let mut pkt = Packet::new(s.spec.id, seq, e.len_bits, e.at);
-
-        // Reference-server co-simulation (eq. 1): W_i = max(t_i, W_{i-1})
-        // + L_i/r, with W_0 = t_1.
-        let service = Duration::from_bits_at_rate(e.len_bits as u64, s.spec.rate_bps);
-        let w_prev = s.ref_w.unwrap_or(e.at);
-        let w = e.at.max(w_prev) + service;
-        s.ref_w = Some(w);
-
-        // Pull the next emission before we lose the borrow.
-        s.pending = s.source.next_emission(&mut s.rng);
-        if let Some(next) = s.pending {
-            debug_assert!(next.at >= e.at, "source emitted into the past");
-            self.events.push(next.at, Event::Inject { sid });
-        }
-
-        pkt.ref_delay = w - e.at;
-        // lit-lint: allow(no-panic-hot-path, "session_stats is built with one entry per session; sid was minted by build")
-        let st = &mut self.session_stats[sid as usize];
-        st.injected += 1;
-        st.reference.record(pkt.ref_delay);
-
-        self.arrive(pkt);
-    }
-
-    /// A packet's last bit arrives at its current hop.
-    fn arrive(&mut self, mut pkt: Packet) {
-        let sid = pkt.session.index();
-        let hop = pkt.hop as usize;
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id and hop index they were routed with at build")
-        let node_idx = self.sessions[sid].hops[hop].0 as usize;
-        pkt.arrived = self.now;
-
-        // Buffer occupancy, sampled as the paper does: at last-bit arrival,
-        // counting the arriving packet and any packet in transmission.
-        // lit-lint: allow(no-panic-hot-path, "session_stats is built with one entry per session; sid comes from the packet's build-time id")
-        self.session_stats[sid].occupy(hop, pkt.len_bits as u64);
-
-        if let Some(p) = self.probe.as_deref_mut() {
-            let depth = self.nodes.get(node_idx).map_or(0, |n| n.queue.len());
-            let events = self.events.len();
-            p.on_arrive(self.now, node_idx as u32, pview(&pkt), depth, events);
-        }
-
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
-        let node = &mut self.nodes[node_idx];
-        let decision = node.discipline.on_arrival(&mut pkt, self.now);
-        debug_assert!(
-            decision.eligible >= self.now,
-            "discipline produced an eligibility time in the past"
-        );
-        if self.oracle.enabled() {
-            // Regulator invariants (eq. 6–7): E is per-session monotone
-            // at every hop, and never lies in the past.
-            let now = self.now;
-            // lit-lint: allow(no-panic-hot-path, "oracle state is sized per session and hop at build, same shape as the route")
-            let last = &mut self.oracle.last_eligible[sid][hop];
-            if decision.eligible < *last {
-                let prev = *last;
-                self.oracle.violate(ViolationKind::EligibilityOrder, || {
-                    format!(
-                        "session {sid} hop {hop} seq {}: eligibility {} < previous {prev}",
-                        pkt.seq, decision.eligible
-                    )
-                });
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.on_violation(
-                        now,
-                        ViolationKind::EligibilityOrder.label(),
-                        sid as u32,
-                        pkt.seq,
-                        node_idx as u32,
-                    );
-                }
-            } else {
-                *last = decision.eligible;
-            }
-            if decision.eligible < now {
-                self.oracle.violate(ViolationKind::ReleaseTime, || {
-                    format!(
-                        "session {sid} hop {hop} seq {}: eligibility {} before arrival {now}",
-                        pkt.seq, decision.eligible
-                    )
-                });
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.on_violation(
-                        now,
-                        ViolationKind::ReleaseTime.label(),
-                        sid as u32,
-                        pkt.seq,
-                        node_idx as u32,
-                    );
-                }
-            }
-        }
-        if self.regulator == RegulatorBackend::Interleaved {
-            // Interleaved join rule: a packet enters the shared FIFO when
-            // it must be held (`E > now`) or when it is jitter-controlled
-            // and the FIFO already holds earlier packets (overtaking them
-            // would break the regulator's FIFO contract). Immediately
-            // eligible non-jc packets bypass the regulator, as unshaped
-            // traffic does in TSN ATS.
-            // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
-            let node = &mut self.nodes[node_idx];
-            // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id they were routed with at build")
-            let jc = self.sessions[sid].spec.jitter_control;
-            if decision.eligible > self.now || (jc && !node.fifo.queue.is_empty()) {
-                let was_empty = node.fifo.queue.is_empty();
-                node.fifo
-                    .join(pkt, decision.key, decision.eligible, self.now);
-                if was_empty {
-                    // Joining an empty FIFO implies `E > now`, so the
-                    // head timer is always armed strictly in the future.
-                    self.events.push(
-                        decision.eligible,
-                        Event::RegFire {
-                            node: node_idx as u32,
-                            at: decision.eligible,
-                        },
-                    );
-                }
-            } else {
-                self.enqueue_eligible(node_idx as u32, pkt, decision.key);
-            }
-        } else if decision.eligible > self.now {
-            self.events.push(
-                decision.eligible,
-                Event::Eligible {
-                    pkt,
-                    key: decision.key,
-                    at: decision.eligible,
-                },
-            );
-        } else {
-            self.enqueue_eligible(node_idx as u32, pkt, decision.key);
-        }
-    }
-
-    /// Batched arrival dispatch: `first` just popped at `now`; drain the
-    /// run of consecutive `Arrive` events for the same `(session, hop)` at
-    /// the same instant and push the whole run through
-    /// [`Discipline::on_arrival_batch`].
-    ///
-    /// Equivalence with the scalar path: the drained events are exactly
-    /// the ones the scalar loop would pop next anyway (the future-event
-    /// set is FIFO among equal timestamps, and `pop_if` stops at the first
-    /// non-matching front), pops mint no sequence numbers, and the
-    /// per-packet pushes below happen in the same order as scalar
-    /// processing would emit them — so every downstream event gets the
-    /// identical timestamp *and* sequence number. Only reached when no
-    /// probe/oracle is installed (see [`NetworkBuilder::batch_arrivals`]).
-    fn arrive_batched(&mut self, first: Packet) {
-        let sid = first.session;
-        let hop = first.hop;
-        let now = self.now;
-        let mut batch = std::mem::take(&mut self.batch_pkts);
-        batch.clear();
-        batch.push(first);
-        while let Some((_, ev)) = self.events.pop_if(|at, ev| {
-            at == now && matches!(ev, Event::Arrive { pkt } if pkt.session == sid && pkt.hop == hop)
-        }) {
-            if let Event::Arrive { pkt } = ev {
-                batch.push(pkt);
-            }
-        }
-        let sidx = sid.index();
-        let hopx = hop as usize;
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id and hop index they were routed with at build")
-        let node_idx = self.sessions[sidx].hops[hopx].0 as usize;
-        for pkt in batch.iter_mut() {
-            pkt.arrived = now;
-        }
-        let mut out = std::mem::take(&mut self.batch_out);
-        out.clear();
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
-        let node = &mut self.nodes[node_idx];
-        node.discipline.on_arrival_batch(&mut batch, now, &mut out);
-        debug_assert_eq!(out.len(), batch.len(), "one decision per packet");
-        for (pkt, decision) in batch.drain(..).zip(out.drain(..)) {
-            debug_assert!(
-                decision.eligible >= now,
-                "discipline produced an eligibility time in the past"
-            );
-            // lit-lint: allow(no-panic-hot-path, "session_stats is built with one entry per session; sid comes from the packet's build-time id")
-            self.session_stats[sidx].occupy(hopx, pkt.len_bits as u64);
-            if decision.eligible > now {
-                self.events.push(
-                    decision.eligible,
-                    Event::Eligible {
-                        pkt,
-                        key: decision.key,
-                        at: decision.eligible,
-                    },
-                );
-            } else {
-                self.enqueue_eligible(node_idx as u32, pkt, decision.key);
-            }
-        }
-        self.batch_pkts = batch;
-        self.batch_out = out;
-    }
-
-    /// Put an eligible packet in the node's transmission queue and start
-    /// the link if idle.
-    fn enqueue_eligible(&mut self, node_idx: u32, pkt: Packet, key: u128) {
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
-        let node = &mut self.nodes[node_idx as usize];
-        node.queue.push(key, pkt);
-        if node.current.is_none() {
-            self.start_tx(node_idx);
-        }
-    }
-
-    /// Begin transmitting the highest-priority eligible packet.
-    fn start_tx(&mut self, node_idx: u32) {
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
-        let node = &mut self.nodes[node_idx as usize];
-        debug_assert!(node.current.is_none(), "link already busy");
-        let Some(pkt) = node.queue.pop() else {
-            return;
-        };
-        let tx = node.link.tx_time(pkt.len_bits);
-        node.discipline.on_service_start(&pkt, self.now);
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.on_dispatch(self.now, node_idx, pview(&pkt));
-        }
-        node.current = Some(pkt);
-        // lit-lint: allow(no-panic-hot-path, "node_stats is built with one entry per node")
-        self.node_stats[node_idx as usize].busy.set_busy(self.now);
-        self.events
-            .push(self.now + tx, Event::TxDone { node: node_idx });
-    }
-
-    /// The node's current packet finished transmission.
-    fn tx_done(&mut self, node_idx: u32) {
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
-        let node = &mut self.nodes[node_idx as usize];
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: a TxDone event exists only while `current` is occupied")
-        let mut pkt = node.current.take().expect("TxDone with idle link");
-        let finish = self.now;
-        node.discipline.on_departure(&mut pkt, finish);
-        let propagation = node.link.propagation;
-        let lmax_ps = node.link.lmax_time().as_ps() as i128;
-
-        // Node accounting.
-        // lit-lint: allow(no-panic-hot-path, "node_stats is built with one entry per node")
-        let nst = &mut self.node_stats[node_idx as usize];
-        nst.transmitted += 1;
-        nst.bits_transmitted += pkt.len_bits as u64;
-        let lateness = finish.as_ps() as i128 - pkt.deadline.as_ps() as i128;
-        nst.max_lateness_ps = nst.max_lateness_ps.max(lateness);
-        // The non-saturation allowance is a *per-session-regulator*
-        // lemma: under the interleaved backend a packet can legitimately
-        // leave later (it may wait behind other sessions' holds in the
-        // shared FIFO), so the check is suspended there and the regulator
-        // invariants take over at release time.
-        if self.oracle.enabled() && !self.oracle.interleaved && lateness >= lmax_ps {
-            // Non-saturation lemma: F̂ < F + L_MAX/C.
-            nst.oracle_violations += 1;
-            self.oracle.violate(ViolationKind::Lateness, || {
-                format!(
-                    "node {node_idx} session {} seq {}: finish {finish} is \
-                     {lateness} ps past deadline {} (allowance {lmax_ps} ps)",
-                    pkt.session.0, pkt.seq, pkt.deadline
-                )
-            });
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.on_violation(
-                    finish,
-                    ViolationKind::Lateness.label(),
-                    pkt.session.0,
-                    pkt.seq,
-                    node_idx,
-                );
-            }
-        }
-
-        // Session accounting: the packet no longer occupies this node.
-        let sid = pkt.session.index();
-        let hop = pkt.hop as usize;
-        // lit-lint: allow(no-panic-hot-path, "session_stats is built with one entry per session; sid comes from the packet's build-time id")
-        let st = &mut self.session_stats[sid];
-        st.release(hop, pkt.len_bits as u64);
-
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id they were routed with at build")
-        let hops = self.sessions[sid].hops.len();
-        if let Some(p) = self.probe.as_deref_mut() {
-            // Deadline slack F − departure; negative means the packet
-            // left late (the oracle's lateness check allows < L_MAX/C).
-            let slack = (pkt.deadline.as_ps() as i128 - finish.as_ps() as i128)
-                .clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-            p.on_depart(finish, node_idx, pview(&pkt), slack, hop + 1 >= hops);
-        }
-        if hop + 1 < hops {
-            pkt.hop += 1;
-            self.events
-                .push(finish + propagation, Event::Arrive { pkt });
-        } else {
-            // Delivered: end-to-end delay includes the last link's
-            // propagation, matching β's Σ(L_MAX/Cₙ + Γₙ) over n = 1..N.
-            let delivery = finish + propagation;
-            st.delivered += 1;
-            let delay = delivery - pkt.created;
-            st.e2e.record(delay);
-            st.delay_batches.record(delay.as_secs_f64());
-            let excess = delay.as_ps() as i128 - pkt.ref_delay.as_ps() as i128;
-            st.max_excess_ps = st.max_excess_ps.max(excess);
-            st.log_delivery(DeliveryRecord {
-                seq: pkt.seq,
-                created: pkt.created,
-                delivered: delivery,
-                ref_delay: pkt.ref_delay,
-            });
-            if self.oracle.enabled() {
-                // lit-lint: allow(no-panic-hot-path, "oracle bounds are sized to the session count at build")
-                if let Some(b) = self.oracle.bounds[sid] {
-                    // Ineq. 12, pathwise: D_i − D^ref_i < β + α, for any
-                    // arrival pattern (the firewall property).
-                    if excess >= b.shift_ps {
-                        st.oracle_violations += 1;
-                        self.oracle.violate(ViolationKind::DelayBound, || {
-                            format!(
-                                "session {sid} seq {}: excess {excess} ps ≥ β+α = {} ps",
-                                pkt.seq, b.shift_ps
-                            )
-                        });
-                        if let Some(p) = self.probe.as_deref_mut() {
-                            p.on_violation(
-                                finish,
-                                ViolationKind::DelayBound.label(),
-                                sid as u32,
-                                pkt.seq,
-                                u32::MAX,
-                            );
-                        }
-                    }
-                    // Ineq. 17 family: running jitter stays below the
-                    // empirical D^ref_max plus the spread constant. Both
-                    // running maxima only grow, so checking per delivery
-                    // is equivalent to checking at drain time.
-                    let jitter_ps = st.e2e.spread().map_or(0, |j| j.as_ps() as i128);
-                    let dref_ps = st.reference.max().map_or(0, |d| d.as_ps() as i128);
-                    if jitter_ps >= dref_ps + b.jitter_spread_ps {
-                        st.oracle_violations += 1;
-                        self.oracle.violate(ViolationKind::JitterBound, || {
-                            format!(
-                                "session {sid} seq {}: jitter {jitter_ps} ps ≥ \
-                                 D^ref_max {dref_ps} + spread {} ps",
-                                pkt.seq, b.jitter_spread_ps
-                            )
-                        });
-                        if let Some(p) = self.probe.as_deref_mut() {
-                            p.on_violation(
-                                finish,
-                                ViolationKind::JitterBound.label(),
-                                sid as u32,
-                                pkt.seq,
-                                u32::MAX,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        // Keep the link busy if more eligible work is queued.
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
-        let node = &mut self.nodes[node_idx as usize];
-        if node.queue.is_empty() {
-            // lit-lint: allow(no-panic-hot-path, "node_stats is built with one entry per node")
-            self.node_stats[node_idx as usize].busy.set_idle(self.now);
-        } else {
-            self.start_tx(node_idx);
-        }
-    }
-}
-
-impl ScalarNet {
     /// The outgoing-link parameters of a node.
     pub fn node_link(&self, id: NodeId) -> &LinkParams {
-        // lit-lint: allow(no-panic-hot-path, "public accessor: panicking on an invalid id is the documented contract")
-        &self.nodes[id.index()].link
+        &self.topo.links[id.index()]
     }
 
     /// Install the conformance-oracle bound constants for one session
     /// (normally done for every session by
     /// `lit_core::install_oracle_bounds`). No-op when the oracle is off.
     pub fn set_session_bounds(&mut self, id: SessionId, bounds: SessionBounds) {
-        if self.oracle.enabled() {
-            // lit-lint: allow(no-panic-hot-path, "public setter: panicking on an invalid id is the documented contract")
-            self.oracle.bounds[id.index()] = Some(bounds);
+        for shard in &mut self.shards {
+            if shard.core.oracle.enabled() {
+                shard.core.oracle.bounds[id.index()] = Some(bounds);
+            }
         }
     }
 
-    /// Total events ever pushed onto the future-event set (a proxy for
-    /// simulation work, used by the overhead-guard benchmark).
+    /// Total events ever scheduled (a proxy for simulation work, used by
+    /// the overhead-guard benchmark): event-set pushes plus, under the
+    /// k-shard driver, same-instant group appends. Invariant across
+    /// shard counts: same workload, same count.
     pub fn event_count(&self) -> u64 {
-        self.events.pushed()
+        self.shards.iter().map(Shard::event_count).sum()
     }
 
     /// Remove the installed observability probe, finishing it first (a
@@ -1036,22 +450,23 @@ impl ScalarNet {
     /// idempotent). Callers that install a concrete probe use this plus
     /// `Probe::as_any` to read the recorded registries back.
     pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        let now = self.now;
-        let mut p = self.probe.take();
-        if let Some(p) = p.as_deref_mut() {
-            p.finish(now);
-        }
-        p
+        let mut p = self.shards.first_mut()?.core.probe.take()?;
+        p.finish(self.now());
+        Some(p)
     }
 
     /// Total conformance-oracle violations recorded by this network.
     pub fn oracle_violations(&self) -> u64 {
-        self.oracle.totals.total()
+        self.oracle_totals().total()
     }
 
-    /// Violation counts by kind.
+    /// Violation counts by kind, summed over the shards' cores.
     pub fn oracle_totals(&self) -> OracleTotals {
-        self.oracle.totals
+        let mut t = OracleTotals::default();
+        for shard in &self.shards {
+            t.absorb(&shard.core.oracle.totals);
+        }
+        t
     }
 
     /// Drain-time checks: (a) ineq. 16 — for every session with installed
@@ -1059,46 +474,42 @@ impl ScalarNet {
     /// reference histogram shifted right by `β + α`, compared on absolute
     /// counts; (b) workload-conservation sanity (the Kruk et al.
     /// heavy-traffic premise) — every node's accumulated busy time must
-    /// equal the service time of the bits it transmitted. Returns the
-    /// number of sessions plus nodes that failed. Runs automatically (in
-    /// counting mode) when the network is dropped, if not called
-    /// explicitly first.
+    /// equal the service time of the bits it transmitted. Both sides of
+    /// each comparison are whole-run, so they read the merged view; a
+    /// failure is recorded on the core that owns the session's last hop
+    /// or the node. Returns the number of sessions plus nodes that
+    /// failed. Runs automatically (in counting mode) when the network is
+    /// dropped, if not called explicitly first.
     pub fn oracle_drain_check(&mut self) -> u64 {
-        self.oracle.drained = true;
-        if !self.oracle.enabled() {
+        self.drained = true;
+        if !self.shards[0].core.oracle.enabled() {
             return 0;
         }
         let mut failed = 0;
-        for (sid, st) in self.session_stats.iter_mut().enumerate() {
-            // lit-lint: allow(no-panic-hot-path, "oracle bounds and session_stats are built to the same length; sid enumerates the latter")
-            let Some(b) = self.oracle.bounds[sid] else {
+        for sid in 0..self.topo.hops.len() {
+            // Every core holds the same installed bounds.
+            let Some(b) = self.shards[0].core.oracle.bounds[sid] else {
                 continue;
             };
+            let st = self.session_stats(SessionId(sid as u32));
             if st.delivered == 0 {
                 continue;
             }
-            if let Some((d_ps, lhs, rhs)) = ccdf_shift_violation(&st.e2e, &st.reference, b.shift_ps)
-            {
-                failed += 1;
-                st.oracle_violations += 1;
-                self.oracle.violate(ViolationKind::CcdfBound, || {
-                    format!(
-                        "session {sid}: {lhs} packets with D > {d_ps} ps, but only \
-                         {rhs} with D^ref > {} ps (shift {} ps)",
-                        d_ps - b.shift_ps,
-                        b.shift_ps
-                    )
-                });
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.on_violation(
-                        self.now,
-                        ViolationKind::CcdfBound.label(),
-                        sid as u32,
-                        0,
-                        u32::MAX,
-                    );
-                }
-            }
+            let Some((d_ps, lhs, rhs)) = ccdf_shift_violation(&st.e2e, &st.reference, b.shift_ps)
+            else {
+                continue;
+            };
+            failed += 1;
+            let last_node = self.topo.hops[sid].last().map_or(0, |h| h.0 as usize);
+            let core = self.owner_mut(last_node);
+            core.flag_session(sid, ViolationKind::CcdfBound, || {
+                format!(
+                    "session {sid}: {lhs} packets with D > {d_ps} ps, but only \
+                     {rhs} with D^ref > {} ps (shift {} ps)",
+                    d_ps - b.shift_ps,
+                    b.shift_ps
+                )
+            });
         }
         // Workload conservation over [0, now], per node: busy time must
         // equal the service time of the transmitted bits. Slack: ±1 ps
@@ -1107,223 +518,61 @@ impl ScalarNet {
         // packet still on the wire at the horizon, whose open busy
         // interval is closed virtually while its bits are not yet
         // counted.
-        let now = self.now;
-        for (n, nst) in self.node_stats.iter_mut().enumerate() {
-            // lit-lint: allow(no-panic-hot-path, "node_stats and nodes are built to the same length; n enumerates the former")
-            let link = &self.nodes[n].link;
+        let now = self.now();
+        for n in 0..self.topo.links.len() {
+            let link = self.topo.links[n];
+            let nst = self.node_stats(NodeId(n as u32));
             let service_ps =
                 Duration::from_bits_at_rate(nst.bits_transmitted, link.rate_bps).as_ps() as i128;
             let busy_ps = nst.busy.busy_at(now).as_ps() as i128;
-            let count = nst.transmitted as i128;
+            let transmitted = nst.transmitted;
+            let count = transmitted as i128;
             let lmax_ps = link.lmax_time().as_ps() as i128;
-            if busy_ps < service_ps - count || busy_ps > service_ps + count + lmax_ps {
-                failed += 1;
-                nst.oracle_violations += 1;
-                self.oracle.violate(ViolationKind::WorkConservation, || {
-                    format!(
-                        "node {n}: busy {busy_ps} ps over [0, {now}] vs {service_ps} ps \
-                         of transmitted service ({} packets, allowance ±{count} ps \
-                         + {lmax_ps} ps in flight)",
-                        nst.transmitted
-                    )
-                });
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.on_violation(
-                        now,
-                        ViolationKind::WorkConservation.label(),
-                        u32::MAX,
-                        0,
-                        n as u32,
-                    );
-                }
+            if busy_ps >= service_ps - count && busy_ps <= service_ps + count + lmax_ps {
+                continue;
             }
+            failed += 1;
+            let core = self.owner_mut(n);
+            core.flag_node(n, ViolationKind::WorkConservation, || {
+                format!(
+                    "node {n}: busy {busy_ps} ps over [0, {now}] vs {service_ps} ps \
+                     of transmitted service ({transmitted} packets, allowance ±{count} ps \
+                     + {lmax_ps} ps in flight)"
+                )
+            });
+        }
+        if failed > 0 {
+            self.merge(); // the marks landed on per-shard rows
         }
         failed
     }
+
+    /// How many shard workers the built network actually uses (1 for the
+    /// one-shard driver, including every fallback case).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
 }
 
-impl Drop for ScalarNet {
+impl Drop for Network {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
         // Run the drain-time distribution check if the caller didn't.
         // Forced to counting mode: panicking in drop would abort, and the
         // global counter still surfaces the failure (e.g. to `lit-repro`,
         // whose exit code checks it after a sweep).
-        if self.oracle.enabled() && !self.oracle.drained && !std::thread::panicking() {
-            let mode = self.oracle.mode;
-            self.oracle.mode = OracleMode::Count;
+        if !self.drained {
+            for shard in &mut self.shards {
+                if shard.core.oracle.enabled() {
+                    shard.core.oracle.mode = OracleMode::Count;
+                }
+            }
             self.oracle_drain_check();
-            self.oracle.mode = mode;
         }
         // Finish the probe *after* the drain check so drain-time CCDF
         // violations are part of what a hub-submitting probe delivers.
-        if !std::thread::panicking() {
-            let now = self.now;
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.finish(now);
-            }
-        }
-    }
-}
-
-/// The engine behind the facade: one scalar event loop, or per-shard
-/// event loops coupled through conservative lookahead windows.
-enum Engine {
-    // Both engines inline multi-hundred-byte tables; boxing keeps the
-    // facade enum pointer-sized (clippy::large_enum_variant).
-    Scalar(Box<ScalarNet>),
-    Sharded(Box<crate::shard::ShardedNet>),
-}
-
-/// The network: topology + sessions + executor + accumulated statistics.
-///
-/// Dispatches between the scalar engine and the sharded engine.
-/// Statistics, traces and oracle counts are byte-identical across all
-/// sharded counts, and match the scalar engine whenever no two events
-/// share an instant — see [`NetworkBuilder::shards`] for the tie-order
-/// and jitter-oracle caveats on tie-heavy workloads, and
-/// [`Network::shard_count`] for which engine actually ran.
-pub struct Network {
-    inner: Engine,
-}
-
-impl Network {
-    /// Advance the simulation until no event at or before `until` remains.
-    /// May be called repeatedly with growing horizons.
-    pub fn run_until(&mut self, until: Time) {
-        match &mut self.inner {
-            Engine::Scalar(n) => n.run_until(until),
-            Engine::Sharded(n) => n.run_until(until),
-        }
-    }
-
-    /// Current simulation clock.
-    pub fn now(&self) -> Time {
-        match &self.inner {
-            Engine::Scalar(n) => n.now(),
-            Engine::Sharded(n) => n.now(),
-        }
-    }
-
-    /// Statistics of one session.
-    pub fn session_stats(&self, id: SessionId) -> &SessionStats {
-        match &self.inner {
-            Engine::Scalar(n) => n.session_stats(id),
-            Engine::Sharded(n) => n.session_stats(id),
-        }
-    }
-
-    /// Statistics of one node.
-    pub fn node_stats(&self, id: NodeId) -> &NodeStats {
-        match &self.inner {
-            Engine::Scalar(n) => n.node_stats(id),
-            Engine::Sharded(n) => n.node_stats(id),
-        }
-    }
-
-    /// The spec a session was registered with.
-    pub fn session_spec(&self, id: SessionId) -> &SessionSpec {
-        match &self.inner {
-            Engine::Scalar(n) => n.session_spec(id),
-            Engine::Sharded(n) => n.session_spec(id),
-        }
-    }
-
-    /// Number of sessions.
-    pub fn num_sessions(&self) -> usize {
-        match &self.inner {
-            Engine::Scalar(n) => n.num_sessions(),
-            Engine::Sharded(n) => n.num_sessions(),
-        }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        match &self.inner {
-            Engine::Scalar(n) => n.num_nodes(),
-            Engine::Sharded(n) => n.num_nodes(),
-        }
-    }
-
-    /// The per-hop delay assignments of a session (node index, assignment).
-    pub fn session_hops(&self, id: SessionId) -> &[(u32, DelayAssignment)] {
-        match &self.inner {
-            Engine::Scalar(n) => n.session_hops(id),
-            Engine::Sharded(n) => n.session_hops(id),
-        }
-    }
-
-    /// The outgoing-link parameters of a node.
-    pub fn node_link(&self, id: NodeId) -> &LinkParams {
-        match &self.inner {
-            Engine::Scalar(n) => n.node_link(id),
-            Engine::Sharded(n) => n.node_link(id),
-        }
-    }
-
-    /// Install the conformance-oracle bound constants for one session
-    /// (normally done for every session by
-    /// `lit_core::install_oracle_bounds`). No-op when the oracle is off.
-    pub fn set_session_bounds(&mut self, id: SessionId, bounds: SessionBounds) {
-        match &mut self.inner {
-            Engine::Scalar(n) => n.set_session_bounds(id, bounds),
-            Engine::Sharded(n) => n.set_session_bounds(id, bounds),
-        }
-    }
-
-    /// Total events ever pushed onto the future-event set (a proxy for
-    /// simulation work, used by the overhead-guard benchmark). Invariant
-    /// across shard counts: same workload, same count.
-    pub fn event_count(&self) -> u64 {
-        match &self.inner {
-            Engine::Scalar(n) => n.event_count(),
-            Engine::Sharded(n) => n.event_count(),
-        }
-    }
-
-    /// Remove the installed observability probe, finishing it first.
-    /// Always `None` on the sharded engine — a probe forces the scalar
-    /// engine at `build` (see [`NetworkBuilder::shards`]), so a sharded
-    /// network never holds one.
-    pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        match &mut self.inner {
-            Engine::Scalar(n) => n.take_probe(),
-            Engine::Sharded(_) => None,
-        }
-    }
-
-    /// Total conformance-oracle violations recorded by this network.
-    pub fn oracle_violations(&self) -> u64 {
-        match &self.inner {
-            Engine::Scalar(n) => n.oracle_violations(),
-            Engine::Sharded(n) => n.oracle_violations(),
-        }
-    }
-
-    /// Violation counts by kind.
-    pub fn oracle_totals(&self) -> OracleTotals {
-        match &self.inner {
-            Engine::Scalar(n) => n.oracle_totals(),
-            Engine::Sharded(n) => n.oracle_totals(),
-        }
-    }
-
-    /// Drain-time checks: ineq. 16 per session with installed bounds and
-    /// workload-conservation sanity per node (`ScalarNet::oracle_drain_check`
-    /// internally); returns the number of sessions plus nodes that failed.
-    /// Runs automatically in counting mode on drop if not called explicitly.
-    pub fn oracle_drain_check(&mut self) -> u64 {
-        match &mut self.inner {
-            Engine::Scalar(n) => n.oracle_drain_check(),
-            Engine::Sharded(n) => n.oracle_drain_check(),
-        }
-    }
-
-    /// How many shard workers the built engine actually uses (1 for the
-    /// scalar engine, including every fallback case).
-    pub fn shard_count(&self) -> usize {
-        match &self.inner {
-            Engine::Scalar(_) => 1,
-            Engine::Sharded(n) => n.shard_count(),
-        }
+        self.take_probe();
     }
 }

@@ -12,8 +12,8 @@
 //!   co-simulated reference server — valid for *any* arrival pattern,
 //!   which is the paper's firewall property.
 //! * **Delay jitter** (ineq. 17 and its no-control sibling): the running
-//!   `max − min` delay never exceeds the empirical `D^ref_max` plus the
-//!   session's spread constant.
+//!   `max − min` delay never exceeds the empirical `D^ref_max` over the
+//!   packets delivered so far plus the session's spread constant.
 //! * **Delay distribution** (ineq. 16, checked at drain time):
 //!   `P(D > d) ≤ P(D^ref > d − β − α)` compared bin-by-bin on absolute
 //!   counts, with the rounding slack taken in the sound direction.
@@ -196,6 +196,19 @@ impl OracleTotals {
             + self.work_conservation
     }
 
+    /// Add another network shard's counts, kind by kind.
+    pub(crate) fn absorb(&mut self, o: &OracleTotals) {
+        self.eligibility_order += o.eligibility_order;
+        self.release_time += o.release_time;
+        self.lateness += o.lateness;
+        self.delay_bound += o.delay_bound;
+        self.jitter_bound += o.jitter_bound;
+        self.ccdf_bound += o.ccdf_bound;
+        self.shaping_bound += o.shaping_bound;
+        self.regulator_fifo += o.regulator_fifo;
+        self.work_conservation += o.work_conservation;
+    }
+
     fn slot(&mut self, kind: ViolationKind) -> &mut u64 {
         match kind {
             ViolationKind::EligibilityOrder => &mut self.eligibility_order,
@@ -259,8 +272,10 @@ pub(crate) struct OracleRt {
     pub(crate) bounds: Vec<Option<SessionBounds>>,
     /// Last eligibility time per `[session][hop]` (empty when disabled).
     pub(crate) last_eligible: Vec<Vec<Time>>,
-    /// Whether the drain-time check already ran (guards the `Drop` hook).
-    pub(crate) drained: bool,
+    /// Largest reference delay over the packets *delivered* so far, per
+    /// session, in picoseconds: the jitter check's `D^ref_max` (empty
+    /// when disabled).
+    pub(crate) ref_max_ps: Vec<i128>,
     /// Whether the network runs the interleaved regulator backend. Under
     /// it the per-session lateness allowance no longer holds (a packet may
     /// additionally wait behind other sessions' holds), so the `Lateness`
@@ -285,7 +300,11 @@ impl OracleRt {
             } else {
                 Vec::new()
             },
-            drained: false,
+            ref_max_ps: if enabled {
+                vec![i128::MIN; session_hops.len()]
+            } else {
+                Vec::new()
+            },
             interleaved: false,
         }
     }

@@ -36,7 +36,7 @@ impl NodeId {
 /// departure when it stamps `hold` for the next hop. Baseline disciplines
 /// that don't need them simply leave them at their defaults.
 ///
-/// Every field is a scalar, so a packet is `Copy`: the sharded executor
+/// Every field is a scalar, so a packet is `Copy`: the k-shard driver
 /// moves packets between [`crate::PacketArena`]s and across shard
 /// mailboxes by value, with no per-packet heap traffic.
 #[derive(Clone, Copy, Debug)]

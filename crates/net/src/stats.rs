@@ -272,11 +272,11 @@ impl SessionStats {
     }
 
     /// Fold another partial accumulator for the *same* session into this
-    /// one. Used by the sharded executor: each shard accumulates only the
+    /// one. Used by the k-shard driver: each shard accumulates only the
     /// fields its own hops write (injection fields on the first-hop
     /// shard, delivery fields on the last-hop shard, per-hop occupancy on
     /// the hop's owner), so partials are field-disjoint and absorbing
-    /// them in any fixed order reconstructs exactly the scalar totals.
+    /// them in any fixed order reconstructs exactly the one-shard totals.
     pub(crate) fn absorb(&mut self, o: &SessionStats) {
         self.injected += o.injected;
         self.delivered += o.delivered;

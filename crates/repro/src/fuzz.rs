@@ -11,14 +11,12 @@
 //! 2. `lit` on the calendar backend — the delivery log must be
 //!    bit-identical to run 1 (same `(seq, created, delivered,
 //!    ref_delay)` for every packet of every session);
-//! 3. `lit` on the timer-wheel backend with batched arrival dispatch —
-//!    also bit-identical to run 1 (one run exercising both hot-path
-//!    optimizations at once);
+//! 3. `lit` on the timer-wheel backend — also bit-identical to run 1;
 //! 4. `virtualclock` on the heap backend — also bit-identical to run 1.
 //!
-//! Plus one sharded-executor pair: `lit` on 2 shards vs 7 shards (oracle
+//! Plus one k-shard pair: `lit` on 2 shards vs 7 shards (oracle
 //! counting on both) — delivery logs and violation counts must match
-//! *each other* exactly. The sharded engine orders same-instant events
+//! *each other* exactly. The k-shard driver orders same-instant events
 //! canonically rather than in heap-FIFO order, so it is compared against
 //! itself across shard counts (its own determinism contract) instead of
 //! against run 1, whose tie order random scenarios are allowed to
@@ -152,7 +150,6 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
         backend: Some(EventBackend::Heap),
         stats,
         oracle: OracleMode::Count,
-        batch: false,
         shards: None,
         regulator: None,
     });
@@ -169,7 +166,6 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
         backend: Some(EventBackend::Calendar),
         stats,
         oracle: OracleMode::Off,
-        batch: false,
         shards: None,
         regulator: None,
     });
@@ -180,19 +176,17 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
         backend: Some(EventBackend::Wheel),
         stats,
         oracle: OracleMode::Off,
-        batch: true,
         shards: None,
         regulator: None,
     });
     if snapshot(&wheel, &wheel_ids) != base {
-        return Err("wheel backend with batched arrivals diverges from heap".into());
+        return Err("wheel event backend diverges from heap".into());
     }
     let vc = sc.with_discipline("virtualclock")?;
     let (vc_net, vc_ids) = vc.run_opts(&RunOptions {
         backend: Some(EventBackend::Heap),
         stats,
         oracle: OracleMode::Off,
-        batch: false,
         shards: None,
         regulator: None,
     });
@@ -201,13 +195,12 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
     }
     // Sharded-executor determinism: different shard counts must agree
     // with each other packet for packet and violation for violation
-    // (falls back to scalar — still a valid identity — when the
+    // (falls back to one shard — still a valid identity — when the
     // scenario's links have zero propagation).
     let (mut sh2, sh2_ids) = sc.run_opts(&RunOptions {
         backend: Some(EventBackend::Heap),
         stats,
         oracle: OracleMode::Count,
-        batch: false,
         shards: Some(2),
         regulator: None,
     });
@@ -215,7 +208,6 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
         backend: Some(EventBackend::Heap),
         stats,
         oracle: OracleMode::Count,
-        batch: false,
         shards: Some(7),
         regulator: None,
     });
@@ -304,7 +296,6 @@ pub fn trace_arms(sc: &Scenario) -> Vec<(String, Vec<TraceEvent>)> {
                     backend: Some(backend),
                     stats,
                     oracle: OracleMode::Off,
-                    batch: false,
                     shards: None,
                     regulator: None,
                 },
@@ -486,7 +477,6 @@ mod tests {
                 backend: None,
                 stats: Some(fuzz_stats()),
                 oracle: OracleMode::Off,
-                batch: false,
                 shards: None,
                 regulator: None,
             });

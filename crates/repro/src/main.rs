@@ -24,11 +24,11 @@
 //! `--threads N` workers (default: all cores); the thread count never
 //! changes results, only wall-clock time. `--shards N` splits every
 //! network *within* one run across N per-core shard executors (default:
-//! 1, the scalar engine) — byte-identical results across every `N ≥ 2`,
+//! 1, the one-shard driver) — byte-identical results across every `N ≥ 2`,
 //! and identical to `N = 1` on the experiments' staggered traffic where
 //! no two events share an instant (the general tie-order caveat and the
 //! fallback cases are documented at `lit_net::shard`; a run whose
-//! `--shards` request degraded to scalar says so on stderr). Tables
+//! `--shards` request degraded to one shard says so on stderr). Tables
 //! print to stdout and are also written as CSV under `--out` (default
 //! `results/`).
 
@@ -333,14 +333,14 @@ fn run_command(cmd: &str, cfg: &RunConfig, out: &Path) -> bool {
 }
 
 /// After a run: if `--shards` asked for parallelism but some network
-/// builds degraded to the scalar engine (probe installed, panic-mode
+/// builds degraded to the one-shard driver (probe installed, panic-mode
 /// oracle, zero-lookahead edge), say so — the results are still valid,
-/// but any wall-clock numbers were measured on the scalar engine.
+/// but any wall-clock numbers were measured on the one-shard driver.
 fn report_shard_fallbacks() {
     let fb = lit_net::shard::shard_fallbacks();
     if lit_net::shard::global_shards() > 1 && fb > 0 {
         eprintln!(
-            "shards: {fb} network build(s) fell back to the scalar engine \
+            "shards: {fb} network build(s) fell back to the one-shard driver \
              (probe / panic-mode oracle / zero-lookahead edge; results unaffected)"
         );
     }

@@ -548,13 +548,9 @@ pub struct RunOptions {
     /// Conformance-oracle mode; armed only when the discipline is `lit`
     /// with an exact eligible queue.
     pub oracle: OracleMode,
-    /// Enable batched arrival dispatch (see
-    /// [`NetworkBuilder::batch_arrivals`]); observably identical, and
-    /// ignored while a probe or the oracle is installed.
-    pub batch: bool,
     /// Shard-worker override (see [`NetworkBuilder::shards`]); `None`
     /// follows the process-global `--shards` flag. Results are identical
-    /// for every value; a probe or panic-mode oracle forces scalar.
+    /// for every value; a probe or panic-mode oracle forces one shard.
     pub shards: Option<usize>,
     /// Regulator-backend override; `None` follows the process-global
     /// `--regulator` flag, then the scenario's `regulator` directive.
@@ -940,7 +936,6 @@ impl Scenario {
             .seed(self.seed)
             .queue_kind(self.queue)
             .event_backend(opts.backend.unwrap_or(self.backend))
-            .batch_arrivals(opts.batch)
             .regulator(regulator)
             .shards(opts.shards.unwrap_or_else(lit_net::shard::global_shards));
         // The oracle's invariants are Leave-in-Time's, checked against an
