@@ -1,6 +1,6 @@
 //! Future-event-set throughput: the simulator's hottest structure.
 //!
-//! Every pattern runs under both [`EventBackend`]s — the default binary
+//! Every pattern runs under two [`EventBackend`]s — the default 4-ary
 //! heap and the opt-in calendar ring — so the O(log n) vs amortized-O(1)
 //! crossover is visible directly. Patterns benched:
 //!
@@ -8,9 +8,9 @@
 //!   with a random increment (what a running simulation actually does);
 //! * `burst` — push N then drain N (network start-up / tear-down shape).
 //!
-//! The headline comparison is `hold` at N = 1 000 000: the calendar is
-//! expected to hold a ≥ 2× advantage there (see `results/BENCH_queues.json`
-//! written by the `bench_queues` binary for the tracked numbers).
+//! The headline comparison is `hold` at N = 1 000 000, the one size where
+//! the calendar still leads (see `results/BENCH_queues.json` written by
+//! the `bench_queues` binary for the tracked numbers).
 
 #![forbid(unsafe_code)]
 

@@ -85,6 +85,7 @@ impl Default for Config {
                 "crates/net/src/equeue.rs",
                 "crates/net/src/table.rs",
                 "crates/sim/src/queue.rs",
+                "crates/sim/src/heap.rs",
                 "crates/sim/src/calendar.rs",
                 "crates/sim/src/wheel.rs",
                 "crates/core/src/discipline.rs",

@@ -18,6 +18,7 @@
 //! `None` and the executor's debug assertions catch the wiring bug.
 
 use crate::packet::Packet;
+use lit_sim::Time;
 
 /// A dense generational handle into a [`PacketArena`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,12 +35,17 @@ impl PacketRef {
     }
 }
 
-/// One arena slot: the packet payload plus the slot's current generation.
-/// A slot is free iff its index is on the free list; `gen` is bumped when
-/// the slot is freed, invalidating outstanding references.
+/// One arena slot: the packet payload, what a per-session regulator
+/// parked with it ([`PacketArena::hold`]; stale until then) and the
+/// slot's current generation. A slot is free iff its index is on the free
+/// list; `gen` is bumped when the slot is freed, invalidating outstanding
+/// references. The key is two `u64`s because a `u128` would align the
+/// slot to 16 bytes and pad it by 8 more.
 struct Slot {
-    gen: u32,
     pkt: Packet,
+    /// `(key >> 64, key as u64, until)`.
+    held: (u64, u64, Time),
+    gen: u32,
 }
 
 /// A slab of packets with generational references and an in-place free
@@ -85,39 +91,62 @@ impl PacketArena {
             return PacketRef { idx, gen: slot.gen };
         }
         let idx = self.slots.len() as u32;
-        self.slots.push(Slot { gen: 0, pkt });
+        let held = (0, 0, Time::ZERO);
+        self.slots.push(Slot { pkt, held, gen: 0 });
         PacketRef { idx, gen: 0 }
+    }
+
+    /// The slot `r` names, unless `r` is stale.
+    #[inline]
+    fn slot(&self, r: PacketRef) -> Option<&Slot> {
+        self.slots.get(r.idx as usize).filter(|s| s.gen == r.gen)
+    }
+
+    /// Mutable twin of [`Self::slot`].
+    #[inline]
+    fn slot_mut(&mut self, r: PacketRef) -> Option<&mut Slot> {
+        let slot = self.slots.get_mut(r.idx as usize);
+        slot.filter(|s| s.gen == r.gen)
+    }
+
+    /// A per-session regulator holds live packet `r` until `until`, to be
+    /// queued with priority `key` then. Kept beside the packet so that the
+    /// release event carries the reference alone.
+    pub(crate) fn hold(&mut self, r: PacketRef, key: u128, until: Time) {
+        if let Some(s) = self.slot_mut(r) {
+            s.held = ((key >> 64) as u64, key as u64, until);
+        }
+    }
+
+    /// A live packet with the `(key, until)` last parked by [`Self::hold`].
+    #[inline]
+    pub(crate) fn held(&self, r: PacketRef) -> Option<(&Packet, u128, Time)> {
+        let s = self.slot(r)?;
+        let (hi, lo, until) = s.held;
+        Some((&s.pkt, (hi as u128) << 64 | lo as u128, until))
     }
 
     /// Read a live packet; `None` if the reference is stale.
     #[inline]
     pub fn get(&self, r: PacketRef) -> Option<&Packet> {
-        self.slots
-            .get(r.idx as usize)
-            .filter(|s| s.gen == r.gen)
-            .map(|s| &s.pkt)
+        self.slot(r).map(|s| &s.pkt)
     }
 
     /// Mutate a live packet; `None` if the reference is stale.
     #[inline]
     pub fn get_mut(&mut self, r: PacketRef) -> Option<&mut Packet> {
-        self.slots
-            .get_mut(r.idx as usize)
-            .filter(|s| s.gen == r.gen)
-            .map(|s| &mut s.pkt)
+        self.slot_mut(r).map(|s| &mut s.pkt)
     }
 
     /// Remove a live packet, returning it by value and recycling its slot.
     /// `None` (and no state change) if the reference is stale.
     pub fn take(&mut self, r: PacketRef) -> Option<Packet> {
-        let slot = self
-            .slots
-            .get_mut(r.idx as usize)
-            .filter(|s| s.gen == r.gen)?;
+        let slot = self.slot_mut(r)?;
         slot.gen = slot.gen.wrapping_add(1);
+        let pkt = slot.pkt;
         self.live -= 1;
         self.free.push(r.idx);
-        Some(slot.pkt)
+        Some(pkt)
     }
 
     /// Packets currently live.
@@ -192,6 +221,20 @@ mod tests {
             a.capacity()
         );
         assert_eq!(a.live(), live.len());
+    }
+
+    #[test]
+    fn held_release_rides_in_a_slot_24_bytes_larger() {
+        let mut a = PacketArena::new();
+        let r = a.alloc(pkt(1));
+        let key = (7u128 << 64) | 9;
+        a.hold(r, key, Time::from_ms(3));
+        let (p, k, until) = a.held(r).unwrap();
+        assert_eq!((p.seq, k, until), (1, key, Time::from_ms(3)));
+        assert!(a.take(r).is_some() && a.held(r).is_none());
+        // Packet + generation alone pad to 80.
+        assert_eq!(std::mem::size_of::<(Packet, u32)>(), 80);
+        assert_eq!(std::mem::size_of::<Slot>(), 80 + 24);
     }
 
     #[test]

@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn wheel_event_backend_matches_heap() {
         // Same contract as the calendar test: the hierarchical timer wheel
-        // must pop the identical (time, seq) sequence as the binary heap,
+        // must pop the identical (time, seq) sequence as the heap,
         // so whole runs are bit-equal.
         let run = |backend: EventBackend| {
             let mut b = NetworkBuilder::new().seed(34).event_backend(backend);

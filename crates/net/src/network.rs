@@ -126,10 +126,10 @@ impl NetworkBuilder {
     /// Select the engine of the future-event set (default:
     /// [`EventBackend::Heap`]). All three backends pop the identical
     /// event sequence, so this is purely a performance knob. Measured by
-    /// `lit-bench` against the heap: the wheel costs +56…+59 ns/event
-    /// and the calendar +24…+34 ns/event on the shallow-event-set
-    /// workloads, and they win −8.5 / −5.0 ns/event only at an event set
-    /// 1e5 deep (`crates/bench/src/bin/lit-bench/README.md`).
+    /// `lit-bench`'s traced pass against the heap: the wheel costs
+    /// +53…+88 ns/event and the calendar +12…+33 ns/event on the
+    /// shallow-event-set workloads; at an event set 1.5e5 deep the wheel
+    /// costs +26…+56 and the calendar ties (−3…+9, median +0.2).
     pub fn event_backend(mut self, backend: EventBackend) -> Self {
         self.event_backend = backend;
         self

@@ -36,22 +36,25 @@ use lit_sim::{Duration, EventQueue, SimRng, Time};
 use lit_traffic::{Emission, Source};
 use std::sync::Arc;
 
-/// Events of a node step. Packets are named by arena reference, so an
-/// event is `Copy` and 48 bytes however large [`Packet`] grows.
+/// Events of a node step. Packets are named by arena reference and no
+/// event carries an instant or a key, so an event is `Copy` and fits 16
+/// bytes: with its `(time, seq)` an event-set entry is 32.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Ev {
     /// Inject the pending emission of session `sid` (arrival at hop 0).
     Inject { sid: u32 },
     /// A packet's last bit arrives at its current hop's node.
     Arrive { p: PacketRef },
-    /// A regulated packet becomes eligible at its node. `at` is the
-    /// eligibility instant the regulator computed; the oracle verifies
+    /// A regulated packet becomes eligible at its node. The eligibility
+    /// instant the regulator computed and the priority key wait in the
+    /// packet's arena slot ([`PacketArena::hold`]); the oracle verifies
     /// the driver releases the packet exactly then.
-    Eligible { p: PacketRef, key: u128, at: Time },
+    Eligible { p: PacketRef },
     /// The head of `node`'s shared interleaved-regulator FIFO reaches its
-    /// eligibility instant `at`: release every leading entry whose own
-    /// eligibility has passed, then re-arm at the new head's instant.
-    RegFire { node: u32, at: Time },
+    /// eligibility instant (kept in the FIFO entry): release every leading
+    /// entry whose own eligibility has passed, then re-arm at the new
+    /// head's instant.
+    RegFire { node: u32 },
     /// The node finished transmitting its current packet.
     TxDone { node: u32 },
 }
@@ -316,8 +319,8 @@ impl NodeCore {
         match ev {
             Ev::Inject { sid } => self.inject(sid, sink),
             Ev::Arrive { p } => self.arrive(p, sink),
-            Ev::Eligible { p, key, at } => self.eligible(p, key, at, sink),
-            Ev::RegFire { node, at } => self.reg_fire(node, at, sink),
+            Ev::Eligible { p } => self.eligible(p, sink),
+            Ev::RegFire { node } => self.reg_fire(node, sink),
             Ev::TxDone { node } => self.tx_done(node, sink),
         }
     }
@@ -419,15 +422,14 @@ impl NodeCore {
                 if was_empty {
                     // Joining an empty FIFO implies `E > now`, so the
                     // head timer is always armed strictly in the future.
-                    let at = decision.eligible;
-                    sink.emit(at, Ev::RegFire { node: node_idx, at });
+                    sink.emit(decision.eligible, Ev::RegFire { node: node_idx });
                 }
             } else {
                 self.enqueue_eligible(node_idx, p, decision.key, sink);
             }
         } else if decision.eligible > now {
-            let (key, at) = (decision.key, decision.eligible);
-            sink.emit(at, Ev::Eligible { p, key, at });
+            self.arena.hold(p, decision.key, decision.eligible);
+            sink.emit(decision.eligible, Ev::Eligible { p });
         } else {
             self.enqueue_eligible(node_idx, p, decision.key, sink);
         }
@@ -436,9 +438,12 @@ impl NodeCore {
     /// A per-session regulator releases a packet it held. The event only
     /// exists for packets with `E > arrival`, so `now − arrived` is the
     /// holding time of eq. 8–9 and is strictly positive.
-    fn eligible<S: Sink>(&mut self, p: PacketRef, key: u128, at: Time, sink: &mut S) {
+    fn eligible<S: Sink>(&mut self, p: PacketRef, sink: &mut S) {
         let now = self.now;
-        let pkt = live(&self.arena, p);
+        let Some((pkt, key, at)) = self.arena.held(p) else {
+            debug_assert!(false, "released packet vanished");
+            return;
+        };
         let (sid, hop) = (pkt.session.index(), pkt.hop as usize);
         let node_idx = self.topo.node_at(sid, hop);
         if self.oracle.enabled() && now != at {
@@ -464,12 +469,17 @@ impl NodeCore {
     /// the Thomas–Le Boudec shaping ceiling: a packet is never held past
     /// its own eligibility longer than the largest `E − a` offset any
     /// packet ever brought into this FIFO.
-    fn reg_fire<S: Sink>(&mut self, node_idx: u32, at: Time, sink: &mut S) {
+    fn reg_fire<S: Sink>(&mut self, node_idx: u32, sink: &mut S) {
         let now = self.now;
-        if self.oracle.enabled() && now != at {
-            self.oracle.violate(ViolationKind::ReleaseTime, || {
-                format!("node {node_idx}: regulator timer fired at {now}, was armed for {at}")
-            });
+        if self.oracle.enabled() {
+            // The timer is only ever armed for the head's eligibility,
+            // and the head only leaves in this function.
+            let armed = owned(&mut self.nodes, node_idx as usize).fifo.queue.front();
+            if let Some(at) = armed.map(|h| h.eligible).filter(|&at| at != now) {
+                self.oracle.violate(ViolationKind::ReleaseTime, || {
+                    format!("node {node_idx}: regulator timer fired at {now}, was armed for {at}")
+                });
+            }
         }
         loop {
             let node = owned(&mut self.nodes, node_idx as usize);
@@ -477,8 +487,7 @@ impl NodeCore {
                 break;
             };
             if head.eligible > now {
-                let at = head.eligible;
-                sink.emit(at, Ev::RegFire { node: node_idx, at });
+                sink.emit(head.eligible, Ev::RegFire { node: node_idx });
                 break;
             }
             let Some(entry) = node.fifo.queue.pop_front() else {
@@ -739,6 +748,7 @@ impl NodeCore {
 mod tests {
     use super::*;
     use crate::discipline::ScheduleDecision;
+    use crate::oracle::{OracleMode, OracleTotals};
     use lit_traffic::TraceSource;
 
     /// FCFS with a fixed 2 ms regulator hold.
@@ -771,10 +781,8 @@ mod tests {
     }
 
     /// One T1 node, one session sending two cells 100 µs apart, each held
-    /// 2 ms. Dispatches whatever the core emits in (time, emission)
-    /// order and returns every emission as `"<at µs> <event>"` — packets
-    /// named by sequence number — plus the session's final statistics.
-    fn lifecycle(regulator: RegulatorBackend) -> (Vec<String>, SessionStats) {
+    /// 2 ms; the first injection is due at 1 000 µs.
+    fn one_node_core(regulator: RegulatorBackend, oracle: OracleConfig) -> NodeCore {
         let link = LinkParams::paper_t1();
         let spec = SessionSpec::atm(SessionId(0), 32_000);
         let topo = Arc::new(Topology {
@@ -788,7 +796,7 @@ mod tests {
             |_| true,
             &factory,
             QueueKind::Exact,
-            OracleConfig::off(),
+            oracle,
             regulator,
         );
         core.register_hop(0, 0, &spec.delay, &StatsConfig::default());
@@ -796,7 +804,14 @@ mod tests {
         let source = Box::new(TraceSource::from_pairs(cells));
         let first = core.install_injector(0, source, SimRng::seed_from(1));
         assert_eq!(first, Some(Time::from_us(1_000)));
+        core
+    }
 
+    /// Dispatches whatever the core emits in (time, emission) order and
+    /// returns every emission as `"<at µs> <event>"` — packets named by
+    /// sequence number — plus the session's final statistics.
+    fn lifecycle(regulator: RegulatorBackend) -> (Vec<String>, SessionStats) {
+        let mut core = one_node_core(regulator, OracleConfig::off());
         let mut pending = vec![(Time::from_us(1_000), Ev::Inject { sid: 0 })];
         let mut log = Vec::new();
         while !pending.is_empty() {
@@ -835,6 +850,45 @@ mod tests {
             st.max_delay(),
             Some(Duration::from_us(1_900) + tx + tx + Duration::from_ms(1))
         );
+    }
+
+    /// Inject the first cell under the counting oracle, then dispatch the
+    /// release the core armed one picosecond late. The instant it was
+    /// armed for lives in the arena slot / the regulator FIFO, not in the
+    /// event: the release-time check must still see it.
+    fn late_release(regulator: RegulatorBackend) -> (Ev, OracleTotals) {
+        let mut core = one_node_core(regulator, OracleConfig::new(OracleMode::Count));
+        core.now = Time::from_us(1_000);
+        let mut armed = Vec::new();
+        core.dispatch(Ev::Inject { sid: 0 }, &mut armed);
+        let (at, release) = armed[1]; // [0] is the next injection
+        assert_eq!(at, Time::from_us(3_000));
+        core.now = at + Duration::from_ps(1);
+        core.dispatch(release, &mut Vec::new());
+        (release, core.oracle.totals)
+    }
+
+    #[test]
+    fn late_eligible_event_is_one_release_time_violation() {
+        let (ev, seen) = late_release(RegulatorBackend::PerSession);
+        assert!(matches!(ev, Ev::Eligible { .. }));
+        assert_eq!((seen.release_time, seen.total()), (1, 1));
+    }
+
+    #[test]
+    fn late_reg_fire_event_is_one_release_time_violation() {
+        let (ev, seen) = late_release(RegulatorBackend::Interleaved);
+        assert_eq!(ev, Ev::RegFire { node: 0 });
+        // The late release itself also breaks the regulator equation.
+        assert_eq!((seen.release_time, seen.regulator_fifo), (1, 1));
+        assert_eq!(seen.total(), 2);
+    }
+
+    #[test]
+    fn an_event_set_entry_is_32_bytes() {
+        // `Ev` is 12 bytes today; anything up to 16 keeps the entry at 32.
+        assert!(std::mem::size_of::<Ev>() <= 16);
+        assert_eq!(std::mem::size_of::<(Time, u64, Ev)>(), 32);
     }
 
     #[test]

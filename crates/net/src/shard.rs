@@ -232,8 +232,7 @@ impl ShardSink {
     /// window (per-pair FIFO is preserved: the receiver drains the
     /// channel before the spill).
     fn send_handoff(&mut self, dest: usize, h: Handoff) {
-        // lit-lint: allow(no-panic-hot-path, "spilling is built with one entry per shard")
-        if self.spilling[dest] {
+        if self.spilling.get(dest) == Some(&true) {
             return self.spill_push(dest, h);
         }
         // lit-lint: allow(no-panic-hot-path, "wire() creates an outbox for every shard pair with a route edge; tx_done only targets those")
@@ -244,8 +243,9 @@ impl ShardSink {
         match tx.try_send(h) {
             Ok(()) => {}
             Err(TrySendError::Full(h)) => {
-                // lit-lint: allow(no-panic-hot-path, "spilling is built with one entry per shard")
-                self.spilling[dest] = true;
+                if let Some(flag) = self.spilling.get_mut(dest) {
+                    *flag = true;
+                }
                 self.spill_push(dest, h);
             }
             Err(TrySendError::Disconnected(_)) => {
@@ -301,15 +301,7 @@ impl Shard {
     /// event-set order and push what the core emits straight back.
     pub(crate) fn run_fifo(&mut self, until: Time) {
         let events = &mut self.sink.events;
-        while let Some(t) = events.peek_time() {
-            if t > until {
-                break;
-            }
-            // Pop cannot come back empty right after a successful peek;
-            // the `else` arm keeps the driver panic-free regardless.
-            let Some((t, ev)) = events.pop() else {
-                break;
-            };
+        while let Some((t, ev)) = events.pop_if(|t, _| t <= until) {
             debug_assert!(t >= self.core.now, "time went backwards");
             self.core.now = t;
             self.core.dispatch(ev, events);

@@ -1,13 +1,14 @@
-//! The shared keyed-entry helper behind every FIFO-stable priority queue
-//! in the workspace.
+//! The shared keyed-entry helper behind the FIFO-stable priority queues
+//! that sit on std's `BinaryHeap`.
 //!
-//! Both the future-event set ([`crate::EventQueue`]) and `lit-net`'s
-//! eligible-packet queue order their contents by `(key, push sequence)`:
-//! the key carries the priority (a [`crate::Time`] or a scheduler key),
-//! and the monotonically increasing sequence number makes same-key
-//! entries pop in push order, which is what keeps simulation runs
-//! bit-reproducible across refactors. They used to carry two copy-pasted
-//! reversed-`Ord` entry structs; [`KeyedEntry`] is the single shared one.
+//! `lit-net`'s eligible-packet queue, the [`crate::CalendarQueue`]'s
+//! overflow heap and the reference models of the event-set tests order
+//! their contents by `(key, push sequence)`: the key carries the
+//! priority (a [`crate::Time`] or a scheduler key), and the monotonically
+//! increasing sequence number makes same-key entries pop in push order,
+//! which is what keeps simulation runs bit-reproducible across
+//! refactors. (The future-event set's own heap keeps the same order in a
+//! purpose-built entry, see `heap.rs`.)
 
 use core::cmp::Ordering;
 

@@ -8,7 +8,7 @@
 //!   exact-enough rate arithmetic ([`Duration::from_bits_at_rate`]);
 //! * [`EventQueue`] — the future-event set, FIFO-stable among same-time
 //!   events so runs are bit-reproducible, with a pluggable engine
-//!   ([`EventBackend`]): binary heap by default, amortized-O(1)
+//!   ([`EventBackend`]): 4-ary heap by default, amortized-O(1)
 //!   [`CalendarQueue`] ring or hierarchical [`TimerWheel`] opt-in;
 //! * [`KeyedEntry`] — the shared reversed-`Ord` entry for FIFO-stable
 //!   min-heaps throughout the workspace;
@@ -23,6 +23,7 @@
 
 mod calendar;
 mod entry;
+mod heap;
 mod queue;
 mod rng;
 mod time;

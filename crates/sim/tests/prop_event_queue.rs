@@ -7,7 +7,8 @@
 #![forbid(unsafe_code)]
 
 use lit_prop::{check, Gen};
-use lit_sim::{Duration, EventBackend, EventQueue, SimRng, Time};
+use lit_sim::{Duration, EventBackend, EventQueue, KeyedEntry, SimRng, Time};
+use std::collections::BinaryHeap;
 
 /// An operation against the queue.
 #[derive(Clone, Debug)]
@@ -87,6 +88,130 @@ fn queue_matches_sorted_reference() {
         }
         assert!(q.is_empty());
     });
+}
+
+#[test]
+fn heap_matches_sorted_reference_at_every_level_boundary() {
+    check(
+        "heap_matches_sorted_reference_at_every_level_boundary",
+        |g| {
+            // A 4-ary heap's levels fill at 1, 5, 21, 85 and 341 entries.
+            // Grow to each size, dip below it and climb past it again, then
+            // drain — on a handful of instants, so nearly every comparison is
+            // decided by push order, with `Time::MAX` sentinels at the back.
+            let instants = [
+                Time::ZERO,
+                Time::from_ps(1),
+                Time::from_ps(2),
+                Time::from_ps(u64::MAX - 1),
+                Time::MAX,
+            ];
+            for n in [1usize, 5, 21, 85, 341] {
+                let mut q = EventQueue::new();
+                // Reference: a Vec kept sorted by (time, push index).
+                let mut model: Vec<(Time, u64)> = Vec::new();
+                let mut idx = 0u64;
+                let dip = g.size(1, n + 1);
+                for (pushes, pops) in [(n, dip), (dip + 1, n + 1)] {
+                    for _ in 0..pushes {
+                        let t = *g.pick(&instants);
+                        q.push(t, idx);
+                        let at = model.partition_point(|&(mt, _)| mt <= t);
+                        model.insert(at, (t, idx));
+                        idx += 1;
+                    }
+                    for _ in 0..pops {
+                        assert_eq!(q.peek_time(), model.first().map(|&(t, _)| t));
+                        assert_eq!(q.pop(), Some(model.remove(0)));
+                        assert_eq!(q.len(), model.len());
+                    }
+                }
+                assert!(model.is_empty());
+                assert_eq!(q.pop(), None);
+            }
+        },
+    );
+}
+
+/// The classic hold model at the depth of `lit-bench`'s deepest workload:
+/// pop the earliest event, push it back a random increment later. std's
+/// binary heap over [`KeyedEntry`] is the reference, entry for entry.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn deep_hold_model_matches_std_binary_heap() {
+    const DEPTH: u64 = 200_000;
+    const OPS: u64 = 1_000_000;
+    let mut rng = SimRng::seed_from(0x4a11_0c8e);
+    let mut q = EventQueue::with_capacity(DEPTH as usize);
+    let mut model = BinaryHeap::with_capacity(DEPTH as usize);
+    let mut seq = 0u64;
+    let mut push = |q: &mut EventQueue<u64>, model: &mut BinaryHeap<_>, t: Time| {
+        q.push(t, seq);
+        model.push(KeyedEntry {
+            key: t,
+            seq,
+            item: seq,
+        });
+        seq += 1;
+    };
+    for _ in 0..DEPTH {
+        push(&mut q, &mut model, Time::from_ps(rng.below(1_000_000)));
+    }
+    for _ in 0..OPS {
+        let want = model.pop().map(|e| (e.key, e.item));
+        assert_eq!(q.pop(), want);
+        let (t, _) = want.expect("the hold model never drains");
+        // One increment in eight is zero: a tie with everything still
+        // pending at `t`, which must queue behind all of it.
+        let step = Duration::from_ps(rng.below(8).min(1) * rng.below(2_000_000));
+        push(&mut q, &mut model, t + step);
+    }
+    assert_eq!(q.len(), DEPTH as usize);
+    assert_eq!(q.pushed(), DEPTH + OPS);
+    while let Some(e) = model.pop() {
+        assert_eq!(q.pop(), Some((e.key, e.item)));
+    }
+    assert_eq!(q.pop(), None);
+}
+
+#[test]
+fn refusal_drain_clear_and_reuse() {
+    for backend in [
+        EventBackend::Heap,
+        EventBackend::Calendar,
+        EventBackend::Wheel,
+    ] {
+        let mut q = EventQueue::with_backend(backend);
+        for (i, ms) in [3u64, 1, 2, 1].into_iter().enumerate() {
+            q.push(Time::from_ms(ms), i);
+        }
+        // A refused front stays the front, however often it is asked.
+        for _ in 0..3 {
+            assert_eq!(q.pop_if(|t, _| t < Time::from_ms(1)), None);
+            assert_eq!(q.pop_if(|_, &e| e == 3), None);
+        }
+        assert_eq!(q.len(), 4);
+        let horizon = Time::from_ms(2);
+        let due: Vec<usize> = std::iter::from_fn(|| q.pop_if(|t, _| t <= horizon))
+            .map(|(_, e)| e)
+            .collect();
+        assert_eq!(due, [1, 3, 2]);
+        // Pop to empty, then push into the emptied queue.
+        assert_eq!(q.pop(), Some((Time::from_ms(3), 0)));
+        assert_eq!((q.pop(), q.pop_if(|_, _| true)), (None, None));
+        assert_eq!(q.peek_time(), None);
+        q.push(Time::from_ms(9), 4);
+        q.push(Time::from_ms(8), 5);
+        // `clear` forgets the events, never the push count.
+        q.clear();
+        assert_eq!((q.len(), q.pushed()), (0, 6));
+        q.push(Time::from_ms(7), 6);
+        q.push(Time::from_ms(7), 7);
+        assert_eq!(q.pushed(), 8);
+        assert_eq!(q.pop(), Some((Time::from_ms(7), 6)));
+        assert_eq!(q.pop(), Some((Time::from_ms(7), 7)));
+        assert_eq!(q.pop(), None);
+    }
 }
 
 #[test]
