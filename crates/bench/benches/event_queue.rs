@@ -9,8 +9,8 @@
 //! * `burst` — push N then drain N (network start-up / tear-down shape).
 //!
 //! The headline comparison is `hold` at N = 1 000 000, the one size where
-//! the calendar still leads (see `results/BENCH_queues.json` written by
-//! the `bench_queues` binary for the tracked numbers).
+//! the calendar still leads; `lit-bench` reports the same hold model off
+//! the real executor as `sim.hold_ns` / `sim.backend_delta_ns.*`.
 
 #![forbid(unsafe_code)]
 

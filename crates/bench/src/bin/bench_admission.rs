@@ -7,11 +7,8 @@
 //!
 //! * `ac1` / `ac2` (procedures 1 and 2): O(P) class-ladder tests,
 //!   flat in residency by construction;
-//! * `ac3_exact`: the paper's literal `2^n` subset enumerator at 24
-//!   resident sessions (each probe admission checks all 2^24 subsets of
-//!   a 25-session set — the exponential wall §2 warns about);
-//! * `ac3_fast`: the incremental class-aggregated service
-//!   ([`lit_core::Ac3Fast`]) on a 1k → 1M residency sweep built from 12
+//! * `ac3_fast`: procedure 3 ([`lit_core::Ac3Fast`], incremental and
+//!   class-aggregated) on a 1k → 1M residency sweep built from 12
 //!   service classes.
 //!
 //! The committed artifact `results/BENCH_admission.json` stores, per
@@ -21,13 +18,8 @@
 //! is the median of paired ratios, and a failing `--check` retries with
 //! more reps before giving a verdict.
 //!
-//! `--check FILE` enforces two things:
-//!
-//! 1. no point's `rel_calib` regressed beyond `--tol` (default 25%)
-//!    against the committed curve;
-//! 2. the headline structural claim, measured in the *same run*:
-//!    `ac3_fast` at 100 000 resident sessions sustains more admits/sec
-//!    than `ac3_exact` does at 25 sessions.
+//! `--check FILE` enforces that no point's `rel_calib` regressed beyond
+//! `--tol` (default 25%) against the committed curve.
 //!
 //! Usage: `bench_admission [--test|--quick] [--reps N] [--out DIR]
 //! [--check FILE] [--tol F]`
@@ -35,9 +27,7 @@
 #![forbid(unsafe_code)]
 
 use lit_bench::{calibrate, CALIBRATE_ITERS};
-use lit_core::{
-    Ac3Admission, Ac3Fast, ClassedAdmission, DRule, DelayClass, Procedure, SessionRequest,
-};
+use lit_core::{Ac3Fast, ClassedAdmission, DRule, DelayClass, Procedure, SessionRequest};
 use lit_sim::Duration;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -46,11 +36,6 @@ use std::time::Instant;
 /// Residency sweep for the fast AC3 service (and the flat AC1/AC2
 /// baselines): decade steps from 1k to 1M.
 const FAST_SCALES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
-
-/// Resident sessions for the exact enumerator: each probe admission
-/// enumerates the subsets of a 25-session set (2^24 masks over the
-/// existing sessions).
-const EXACT_RESIDENT: u32 = 24;
 
 /// One planned measurement: `(backend, resident, ops, runner)`.
 type PlanPoint = (&'static str, u32, u64, Box<dyn Fn() -> u128>);
@@ -141,32 +126,6 @@ fn run_fast(n: u32, ops: u64) -> u128 {
     ns
 }
 
-/// Prefill + probe churn for the exact enumerator at `n` resident
-/// sessions (`ops` cycles; each admit enumerates 2^n subsets).
-fn run_exact(n: u32, ops: u64) -> u128 {
-    let mut ac = Ac3Admission::new(100_000_000);
-    for i in 0..n {
-        // lit-lint: allow(raw-time-arithmetic, "bench setup: distinct per-session delays, 5–29 ms")
-        let d = Duration::from_ms(5 + u64::from(i));
-        ac.try_admit(200_000, 424, d)
-            .expect("prefill session rejected");
-    }
-    // lit-lint: allow(raw-time-arithmetic, "bench setup: the probe's delay, 29 ms")
-    let d = Duration::from_ms(5 + u64::from(n));
-    let mut ok = 0u64;
-    let t = Instant::now();
-    for _ in 0..ops {
-        if ac.try_admit(200_000, 424, d).is_ok() {
-            ok += 1;
-            ac.release(n as usize);
-        }
-    }
-    let ns = t.elapsed().as_nanos();
-    assert_eq!(ok, ops, "probe admissions rejected under churn");
-    black_box(ok);
-    ns
-}
-
 /// Median of a small sample (copies and sorts it).
 fn median(xs: &[f64]) -> f64 {
     let mut xs = xs.to_vec();
@@ -238,14 +197,10 @@ fn main() {
         reps = reps.min(1);
     }
     // Per-backend probe counts: sized so each measurement run lasts long
-    // enough to be stable without making the exact enumerator (≈ 2^24
-    // subset tests per cycle) dominate the wall clock.
+    // enough to be stable.
     let classed_ops: u64 = if quick { 20_000 } else { 200_000 };
     let fast_ops: u64 = if quick { 2_000 } else { 20_000 };
-    let exact_ops: u64 = if quick { 1 } else { 3 };
-    // The quick sweep keeps 100k residents so the headline fast-vs-exact
-    // comparison is always measured in the same run; only the 1M point
-    // is full-run-only.
+    // `--quick` skips the 1M point.
     let max_fast: u32 = if quick { 100_000 } else { u32::MAX };
 
     // Read the committed curve before the sweep: `--check` may name the
@@ -301,12 +256,6 @@ fn main() {
             Box::new(move || run_fast(n, fast_ops)),
         ));
     }
-    plan.push((
-        "ac3_exact",
-        EXACT_RESIDENT,
-        exact_ops,
-        Box::new(move || run_exact(EXACT_RESIDENT, exact_ops)),
-    ));
 
     let mut points = Vec::new();
     for (backend, resident, ops, run) in &plan {
@@ -400,39 +349,7 @@ fn main() {
     }
     let mut failed = false;
 
-    // Guard 1: the headline structural claim, same-run: incremental AC3
-    // under 100k resident sessions out-admits the exact enumerator over
-    // a 25-session set.
-    let fast_100k = points
-        .iter()
-        .find(|p| p.backend == "ac3_fast" && p.resident == 100_000);
-    let exact = points.iter().find(|p| p.backend == "ac3_exact");
-    match (fast_100k, exact) {
-        (Some(f), Some(e)) => {
-            if f.admits_per_sec > e.admits_per_sec {
-                println!(
-                    "bench_admission: fast@100k {:.0} admits/s beats exact@25-session \
-                     {:.2} admits/s ({:.0}×)",
-                    f.admits_per_sec,
-                    e.admits_per_sec,
-                    f.admits_per_sec / e.admits_per_sec
-                );
-            } else {
-                eprintln!(
-                    "bench_admission: FAIL fast@100k {:.0} admits/s does not beat \
-                     exact@25-session {:.2} admits/s",
-                    f.admits_per_sec, e.admits_per_sec
-                );
-                failed = true;
-            }
-        }
-        _ => {
-            eprintln!("bench_admission: FAIL fast@100k / exact points missing from sweep");
-            failed = true;
-        }
-    }
-
-    // Guard 2: no measured point regressed beyond tolerance against the
+    // No measured point may regress beyond tolerance against the
     // committed curve.
     let mut compared = 0;
     for p in &points {

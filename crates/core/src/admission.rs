@@ -13,24 +13,23 @@
 //!   (1.1)/(2.2); `d = L·R_{j−1}/(r·C) + σ_j + ε`. Decouples class-1
 //!   sessions from `L/r` (good for low-rate sessions) but requires a large
 //!   `σ_P` to use all bandwidth.
-//! * [`Ac3Admission`] — arbitrary constant `d_s` per session, guarded by
-//!   the subset test (ineq. 19) over all non-empty `A ⊆ φ` — exponential
-//!   in the number of sessions, and may strand bandwidth.
+//! * [`fast::Ac3Fast`] (procedure 3) — arbitrary constant `d_s` per
+//!   session, guarded by the subset test (ineq. 19) over all non-empty
+//!   `A ⊆ φ`; may strand bandwidth. Decided incrementally over
+//!   `(r, L, d)` classes, with teardown.
 //!
 //! Class indices are **0-based** in this API; the paper's class `k`
 //! is `classes[k-1]`.
 //!
-//! [`Ac3Admission`] is the *exact oracle*: a literal subset enumeration,
-//! kept deliberately simple so the fast path in [`fast`] can be
-//! differentially pinned against it (`tests/diff_ac3.rs`). Production
-//! call setup goes through [`Ac3Service`], which selects a backend via
-//! [`Ac3Backend`] and hands out uniform teardown handles.
+//! The paper's literal reading of ineq. (19) — enumerate all `2^{|φ|}`
+//! subsets — is not part of this library: it lives in
+//! `crates/core/tests/common/mod.rs` as the reference that
+//! `tests/diff_ac3.rs` and `tests/golden_ac3.rs` pin `Ac3Fast` against.
 
 pub mod fast;
 
-use fast::{Ac3Fast, Ac3FastError, Ac3Handle};
 use lit_net::DelayAssignment;
-use lit_sim::{Duration, PS_PER_SEC};
+use lit_sim::Duration;
 
 /// A delay class `(R_k, σ_k)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -372,356 +371,6 @@ impl ClassedAdmission {
     }
 }
 
-/// One admitted session under procedure 3.
-#[derive(Clone, Copy, Debug)]
-struct Ac3Session {
-    rate_bps: u64,
-    max_len_bits: u32,
-    d: Duration,
-}
-
-/// Rejections from procedure 3.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Ac3Error {
-    /// The request's rate or `d` is zero.
-    ZeroParameter,
-    /// Test (18) failed: `Σ r > C`.
-    RateExceeded,
-    /// Ineq. (19) failed for some subset `A` (the offending subset's
-    /// bitmask over *existing* sessions is reported; bit `i` = existing
-    /// session `i`, and the candidate is always in `A`).
-    SubsetInfeasible {
-        /// Bitmask of the violating subset.
-        mask: u64,
-    },
-    /// More sessions than the exhaustive `2^n` test supports.
-    TooManySessions,
-}
-
-impl std::fmt::Display for Ac3Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Ac3Error::ZeroParameter => write!(f, "rate and d must be positive"),
-            Ac3Error::RateExceeded => write!(f, "total reserved rate would exceed C"),
-            Ac3Error::SubsetInfeasible { mask } => {
-                write!(f, "inequality (19) violated for subset mask {mask:#b}")
-            }
-            Ac3Error::TooManySessions => write!(
-                f,
-                "exhaustive subset test limited to {} sessions",
-                Ac3Admission::MAX_SESSIONS
-            ),
-        }
-    }
-}
-
-impl std::error::Error for Ac3Error {}
-
-/// Admission control procedure 3: arbitrary fixed `d_s` per session,
-/// guarded by the subset test
-///
-/// ```text
-/// C ≥ (Σ_{s∈A} L_max,s · Σ_{s∈A} r_s) / (Σ_{s∈A} r_s·d_s)   ∀ A ⊆ φ, A ≠ ∅
-/// ```
-///
-/// As the paper notes, there are `2^{|φ|} − 1` subsets; this implementation
-/// tests only the `2^{|φ|−1}` subsets containing the *candidate* (every
-/// other subset was already verified when its members were admitted), and
-/// evaluates the inequality in exact 128-bit integer cross-multiplied form.
-#[derive(Clone, Debug)]
-pub struct Ac3Admission {
-    link_bps: u64,
-    sessions: Vec<Ac3Session>,
-    /// Running `Σ r` over `sessions`, maintained by admit/release so the
-    /// test-(18) check is `O(1)` instead of re-summing `O(n)` per admit.
-    admitted_rate_bps: u64,
-}
-
-impl Ac3Admission {
-    /// Exhaustive-test ceiling: `2^25` subset evaluations ≈ tens of ms.
-    pub const MAX_SESSIONS: usize = 25;
-
-    /// Admission state for a link of capacity `C`.
-    pub fn new(link_bps: u64) -> Self {
-        assert!(link_bps > 0, "Ac3Admission: zero link rate");
-        Ac3Admission {
-            link_bps,
-            sessions: Vec::new(),
-            admitted_rate_bps: 0,
-        }
-    }
-
-    /// Number of admitted sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether no session is admitted.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Total reserved rate (cached; `O(1)`).
-    pub fn admitted_rate_bps(&self) -> u64 {
-        self.admitted_rate_bps
-    }
-
-    /// Ineq. (19) for one subset, exactly:
-    /// `C · Σ(r·d) ≥ Σ L · Σ r`, with `r·d` in bit·ps and the right side
-    /// scaled by `PS_PER_SEC` to match.
-    fn subset_ok(&self, candidate: &Ac3Session, mask: u64) -> bool {
-        let mut sum_l: u128 = candidate.max_len_bits as u128;
-        let mut sum_r: u128 = candidate.rate_bps as u128;
-        let mut sum_rd: u128 = candidate.rate_bps as u128 * candidate.d.as_ps() as u128;
-        for (i, s) in self.sessions.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                sum_l += s.max_len_bits as u128;
-                sum_r += s.rate_bps as u128;
-                sum_rd += s.rate_bps as u128 * s.d.as_ps() as u128;
-            }
-        }
-        self.link_bps as u128 * sum_rd >= sum_l * sum_r * PS_PER_SEC as u128
-    }
-
-    /// Try to admit a session with rate `rate_bps`, maximum length
-    /// `max_len_bits`, and requested constant delay `d`.
-    pub fn try_admit(
-        &mut self,
-        rate_bps: u64,
-        max_len_bits: u32,
-        d: Duration,
-    ) -> Result<DelayAssignment, Ac3Error> {
-        if rate_bps == 0 || d == Duration::ZERO || max_len_bits == 0 {
-            return Err(Ac3Error::ZeroParameter);
-        }
-        if self.sessions.len() >= Self::MAX_SESSIONS {
-            return Err(Ac3Error::TooManySessions);
-        }
-        // Checked: near-`u64::MAX` rate requests must reject, not wrap
-        // past the capacity test.
-        let Some(total_rate) = self.admitted_rate_bps.checked_add(rate_bps) else {
-            return Err(Ac3Error::RateExceeded);
-        };
-        if total_rate > self.link_bps {
-            return Err(Ac3Error::RateExceeded);
-        }
-        let candidate = Ac3Session {
-            rate_bps,
-            max_len_bits,
-            d,
-        };
-        let n = self.sessions.len();
-        for mask in 0..(1u64 << n) {
-            if !self.subset_ok(&candidate, mask) {
-                return Err(Ac3Error::SubsetInfeasible { mask });
-            }
-        }
-        self.sessions.push(candidate);
-        self.admitted_rate_bps = total_rate;
-        Ok(DelayAssignment::Fixed(d))
-    }
-
-    /// Tear down the session at `index` (0-based admission order),
-    /// returning its reserved rate to the pool. The *last* admitted
-    /// session moves into the freed index (`swap_remove`), which callers
-    /// tracking indices — like [`Ac3Service`] — must account for. Returns
-    /// `false` (and changes nothing) if `index` is out of range.
-    ///
-    /// Removing a session only shrinks every subset sum, so no re-check
-    /// of ineq. (19) is needed: all remaining subsets stay feasible.
-    pub fn release(&mut self, index: usize) -> bool {
-        if index >= self.sessions.len() {
-            return false;
-        }
-        let s = self.sessions.swap_remove(index);
-        self.admitted_rate_bps -= s.rate_bps;
-        true
-    }
-}
-
-/// Which procedure-3 implementation an [`Ac3Service`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Ac3Backend {
-    /// The literal `2^n` subset enumeration ([`Ac3Admission`]) — the
-    /// oracle; capped at [`Ac3Admission::MAX_SESSIONS`] sessions.
-    Exact,
-    /// The incremental class-aggregated test ([`Ac3Fast`]) — unbounded
-    /// session count, decision cost independent of residency.
-    #[default]
-    Fast,
-}
-
-impl std::str::FromStr for Ac3Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(Ac3Backend::Exact),
-            "fast" => Ok(Ac3Backend::Fast),
-            other => Err(format!("unknown AC3 backend {other:?} (want exact|fast)")),
-        }
-    }
-}
-
-/// Rejections from [`Ac3Service`], tagged by backend.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Ac3ServiceError {
-    /// The exact enumerator rejected.
-    Exact(Ac3Error),
-    /// The fast service rejected.
-    Fast(Ac3FastError),
-}
-
-impl std::fmt::Display for Ac3ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Ac3ServiceError::Exact(e) => write!(f, "{e}"),
-            Ac3ServiceError::Fast(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for Ac3ServiceError {}
-
-/// Backend-agnostic procedure-3 admission with uniform teardown handles.
-///
-/// Both backends answer the same feasibility question (the differential
-/// suite pins them to each other); this wrapper lets call-setup code —
-/// `lit-repro`'s scenario establishment, the storm benchmark — switch
-/// between them with a flag. Handles stay valid across arbitrary churn:
-/// the exact backend's index motion under `swap_remove` is tracked
-/// internally.
-#[derive(Clone, Debug)]
-pub struct Ac3Service {
-    inner: ServiceInner,
-}
-
-#[derive(Clone, Debug)]
-enum ServiceInner {
-    Exact {
-        ac: Ac3Admission,
-        /// Handle id → current session index. BTreeMap, not HashMap:
-        /// the engine crates ban hash collections (nondeterministic
-        /// iteration order would leak into any future drain/debug path),
-        /// and handle churn is tiny next to the AC3 recompute itself.
-        index_of: std::collections::BTreeMap<u64, usize>,
-        /// Current session index → handle id (admission-order mirror).
-        handle_at: Vec<u64>,
-        next_id: u64,
-    },
-    Fast(Ac3Fast),
-}
-
-/// A teardown handle from [`Ac3Service::try_admit`]. Single-use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Ac3ServiceHandle(u64);
-
-impl Ac3Service {
-    /// Admission state for a link of capacity `C` bit/s.
-    pub fn new(backend: Ac3Backend, link_bps: u64) -> Self {
-        let inner = match backend {
-            Ac3Backend::Exact => ServiceInner::Exact {
-                ac: Ac3Admission::new(link_bps),
-                index_of: std::collections::BTreeMap::new(),
-                handle_at: Vec::new(),
-                next_id: 0,
-            },
-            Ac3Backend::Fast => ServiceInner::Fast(Ac3Fast::new(link_bps)),
-        };
-        Ac3Service { inner }
-    }
-
-    /// Which backend this service runs.
-    pub fn backend(&self) -> Ac3Backend {
-        match &self.inner {
-            ServiceInner::Exact { .. } => Ac3Backend::Exact,
-            ServiceInner::Fast(_) => Ac3Backend::Fast,
-        }
-    }
-
-    /// Number of admitted sessions.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            ServiceInner::Exact { ac, .. } => ac.len(),
-            ServiceInner::Fast(ac) => ac.len() as usize,
-        }
-    }
-
-    /// Whether no session is admitted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total reserved rate.
-    pub fn admitted_rate_bps(&self) -> u64 {
-        match &self.inner {
-            ServiceInner::Exact { ac, .. } => ac.admitted_rate_bps(),
-            ServiceInner::Fast(ac) => ac.admitted_rate_bps(),
-        }
-    }
-
-    /// Try to admit a session; on success returns a teardown handle and
-    /// the granted (fixed) delay assignment.
-    pub fn try_admit(
-        &mut self,
-        rate_bps: u64,
-        max_len_bits: u32,
-        d: Duration,
-    ) -> Result<(Ac3ServiceHandle, DelayAssignment), Ac3ServiceError> {
-        match &mut self.inner {
-            ServiceInner::Exact {
-                ac,
-                index_of,
-                handle_at,
-                next_id,
-            } => {
-                let granted = ac
-                    .try_admit(rate_bps, max_len_bits, d)
-                    .map_err(Ac3ServiceError::Exact)?;
-                let id = *next_id;
-                *next_id += 1;
-                index_of.insert(id, handle_at.len());
-                handle_at.push(id);
-                Ok((Ac3ServiceHandle(id), granted))
-            }
-            ServiceInner::Fast(ac) => {
-                let (h, granted) = ac
-                    .try_admit(rate_bps, max_len_bits, d)
-                    .map_err(Ac3ServiceError::Fast)?;
-                Ok((Ac3ServiceHandle(h.to_bits()), granted))
-            }
-        }
-    }
-
-    /// Tear down a previously admitted session. `false` if the handle is
-    /// stale or unknown (state unchanged).
-    pub fn release(&mut self, handle: Ac3ServiceHandle) -> bool {
-        match &mut self.inner {
-            ServiceInner::Exact {
-                ac,
-                index_of,
-                handle_at,
-                ..
-            } => {
-                let Some(index) = index_of.remove(&handle.0) else {
-                    return false;
-                };
-                let released = ac.release(index);
-                debug_assert!(released, "service index desynced from Ac3Admission");
-                // Mirror the enumerator's swap_remove in the handle maps.
-                let moved = handle_at.swap_remove(index);
-                if index < handle_at.len() {
-                    debug_assert_eq!(moved, handle.0);
-                    let resident = handle_at[index];
-                    index_of.insert(resident, index);
-                }
-                released
-            }
-            ServiceInner::Fast(ac) => ac.release(Ac3Handle::from_bits(handle.0)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,197 +581,5 @@ mod tests {
             ClassedAdmission::new(Procedure::Proc1, 1000, vec![c(500, 10)]).unwrap_err(),
             ConfigError::LastClassNotFullLink
         );
-    }
-
-    // ---- Procedure 3 ----
-
-    #[test]
-    fn ac3_accepts_d_equal_len_over_rate_up_to_capacity() {
-        // d_s = L/r for every session is always feasible (it is the
-        // one-class AC1 assignment): fill the link completely.
-        // r = 64 kbit/s makes L/r = 6.625 ms exact in picoseconds, so the
-        // full-set test sits exactly at equality and must pass.
-        let mut ac = Ac3Admission::new(640_000);
-        for _ in 0..10 {
-            ac.try_admit(64_000, 424, Duration::from_bits_at_rate(424, 64_000))
-                .unwrap();
-        }
-        assert_eq!(ac.admitted_rate_bps(), 640_000);
-    }
-
-    #[test]
-    fn ac3_rejects_rate_overbooking() {
-        let mut ac = Ac3Admission::new(1_536_000);
-        ac.try_admit(1_000_000, 424, Duration::from_ms(10)).unwrap();
-        assert_eq!(
-            ac.try_admit(600_000, 424, Duration::from_ms(10))
-                .unwrap_err(),
-            Ac3Error::RateExceeded
-        );
-    }
-
-    #[test]
-    fn ac3_singleton_test_bounds_minimum_d() {
-        // Singleton A = {s}: C ≥ L·r/(r·d) = L/d ⇒ d ≥ L/C.
-        let mut ac = Ac3Admission::new(1_536_000);
-        let just_under = Duration::from_ps(LinkParams_lmax_ps() - 1);
-        assert!(matches!(
-            ac.try_admit(32_000, 424, just_under).unwrap_err(),
-            Ac3Error::SubsetInfeasible { mask: 0 }
-        ));
-        let at_limit = Duration::from_ps(LinkParams_lmax_ps());
-        assert!(ac.try_admit(32_000, 424, at_limit).is_ok());
-    }
-
-    /// 424 bits / 1536 kbit/s in ps, rounded as `from_bits_at_rate` does.
-    #[allow(non_snake_case)]
-    fn LinkParams_lmax_ps() -> u64 {
-        Duration::from_bits_at_rate(424, 1_536_000).as_ps()
-    }
-
-    #[test]
-    fn ac3_aggressive_d_strands_bandwidth() {
-        // The paper: procedure 3 "may lead to incomplete usage of
-        // bandwidth". Give one session a very small d; a second session
-        // at the complementary rate is then rejected by a pair subset even
-        // though Σ r ≤ C.
-        let mut ac = Ac3Admission::new(1_536_000);
-        // d barely above L/C for a 768 kbit/s session.
-        ac.try_admit(768_000, 424, Duration::from_us(300)).unwrap();
-        let err = ac
-            .try_admit(768_000, 424, Duration::from_us(300))
-            .unwrap_err();
-        assert!(
-            matches!(err, Ac3Error::SubsetInfeasible { .. }),
-            "expected subset infeasibility, got {err:?}"
-        );
-        // With a generous d the pair passes: 2L/C ≤ (r1·d1 + r2·d2)/C...
-        assert!(ac.try_admit(768_000, 424, Duration::from_ms(20)).is_ok());
-    }
-
-    #[test]
-    fn ac3_equivalent_to_proc2_one_class_with_common_d() {
-        // Paper: AC2 with P = 1 and ε = 0 is equivalent to AC3 when all
-        // sessions share the same constant d = σ_1.
-        let c = 1_536_000u64;
-        let sigma = Duration::from_us(1_500);
-        let classes = vec![DelayClass {
-            max_bandwidth_bps: c,
-            base_delay: sigma,
-        }];
-        let mut ac2 = ClassedAdmission::new(Procedure::Proc2, c, classes).unwrap();
-        let mut ac3 = Ac3Admission::new(c);
-        // Keep admitting identical sessions until one of them rejects;
-        // they must reject at the same point.
-        let mut n2 = 0;
-        let mut n3 = 0;
-        for _ in 0..40 {
-            // Under AC2, rule (2.3) with R_0 = 0 gives d = σ_1 exactly.
-            let req = SessionRequest::new(100_000, 424);
-            if ac2.try_admit(0, &req, DRule::PerSessionMax).is_ok() {
-                n2 += 1;
-            }
-            if ac3.try_admit(100_000, 424, sigma).is_ok() {
-                n3 += 1;
-            }
-        }
-        assert_eq!(n2, n3);
-        assert!(n2 > 0);
-    }
-
-    #[test]
-    fn ac3_zero_params_rejected() {
-        let mut ac = Ac3Admission::new(1000);
-        assert_eq!(
-            ac.try_admit(0, 424, Duration::from_ms(1)).unwrap_err(),
-            Ac3Error::ZeroParameter
-        );
-        assert_eq!(
-            ac.try_admit(100, 424, Duration::ZERO).unwrap_err(),
-            Ac3Error::ZeroParameter
-        );
-    }
-
-    #[test]
-    fn ac3_release_restores_feasibility_and_rate() {
-        // Admit a session whose aggressive d strands the rest of the
-        // link; a second identical request must fail, succeed again after
-        // release, and the cached rate sum must track exactly.
-        let mut ac = Ac3Admission::new(1_536_000);
-        ac.try_admit(768_000, 424, Duration::from_us(300)).unwrap();
-        assert_eq!(ac.admitted_rate_bps(), 768_000);
-        assert!(ac.try_admit(768_000, 424, Duration::from_us(300)).is_err());
-        assert!(ac.release(0));
-        assert_eq!(ac.admitted_rate_bps(), 0);
-        assert!(ac.is_empty());
-        assert!(ac.try_admit(768_000, 424, Duration::from_us(300)).is_ok());
-        assert_eq!(ac.admitted_rate_bps(), 768_000);
-        // Out-of-range release is a no-op.
-        assert!(!ac.release(5));
-        assert_eq!(ac.len(), 1);
-    }
-
-    #[test]
-    fn ac3_release_swap_remove_keeps_rate_consistent() {
-        let mut ac = Ac3Admission::new(1_000_000);
-        let d = Duration::from_ms(50);
-        ac.try_admit(100_000, 424, d).unwrap();
-        ac.try_admit(200_000, 424, d).unwrap();
-        ac.try_admit(300_000, 424, d).unwrap();
-        // Releasing the middle session swaps the last into its place.
-        assert!(ac.release(1));
-        assert_eq!(ac.admitted_rate_bps(), 400_000);
-        assert!(ac.release(1)); // the former index-2 session
-        assert_eq!(ac.admitted_rate_bps(), 100_000);
-        assert!(ac.release(0));
-        assert_eq!(ac.admitted_rate_bps(), 0);
-    }
-
-    #[test]
-    fn ac3_rate_overflow_rejected_not_wrapped() {
-        // Regression: `admitted + rate` used to be an unchecked u64 add,
-        // so a near-MAX request wrapped past the capacity test. L = 1 bit
-        // and d = 1 ps keep the subset products inside u128.
-        let mut ac = Ac3Admission::new(u64::MAX);
-        ac.try_admit(u64::MAX - 1, 1, Duration::from_ps(1)).unwrap();
-        assert_eq!(
-            ac.try_admit(u64::MAX - 1, 1, Duration::from_ps(1))
-                .unwrap_err(),
-            Ac3Error::RateExceeded
-        );
-        assert_eq!(ac.admitted_rate_bps(), u64::MAX - 1);
-        assert_eq!(ac.len(), 1);
-    }
-
-    // ---- Ac3Service (backend selection + uniform handles) ----
-
-    #[test]
-    fn service_backends_agree_on_simple_churn() {
-        let mk = |b| Ac3Service::new(b, 1_536_000);
-        for backend in [Ac3Backend::Exact, Ac3Backend::Fast] {
-            let mut svc = mk(backend);
-            assert_eq!(svc.backend(), backend);
-            let d = Duration::from_ms(20);
-            let (h1, a1) = svc.try_admit(500_000, 424, d).unwrap();
-            assert_eq!(a1, DelayAssignment::Fixed(d));
-            let (h2, _) = svc.try_admit(400_000, 424, d).unwrap();
-            let (h3, _) = svc.try_admit(300_000, 424, d).unwrap();
-            assert_eq!(svc.admitted_rate_bps(), 1_200_000, "{backend:?}");
-            // Release out of order; handles must stay valid.
-            assert!(svc.release(h2));
-            assert_eq!(svc.admitted_rate_bps(), 800_000, "{backend:?}");
-            assert!(svc.release(h1));
-            assert!(!svc.release(h1), "double release on {backend:?}");
-            assert!(svc.release(h3));
-            assert!(svc.is_empty(), "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn backend_parses_from_str() {
-        assert_eq!("exact".parse::<Ac3Backend>().unwrap(), Ac3Backend::Exact);
-        assert_eq!("fast".parse::<Ac3Backend>().unwrap(), Ac3Backend::Fast);
-        assert!("pgps".parse::<Ac3Backend>().is_err());
-        assert_eq!(Ac3Backend::default(), Ac3Backend::Fast);
     }
 }

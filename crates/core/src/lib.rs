@@ -7,10 +7,9 @@
 //! * [`LitDiscipline`] — the scheduler: delay regulators (eq. 6–9),
 //!   split deadline/rate clocks `F`/`K` (eq. 10–11), deadline-ordered
 //!   service, and the holding-time header stamp for the next hop;
-//! * [`ClassedAdmission`] (procedures 1 and 2) and [`Ac3Admission`]
-//!   (procedure 3) — the delay-shifting admission control framework,
-//!   with [`Ac3Fast`] as the incremental, residency-independent
-//!   procedure-3 service and [`Ac3Service`] selecting between them;
+//! * [`ClassedAdmission`] (procedures 1 and 2) and [`Ac3Fast`]
+//!   (procedure 3, incremental and residency-independent, with
+//!   teardown) — the delay-shifting admission control framework;
 //! * [`ConnectionManager`] — all-or-nothing end-to-end establishment with
 //!   rollback, per the paper's "satisfied in all the nodes along the
 //!   session's route";
@@ -34,7 +33,6 @@ mod refserver;
 
 pub use admission::fast::{Ac3ClassSpec, Ac3Fast, Ac3FastError, Ac3Handle, Ac3Witness};
 pub use admission::{
-    Ac3Admission, Ac3Backend, Ac3Error, Ac3Service, Ac3ServiceError, Ac3ServiceHandle,
     AdmissionError, ClassedAdmission, ConfigError, DRule, DelayClass, Procedure, SessionRequest,
 };
 pub use bounds::{as_time, install_oracle_bounds, stop_and_go_comparison, HopSpec, PathBounds};

@@ -26,7 +26,10 @@
 
 #![forbid(unsafe_code)]
 
-use lit_core::{Ac3Admission, Ac3Error, Ac3Fast, Ac3FastError, Ac3Handle};
+mod common;
+
+use common::{Ac3Admission, Ac3Error};
+use lit_core::{Ac3Fast, Ac3FastError, Ac3Handle};
 use lit_net::DelayAssignment;
 use lit_prop::{check, Gen};
 use lit_sim::{Duration, PS_PER_SEC};

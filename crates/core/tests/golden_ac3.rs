@@ -14,7 +14,10 @@
 
 #![forbid(unsafe_code)]
 
-use lit_core::{Ac3Admission, Ac3Error, Ac3Fast, Ac3FastError};
+mod common;
+
+use common::{Ac3Admission, Ac3Error};
+use lit_core::{Ac3Fast, Ac3FastError};
 use lit_net::DelayAssignment;
 use lit_sim::Duration;
 

@@ -1,7 +1,7 @@
 //! # lit-lint — workspace static analysis for clock and hot-path discipline
 //!
 //! A dependency-free, *syntax-aware* static-analysis pass over the whole
-//! workspace, run as `cargo run -p lit-lint -- check`. Seven rules:
+//! workspace, run as `cargo run -p lit-lint -- check`. Six rules:
 //!
 //! * [`rules::RAW_TIME_ARITHMETIC`] — no raw `u64`/`f64` arithmetic,
 //!   narrowing casts, or float literals flowing into `Time`/`Duration`;
@@ -9,8 +9,6 @@
 //!   indexing banned in the scheduler hot paths; indexes the tree can
 //!   prove in bounds (const array lengths, for-range loop variables) are
 //!   exempt, as are assert-macro argument lists;
-//! * [`rules::FORBID_UNSAFE`] — every crate root carries
-//!   `#![forbid(unsafe_code)]`;
 //! * [`rules::CHECKED_CLOCK_OPS`] — `wrapping_*`/`overflowing_*`/
 //!   `saturating_*` in a statement touching clock-carrying values must
 //!   be justified;
@@ -33,7 +31,7 @@
 //! The engine is a hand-rolled lexer ([`lexer`]), a recursive-descent
 //! parser producing a lightweight item/statement/expression tree with
 //! spans ([`parser`], [`ast`]), and intra-function control-flow regions
-//! ([`cfg`]) — the build container is fully offline, so `syn` is not
+//! ([`mod@cfg`]) — the build container is fully offline, so `syn` is not
 //! available. The parser never rejects: anything it cannot shape
 //! degrades to leaf spans, and a round-trip property test pins
 //! lex → parse → span-reassembly ≡ source over every workspace file.
@@ -131,29 +129,9 @@ impl Config {
 
     /// Production source: anything under a `src/` directory (unit-test
     /// modules inside are masked separately). Integration tests, benches,
-    /// and examples are exempt from the clock rules but still crate roots
-    /// for `forbid-unsafe-everywhere`.
+    /// and examples are exempt from the clock rules.
     pub fn is_production_src(&self, rel: &str) -> bool {
         rel.starts_with("src/") || rel.contains("/src/")
-    }
-
-    /// Crate roots: `src/lib.rs`, `src/main.rs`, `src/bin/*.rs`, and the
-    /// direct children of `tests/`, `benches/`, `examples/`.
-    pub fn is_crate_root(&self, rel: &str) -> bool {
-        let parts: Vec<&str> = rel.split('/').collect();
-        let Some(&file) = parts.last() else {
-            return false;
-        };
-        let dir = if parts.len() >= 2 {
-            parts[parts.len() - 2]
-        } else {
-            ""
-        };
-        ((file == "lib.rs" || file == "main.rs") && dir == "src")
-            || dir == "bin"
-            || dir == "tests"
-            || dir == "benches"
-            || dir == "examples"
     }
 
     /// Should the rule run at all under `only_rules`?
@@ -363,19 +341,6 @@ pub fn changed_files(root: &Path, rev: &str) -> std::io::Result<BTreeSet<String>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crate_root_detection() {
-        let cfg = Config::default();
-        assert!(cfg.is_crate_root("crates/sim/src/lib.rs"));
-        assert!(cfg.is_crate_root("crates/repro/src/main.rs"));
-        assert!(cfg.is_crate_root("crates/bench/src/bin/fuzz_diff.rs"));
-        assert!(cfg.is_crate_root("tests/stress.rs"));
-        assert!(cfg.is_crate_root("examples/quickstart.rs"));
-        assert!(cfg.is_crate_root("crates/bench/benches/sched_ops.rs"));
-        assert!(!cfg.is_crate_root("crates/sim/src/time.rs"));
-        assert!(!cfg.is_crate_root("crates/lint/tests/fixtures/clean.rs"));
-    }
 
     #[test]
     fn allow_suppresses_and_unused_allow_fires() {

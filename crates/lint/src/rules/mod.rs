@@ -8,14 +8,12 @@ use crate::Config;
 
 mod barrier;
 mod checked_clock;
-mod forbid_unsafe;
 mod no_panic;
 mod nondet_iter;
 mod raw_time;
 
 pub use barrier::BARRIER_PROTOCOL;
 pub use checked_clock::CHECKED_CLOCK_OPS;
-pub use forbid_unsafe::FORBID_UNSAFE;
 pub use no_panic::NO_PANIC_HOT_PATH;
 pub use nondet_iter::NONDETERMINISTIC_ITERATION;
 pub use raw_time::RAW_TIME_ARITHMETIC;
@@ -57,12 +55,6 @@ pub fn all() -> Vec<Rule> {
             describe: "unwrap/expect/panic!/indexing-without-get banned in scheduler hot paths",
             protects: "a production scheduler must degrade, not abort, mid-schedule",
             check: no_panic::check,
-        },
-        Rule {
-            name: FORBID_UNSAFE,
-            describe: "every crate root must carry #![forbid(unsafe_code)]",
-            protects: "memory safety of every bound computation, statically",
-            check: forbid_unsafe::check,
         },
         Rule {
             name: CHECKED_CLOCK_OPS,

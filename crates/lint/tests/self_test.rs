@@ -8,14 +8,13 @@
 #![forbid(unsafe_code)]
 
 use lit_lint::rules::{
-    BARRIER_PROTOCOL, CHECKED_CLOCK_OPS, FORBID_UNSAFE, NONDETERMINISTIC_ITERATION,
-    NO_PANIC_HOT_PATH, RAW_TIME_ARITHMETIC,
+    BARRIER_PROTOCOL, CHECKED_CLOCK_OPS, NONDETERMINISTIC_ITERATION, NO_PANIC_HOT_PATH,
+    RAW_TIME_ARITHMETIC,
 };
 use lit_lint::{check_source, run_check, Config};
 
 const RAW_TIME: &str = include_str!("fixtures/raw_time_arithmetic.rs");
 const NO_PANIC: &str = include_str!("fixtures/no_panic_hot_path.rs");
-const NO_FORBID: &str = include_str!("fixtures/forbid_unsafe.rs");
 const CHECKED: &str = include_str!("fixtures/checked_clock_ops.rs");
 const NONDET: &str = include_str!("fixtures/nondet_iteration.rs");
 const BARRIER: &str = include_str!("fixtures/barrier_protocol.rs");
@@ -57,17 +56,6 @@ fn no_panic_fixture_fires_on_hot_paths_only() {
     // The same source off the hot paths is tolerated by this rule.
     assert_eq!(
         violations("crates/net/src/stats.rs", NO_PANIC, NO_PANIC_HOT_PATH),
-        0
-    );
-}
-
-#[test]
-fn forbid_unsafe_fixture_fires_on_crate_roots_only() {
-    let n = violations("crates/sim/src/lib.rs", NO_FORBID, FORBID_UNSAFE);
-    assert_eq!(n, 1, "a bare crate root must yield exactly one finding");
-    // A non-root module never needs the attribute.
-    assert_eq!(
-        violations("crates/sim/src/time.rs", NO_FORBID, FORBID_UNSAFE),
         0
     );
 }
@@ -161,7 +149,7 @@ fn injected_violation_fails_a_workspace_scan() {
          // lit-lint: allow(no-panic-hot-path, \"nothing here panics — the allow is dead\")\n\
          pub fn fine() -> u64 { 7 }\n";
     // (relative injection path, fixture source, rule that must fire)
-    let injections: [(&str, &str, &str); 7] = [
+    let injections: [(&str, &str, &str); 6] = [
         ("crates/sim/src/bad_time.rs", RAW_TIME, RAW_TIME_ARITHMETIC),
         (
             // A configured hot path: the eligible queue.
@@ -169,7 +157,6 @@ fn injected_violation_fails_a_workspace_scan() {
             NO_PANIC,
             NO_PANIC_HOT_PATH,
         ),
-        ("crates/core/src/lib.rs", NO_FORBID, FORBID_UNSAFE),
         ("crates/sim/src/bad_clock.rs", CHECKED, CHECKED_CLOCK_OPS),
         (
             "crates/core/src/bad_iter.rs",

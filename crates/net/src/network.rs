@@ -309,7 +309,7 @@ impl NetworkBuilder {
 /// The network: topology + sessions + node-step cores + accumulated
 /// statistics.
 ///
-/// One [`crate::node::NodeCore`] per shard does all the work; with one
+/// One `crate::node::NodeCore` per shard does all the work; with one
 /// shard its rows *are* the statistics, with `k ≥ 2` the field-disjoint
 /// per-shard rows are merged after every [`Network::run_until`].
 /// Statistics, traces and oracle counts are byte-identical across all

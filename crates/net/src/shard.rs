@@ -2,9 +2,9 @@
 //! shard, and per-core event loops over `k` shards coupled through
 //! conservative lookahead windows.
 //!
-//! Both drive the same [`NodeCore`] step functions; a [`Shard`] is a core
+//! Both drive the same `NodeCore` step functions; a `Shard` is a core
 //! plus the future-event set that feeds it. The **one-shard driver**
-//! ([`Shard::run_fifo`]) owns every node, pops events in event-set order
+//! (`Shard::run_fifo`) owns every node, pops events in event-set order
 //! (FIFO among equal timestamps) and pushes everything the core emits
 //! straight back: no barrier, no mailbox, no tie sort. The rest of this
 //! module is the **k-shard driver**.

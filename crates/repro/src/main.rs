@@ -34,13 +34,12 @@
 
 #![forbid(unsafe_code)]
 
-use lit_core::Ac3Backend;
 use lit_net::OracleMode;
 use lit_repro::experiments::{
     ablation, fig14_17, fig7, fig8, fig9_11, firewall, heavytail, tables, RunConfig,
 };
 use lit_repro::report::Table;
-use lit_repro::scenario::Scenario;
+use lit_repro::scenario::{Ac3Tally, Scenario};
 use lit_sim::Duration;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -55,9 +54,9 @@ struct Args {
     /// `--trace FILE`: write the pooled packet-lifecycle trace here
     /// (Chrome `trace_event` JSON; `.jsonl` extension selects JSONL).
     trace: Option<PathBuf>,
-    /// `--ac3 exact|fast`: vet scenario sessions through per-node
-    /// procedure-3 admission before running, dropping rejected sessions.
-    ac3: Option<Ac3Backend>,
+    /// `--ac3`: vet scenario sessions through per-node procedure-3
+    /// admission before running, dropping rejected sessions.
+    ac3: bool,
     /// `--ladder r1,r2,...`: sweep the scenario's `generate` stanzas over
     /// these offered loads with heavy-traffic cross-checks instead of a
     /// single run.
@@ -68,14 +67,21 @@ fn usage() -> ! {
     eprintln!(
         "usage: lit-repro [--quick] [--seconds N] [--seed N] [--threads N] [--shards N] [--replicas N] [--out DIR] \
          [--oracle off|count|panic] [--regulator per-session|interleaved] [--metrics FILE] [--trace FILE] \
-         [--ac3 exact|fast] [--ladder R1,R2,...] \
+         [--ac3] [--ladder R1,R2,...] \
          <fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14-17|fig14-17-ac1|tables|firewall|ablation-queue|heavytail|scenario FILE|all>\n\
-         --ac3 applies to `scenario`: establishment is vetted per node by procedure 3 \
-         (the exact enumerator or the incremental fast service) and rejected sessions are dropped\n\
-         --ladder applies to `scenario`: re-target the file's `generate` stanzas at each offered \
+         --ac3 applies to `scenario` only: establishment is vetted per node by procedure 3 \
+         (ineq. 19) and rejected sessions are dropped; not combinable with --ladder\n\
+         --ladder applies to `scenario` only: re-target the file's `generate` stanzas at each offered \
          load (e.g. 0.5,0.8,0.95,1.2) and cross-check utilization, drainage and the delay frontier\n\
          --regulator overrides the eligibility-regulator backend for every network built"
     );
+    std::process::exit(2);
+}
+
+/// A flag combination that would otherwise be silently ignored: one-line
+/// reason on stderr, exit 2.
+fn usage_error(reason: &str) -> ! {
+    eprintln!("lit-repro: {reason}");
     std::process::exit(2);
 }
 
@@ -90,7 +96,7 @@ fn parse_args() -> Args {
     let mut extra = Vec::new();
     let mut metrics = None;
     let mut trace = None;
-    let mut ac3 = None;
+    let mut ac3 = false;
     let mut ladder = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -109,13 +115,7 @@ fn parse_args() -> Args {
             "--out" => out = PathBuf::from(it.next().unwrap_or_else(|| usage())),
             "--metrics" => metrics = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--trace" => trace = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--ac3" => {
-                ac3 = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<Ac3Backend>().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--ac3" => ac3 = true,
             "--oracle" => {
                 let mode = it
                     .next()
@@ -132,10 +132,10 @@ fn parse_args() -> Args {
             }
             "--ladder" => {
                 let spec = it.next().unwrap_or_else(|| usage());
-                ladder = Some(lit_repro::heavy::parse_ladder(&spec).unwrap_or_else(|e| {
-                    eprintln!("--ladder: {e}");
-                    std::process::exit(2);
-                }));
+                ladder = Some(
+                    lit_repro::heavy::parse_ladder(&spec)
+                        .unwrap_or_else(|e| usage_error(&format!("--ladder: {e}"))),
+                );
             }
             c if !c.starts_with('-') && command.is_none() => command = Some(c.to_string()),
             c if !c.starts_with('-') => extra.push(c.to_string()),
@@ -161,12 +161,25 @@ fn parse_args() -> Args {
     if let Some(r) = replicas {
         cfg.replicas = r;
     }
+    let command = command.unwrap_or_else(|| usage());
+    // Only the `scenario` command reads these two; anywhere else they
+    // would be dropped without a word.
+    for (flag, given) in [("--ac3", ac3), ("--ladder", ladder.is_some())] {
+        if given && command != "scenario" {
+            usage_error(&format!(
+                "{flag} applies only to the `scenario` command (got `{command}`)"
+            ));
+        }
+    }
+    if ac3 && ladder.is_some() {
+        usage_error("--ac3 and --ladder cannot be combined (the ladder does not vet sessions)");
+    }
     // Arm the global observability hub before anything builds a network.
     lit_obs::hub::set_global(metrics.is_some() || trace.is_some(), trace.is_some());
     Args {
         cfg,
         out,
-        command: command.unwrap_or_else(|| usage()),
+        command,
         extra,
         metrics,
         trace,
@@ -176,26 +189,26 @@ fn parse_args() -> Args {
 }
 
 /// Vet a parsed scenario through per-node AC3 (`--ac3`): print one
-/// verdict per session line and return the scenario with the rejected
-/// sessions dropped, or `None` if nothing was admitted.
-fn vet_scenario(sc: &Scenario, backend: Ac3Backend) -> Option<Scenario> {
-    let verdicts = sc.ac3_vet(backend);
-    let keep: Vec<bool> = verdicts.iter().map(|v| v.is_ok()).collect();
+/// verdict per session line, then the tally, and return the tally with
+/// the scenario minus its rejected sessions.
+fn vet_scenario(sc: &Scenario) -> (Ac3Tally, Scenario) {
+    let verdicts = sc.ac3_vet();
     for (i, v) in verdicts.iter().enumerate() {
         match v {
-            Ok(()) => println!("ac3[{backend:?}]: session {i} admitted"),
-            Err(e) => println!("ac3[{backend:?}]: session {i} REJECTED ({e})"),
+            Ok(()) => println!("ac3: session {i} admitted"),
+            Err((n, e)) => println!("ac3: session {i} REJECTED (node {n}: {e})"),
         }
     }
-    let admitted = keep.iter().filter(|&&k| k).count();
+    let tally = Ac3Tally::of(&verdicts);
     println!(
-        "ac3[{backend:?}]: {admitted}/{} session(s) admitted",
-        keep.len()
+        "ac3: {}/{} admitted, {} infeasible, {} undecided",
+        tally.admitted,
+        verdicts.len(),
+        tally.infeasible,
+        tally.undecided
     );
-    if admitted == 0 {
-        return None;
-    }
-    Some(sc.retain_sessions(&keep))
+    let keep: Vec<bool> = verdicts.iter().map(|v| v.is_ok()).collect();
+    (tally, sc.retain_sessions(&keep))
 }
 
 /// After the run: flush the pooled observability output to the paths the
@@ -395,21 +408,32 @@ fn main() -> ExitCode {
                 }
                 // Expand `generate` stanzas up front so AC3 vetting and
                 // the report index the concrete session list.
-                let sc = sc.expanded();
-                let sc = match args.ac3 {
-                    Some(backend) => match vet_scenario(&sc, backend) {
-                        Some(sc) => sc,
-                        None => {
-                            eprintln!("scenario: ac3 admitted no sessions");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => sc,
-                };
+                let mut sc = sc.expanded();
+                let mut undecided = 0;
+                if args.ac3 {
+                    let (tally, kept) = vet_scenario(&sc);
+                    undecided = tally.undecided;
+                    if undecided > 0 {
+                        eprintln!(
+                            "scenario: ac3 left {undecided} session(s) undecided \
+                             (decision budget or overflow; rejected conservatively)"
+                        );
+                    }
+                    if tally.admitted == 0 {
+                        eprintln!("scenario: ac3 admitted no sessions");
+                        return ExitCode::FAILURE;
+                    }
+                    sc = kept;
+                }
                 emit(&args.out, "scenario", &sc.run_report());
                 write_obs(&args);
                 report_shard_fallbacks();
-                oracle_verdict()
+                let verdict = oracle_verdict();
+                if undecided > 0 {
+                    ExitCode::FAILURE
+                } else {
+                    verdict
+                }
             }
             Err(e) => {
                 eprintln!("scenario: {e}");

@@ -1,0 +1,74 @@
+//! `lit-repro` command-line behaviour, driven through the built binary:
+//! `--ac3` / `--ladder` are usage errors wherever they would be ignored,
+//! and `--ac3 scenario FILE` prints one verdict per session and a tally.
+
+#![forbid(unsafe_code)]
+
+use std::process::{Command, Output};
+
+const MISBEHAVER: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../scenarios/misbehaver.scn"
+);
+
+fn lit_repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lit-repro"))
+        .args(["--out", env!("CARGO_TARGET_TMPDIR")])
+        .args(args)
+        .output()
+        .expect("spawn lit-repro")
+}
+
+/// Exit 2, nothing on stdout, and exactly one stderr line naming `what`.
+fn assert_usage_error(args: &[&str], what: &str) {
+    let out = lit_repro(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} ran something");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.contains(what), "{args:?}: {stderr}");
+}
+
+#[test]
+fn ac3_outside_scenario_is_a_usage_error() {
+    assert_usage_error(&["--ac3", "tables"], "--ac3 applies only to");
+}
+
+#[test]
+fn ladder_outside_scenario_is_a_usage_error() {
+    assert_usage_error(
+        &["--ladder", "0.5,0.8", "tables"],
+        "--ladder applies only to",
+    );
+}
+
+#[test]
+fn ac3_with_ladder_is_a_usage_error() {
+    assert_usage_error(
+        &["--ac3", "--ladder", "0.5,0.8", "scenario", MISBEHAVER],
+        "cannot be combined",
+    );
+}
+
+#[test]
+fn ac3_takes_no_value() {
+    // The former `--ac3 exact|fast`: the word now parses as the command.
+    assert_usage_error(&["--ac3", "exact", "scenario", MISBEHAVER], "got `exact`");
+}
+
+#[test]
+fn ac3_scenario_prints_a_verdict_per_session_then_the_tally() {
+    let out = lit_repro(&["--ac3", "scenario", MISBEHAVER]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ac3: Vec<&str> = stdout.lines().filter(|l| l.starts_with("ac3:")).collect();
+    assert_eq!(
+        ac3,
+        [
+            "ac3: session 0 admitted",
+            "ac3: session 1 admitted",
+            "ac3: 2/2 admitted, 0 infeasible, 0 undecided",
+        ]
+    );
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("undecided"));
+}

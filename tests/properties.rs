@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 
 use leave_in_time::baselines::VirtualClockDiscipline;
-use leave_in_time::core::{install_oracle_bounds, Ac3Admission, LitDiscipline, PathBounds};
+use leave_in_time::core::{install_oracle_bounds, LitDiscipline, PathBounds};
 use leave_in_time::net::{
     DelayAssignment, LinkParams, NetworkBuilder, OracleConfig, OracleMode, SessionId, SessionSpec,
 };
@@ -227,44 +227,6 @@ fn shaper_output_conforms() {
             assert!(e.at >= prev, "shaper reordered");
             prev = e.at;
             assert!(checker.try_consume(e.at, e.len_bits));
-        }
-    });
-}
-
-/// After any sequence of successful AC3 admissions, re-checking
-/// ineq. (19) from scratch over *every* non-empty subset still passes
-/// (the incremental candidate-only test loses nothing).
-#[test]
-fn ac3_incremental_equals_exhaustive() {
-    check("ac3_incremental_equals_exhaustive", |g| {
-        let n_reqs = g.size(1, 8);
-        let reqs: Vec<(u64, u32)> = (0..n_reqs)
-            .map(|_| (g.range(8_000, 400_000), g.range(1, 60) as u32))
-            .collect();
-        let c = 1_536_000u64;
-        let mut ac = Ac3Admission::new(c);
-        let mut admitted: Vec<(u64, u32, Duration)> = Vec::new();
-        for (rate, d_ms) in reqs {
-            let d = Duration::from_ms(d_ms as u64);
-            if ac.try_admit(rate, 424, d).is_ok() {
-                admitted.push((rate, 424, d));
-            }
-        }
-        // From-scratch exhaustive re-check.
-        let n = admitted.len();
-        for mask in 1u64..(1 << n) {
-            let (mut sl, mut sr, mut srd) = (0u128, 0u128, 0u128);
-            for (i, (rate, len, d)) in admitted.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    sl += *len as u128;
-                    sr += *rate as u128;
-                    srd += *rate as u128 * d.as_ps() as u128;
-                }
-            }
-            assert!(
-                c as u128 * srd >= sl * sr * lit_sim::PS_PER_SEC as u128,
-                "subset {mask:#b} infeasible after the fact"
-            );
         }
     });
 }
