@@ -218,8 +218,7 @@ impl Report {
 }
 
 /// Minimal JSON string escaping (the workspace is dependency-free).
-/// Shared with the SARIF serializer.
-pub(crate) fn json_str(v: &str) -> String {
+fn json_str(v: &str) -> String {
     let mut out = String::with_capacity(v.len() + 2);
     out.push('"');
     for c in v.chars() {

@@ -25,8 +25,7 @@
 //! directly above) the offending line. Justifications are mandatory and
 //! non-empty; stale or malformed annotations are themselves violations.
 //! Diagnostics are emitted as machine-readable JSON (`--json`, schema
-//! `lit-lint-v1`) and SARIF v2.1.0 (`--sarif`), and `--changed-since`
-//! restricts a scan to files touched since a git revision.
+//! `lit-lint-v1`).
 //!
 //! The engine is a hand-rolled lexer ([`lexer`]), a recursive-descent
 //! parser producing a lightweight item/statement/expression tree with
@@ -45,7 +44,6 @@ pub mod diag;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod source;
 
 use diag::{Finding, Report};
@@ -255,23 +253,8 @@ fn resolve_allows(file: &SourceFile, findings: &mut Vec<Finding>, cfg: &Config) 
 
 /// Run the whole pass over the workspace rooted at `root`.
 pub fn run_check(root: &Path, cfg: &Config) -> std::io::Result<Report> {
-    run_check_filtered(root, cfg, None)
-}
-
-/// [`run_check`] restricted to the files in `only` (workspace-relative,
-/// `/`-separated) when given — the engine of `--changed-since`
-/// diff-aware scans. Files outside the workspace file set are ignored
-/// either way, so feeding raw `git diff` output is safe.
-pub fn run_check_filtered(
-    root: &Path,
-    cfg: &Config,
-    only: Option<&BTreeSet<String>>,
-) -> std::io::Result<Report> {
     let mut report = Report::default();
-    let files: Vec<PathBuf> = workspace_files(root, cfg)?
-        .into_iter()
-        .filter(|p| only.is_none_or(|set| set.contains(&rel_str(p))))
-        .collect();
+    let files = workspace_files(root, cfg)?;
     report.files_scanned = files.len();
     for rel in files {
         let src = std::fs::read_to_string(root.join(&rel))?;
@@ -297,45 +280,6 @@ pub fn collect_allows(root: &Path, cfg: &Config) -> std::io::Result<Vec<(String,
         }
     }
     Ok(out)
-}
-
-/// Files changed since `rev`, as workspace-relative paths: committed
-/// changes against the merge base (`git diff --name-only rev...HEAD`)
-/// plus uncommitted and untracked files. Paths that no longer exist
-/// (deletions) are filtered out by the scan itself.
-pub fn changed_files(root: &Path, rev: &str) -> std::io::Result<BTreeSet<String>> {
-    let run = |args: &[&str]| -> std::io::Result<String> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()?;
-        if !out.status.success() {
-            return Err(std::io::Error::other(format!(
-                "git {} failed: {}",
-                args.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            )));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let mut set = BTreeSet::new();
-    let range = format!("{rev}...HEAD");
-    for l in run(&["diff", "--name-only", &range])?.lines() {
-        if !l.is_empty() {
-            set.insert(l.to_string());
-        }
-    }
-    // Working tree on top: uncommitted modifications and untracked files.
-    for l in run(&["status", "--porcelain"])?.lines() {
-        // Format: `XY path` or `XY old -> new` for renames.
-        let path = l.get(3..).unwrap_or("");
-        let path = path.rsplit(" -> ").next().unwrap_or(path).trim();
-        if !path.is_empty() {
-            set.insert(path.to_string());
-        }
-    }
-    Ok(set)
 }
 
 #[cfg(test)]

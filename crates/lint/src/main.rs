@@ -1,8 +1,8 @@
 //! `lit-lint` CLI.
 //!
 //! ```text
-//! lit-lint check [--root DIR] [--json FILE] [--sarif FILE] [--rule NAME]...
-//!                [--changed-since REV] [--max-allows N] [--budget-ms MS]
+//! lit-lint check [--root DIR] [--json FILE] [--rule NAME]...
+//!                [--max-allows N] [--budget-ms MS]
 //! lit-lint allows [--root DIR]
 //! lit-lint rules
 //! ```
@@ -11,24 +11,22 @@
 //! reported but do not fail), 1 when any violation remains — or when the
 //! allow inventory exceeds `--max-allows`, or the scan overruns
 //! `--budget-ms` — and 2 on usage or I/O errors. `--json` writes the
-//! `lit-lint-v1` report, `--sarif` a SARIF v2.1.0 log, and
-//! `--changed-since REV` restricts the scan to files touched since the
-//! given git revision (committed, uncommitted, and untracked).
+//! `lit-lint-v1` report.
 //!
 //! `allows` prints the burndown inventory: every allow annotation in the
 //! workspace, grouped rule × crate.
 
 #![forbid(unsafe_code)]
 
-use lit_lint::{changed_files, collect_allows, rules, run_check_filtered, sarif, Config};
+use lit_lint::{collect_allows, rules, run_check, Config};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lit-lint <check [--root DIR] [--json FILE] [--sarif FILE] [--rule NAME]... \
-         [--changed-since REV] [--max-allows N] [--budget-ms MS] | allows [--root DIR] | rules>"
+        "usage: lit-lint <check [--root DIR] [--json FILE] [--rule NAME]... \
+         [--max-allows N] [--budget-ms MS] | allows [--root DIR] | rules>"
     );
     std::process::exit(2);
 }
@@ -79,18 +77,12 @@ fn main() -> ExitCode {
             let mut cfg = Config::default();
             let mut root = PathBuf::from(".");
             let mut json: Option<PathBuf> = None;
-            let mut sarif_out: Option<PathBuf> = None;
-            let mut since: Option<String> = None;
             let mut max_allows: Option<usize> = None;
             let mut budget_ms: Option<u128> = None;
             while let Some(arg) = args.next() {
                 match arg.as_str() {
                     "--root" => root = PathBuf::from(args.next().unwrap_or_else(|| usage())),
                     "--json" => json = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-                    "--sarif" => {
-                        sarif_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-                    }
-                    "--changed-since" => since = Some(args.next().unwrap_or_else(|| usage())),
                     "--max-allows" => {
                         max_allows = Some(
                             args.next()
@@ -116,18 +108,8 @@ fn main() -> ExitCode {
                 eprintln!("lit-lint: {} is not a workspace root", root.display());
                 return ExitCode::from(2);
             }
-            let only = match &since {
-                Some(rev) => match changed_files(&root, rev) {
-                    Ok(set) => Some(set),
-                    Err(e) => {
-                        eprintln!("lit-lint: --changed-since {rev}: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => None,
-            };
             let start = std::time::Instant::now();
-            let report = match run_check_filtered(&root, &cfg, only.as_ref()) {
+            let report = match run_check(&root, &cfg) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("lit-lint: {e}");
@@ -137,12 +119,6 @@ fn main() -> ExitCode {
             let elapsed_ms = start.elapsed().as_millis();
             if let Some(path) = &json {
                 if let Err(e) = write_output(path, &report.to_json()) {
-                    eprintln!("lit-lint: cannot write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-            if let Some(path) = &sarif_out {
-                if let Err(e) = write_output(path, &sarif::to_sarif(&report)) {
                     eprintln!("lit-lint: cannot write {}: {e}", path.display());
                     return ExitCode::from(2);
                 }
@@ -157,18 +133,13 @@ fn main() -> ExitCode {
             let violations = report.violation_count();
             eprintln!(
                 "lit-lint: {} file(s), {} finding(s): {} violation(s), {} allowed, \
-                 {} allow annotation(s), {} ms{}",
+                 {} allow annotation(s), {} ms",
                 report.files_scanned,
                 report.findings.len(),
                 violations,
                 allowed,
                 report.allows_total,
-                elapsed_ms,
-                if since.is_some() {
-                    " (diff-aware scan)"
-                } else {
-                    ""
-                }
+                elapsed_ms
             );
             let mut failed = violations > 0;
             if violations > 0 {

@@ -41,12 +41,39 @@ use lit_repro::experiments::{
 use lit_repro::report::Table;
 use lit_repro::scenario::{Ac3Tally, Scenario};
 use lit_sim::Duration;
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Where output files go and whether every one of them got there. A
+/// failed write is reported as `path: os error` when it happens, the run
+/// carries on, and the exit status is 1 once it has finished.
+struct Outputs {
+    /// `--out DIR`: the directory the CSV tables land in.
+    dir: PathBuf,
+    failed: Cell<bool>,
+}
+
+impl Outputs {
+    /// Take the outcome of writing `path`; `true` if the file is there.
+    fn wrote(&self, path: &Path, outcome: std::io::Result<()>) -> bool {
+        if let Err(e) = &outcome {
+            eprintln!("lit-repro: {}: {e}", path.display());
+            self.failed.set(true);
+        }
+        outcome.is_ok()
+    }
+}
+
+/// Write `body` to `path`, creating the directory above it first.
+fn write_file(path: &Path, body: &str) -> std::io::Result<()> {
+    path.parent().map_or(Ok(()), std::fs::create_dir_all)?;
+    std::fs::write(path, body)
+}
+
 struct Args {
     cfg: RunConfig,
-    out: PathBuf,
+    out: Outputs,
     command: String,
     extra: Vec<String>,
     /// `--metrics FILE`: write the pooled observability metrics JSON here.
@@ -178,7 +205,10 @@ fn parse_args() -> Args {
     lit_obs::hub::set_global(metrics.is_some() || trace.is_some(), trace.is_some());
     Args {
         cfg,
-        out,
+        out: Outputs {
+            dir: out,
+            failed: Cell::new(false),
+        },
         command,
         extra,
         metrics,
@@ -216,41 +246,34 @@ fn vet_scenario(sc: &Scenario) -> (Ac3Tally, Scenario) {
 /// for a given seed and workload, independent of `--threads`.
 fn write_obs(args: &Args) {
     if let Some(path) = &args.metrics {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(path, lit_obs::hub::metrics_json()) {
-            Ok(()) => eprintln!("[metrics] {}", path.display()),
-            Err(e) => eprintln!("[metrics] failed to write {}: {e}", path.display()),
+        let json = lit_obs::hub::metrics_json();
+        if args.out.wrote(path, write_file(path, &json)) {
+            eprintln!("[metrics] {}", path.display());
         }
     }
     if let Some(path) = &args.trace {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
         let body = if path.extension().is_some_and(|e| e == "jsonl") {
             lit_obs::hub::trace_jsonl()
         } else {
             lit_obs::hub::chrome_trace_json()
         };
-        match std::fs::write(path, body) {
-            Ok(()) => eprintln!("[trace] {}", path.display()),
-            Err(e) => eprintln!("[trace] failed to write {}: {e}", path.display()),
+        if args.out.wrote(path, write_file(path, &body)) {
+            eprintln!("[trace] {}", path.display());
         }
     }
 }
 
-fn emit(out: &Path, name: &str, t: &Table) {
+fn emit(out: &Outputs, name: &str, t: &Table) {
     print!("{}", t.render());
     println!();
-    match t.write_csv(out, name) {
-        Ok(()) => println!("[csv] {}/{name}.csv", out.display()),
-        Err(e) => eprintln!("[csv] failed to write {name}.csv: {e}"),
+    let csv = out.dir.join(format!("{name}.csv"));
+    if out.wrote(&csv, t.write_csv(&out.dir, name)) {
+        println!("[csv] {}", csv.display());
     }
     println!();
 }
 
-fn run_command(cmd: &str, cfg: &RunConfig, out: &Path) -> bool {
+fn run_command(cmd: &str, cfg: &RunConfig, out: &Outputs) -> bool {
     match cmd {
         "fig7" => {
             let points = fig7::run(cfg);
@@ -361,17 +384,29 @@ fn report_shard_fallbacks() {
 
 /// After a run: report the process-global conformance-oracle tally (every
 /// Leave-in-Time network built by the experiments feeds it, drain checks
-/// included) and turn a nonzero count into a failing exit.
-fn oracle_verdict() -> ExitCode {
+/// included); `false` on a nonzero count.
+fn oracle_conforms() -> bool {
     if lit_net::oracle::global_mode() == OracleMode::Off {
-        return ExitCode::SUCCESS;
+        return true;
     }
     let v = lit_net::oracle::global_violations();
     if v == 0 {
         eprintln!("oracle: 0 violations");
-        ExitCode::SUCCESS
     } else {
         eprintln!("oracle: {v} violation(s) — bounds do not conform");
+    }
+    v == 0
+}
+
+/// The tail of every run: observability files, the shard note, the oracle
+/// tally — and a failing exit if the oracle counted a violation or any
+/// output file could not be written.
+fn finish(args: &Args) -> ExitCode {
+    write_obs(args);
+    report_shard_fallbacks();
+    if oracle_conforms() && !args.out.failed.get() {
+        ExitCode::SUCCESS
+    } else {
         ExitCode::FAILURE
     }
 }
@@ -396,9 +431,7 @@ fn main() -> ExitCode {
                     for f in &report.failures {
                         eprintln!("ladder: {f}");
                     }
-                    write_obs(&args);
-                    report_shard_fallbacks();
-                    let verdict = oracle_verdict();
+                    let verdict = finish(&args);
                     return if report.failures.is_empty() {
                         verdict
                     } else {
@@ -426,9 +459,7 @@ fn main() -> ExitCode {
                     sc = kept;
                 }
                 emit(&args.out, "scenario", &sc.run_report());
-                write_obs(&args);
-                report_shard_fallbacks();
-                let verdict = oracle_verdict();
+                let verdict = finish(&args);
                 if undecided > 0 {
                     ExitCode::FAILURE
                 } else {
@@ -457,9 +488,7 @@ fn main() -> ExitCode {
         args.cfg.replicas.max(1),
     );
     if run_command(&args.command, &args.cfg, &args.out) {
-        write_obs(&args);
-        report_shard_fallbacks();
-        oracle_verdict()
+        finish(&args)
     } else {
         usage()
     }

@@ -1,6 +1,7 @@
 //! `lit-repro` command-line behaviour, driven through the built binary:
 //! `--ac3` / `--ladder` are usage errors wherever they would be ignored,
-//! and `--ac3 scenario FILE` prints one verdict per session and a tally.
+//! `--ac3 scenario FILE` prints one verdict per session and a tally, and
+//! an output file that cannot be written fails the run.
 
 #![forbid(unsafe_code)]
 
@@ -71,4 +72,41 @@ fn ac3_scenario_prints_a_verdict_per_session_then_the_tally() {
         ]
     );
     assert!(!String::from_utf8_lossy(&out.stderr).contains("undecided"));
+}
+
+/// A path below a regular file: nothing can be created there.
+const UNWRITABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/nope");
+
+/// `flag` points an output at [`UNWRITABLE`]: the run still finishes (the
+/// tables print), stderr locates the failure as `path: os error`, exit 1.
+fn assert_failed_write_exits_1(flag: &str, target: &str) {
+    let out = lit_repro(&[flag, target, "tables"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("## "),
+        "{flag}: the run did not finish"
+    );
+    let located = format!("lit-repro: {UNWRITABLE}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with(&located) && l.contains("os error")),
+        "{flag}: {stderr}"
+    );
+}
+
+#[test]
+fn unwritable_out_dir_exits_1() {
+    assert_failed_write_exits_1("--out", UNWRITABLE);
+}
+
+#[test]
+fn unwritable_metrics_file_exits_1() {
+    assert_failed_write_exits_1("--metrics", &format!("{UNWRITABLE}/m.json"));
+}
+
+#[test]
+fn unwritable_trace_file_exits_1() {
+    assert_failed_write_exits_1("--trace", &format!("{UNWRITABLE}/t.json"));
 }
