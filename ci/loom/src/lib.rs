@@ -2,10 +2,11 @@
 //! hub pool (below) and the sharded executor's barrier/mailbox window
 //! protocol (`shard_models`).
 //!
-//! The production hub (`lit_obs::hub`) pools per-worker `ObsShard`s into
-//! one `Mutex<ObsShard>` and claims the pooled result is independent of
-//! worker completion order because `ObsShard::merge` is commutative and
-//! associative. The models here re-create that submit path under loom's
+//! The production hub (`lit_obs::hub::Hub`, a value shared by reference
+//! among the workers) pools per-network `ObsShard`s behind one `Mutex`
+//! and claims the pooled result is independent of worker completion
+//! order because `ObsShard::merge` is commutative and associative. The
+//! models here re-create that `Hub::absorb` path under loom's
 //! exhaustive scheduler with the *real* `ObsShard`/`merge` code, so every
 //! interleaving of worker threads is checked, not just the ones a lucky
 //! test run happens to hit.
@@ -31,7 +32,7 @@ mod models {
         s
     }
 
-    /// Mirror of the hub's submit path: lock the pool, merge the shard.
+    /// Mirror of `Hub::absorb`: lock the pool, merge the shard.
     fn submit(pool: &Mutex<ObsShard>, shard: &ObsShard) {
         pool.lock().unwrap().merge(shard);
     }

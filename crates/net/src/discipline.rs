@@ -22,7 +22,6 @@ use crate::packet::{Packet, SessionId};
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
 use lit_sim::Time;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How each node realizes the delay regulator that holds ahead-of-schedule
 /// packets until their eligibility instant.
@@ -64,34 +63,6 @@ impl std::fmt::Display for RegulatorBackend {
             RegulatorBackend::PerSession => "per-session",
             RegulatorBackend::Interleaved => "interleaved",
         })
-    }
-}
-
-/// Process-default regulator backend: 0 = unset, 1 = per-session,
-/// 2 = interleaved. Harness-level (what `lit-repro --regulator` sets);
-/// explicit builder calls always win.
-static GLOBAL_REGULATOR: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-default regulator backend.
-pub fn set_global_regulator(backend: RegulatorBackend) {
-    let v = match backend {
-        RegulatorBackend::PerSession => 1,
-        RegulatorBackend::Interleaved => 2,
-    };
-    GLOBAL_REGULATOR.store(v, Ordering::Relaxed);
-}
-
-/// Clear the process-default regulator backend (test isolation).
-pub fn clear_global_regulator() {
-    GLOBAL_REGULATOR.store(0, Ordering::Relaxed);
-}
-
-/// The process-default regulator backend, if one was set.
-pub fn global_regulator() -> Option<RegulatorBackend> {
-    match GLOBAL_REGULATOR.load(Ordering::Relaxed) {
-        1 => Some(RegulatorBackend::PerSession),
-        2 => Some(RegulatorBackend::Interleaved),
-        _ => None,
     }
 }
 
@@ -227,18 +198,6 @@ mod tests {
         assert_eq!(RegulatorBackend::PerSession.to_string(), "per-session");
         assert_eq!(RegulatorBackend::Interleaved.to_string(), "interleaved");
         assert_eq!(RegulatorBackend::default(), RegulatorBackend::PerSession);
-    }
-
-    #[test]
-    fn global_regulator_roundtrip() {
-        clear_global_regulator();
-        assert_eq!(global_regulator(), None);
-        set_global_regulator(RegulatorBackend::Interleaved);
-        assert_eq!(global_regulator(), Some(RegulatorBackend::Interleaved));
-        set_global_regulator(RegulatorBackend::PerSession);
-        assert_eq!(global_regulator(), Some(RegulatorBackend::PerSession));
-        clear_global_regulator();
-        assert_eq!(global_regulator(), None);
     }
 
     #[test]

@@ -49,10 +49,7 @@ mod stats;
 mod table;
 
 pub use arena::{PacketArena, PacketRef};
-pub use discipline::{
-    clear_global_regulator, global_regulator, set_global_regulator, Discipline, DisciplineFactory,
-    RegulatorBackend, ScheduleDecision,
-};
+pub use discipline::{Discipline, DisciplineFactory, RegulatorBackend, ScheduleDecision};
 pub use equeue::QueueKind;
 pub use lit_obs::{NoopProbe, ObsProbe, PacketView, Probe};
 pub use lit_sim::EventBackend;
@@ -473,6 +470,7 @@ mod tests {
         }
         let mut net = b.build(&slack_fifo_factory(Duration::ZERO, Duration::from_us(500)));
         net.run_until(Time::from_secs(1));
+        assert_eq!(net.oracle_drain_check(), 0);
         assert_eq!(net.oracle_totals().lateness, 1);
         assert_eq!(net.node_stats(nodes[0]).oracle_violations, 1);
     }
@@ -532,6 +530,7 @@ mod tests {
             );
             net.run_until(Time::from_secs(1));
             assert_eq!(net.session_stats(sid).delivered, 10);
+            assert_eq!(net.oracle_drain_check(), 0);
             net.oracle_totals().jitter_bound
         };
         assert_eq!(run(1), 6);
@@ -556,6 +555,7 @@ mod tests {
                 jitter_spread_ps: i128::MAX / 2,
             },
         );
+        // Not drained: the first delivery panics inside `run_until`.
         net.run_until(Time::from_secs(1));
     }
 

@@ -273,7 +273,6 @@ impl NetworkBuilder {
             stats_cfg: self.stats_cfg,
             merged_sessions: Vec::new(),
             merged_nodes: Vec::new(),
-            drained: false,
         };
         net.merge();
         net
@@ -328,8 +327,6 @@ pub struct Network {
     /// rows are read in place.
     merged_sessions: Vec<SessionStats>,
     merged_nodes: Vec<NodeStats>,
-    /// Whether the drain-time check already ran (guards the `Drop` hook).
-    drained: bool,
 }
 
 impl Network {
@@ -445,14 +442,12 @@ impl Network {
         self.shards.iter().map(Shard::event_count).sum()
     }
 
-    /// Remove the installed observability probe, finishing it first (a
-    /// hub-submitting probe delivers its shard exactly once; `finish` is
-    /// idempotent). Callers that install a concrete probe use this plus
-    /// `Probe::as_any` to read the recorded registries back.
+    /// Remove the installed observability probe. Callers that install a
+    /// concrete probe use this plus `Probe::as_any` to read the recorded
+    /// registries back; take it *after* [`Network::oracle_drain_check`]
+    /// so drain-time violations are part of what it recorded.
     pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        let mut p = self.shards.first_mut()?.core.probe.take()?;
-        p.finish(self.now());
-        Some(p)
+        self.shards.first_mut()?.core.probe.take()
     }
 
     /// Total conformance-oracle violations recorded by this network.
@@ -478,10 +473,9 @@ impl Network {
     /// each comparison are whole-run, so they read the merged view; a
     /// failure is recorded on the core that owns the session's last hop
     /// or the node. Returns the number of sessions plus nodes that
-    /// failed. Runs automatically (in counting mode) when the network is
-    /// dropped, if not called explicitly first.
+    /// failed. Nothing runs it implicitly: a network dropped without it
+    /// has not had these two checks.
     pub fn oracle_drain_check(&mut self) -> u64 {
-        self.drained = true;
         if !self.shards[0].core.oracle.enabled() {
             return 0;
         }
@@ -551,28 +545,5 @@ impl Network {
     /// one-shard driver, including every fallback case).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-}
-
-impl Drop for Network {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            return;
-        }
-        // Run the drain-time distribution check if the caller didn't.
-        // Forced to counting mode: panicking in drop would abort, and the
-        // global counter still surfaces the failure (e.g. to `lit-repro`,
-        // whose exit code checks it after a sweep).
-        if !self.drained {
-            for shard in &mut self.shards {
-                if shard.core.oracle.enabled() {
-                    shard.core.oracle.mode = OracleMode::Count;
-                }
-            }
-            self.oracle_drain_check();
-        }
-        // Finish the probe *after* the drain check so drain-time CCDF
-        // violations are part of what a hub-submitting probe delivers.
-        self.take_probe();
     }
 }

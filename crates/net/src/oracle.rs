@@ -21,13 +21,12 @@
 //! The per-session constants ([`SessionBounds`]) are installed after
 //! `build` by `lit_core::install_oracle_bounds`, which knows the bound
 //! formulas; `lit-net` only stores and checks them. Violations accumulate
-//! into [`OracleTotals`], per-node/per-session counters, and a
-//! process-global counter that survives the `Network` being dropped (so a
-//! CLI can report totals after a sweep).
+//! into [`OracleTotals`] and per-node/per-session counters, read back
+//! through `Network::oracle_totals` once the run (and its
+//! `Network::oracle_drain_check`) is done.
 
 use lit_analysis::DurationHistogram;
 use lit_sim::Time;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// What the oracle does when a check is evaluated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,7 +34,7 @@ pub enum OracleMode {
     /// No checking (zero overhead; the default).
     #[default]
     Off,
-    /// Count violations (totals, per-node/per-session counters, global).
+    /// Count violations (totals, per-node/per-session counters).
     Count,
     /// Panic with a descriptive message on the first violation.
     Panic,
@@ -224,46 +223,6 @@ impl OracleTotals {
     }
 }
 
-/// Violations recorded by every oracle in this process (all `Network`s,
-/// all threads). Lets a CLI report a sweep's total after the networks
-/// themselves are gone.
-static GLOBAL_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-/// Process-default mode (index into Off/Count/Panic), read by harnesses
-/// that construct many networks from one CLI flag.
-static GLOBAL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Total violations recorded process-wide.
-pub fn global_violations() -> u64 {
-    GLOBAL_VIOLATIONS.load(Ordering::Relaxed)
-}
-
-/// Reset the process-wide violation counter (test isolation).
-pub fn reset_global_violations() {
-    GLOBAL_VIOLATIONS.store(0, Ordering::Relaxed);
-}
-
-/// Fold `n` violations detected *outside* any live `Network` into the
-/// process-wide counter — used by harness-level analytic cross-checks
-/// (e.g. the heavy-traffic ρ-ladder comparisons, which only exist across
-/// several finished runs) so a CLI sweep still exits non-zero.
-pub fn record_external_violations(n: u64) {
-    GLOBAL_VIOLATIONS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Set the process-default oracle mode (what `lit-repro --oracle` does).
-pub fn set_global_mode(mode: OracleMode) {
-    GLOBAL_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The process-default oracle mode (defaults to `Off`).
-pub fn global_mode() -> OracleMode {
-    match GLOBAL_MODE.load(Ordering::Relaxed) {
-        1 => OracleMode::Count,
-        2 => OracleMode::Panic,
-        _ => OracleMode::Off,
-    }
-}
-
 /// Per-network oracle state.
 pub(crate) struct OracleRt {
     pub(crate) mode: OracleMode,
@@ -317,7 +276,6 @@ impl OracleRt {
     /// rendered when a message is actually needed.
     pub(crate) fn violate(&mut self, kind: ViolationKind, detail: impl FnOnce() -> String) {
         *self.totals.slot(kind) += 1;
-        GLOBAL_VIOLATIONS.fetch_add(1, Ordering::Relaxed);
         if self.mode == OracleMode::Panic {
             panic!("conformance oracle: {kind}: {}", detail());
         }
@@ -461,13 +419,5 @@ mod tests {
         assert_eq!(t.total(), 3);
         assert_eq!(t.lateness, 2);
         assert_eq!(t.ccdf_bound, 1);
-    }
-
-    #[test]
-    fn global_mode_roundtrip() {
-        set_global_mode(OracleMode::Count);
-        assert_eq!(global_mode(), OracleMode::Count);
-        set_global_mode(OracleMode::Off);
-        assert_eq!(global_mode(), OracleMode::Off);
     }
 }

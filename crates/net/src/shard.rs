@@ -95,7 +95,7 @@ use crate::node::{Ev, NodeCore, Sink, Topology};
 use crate::packet::Packet;
 use lit_sim::{EventBackend, EventQueue, Time};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -105,21 +105,6 @@ use std::sync::{Arc, Barrier, Mutex};
 pub fn owner_of(node: usize, n_nodes: usize, shards: usize) -> usize {
     debug_assert!(node < n_nodes && shards >= 1);
     node * shards / n_nodes
-}
-
-/// Process-global default shard count, applied by CLI layers that build
-/// many networks from one `--shards` flag (mirrors the oracle's global
-/// mode knob). `0` and `1` both mean the one-shard driver.
-static GLOBAL_SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Set the process-global default shard count (see [`global_shards`]).
-pub fn set_global_shards(n: usize) {
-    GLOBAL_SHARDS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The process-global default shard count (1 unless a CLI set it).
-pub fn global_shards() -> usize {
-    GLOBAL_SHARDS.load(Ordering::Relaxed)
 }
 
 /// Process-global count of builds that requested ≥ 2 shards but got the
@@ -517,14 +502,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn global_shards_knob_roundtrips() {
-        set_global_shards(4);
-        assert_eq!(global_shards(), 4);
-        set_global_shards(0); // clamps to one shard
-        assert_eq!(global_shards(), 1);
-        set_global_shards(1);
     }
 }

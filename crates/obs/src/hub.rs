@@ -1,120 +1,122 @@
-//! The process-global collection point for probe output.
+//! The collection point for probe output: an ordinary value the run's
+//! owner constructs, lends to whoever builds networks, and exports from.
 //!
 //! Experiment runners spawn one network per replica, possibly across
-//! worker threads in arbitrary completion order. Each network's
-//! [`ObsProbe`] submits its shard and trace ring here at `finish`;
-//! export then merges shards commutatively and sorts trace rings by
+//! worker threads in arbitrary completion order. Each finished network's
+//! [`ObsProbe`] is handed to [`Hub::absorb`]; export then reads the
+//! commutatively merged shards and sorts the trace rings by
 //! `(network master seed, content hash)`, so the exported bytes are
 //! identical for any `--threads` value. That invariant is what the
 //! thread-determinism snapshot test pins.
 //!
-//! The hub is disabled by default: [`global_probe`] returns `None` and
-//! the executor's hook sites stay a single always-false branch.
+//! A hub with both switches off hands out no probes ([`Hub::probe`]
+//! returns `None`) and the executor's hook sites stay a single
+//! always-false branch.
 
 use crate::metrics::ObsShard;
 use crate::probe::{ObsProbe, Probe};
-use crate::trace::{self, TraceEvent, TraceRing};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-const METRICS_ON: u8 = 1;
-const TRACE_ON: u8 = 2;
+use crate::trace::{self, TraceEvent};
+use std::sync::{Mutex, MutexGuard};
 
 /// Default per-network trace-ring tail capacity when tracing is enabled.
 /// Sized so the ring's working set (~72 B/slot, ~36 KiB total) stays
 /// close to L1: the tracer cycles through every slot continuously, and a
 /// larger ring turns each record into a cache-line miss — that is what
-/// the CI overhead guard's ≤ 10% probes-on budget polices. Raise via
-/// [`set_trace_cap`] when a deeper tail matters more than hot-path cost.
+/// the CI overhead guard's ≤ 10% probes-on budget polices.
 pub const DEFAULT_TRACE_CAP: usize = 512;
 
-static FLAGS: AtomicU8 = AtomicU8::new(0);
-static TRACE_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_TRACE_CAP);
-
-#[derive(Default)]
-struct Hub {
+#[derive(Debug, Default)]
+struct Pool {
     shard: ObsShard,
-    rings: Vec<(u64, TraceRing)>,
+    rings: Vec<(u64, Vec<TraceEvent>)>,
 }
 
-fn hub() -> &'static Mutex<Hub> {
-    static HUB: OnceLock<Mutex<Hub>> = OnceLock::new();
-    HUB.get_or_init(Mutex::default)
+/// Pools the observations of every network of one run.
+#[derive(Debug, Default)]
+pub struct Hub {
+    /// Whether networks get a probe at all (`--metrics` or `--trace`).
+    on: bool,
+    /// Per-network trace-ring tail capacity; 0 = metrics only.
+    trace_cap: usize,
+    pool: Mutex<Pool>,
 }
 
-fn lock() -> std::sync::MutexGuard<'static, Hub> {
-    // A poisoned hub only means a worker panicked mid-submit; the
-    // observations themselves are still mergeable.
-    hub().lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Turn global collection on or off. `metrics` enables the registry,
-/// `trace` the lifecycle tracer (implies metrics storage exists but the
-/// ring stays empty when off). Does not clear prior submissions — call
-/// [`reset`] for that.
-pub fn set_global(metrics: bool, trace: bool) {
-    let mut f = 0;
-    if metrics {
-        f |= METRICS_ON;
+impl Hub {
+    /// A hub collecting metrics if `metrics`, and lifecycle traces into
+    /// per-network rings of tail capacity `trace_cap` if that is nonzero
+    /// (tracing implies the metrics registry exists). `Hub::default()`
+    /// collects nothing.
+    pub fn new(metrics: bool, trace_cap: usize) -> Self {
+        Hub {
+            on: metrics || trace_cap > 0,
+            trace_cap,
+            pool: Mutex::default(),
+        }
     }
-    if trace {
-        f |= TRACE_ON;
+
+    /// The probe a network should install, or `None` when collection is
+    /// off (the executor then pays one branch per hook site and nothing
+    /// more).
+    pub fn probe(&self) -> Option<Box<dyn Probe>> {
+        self.on
+            .then(|| Box::new(ObsProbe::new(self.trace_cap)) as Box<dyn Probe>)
     }
-    FLAGS.store(f, Ordering::SeqCst);
-}
 
-/// Override the per-network trace-ring tail capacity (tests use small
-/// rings; `DEFAULT_TRACE_CAP` otherwise).
-pub fn set_trace_cap(cap: usize) {
-    TRACE_CAP.store(cap.max(1), Ordering::SeqCst);
-}
-
-/// Whether any collection is on.
-pub fn enabled() -> bool {
-    FLAGS.load(Ordering::SeqCst) != 0
-}
-
-/// The probe a network should install, or `None` when collection is off
-/// (the executor then pays one branch per hook site and nothing more).
-pub fn global_probe() -> Option<Box<dyn Probe>> {
-    let f = FLAGS.load(Ordering::SeqCst);
-    if f == 0 {
-        return None;
+    fn lock(&self) -> MutexGuard<'_, Pool> {
+        // A poisoned pool only means a worker panicked mid-absorb; the
+        // observations themselves are still mergeable.
+        self.pool.lock().unwrap_or_else(|e| e.into_inner())
     }
-    let cap = if f & TRACE_ON != 0 {
-        TRACE_CAP.load(Ordering::SeqCst)
-    } else {
-        0
-    };
-    Some(Box::new(ObsProbe::new(cap).submitting()))
-}
 
-/// Deliver one network's observations. Called by [`Probe::finish`] on a
-/// submitting [`ObsProbe`];
-/// order across threads is irrelevant by construction.
-pub fn submit(shard: ObsShard, ring: TraceRing, seed: u64) {
-    let mut h = lock();
-    h.shard.merge(&shard);
-    if ring.total() > 0 && ring.enabled() {
-        h.rings.push((seed, ring));
+    /// Pool one finished network's observations (a probe this hub handed
+    /// out, taken back with `Network::take_probe`). Order across threads
+    /// is irrelevant by construction.
+    pub fn absorb(&self, probe: &dyn Probe) {
+        let Some(p) = probe.as_any().and_then(|a| a.downcast_ref::<ObsProbe>()) else {
+            return;
+        };
+        let mut pool = self.lock();
+        pool.shard.merge(&p.shard);
+        if p.trace.total() > 0 && p.trace.enabled() {
+            pool.rings.push((p.seed, p.trace.events()));
+        }
     }
-}
 
-/// Discard everything collected so far (flags are left as set).
-pub fn reset() {
-    let mut h = lock();
-    h.shard = ObsShard::default();
-    h.rings.clear();
-}
+    /// The pooled metrics as deterministic JSON.
+    pub fn metrics_json(&self) -> String {
+        self.lock().shard.to_json()
+    }
 
-/// The pooled metrics as deterministic JSON.
-pub fn metrics_json() -> String {
-    lock().shard.to_json()
-}
+    /// A clone of the pooled metrics shard (for in-process assertions).
+    pub fn metrics_shard(&self) -> ObsShard {
+        self.lock().shard.clone()
+    }
 
-/// A clone of the pooled metrics shard (for in-process assertions).
-pub fn metrics_shard() -> ObsShard {
-    lock().shard.clone()
+    /// The pooled rings ordered by `(seed, content hash)`, so exports are
+    /// thread-count independent.
+    fn sorted_groups(&self) -> Vec<(u64, Vec<TraceEvent>)> {
+        let mut groups = self.lock().rings.clone();
+        groups.sort_by_cached_key(|(seed, events)| (*seed, ring_hash(events)));
+        groups
+    }
+
+    /// The pooled trace as Chrome `trace_event` JSON.
+    pub fn chrome_trace_json(&self) -> String {
+        trace::chrome_trace_json(&self.sorted_groups())
+    }
+
+    /// The pooled trace as JSONL, one `{"seed":…, …}` object per event, in
+    /// the same deterministic ring order as [`Hub::chrome_trace_json`].
+    pub fn trace_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (seed, events) in &self.sorted_groups() {
+            for e in events {
+                let line = trace::jsonl_line(e);
+                out.push_str(&format!("{{\"seed\":{seed},{}\n", &line[1..]));
+            }
+        }
+        out
+    }
 }
 
 /// FNV-1a over an event's identifying fields — a content fingerprint
@@ -138,49 +140,14 @@ fn ring_hash(events: &[TraceEvent]) -> u64 {
     h
 }
 
-fn sorted_groups() -> Vec<(u64, Vec<TraceEvent>)> {
-    let h = lock();
-    let mut groups: Vec<(u64, Vec<TraceEvent>)> = h
-        .rings
-        .iter()
-        .map(|(seed, ring)| (*seed, ring.events()))
-        .collect();
-    drop(h);
-    groups.sort_by_key(|(seed, events)| (*seed, ring_hash(events)));
-    groups
-}
-
-/// The pooled trace as Chrome `trace_event` JSON, rings ordered by
-/// `(seed, content hash)` so the bytes are thread-count independent.
-pub fn chrome_trace_json() -> String {
-    trace::chrome_trace_json(&sorted_groups())
-}
-
-/// The pooled trace as JSONL, one `{"seed":…, …}` object per event, in
-/// the same deterministic ring order as [`chrome_trace_json`].
-pub fn trace_jsonl() -> String {
-    let groups = sorted_groups();
-    let mut out = String::new();
-    for (seed, events) in &groups {
-        for e in events {
-            let line = trace::jsonl_line(e);
-            out.push_str(&format!("{{\"seed\":{seed},{}\n", &line[1..]));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::probe::PacketView;
     use lit_sim::Time;
 
-    fn run_one(seed: u64, arrivals: u64) {
-        let mut p = match global_probe() {
-            Some(p) => p,
-            None => return,
-        };
+    fn run_one(hub: &Hub, seed: u64, arrivals: u64) {
+        let mut p = hub.probe().expect("collection is on");
         p.on_build(seed, 1, &[1]);
         for i in 0..arrivals {
             p.on_arrive(
@@ -198,37 +165,26 @@ mod tests {
                 1,
             );
         }
-        p.finish(Time::from_us(arrivals));
+        hub.absorb(&*p);
     }
 
     #[test]
     fn pooled_export_is_submission_order_independent() {
-        // Serialise against other tests in this binary that touch the
-        // global hub (Rust runs tests in one process).
-        set_global(true, true);
-        set_trace_cap(64);
+        let a = Hub::new(true, 64);
+        run_one(&a, 3, 2);
+        run_one(&a, 1, 5);
 
-        reset();
-        run_one(3, 2);
-        run_one(1, 5);
-        let a_metrics = metrics_json();
-        let a_trace = chrome_trace_json();
-        let a_jsonl = trace_jsonl();
+        let b = Hub::new(true, 64);
+        run_one(&b, 1, 5);
+        run_one(&b, 3, 2);
+        assert_eq!(b.metrics_json(), a.metrics_json());
+        assert_eq!(b.chrome_trace_json(), a.chrome_trace_json());
+        assert_eq!(b.trace_jsonl(), a.trace_jsonl());
 
-        reset();
-        run_one(1, 5);
-        run_one(3, 2);
-        assert_eq!(metrics_json(), a_metrics);
-        assert_eq!(chrome_trace_json(), a_trace);
-        assert_eq!(trace_jsonl(), a_jsonl);
-
-        let shard = metrics_shard();
+        let shard = b.metrics_shard();
         assert_eq!(shard.networks, 2);
         assert_eq!(shard.nodes[0].arrivals, 7);
 
-        set_global(false, false);
-        reset();
-        assert!(global_probe().is_none());
-        assert!(!enabled());
+        assert!(Hub::default().probe().is_none());
     }
 }

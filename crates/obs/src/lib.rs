@@ -20,7 +20,8 @@
 //!   method has a no-op default; the executor holds an
 //!   `Option<Box<dyn Probe>>`, so the disabled path is a single
 //!   always-false branch per event (the CI overhead guard pins it ≤ 2%).
-//! * [`hub`] — a process-global collection point. Shards merge
+//! * [`hub`] — the collection point of one run, an ordinary value its
+//!   owner lends to whoever builds networks. Shards merge
 //!   commutatively (counters add, maxima max, histogram bins add) and
 //!   trace rings are sorted by `(network seed, content hash)` at export,
 //!   so the exported bytes are identical for any worker-thread count.

@@ -9,7 +9,6 @@
 //! packet arrival, regulator release, service start, departure and on
 //! every conformance-oracle violation.
 
-use crate::hub;
 use crate::metrics::ObsShard;
 use crate::trace::{TraceEvent, TraceKind, TraceRing};
 use lit_sim::{Duration, Time};
@@ -93,10 +92,6 @@ pub trait Probe: Send {
     ) {
     }
 
-    /// The network is done (drain or drop). Submitting probes deliver
-    /// their shard to the global hub here.
-    fn finish(&mut self, _now: Time) {}
-
     /// Downcast support, so callers that installed a concrete probe can
     /// take it back out of the network and read its registries directly.
     fn as_any(&self) -> Option<&dyn Any> {
@@ -122,8 +117,6 @@ pub struct ObsProbe {
     pub trace: TraceRing,
     /// Master seed of the observed network (stamped at `on_build`).
     pub seed: u64,
-    submit: bool,
-    finished: bool,
 }
 
 /// How many leading events a tracing [`ObsProbe`] retains exactly.
@@ -137,17 +130,7 @@ impl ObsProbe {
             shard: ObsShard::default(),
             trace: TraceRing::new(if trace_cap == 0 { 0 } else { TRACE_HEAD_CAP }, trace_cap),
             seed: 0,
-            submit: false,
-            finished: false,
         }
-    }
-
-    /// Mark this probe as hub-submitting: `finish` (called when the
-    /// network drains or drops) merges the shard and trace into the
-    /// process-global [`crate::hub`].
-    pub fn submitting(mut self) -> Self {
-        self.submit = true;
-        self
     }
 
     /// `inline(always)`: the hooks run on the simulator's hot path and
@@ -310,18 +293,6 @@ impl Probe for ObsProbe {
         });
     }
 
-    fn finish(&mut self, _now: Time) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        if self.submit {
-            let shard = std::mem::take(&mut self.shard);
-            let trace = std::mem::take(&mut self.trace);
-            hub::submit(shard, trace, self.seed);
-        }
-    }
-
     fn as_any(&self) -> Option<&dyn Any> {
         Some(self)
     }
@@ -398,7 +369,6 @@ mod tests {
         let mut p = NoopProbe;
         p.on_build(0, 4, &[1, 2]);
         p.on_arrive(Time::ZERO, 0, view(0, 1, 0), 0, 0);
-        p.finish(Time::ZERO);
         assert!(p.as_any().is_none());
     }
 

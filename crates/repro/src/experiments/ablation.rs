@@ -50,18 +50,20 @@ pub fn run(cfg: &RunConfig) -> Vec<AblationRow> {
             Some(b) => QueueKind::Bucketed { bucket: b },
         };
         let started = std::time::Instant::now();
-        let (mut net, no_jc, jc) = build_cross_onoff_queued(cfg.seed, kind);
+        let (mut net, no_jc, jc) = build_cross_onoff_queued(cfg, cfg.seed, kind);
         net.run_until(cfg.horizon(600));
         let wall = started.elapsed().as_secs_f64();
         let st = net.session_stats(no_jc);
-        AblationRow {
+        let row = AblationRow {
             bucket,
             max_delay: st.max_delay().unwrap_or(Duration::ZERO),
             jitter: st.jitter().unwrap_or(Duration::ZERO),
             jitter_jc: net.session_stats(jc).jitter().unwrap_or(Duration::ZERO),
             lateness_fraction: max_lateness_fraction(&net),
             wall_seconds: wall,
-        }
+        };
+        cfg.collector.retire(net);
+        row
     })
 }
 

@@ -1,15 +1,16 @@
 //! Shared experiment machinery: run configuration, admission-driven
 //! session setup for the MIX and CROSS configurations, and bound helpers.
 
+use crate::collect::Collector;
+use crate::scenario::RunOptions;
 use crate::topology::{cross_routes, five_hop, mix_routes, paper_tandem};
 use lit_analysis::DurationHistogram;
 use lit_core::{
-    install_oracle_bounds, ClassedAdmission, DRule, DelayClass, LitDiscipline, PathBounds,
-    Procedure, SessionRequest,
+    ClassedAdmission, DRule, DelayClass, LitDiscipline, PathBounds, Procedure, SessionRequest,
 };
 use lit_net::{
-    DelayAssignment, DisciplineFactory, Network, NetworkBuilder, OccupancyHistogram, OracleConfig,
-    OracleMode, QueueKind, SessionId, SessionSpec, SessionStats, StatsConfig,
+    DelayAssignment, DisciplineFactory, Network, NetworkBuilder, OccupancyHistogram, QueueKind,
+    SessionId, SessionSpec, SessionStats, StatsConfig,
 };
 use lit_sim::{Duration, Time};
 use lit_traffic::{DeterministicSource, OnOffConfig, OnOffSource, PoissonSource, ATM_CELL_BITS};
@@ -20,10 +21,12 @@ pub const T1_BPS: u64 = 1_536_000;
 /// The standard 32 kbit/s reservation of the paper's ON-OFF/CBR sessions.
 pub const VOICE_BPS: u64 = 32_000;
 
-/// How long to simulate, with which master seed, and how to spread
-/// independent runs over worker threads.
+/// How long to simulate, with which master seed, how to spread
+/// independent runs over worker threads, under which engine options, and
+/// where finished networks leave their results. The only carrier of any
+/// of these: nothing an experiment builds reads ambient state.
 #[derive(Clone, Copy, Debug)]
-pub struct RunConfig {
+pub struct RunConfig<'a> {
     /// Override of the experiment's paper-specified duration (seconds of
     /// simulated time); `None` runs the full paper duration.
     pub seconds: Option<u64>,
@@ -38,27 +41,47 @@ pub struct RunConfig {
     /// of histograms. Replica `r` runs with [`replica_seed`]`(seed, r)`,
     /// so replica 0 alone reproduces a `replicas = 1` run exactly.
     pub replicas: u32,
+    /// Engine options of every network built (the CLI's `--oracle`,
+    /// `--regulator` and `--shards`); the default is the paper's engine,
+    /// unchecked.
+    pub engine: RunOptions,
+    /// Where every network is retired once its point has been measured.
+    pub collector: &'a Collector,
 }
 
-impl RunConfig {
+impl<'a> RunConfig<'a> {
     /// Full paper durations (5 or 10 minutes depending on the experiment).
-    pub fn paper() -> Self {
+    pub fn paper(collector: &'a Collector) -> Self {
         RunConfig {
             seconds: None,
             seed: 0x5EED_1995,
             threads: None,
             replicas: 1,
+            engine: RunOptions::default(),
+            collector,
         }
     }
 
     /// A fast configuration for tests and smoke runs: reduced horizon,
     /// several pooled replicas so the distribution tails still fill in.
-    pub fn quick() -> Self {
+    pub fn quick(collector: &'a Collector) -> Self {
         RunConfig {
             seconds: Some(20),
             replicas: 4,
-            ..RunConfig::paper()
+            ..RunConfig::paper(collector)
         }
+    }
+
+    /// [`RunOptions::build`] under this run's engine options, with the
+    /// collector's probe installed.
+    pub fn build(
+        &self,
+        b: NetworkBuilder,
+        factory: &DisciplineFactory<'_>,
+        checked: bool,
+    ) -> Network {
+        self.engine
+            .build(b, factory, checked, self.collector.probe())
     }
 
     /// The horizon for an experiment whose paper duration is
@@ -239,41 +262,11 @@ pub fn fine_stats() -> StatsConfig {
     }
 }
 
-/// Finish a Leave-in-Time network build, arming the conformance oracle at
-/// the process-global mode (the CLI's `--oracle` flag, default off) and
-/// installing every session's paper bounds so the pathwise delay, jitter,
-/// and CCDF checks run alongside the experiment.
-pub fn finish_lit(b: NetworkBuilder) -> Network {
-    finish_with_oracle(b, &LitDiscipline::factory())
-}
-
-/// [`finish_lit`] with an explicit factory — for call sites that already
-/// hold a Leave-in-Time factory by another name. The oracle's invariants
-/// are LiT's; do not use this with baseline disciplines.
-///
-/// Also attaches the process-global observability probe when the CLI's
-/// `--metrics` / `--trace` flags armed `lit_obs::hub` — every replica of
-/// every experiment then submits its shard and trace ring to the hub.
-pub fn finish_with_oracle(b: NetworkBuilder, factory: &DisciplineFactory<'_>) -> Network {
-    let mode = lit_net::oracle::global_mode();
-    let mut b = b
-        .shards(lit_net::shard::global_shards())
-        .oracle(OracleConfig::new(mode));
-    if let Some(p) = lit_obs::hub::global_probe() {
-        b = b.probe(p);
-    }
-    let mut net = b.build(factory);
-    if mode != OracleMode::Off {
-        install_oracle_bounds(&mut net);
-    }
-    net
-}
-
 /// Build the MIX configuration, all sessions ON-OFF with the given mean
 /// OFF time, under admission control procedure 1 with one class
 /// (`d = L/r`). Returns the network and the tagged five-hop session.
-pub fn build_mix_one_class(a_off: Duration, seed: u64) -> (Network, SessionId) {
-    let mut b = NetworkBuilder::new().seed(seed).stats(fine_stats());
+pub fn build_mix_one_class(cfg: &RunConfig, a_off: Duration) -> (Network, SessionId) {
+    let mut b = NetworkBuilder::new().seed(cfg.seed).stats(fine_stats());
     let nodes = paper_tandem(&mut b);
     let mut admission: Vec<ClassedAdmission> = nodes
         .iter()
@@ -303,7 +296,7 @@ pub fn build_mix_one_class(a_off: Duration, seed: u64) -> (Network, SessionId) {
             }
         }
     }
-    let net = finish_lit(b);
+    let net = cfg.build(b, &LitDiscipline::factory(), true);
     (net, tagged.expect("MIX contains the five-hop route"))
 }
 
@@ -340,16 +333,20 @@ pub fn ac2_two_classes() -> Vec<DelayClass> {
 /// four-hop (`a-i`) sessions with `d = 2.77 ms`; everything else is
 /// class 2 with `d ≈ 18.77 ms`. Among the class-1 and class-2 five-hop
 /// sessions, one of each is given delay-jitter control.
-pub fn build_mix_ac2(a_off: Duration, seed: u64) -> (Network, Ac2Tagged) {
-    build_mix_classed(a_off, seed, Procedure::Proc2)
+pub fn build_mix_ac2(cfg: &RunConfig, a_off: Duration) -> (Network, Ac2Tagged) {
+    build_mix_classed(cfg, a_off, Procedure::Proc2)
 }
 
 /// [`build_mix_ac2`] generalized over the admission procedure. The paper
 /// reports having run Figures 14–17 under procedure 1 as well, observing
 /// that procedure 2 gives class-1 sessions a lower bound; this builder
 /// regenerates both variants from the same class ladder.
-pub fn build_mix_classed(a_off: Duration, seed: u64, procedure: Procedure) -> (Network, Ac2Tagged) {
-    let mut b = NetworkBuilder::new().seed(seed).stats(fine_stats());
+pub fn build_mix_classed(
+    cfg: &RunConfig,
+    a_off: Duration,
+    procedure: Procedure,
+) -> (Network, Ac2Tagged) {
+    let mut b = NetworkBuilder::new().seed(cfg.seed).stats(fine_stats());
     let nodes = paper_tandem(&mut b);
     let mut admission: Vec<ClassedAdmission> = nodes
         .iter()
@@ -398,7 +395,7 @@ pub fn build_mix_classed(a_off: Duration, seed: u64, procedure: Procedure) -> (N
         class2_nojc: find(5),
         class2_jc: find(6),
     };
-    let net = finish_lit(b);
+    let net = cfg.build(b, &LitDiscipline::factory(), true);
     (net, tagged)
 }
 
@@ -407,13 +404,17 @@ pub fn build_mix_classed(a_off: Duration, seed: u64, procedure: Procedure) -> (N
 /// one 1472 kbit/s Poisson session per one-hop cross route
 /// (a_P = 0.28804 ms). One-class admission. Returns
 /// `(network, no_jc, jc)`.
-pub fn build_cross_onoff(seed: u64) -> (Network, SessionId, SessionId) {
-    build_cross_onoff_queued(seed, QueueKind::Exact)
+pub fn build_cross_onoff(cfg: &RunConfig, seed: u64) -> (Network, SessionId, SessionId) {
+    build_cross_onoff_queued(cfg, seed, QueueKind::Exact)
 }
 
 /// [`build_cross_onoff`] with an explicit eligible-queue implementation —
 /// the knob of the approximate-priority-queue ablation.
-pub fn build_cross_onoff_queued(seed: u64, queue: QueueKind) -> (Network, SessionId, SessionId) {
+pub fn build_cross_onoff_queued(
+    cfg: &RunConfig,
+    seed: u64,
+    queue: QueueKind,
+) -> (Network, SessionId, SessionId) {
     let mut b = NetworkBuilder::new()
         .seed(seed)
         .stats(fine_stats())
@@ -468,11 +469,7 @@ pub fn build_cross_onoff_queued(seed: u64, queue: QueueKind) -> (Network, Sessio
     // A bucketed eligible queue deliberately approximates deadline order,
     // so the oracle's exactness invariants do not apply to the ablation
     // arms — only the exact queue runs under the oracle.
-    let net = if queue == QueueKind::Exact {
-        finish_lit(b)
-    } else {
-        b.build(&LitDiscipline::factory())
-    };
+    let net = cfg.build(b, &LitDiscipline::factory(), queue == QueueKind::Exact);
     (net, no_jc, jc)
 }
 
@@ -498,6 +495,7 @@ pub enum CrossTraffic {
 /// session (rate `rate_bps`, mean gap `mean_gap`) and the given cross
 /// traffic (Figures 9–11). Returns `(network, tagged)`.
 pub fn build_cross_poisson(
+    cfg: &RunConfig,
     rate_bps: u64,
     mean_gap: Duration,
     cross: CrossTraffic,
@@ -552,7 +550,7 @@ pub fn build_cross_poisson(
             }
         }
     }
-    let net = finish_lit(b);
+    let net = cfg.build(b, &LitDiscipline::factory(), true);
     (net, tagged)
 }
 

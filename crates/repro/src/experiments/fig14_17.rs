@@ -64,9 +64,9 @@ fn measure(net: &Network, id: SessionId, jc: bool) -> TaggedMeasure {
 
 /// Run one sweep point.
 pub fn point(cfg: &RunConfig, a_off: Duration) -> Fig14Point {
-    let (mut net, tagged) = build_mix_ac2(a_off, cfg.seed);
+    let (mut net, tagged) = build_mix_ac2(cfg, a_off);
     net.run_until(cfg.horizon(300));
-    Fig14Point {
+    let point = Fig14Point {
         a_off,
         tagged: [
             measure(&net, tagged.class1_nojc, false),
@@ -75,7 +75,9 @@ pub fn point(cfg: &RunConfig, a_off: Duration) -> Fig14Point {
             measure(&net, tagged.class2_jc, true),
         ],
         lateness_fraction: max_lateness_fraction(&net),
-    }
+    };
+    cfg.collector.retire(net);
+    point
 }
 
 /// Run the full sweep on the shared worker pool.
@@ -141,7 +143,7 @@ pub fn procedure_comparison(cfg: &RunConfig, a_off: Duration) -> Table {
         ],
     );
     for (name, procedure) in [("AC1", Procedure::Proc1), ("AC2", Procedure::Proc2)] {
-        let (mut net, tagged) = build_mix_classed(a_off, cfg.seed, procedure);
+        let (mut net, tagged) = build_mix_classed(cfg, a_off, procedure);
         net.run_until(cfg.horizon(300));
         for (label, id, _jc) in [
             ("class1-nojc", tagged.class1_nojc, false),
@@ -161,6 +163,7 @@ pub fn procedure_comparison(cfg: &RunConfig, a_off: Duration) -> Table {
                 ms(pb.delay_bound(dref)),
             ]);
         }
+        cfg.collector.retire(net);
     }
     t
 }

@@ -44,7 +44,7 @@ pub struct Fig7Point {
 
 /// Run one sweep point.
 pub fn point(cfg: &RunConfig, a_off: Duration) -> Fig7Point {
-    let (mut net, tagged) = build_mix_one_class(a_off, cfg.seed);
+    let (mut net, tagged) = build_mix_one_class(cfg, a_off);
     let horizon = cfg.horizon(300);
     net.run_until(horizon);
     let st = net.session_stats(tagged);
@@ -54,7 +54,7 @@ pub fn point(cfg: &RunConfig, a_off: Duration) -> Fig7Point {
         .sum::<f64>()
         / net.num_nodes() as f64;
     let duty = 352.0 / (352.0 + a_off.as_millis_f64());
-    Fig7Point {
+    let point = Fig7Point {
         a_off,
         expected_utilization: duty,
         measured_utilization: measured,
@@ -66,7 +66,9 @@ pub fn point(cfg: &RunConfig, a_off: Duration) -> Fig7Point {
         jitter_bound: pb.jitter_bound(dref, false),
         delivered: st.delivered,
         lateness_fraction: max_lateness_fraction(&net),
-    }
+    };
+    cfg.collector.retire(net);
+    point
 }
 
 /// Run the full sweep. Points are independent simulations; the shared

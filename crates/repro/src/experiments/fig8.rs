@@ -117,16 +117,18 @@ struct Replica {
 pub fn run(cfg: &RunConfig) -> Fig8Result {
     let seeds = cfg.replica_seeds();
     let reps: Vec<Replica> = run_points(cfg, &seeds, |_, &seed| {
-        let (mut net, no_jc, jc) = build_cross_onoff(seed);
+        let (mut net, no_jc, jc) = build_cross_onoff(cfg, seed);
         net.run_until(cfg.horizon(600));
-        Replica {
+        let rep = Replica {
             sessions: [
                 PooledSession::from_stats(net.session_stats(no_jc)),
                 PooledSession::from_stats(net.session_stats(jc)),
             ],
             bounds: [bounds_of(&net, no_jc, false), bounds_of(&net, jc, true)],
             lateness_fraction: max_lateness_fraction(&net),
-        }
+        };
+        cfg.collector.retire(net);
+        rep
     });
     let bounds = reps[0].bounds;
     let lateness_fraction = reps

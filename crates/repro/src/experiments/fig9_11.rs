@@ -132,13 +132,15 @@ pub fn run(cfg: &RunConfig, variant: Variant) -> DistResult {
     let (rate, gap) = variant.session();
     let seeds = cfg.replica_seeds();
     let reps: Vec<(PooledSession, PathBounds, f64)> = run_points(cfg, &seeds, |_, &seed| {
-        let (mut net, tagged) = build_cross_poisson(rate, gap, variant.cross(), seed);
+        let (mut net, tagged) = build_cross_poisson(cfg, rate, gap, variant.cross(), seed);
         net.run_until(cfg.horizon(600));
-        (
+        let rep = (
             PooledSession::from_stats(net.session_stats(tagged)),
             PathBounds::for_session(&net, tagged),
             max_lateness_fraction(&net),
-        )
+        );
+        cfg.collector.retire(net);
+        rep
     });
     // Bounds depend only on admission, identical in every replica.
     let pb = reps[0].1.clone();

@@ -14,8 +14,7 @@
 //! priority gives the lowest raw delay.
 
 use super::common::{
-    finish_with_oracle, max_lateness_fraction, run_points, voice_bounds, RunConfig, T1_BPS,
-    VOICE_BPS,
+    max_lateness_fraction, run_points, voice_bounds, RunConfig, T1_BPS, VOICE_BPS,
 };
 use crate::report::{ms, Table};
 use crate::topology::{cross_routes, five_hop, paper_tandem};
@@ -79,22 +78,20 @@ fn run_one(factory: &DisciplineFactory<'_>, name: &'static str, cfg: &RunConfig)
                     // property itself), so the Leave-in-Time arm runs under the oracle —
                     // misbehaving source included. Baseline disciplines use other
                     // deadline semantics and are exempt.
-    let mut net = if name == "leave-in-time" {
-        finish_with_oracle(b, factory)
-    } else {
-        b.build(factory)
-    };
+    let mut net = cfg.build(b, factory, name == "leave-in-time");
     net.run_until(cfg.horizon(120));
     let st = net.session_stats(victim);
     let (pb, dref) = voice_bounds(&net, victim);
-    FirewallRow {
+    let row = FirewallRow {
         discipline: name,
         max_delay: st.max_delay().unwrap_or(Duration::ZERO),
         mean_delay: st.mean_delay().unwrap_or(Duration::ZERO),
         jitter: st.jitter().unwrap_or(Duration::ZERO),
         lit_bound: pb.delay_bound(dref),
         lateness_fraction: max_lateness_fraction(&net),
-    }
+    };
+    cfg.collector.retire(net);
+    row
 }
 
 /// The disciplines of the comparison, in table order.

@@ -13,12 +13,10 @@
 //! shifted co-simulated reference CCDF. There is no analytic column —
 //! that is the point.
 
-use super::common::{
-    finish_lit, max_lateness_fraction, run_points, PooledSession, RunConfig, T1_BPS,
-};
+use super::common::{max_lateness_fraction, run_points, PooledSession, RunConfig, T1_BPS};
 use crate::report::{frac, Table};
 use crate::topology::{cross_routes, five_hop, paper_tandem};
-use lit_core::{ClassedAdmission, DRule, PathBounds, SessionRequest};
+use lit_core::{ClassedAdmission, DRule, LitDiscipline, PathBounds, SessionRequest};
 use lit_net::{DelayAssignment, NetworkBuilder, SessionId, SessionSpec};
 use lit_sim::Duration;
 use lit_traffic::{ParetoOnOffConfig, ParetoOnOffSource, PoissonSource, ATM_CELL_BITS};
@@ -51,7 +49,7 @@ pub struct HeavyTailResult {
 }
 
 /// Build the heavy-tail CROSS network for one replica seed.
-fn build(seed: u64) -> (lit_net::Network, SessionId) {
+fn build(cfg: &RunConfig, seed: u64) -> (lit_net::Network, SessionId) {
     let mut b = NetworkBuilder::new().seed(seed);
     let nodes = paper_tandem(&mut b);
     let mut admission: Vec<ClassedAdmission> = nodes
@@ -100,7 +98,7 @@ fn build(seed: u64) -> (lit_net::Network, SessionId) {
         );
     }
 
-    let net = finish_lit(b);
+    let net = cfg.build(b, &LitDiscipline::factory(), true);
     (net, tagged)
 }
 
@@ -110,13 +108,15 @@ fn build(seed: u64) -> (lit_net::Network, SessionId) {
 pub fn run(cfg: &RunConfig) -> HeavyTailResult {
     let seeds = cfg.replica_seeds();
     let reps: Vec<(PooledSession, PathBounds, f64)> = run_points(cfg, &seeds, |_, &seed| {
-        let (mut net, tagged) = build(seed);
+        let (mut net, tagged) = build(cfg, seed);
         net.run_until(cfg.horizon(600));
-        (
+        let rep = (
             PooledSession::from_stats(net.session_stats(tagged)),
             PathBounds::for_session(&net, tagged),
             max_lateness_fraction(&net),
-        )
+        );
+        cfg.collector.retire(net);
+        rep
     });
     let pb = reps[0].1.clone();
     let lateness_fraction = reps

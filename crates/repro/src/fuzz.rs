@@ -145,14 +145,18 @@ fn snapshot(net: &Network, ids: &[SessionId]) -> Vec<(u64, Vec<DeliveryRecord>)>
 /// Run one scenario all three ways; `Err` describes the first divergence
 /// or oracle violation.
 pub fn check(sc: &Scenario) -> Result<(), String> {
-    let stats = Some(fuzz_stats());
-    let (mut lit_heap, ids) = sc.run_opts(&RunOptions {
-        backend: Some(EventBackend::Heap),
-        stats,
-        oracle: OracleMode::Count,
-        shards: None,
-        regulator: None,
-    });
+    // One arm: `sc` on `backend`, the oracle counting or off, sharded or not.
+    let arm = |sc: &Scenario, backend, oracle, shards| {
+        let opts = RunOptions {
+            backend: Some(backend),
+            stats: Some(fuzz_stats()),
+            oracle,
+            shards,
+            regulator: None,
+        };
+        sc.run_probed(&opts, None)
+    };
+    let (mut lit_heap, ids) = arm(sc, EventBackend::Heap, OracleMode::Count, None);
     lit_heap.oracle_drain_check();
     let violations = lit_heap.oracle_violations();
     if violations > 0 {
@@ -162,34 +166,16 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
         ));
     }
     let base = snapshot(&lit_heap, &ids);
-    let (calendar, cal_ids) = sc.run_opts(&RunOptions {
-        backend: Some(EventBackend::Calendar),
-        stats,
-        oracle: OracleMode::Off,
-        shards: None,
-        regulator: None,
-    });
+    let (calendar, cal_ids) = arm(sc, EventBackend::Calendar, OracleMode::Off, None);
     if snapshot(&calendar, &cal_ids) != base {
         return Err("calendar event backend diverges from heap".into());
     }
-    let (wheel, wheel_ids) = sc.run_opts(&RunOptions {
-        backend: Some(EventBackend::Wheel),
-        stats,
-        oracle: OracleMode::Off,
-        shards: None,
-        regulator: None,
-    });
+    let (wheel, wheel_ids) = arm(sc, EventBackend::Wheel, OracleMode::Off, None);
     if snapshot(&wheel, &wheel_ids) != base {
         return Err("wheel event backend diverges from heap".into());
     }
     let vc = sc.with_discipline("virtualclock")?;
-    let (vc_net, vc_ids) = vc.run_opts(&RunOptions {
-        backend: Some(EventBackend::Heap),
-        stats,
-        oracle: OracleMode::Off,
-        shards: None,
-        regulator: None,
-    });
+    let (vc_net, vc_ids) = arm(&vc, EventBackend::Heap, OracleMode::Off, None);
     if snapshot(&vc_net, &vc_ids) != base {
         return Err("virtualclock diverges from leave-in-time with d = L/r".into());
     }
@@ -197,20 +183,8 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
     // with each other packet for packet and violation for violation
     // (falls back to one shard — still a valid identity — when the
     // scenario's links have zero propagation).
-    let (mut sh2, sh2_ids) = sc.run_opts(&RunOptions {
-        backend: Some(EventBackend::Heap),
-        stats,
-        oracle: OracleMode::Count,
-        shards: Some(2),
-        regulator: None,
-    });
-    let (mut sh7, sh7_ids) = sc.run_opts(&RunOptions {
-        backend: Some(EventBackend::Heap),
-        stats,
-        oracle: OracleMode::Count,
-        shards: Some(7),
-        regulator: None,
-    });
+    let (mut sh2, sh2_ids) = arm(sc, EventBackend::Heap, OracleMode::Count, Some(2));
+    let (mut sh7, sh7_ids) = arm(sc, EventBackend::Heap, OracleMode::Count, Some(7));
     sh2.oracle_drain_check();
     sh7.oracle_drain_check();
     if snapshot(&sh2, &sh2_ids) != snapshot(&sh7, &sh7_ids) {
@@ -473,13 +447,16 @@ mod tests {
         let mut logged = 0usize;
         for case in 0..16 {
             let sc = generate(case_seed(3, case));
-            let (net, ids) = sc.run_opts(&RunOptions {
-                backend: None,
-                stats: Some(fuzz_stats()),
-                oracle: OracleMode::Off,
-                shards: None,
-                regulator: None,
-            });
+            let (net, ids) = sc.run_probed(
+                &RunOptions {
+                    backend: None,
+                    stats: Some(fuzz_stats()),
+                    oracle: OracleMode::Off,
+                    shards: None,
+                    regulator: None,
+                },
+                None,
+            );
             for id in &ids {
                 let st = net.session_stats(*id);
                 assert_eq!(st.deliveries.len() as u64, st.delivered.min(1 << 16));

@@ -26,10 +26,10 @@
 //!   bounds (a ρ > 1 rung that stays "clean" means the oracle lost its
 //!   teeth).
 //!
-//! Check failures are reported per rung and counted into the
-//! process-global oracle tally ([`lit_net::oracle::record_external_violations`])
-//! so `lit-repro` exits nonzero under `--oracle count|panic`.
+//! Check failures are reported per rung in [`LadderReport::failures`];
+//! `lit-repro` exits nonzero when that list is not empty.
 
+use crate::collect::Collector;
 use crate::report::{frac, Table};
 use crate::scenario::{parse_rho, RunOptions, Scenario};
 use lit_net::{NodeId, OracleMode, RegulatorBackend};
@@ -101,20 +101,20 @@ const FRONTIER_SLACK: f64 = 0.95;
 /// Run `sc` once per rung (ascending ρ, duplicates collapsed) and
 /// cross-check the sweep. Generator stanzas are re-targeted per rung via
 /// [`Scenario::with_rho`]; hand-written session lines ride along
-/// unchanged. Check failures are also counted into the process-global
-/// oracle tally, so the CLI's `--oracle count` verdict covers them.
-pub fn run_ladder(sc: &Scenario, rhos_bp: &[u32], opts: &RunOptions) -> LadderReport {
+/// unchanged. Every rung's network is retired into `collector`.
+pub fn run_ladder(
+    sc: &Scenario,
+    rhos_bp: &[u32],
+    opts: &RunOptions,
+    collector: &Collector,
+) -> LadderReport {
     let mut rhos = rhos_bp.to_vec();
     rhos.sort_unstable();
     rhos.dedup();
-    let regulator = opts
-        .regulator
-        .or_else(lit_net::global_regulator)
-        .unwrap_or(sc.regulator);
+    let regulator = opts.regulator.unwrap_or(sc.regulator);
     let mut rungs = Vec::new();
     for &bp in &rhos {
-        let (mut net, ids) = sc.with_rho(bp).run_opts(opts);
-        net.oracle_drain_check();
+        let (net, ids) = sc.with_rho(bp).run_probed(opts, collector.probe());
         let now = net.now();
         let mut utilization = 0.0f64;
         for n in 0..net.num_nodes() {
@@ -156,7 +156,7 @@ pub fn run_ladder(sc: &Scenario, rhos_bp: &[u32], opts: &RunOptions) -> LadderRe
             drain,
             injected,
             delivered,
-            violations: net.oracle_violations(),
+            violations: collector.retire(net),
         });
     }
 
@@ -221,9 +221,6 @@ pub fn run_ladder(sc: &Scenario, rhos_bp: &[u32], opts: &RunOptions) -> LadderRe
             ));
         }
     }
-    if !failures.is_empty() {
-        lit_net::oracle::record_external_violations(failures.len() as u64);
-    }
     LadderReport { rungs, failures }
 }
 
@@ -287,6 +284,7 @@ mod tests {
                     regulator: Some(regulator),
                     ..RunOptions::default()
                 },
+                &Collector::default(),
             );
             assert_eq!(
                 report.failures,
@@ -311,6 +309,7 @@ mod tests {
                 oracle: OracleMode::Count,
                 ..RunOptions::default()
             },
+            &Collector::default(),
         );
         let r = &report.rungs[0];
         assert!(r.violations > 0, "rho=1.2 must trip the bounds: {r:?}");

@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod collect;
 pub mod experiments;
 pub mod fuzz;
 pub mod heavy;

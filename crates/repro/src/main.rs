@@ -26,20 +26,27 @@
 //! network *within* one run across N per-core shard executors (default:
 //! 1, the one-shard driver) — byte-identical results across every `N ≥ 2`,
 //! and identical to `N = 1` on the experiments' staggered traffic where
-//! no two events share an instant (the general tie-order caveat and the
-//! fallback cases are documented at `lit_net::shard`; a run whose
-//! `--shards` request degraded to one shard says so on stderr). Tables
-//! print to stdout and are also written as CSV under `--out` (default
-//! `results/`).
+//! no two events share an instant (`firewall`'s same-instant bursts fall
+//! under the general tie-order caveat documented, with the fallback
+//! cases, at `lit_net::shard`; a run whose `--shards` request degraded to
+//! one shard says so on stderr). Tables print to stdout and are also
+//! written as CSV under `--out` (default `results/`).
+//!
+//! Every flag lands in one `RunConfig` (or, for `--metrics` / `--trace`,
+//! in the `Collector` it lends): the commands read engine options from
+//! it and retire each finished network into it, and the tail of `main`
+//! reports from it. Nothing is process-global.
 
 #![forbid(unsafe_code)]
 
 use lit_net::OracleMode;
+use lit_obs::hub::{Hub, DEFAULT_TRACE_CAP};
+use lit_repro::collect::Collector;
 use lit_repro::experiments::{
     ablation, fig14_17, fig7, fig8, fig9_11, firewall, heavytail, tables, RunConfig,
 };
 use lit_repro::report::Table;
-use lit_repro::scenario::{Ac3Tally, Scenario};
+use lit_repro::scenario::{Ac3Tally, RunOptions, Scenario};
 use lit_sim::Duration;
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
@@ -72,7 +79,16 @@ fn write_file(path: &Path, body: &str) -> std::io::Result<()> {
 }
 
 struct Args {
-    cfg: RunConfig,
+    /// `--quick`: the reduced preset (20 s horizon, 4 pooled replicas);
+    /// the explicit flags below override it regardless of order.
+    quick: bool,
+    seconds: Option<u64>,
+    seed: Option<u64>,
+    threads: Option<usize>,
+    replicas: Option<u32>,
+    /// `--oracle`, `--regulator`, `--shards`: the engine options of every
+    /// network the command builds.
+    engine: RunOptions,
     out: Outputs,
     command: String,
     extra: Vec<String>,
@@ -90,6 +106,41 @@ struct Args {
     ladder: Option<Vec<u32>>,
 }
 
+impl Args {
+    /// The run configuration the flags describe, retiring into `collector`.
+    fn run_config<'a>(&self, collector: &'a Collector) -> RunConfig<'a> {
+        let mut cfg = if self.quick {
+            RunConfig::quick(collector)
+        } else {
+            RunConfig::paper(collector)
+        };
+        if let Some(s) = self.seconds {
+            cfg.seconds = Some(s);
+        }
+        if let Some(s) = self.seed {
+            cfg.seed = s;
+        }
+        if let Some(t) = self.threads {
+            cfg.threads = Some(t);
+        }
+        if let Some(r) = self.replicas {
+            cfg.replicas = r;
+        }
+        cfg.engine = self.engine;
+        cfg
+    }
+
+    /// The collector the `--metrics` / `--trace` flags ask for.
+    fn collector(&self) -> Collector {
+        let trace_cap = if self.trace.is_some() {
+            DEFAULT_TRACE_CAP
+        } else {
+            0
+        };
+        Collector::new(Hub::new(self.metrics.is_some(), trace_cap))
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: lit-repro [--quick] [--seconds N] [--seed N] [--threads N] [--shards N] [--replicas N] [--out DIR] \
@@ -100,7 +151,8 @@ fn usage() -> ! {
          (ineq. 19) and rejected sessions are dropped; not combinable with --ladder\n\
          --ladder applies to `scenario` only: re-target the file's `generate` stanzas at each offered \
          load (e.g. 0.5,0.8,0.95,1.2) and cross-check utilization, drainage and the delay frontier\n\
-         --regulator overrides the eligibility-regulator backend for every network built"
+         --regulator overrides the eligibility-regulator backend of every network built, \
+         figure commands included (a scenario's `regulator` directive loses to it)"
     );
     std::process::exit(2);
 }
@@ -118,6 +170,7 @@ fn parse_args() -> Args {
     let mut seed = None;
     let mut threads = None;
     let mut replicas = None;
+    let mut engine = RunOptions::default();
     let mut out = PathBuf::from("results");
     let mut command = None;
     let mut extra = Vec::new();
@@ -137,25 +190,24 @@ fn parse_args() -> Args {
             "--seconds" => seconds = Some(num(&mut it)),
             "--seed" => seed = Some(num(&mut it)),
             "--threads" => threads = Some(num(&mut it).max(1) as usize),
-            "--shards" => lit_net::shard::set_global_shards(num(&mut it) as usize),
+            "--shards" => engine.shards = Some(num(&mut it) as usize),
             "--replicas" => replicas = Some(num(&mut it).max(1) as u32),
             "--out" => out = PathBuf::from(it.next().unwrap_or_else(|| usage())),
             "--metrics" => metrics = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--trace" => trace = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--ac3" => ac3 = true,
             "--oracle" => {
-                let mode = it
+                engine.oracle = it
                     .next()
-                    .and_then(|v| v.parse::<OracleMode>().ok())
+                    .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
-                lit_net::oracle::set_global_mode(mode);
             }
             "--regulator" => {
-                let backend = it
-                    .next()
-                    .and_then(|v| v.parse::<lit_net::RegulatorBackend>().ok())
-                    .unwrap_or_else(|| usage());
-                lit_net::set_global_regulator(backend);
+                engine.regulator = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                );
             }
             "--ladder" => {
                 let spec = it.next().unwrap_or_else(|| usage());
@@ -168,25 +220,6 @@ fn parse_args() -> Args {
             c if !c.starts_with('-') => extra.push(c.to_string()),
             _ => usage(),
         }
-    }
-    // --quick selects the reduced preset (20 s horizon, 4 pooled
-    // replicas); explicit flags override it regardless of order.
-    let mut cfg = if quick {
-        RunConfig::quick()
-    } else {
-        RunConfig::paper()
-    };
-    if let Some(s) = seconds {
-        cfg.seconds = Some(s);
-    }
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = Some(t);
-    }
-    if let Some(r) = replicas {
-        cfg.replicas = r;
     }
     let command = command.unwrap_or_else(|| usage());
     // Only the `scenario` command reads these two; anywhere else they
@@ -201,10 +234,13 @@ fn parse_args() -> Args {
     if ac3 && ladder.is_some() {
         usage_error("--ac3 and --ladder cannot be combined (the ladder does not vet sessions)");
     }
-    // Arm the global observability hub before anything builds a network.
-    lit_obs::hub::set_global(metrics.is_some() || trace.is_some(), trace.is_some());
     Args {
-        cfg,
+        quick,
+        seconds,
+        seed,
+        threads,
+        replicas,
+        engine,
         out: Outputs {
             dir: out,
             failed: Cell::new(false),
@@ -244,18 +280,18 @@ fn vet_scenario(sc: &Scenario) -> (Ac3Tally, Scenario) {
 /// After the run: flush the pooled observability output to the paths the
 /// `--metrics` / `--trace` flags named. Both exports are deterministic
 /// for a given seed and workload, independent of `--threads`.
-fn write_obs(args: &Args) {
+fn write_obs(args: &Args, hub: &Hub) {
     if let Some(path) = &args.metrics {
-        let json = lit_obs::hub::metrics_json();
+        let json = hub.metrics_json();
         if args.out.wrote(path, write_file(path, &json)) {
             eprintln!("[metrics] {}", path.display());
         }
     }
     if let Some(path) = &args.trace {
         let body = if path.extension().is_some_and(|e| e == "jsonl") {
-            lit_obs::hub::trace_jsonl()
+            hub.trace_jsonl()
         } else {
-            lit_obs::hub::chrome_trace_json()
+            hub.chrome_trace_json()
         };
         if args.out.wrote(path, write_file(path, &body)) {
             eprintln!("[trace] {}", path.display());
@@ -372,9 +408,9 @@ fn run_command(cmd: &str, cfg: &RunConfig, out: &Outputs) -> bool {
 /// builds degraded to the one-shard driver (probe installed, panic-mode
 /// oracle, zero-lookahead edge), say so — the results are still valid,
 /// but any wall-clock numbers were measured on the one-shard driver.
-fn report_shard_fallbacks() {
+fn report_shard_fallbacks(cfg: &RunConfig) {
     let fb = lit_net::shard::shard_fallbacks();
-    if lit_net::shard::global_shards() > 1 && fb > 0 {
+    if cfg.engine.shards.unwrap_or(1) > 1 && fb > 0 {
         eprintln!(
             "shards: {fb} network build(s) fell back to the one-shard driver \
              (probe / panic-mode oracle / zero-lookahead edge; results unaffected)"
@@ -382,14 +418,14 @@ fn report_shard_fallbacks() {
     }
 }
 
-/// After a run: report the process-global conformance-oracle tally (every
-/// Leave-in-Time network built by the experiments feeds it, drain checks
+/// After a run: report the collector's conformance-oracle tally (every
+/// network the command built was retired into it, drain checks
 /// included); `false` on a nonzero count.
-fn oracle_conforms() -> bool {
-    if lit_net::oracle::global_mode() == OracleMode::Off {
+fn oracle_conforms(cfg: &RunConfig) -> bool {
+    if cfg.engine.oracle == OracleMode::Off {
         return true;
     }
-    let v = lit_net::oracle::global_violations();
+    let v = cfg.collector.violations();
     if v == 0 {
         eprintln!("oracle: 0 violations");
     } else {
@@ -401,10 +437,10 @@ fn oracle_conforms() -> bool {
 /// The tail of every run: observability files, the shard note, the oracle
 /// tally — and a failing exit if the oracle counted a violation or any
 /// output file could not be written.
-fn finish(args: &Args) -> ExitCode {
-    write_obs(args);
-    report_shard_fallbacks();
-    if oracle_conforms() && !args.out.failed.get() {
+fn finish(args: &Args, cfg: &RunConfig) -> ExitCode {
+    write_obs(args, cfg.collector.hub());
+    report_shard_fallbacks(cfg);
+    if oracle_conforms(cfg) && !args.out.failed.get() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -413,16 +449,14 @@ fn finish(args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let args = parse_args();
+    let collector = args.collector();
+    let cfg = args.run_config(&collector);
     if args.command == "scenario" {
         let path = args.extra.first().cloned().unwrap_or_else(|| usage());
         return match Scenario::load(&path) {
             Ok(sc) => {
                 if let Some(rungs) = &args.ladder {
-                    let opts = lit_repro::scenario::RunOptions {
-                        oracle: lit_net::oracle::global_mode(),
-                        ..Default::default()
-                    };
-                    let report = lit_repro::heavy::run_ladder(&sc, rungs, &opts);
+                    let report = lit_repro::heavy::run_ladder(&sc, rungs, &cfg.engine, &collector);
                     emit(
                         &args.out,
                         "scenario_ladder",
@@ -431,7 +465,7 @@ fn main() -> ExitCode {
                     for f in &report.failures {
                         eprintln!("ladder: {f}");
                     }
-                    let verdict = finish(&args);
+                    let verdict = finish(&args, &cfg);
                     return if report.failures.is_empty() {
                         verdict
                     } else {
@@ -458,8 +492,12 @@ fn main() -> ExitCode {
                     }
                     sc = kept;
                 }
-                emit(&args.out, "scenario", &sc.run_report());
-                let verdict = finish(&args);
+                emit(
+                    &args.out,
+                    "scenario",
+                    &sc.run_report(&cfg.engine, &collector),
+                );
+                let verdict = finish(&args, &cfg);
                 if undecided > 0 {
                     ExitCode::FAILURE
                 } else {
@@ -472,23 +510,23 @@ fn main() -> ExitCode {
             }
         };
     }
-    let mode = match args.cfg.seconds {
+    let mode = match cfg.seconds {
         Some(s) => format!("{s} s (reduced)"),
         None => "paper horizons (5/10 min)".to_string(),
     };
-    let oracle = match lit_net::oracle::global_mode() {
+    let oracle = match cfg.engine.oracle {
         OracleMode::Off => String::new(),
         m => format!(" | oracle {m:?}"),
     };
     eprintln!(
         "lit-repro: {} | seed {} | horizon {mode} | {} worker thread(s) | {} replica(s){oracle}",
         args.command,
-        args.cfg.seed,
-        args.cfg.worker_count(),
-        args.cfg.replicas.max(1),
+        cfg.seed,
+        cfg.worker_count(),
+        cfg.replicas.max(1),
     );
-    if run_command(&args.command, &args.cfg, &args.out) {
-        finish(&args)
+    if run_command(&args.command, &cfg, &args.out) {
+        finish(&args, &cfg)
     } else {
         usage()
     }

@@ -44,6 +44,7 @@
 //! differential fuzzer uses this to write minimized failures as
 //! replayable files.
 
+use crate::collect::Collector;
 use crate::report::{ms, Table};
 use lit_baselines::{
     EddDiscipline, FcfsDiscipline, HrrDiscipline, ScfqDiscipline, StopAndGoDiscipline,
@@ -51,8 +52,8 @@ use lit_baselines::{
 };
 use lit_core::{install_oracle_bounds, Ac3Fast, Ac3FastError, LitDiscipline, PathBounds};
 use lit_net::{
-    DelayAssignment, EventBackend, LinkParams, Network, NetworkBuilder, OracleConfig, OracleMode,
-    QueueKind, RegulatorBackend, SessionId, SessionSpec, StatsConfig,
+    DelayAssignment, DisciplineFactory, EventBackend, LinkParams, Network, NetworkBuilder,
+    OracleConfig, OracleMode, QueueKind, RegulatorBackend, SessionId, SessionSpec, StatsConfig,
 };
 use lit_sim::{Duration, Time};
 use lit_traffic::{
@@ -599,8 +600,10 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Run-time overrides for [`Scenario::run_opts`], none of which are part
-/// of the scenario text itself.
+/// Run-time engine options, none of which are part of the scenario text
+/// itself: what [`Scenario::run_probed`] overrides the file's directives
+/// with, and what [`crate::experiments::RunConfig`] carries to every
+/// network an experiment builds.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions {
     /// Replace the scenario's event-set backend.
@@ -611,13 +614,57 @@ pub struct RunOptions {
     /// Conformance-oracle mode; armed only when the discipline is `lit`
     /// with an exact eligible queue.
     pub oracle: OracleMode,
-    /// Shard-worker override (see [`NetworkBuilder::shards`]); `None`
-    /// follows the process-global `--shards` flag. Results are identical
-    /// for every value; a probe or panic-mode oracle forces one shard.
+    /// Shard-worker count (see [`NetworkBuilder::shards`]); `None` is the
+    /// one-shard driver. Results are identical for every value; a probe
+    /// or panic-mode oracle forces one shard.
     pub shards: Option<usize>,
-    /// Regulator-backend override; `None` follows the process-global
-    /// `--regulator` flag, then the scenario's `regulator` directive.
+    /// Regulator-backend override; `None` follows the scenario's
+    /// `regulator` directive (per-session where there is no scenario).
     pub regulator: Option<RegulatorBackend>,
+}
+
+impl RunOptions {
+    /// The one place a network gets built: apply these options to `b`
+    /// (`None` is the default backend, regulator and shard count, and
+    /// leaves the statistics sizing as the caller set it), install
+    /// `probe`, build, and install every session's paper bounds iff the
+    /// oracle is on and the regulator is per-session — ineq. 12/17 are
+    /// *dedicated-regulator* results, so under the shared interleaved
+    /// FIFO only the regime-independent invariants stay armed. `checked`
+    /// says whether the oracle applies at all: its invariants are
+    /// Leave-in-Time's on an exact deadline queue, so baseline
+    /// disciplines and the bucketed ablation queue pass `false` and run
+    /// with it off whatever `self.oracle` says.
+    pub fn build(
+        &self,
+        mut b: NetworkBuilder,
+        factory: &DisciplineFactory<'_>,
+        checked: bool,
+        probe: Option<Box<dyn lit_net::Probe>>,
+    ) -> Network {
+        let regulator = self.regulator.unwrap_or_default();
+        let oracle = if checked {
+            self.oracle
+        } else {
+            OracleMode::Off
+        };
+        b = b
+            .event_backend(self.backend.unwrap_or_default())
+            .regulator(regulator)
+            .shards(self.shards.unwrap_or(1))
+            .oracle(OracleConfig::new(oracle));
+        if let Some(stats) = self.stats {
+            b = b.stats(stats);
+        }
+        if let Some(p) = probe {
+            b = b.probe(p);
+        }
+        let mut net = b.build(factory);
+        if oracle != OracleMode::Off && regulator == RegulatorBackend::PerSession {
+            install_oracle_bounds(&mut net);
+        }
+        net
+    }
 }
 
 /// Split `key=value` (value may be absent for flags).
@@ -962,27 +1009,13 @@ impl Scenario {
         }
     }
 
-    /// Build and run the scenario; returns the finished network and the
-    /// session ids in definition order. The conformance oracle follows the
-    /// process-global mode (the CLI's `--oracle` flag).
-    pub fn run(&self) -> (Network, Vec<SessionId>) {
-        self.run_opts(&RunOptions {
-            oracle: lit_net::oracle::global_mode(),
-            ..RunOptions::default()
-        })
-    }
-
-    /// [`Scenario::run`] with explicit overrides — the differential
-    /// fuzzer's entry point. Attaches the process-global observability
-    /// probe when `lit_obs::hub` collection is on (the CLI's `--metrics`
-    /// / `--trace` flags).
-    pub fn run_opts(&self, opts: &RunOptions) -> (Network, Vec<SessionId>) {
-        self.run_probed(opts, lit_obs::hub::global_probe())
-    }
-
-    /// [`Scenario::run_opts`] with an explicit probe (or none) — tests
-    /// install a local [`lit_net::ObsProbe`] here and read it back with
-    /// `Network::take_probe`, without touching process-global state.
+    /// Build the scenario under `opts` (which win over the file's
+    /// `backend` and `regulator` directives) with `probe` installed, and
+    /// run it to its horizon; returns the network and the session ids in
+    /// definition order. The one method that builds a network: the
+    /// caller reads the results off it — `Network::oracle_drain_check`,
+    /// `oracle_totals`, `take_probe` — or hands it to
+    /// [`crate::collect::Collector::retire`].
     pub fn run_probed(
         &self,
         opts: &RunOptions,
@@ -991,31 +1024,13 @@ impl Scenario {
         if !self.generators.is_empty() {
             return self.expanded().run_probed(opts, probe);
         }
-        let regulator = opts
-            .regulator
-            .or_else(lit_net::global_regulator)
-            .unwrap_or(self.regulator);
-        let mut b = NetworkBuilder::new()
-            .seed(self.seed)
-            .queue_kind(self.queue)
-            .event_backend(opts.backend.unwrap_or(self.backend))
-            .regulator(regulator)
-            .shards(opts.shards.unwrap_or_else(lit_net::shard::global_shards));
-        // The oracle's invariants are Leave-in-Time's, checked against an
-        // exact deadline queue; other disciplines and the bucketed
-        // ablation queue run unchecked.
-        let oracle = if self.discipline == DisciplineChoice::Lit && self.queue == QueueKind::Exact {
-            opts.oracle
-        } else {
-            OracleMode::Off
+        let checked = self.discipline == DisciplineChoice::Lit && self.queue == QueueKind::Exact;
+        let opts = RunOptions {
+            backend: Some(opts.backend.unwrap_or(self.backend)),
+            regulator: Some(opts.regulator.unwrap_or(self.regulator)),
+            ..*opts
         };
-        b = b.oracle(OracleConfig::new(oracle));
-        if let Some(p) = probe {
-            b = b.probe(p);
-        }
-        if let Some(stats) = opts.stats {
-            b = b.stats(stats);
-        }
+        let mut b = NetworkBuilder::new().seed(self.seed).queue_kind(self.queue);
         let nodes = b.tandem(self.nodes, self.link);
         let mut ids = Vec::new();
         for s in &self.sessions {
@@ -1078,14 +1093,7 @@ impl Scenario {
             DisciplineChoice::DelayEdd => Box::new(EddDiscipline::factory(false)),
             DisciplineChoice::JitterEdd => Box::new(EddDiscipline::factory(true)),
         };
-        let mut net = b.build(&*factory);
-        // The per-session delay/jitter bounds are a *dedicated-regulator*
-        // result (ineq. 12/17); under the shared interleaved FIFO they do
-        // not apply session-by-session, so only the regime-independent
-        // invariants stay armed there.
-        if oracle != OracleMode::Off && regulator == RegulatorBackend::PerSession {
-            install_oracle_bounds(&mut net);
-        }
+        let mut net = opts.build(b, &*factory, checked, probe);
         net.run_until(Time::ZERO + self.horizon);
         (net, ids)
     }
@@ -1280,14 +1288,15 @@ impl Scenario {
         out
     }
 
-    /// Run and render per-session results. The last column is the
-    /// Leave-in-Time delay bound *assuming a one-cell token bucket* — it
-    /// only applies to sessions whose traffic actually conforms (shaped
-    /// or CBR/ON-OFF at the reserved rate), and is omitted for other
+    /// Run under `opts` and render per-session results, retiring the
+    /// network into `collector`. The last column is the Leave-in-Time
+    /// delay bound *assuming a one-cell token bucket* — it only applies
+    /// to sessions whose traffic actually conforms (shaped or
+    /// CBR/ON-OFF at the reserved rate), and is omitted for other
     /// disciplines.
-    pub fn run_report(&self) -> Table {
+    pub fn run_report(&self, opts: &RunOptions, collector: &Collector) -> Table {
         let sc = self.expanded();
-        let (net, ids) = sc.run();
+        let (net, ids) = sc.run_probed(opts, collector.probe());
         let bounded = matches!(
             sc.discipline,
             DisciplineChoice::Lit | DisciplineChoice::VirtualClock
@@ -1329,6 +1338,7 @@ impl Scenario {
                 bound,
             ]);
         }
+        collector.retire(net);
         t
     }
 }
@@ -1369,13 +1379,13 @@ run 10s
         let sc = Scenario::parse(FIG8ISH).unwrap();
         assert_eq!(sc.nodes, 5);
         assert_eq!(sc.sessions.len(), 7);
-        let (net, ids) = sc.run();
+        let (net, ids) = sc.run_probed(&RunOptions::default(), None);
         assert!(net.session_stats(ids[0]).delivered > 100);
         // The jc session's jitter is smaller.
         let j0 = net.session_stats(ids[0]).jitter().unwrap();
         let j1 = net.session_stats(ids[1]).jitter().unwrap();
         assert!(j1 < j0, "jc {j1} !< plain {j0}");
-        let report = sc.run_report();
+        let report = sc.run_report(&RunOptions::default(), &Collector::default());
         assert_eq!(report.len(), 7);
     }
 
@@ -1447,7 +1457,7 @@ run 10s
                 "nodes 1\ndiscipline {d}\nqueue bucket=1ms\nsession route=0..0 rate=1000 source=cbr(gap=10ms,len=424)\nrun 1s"
             );
             let sc = Scenario::parse(&text).unwrap_or_else(|e| panic!("{d}: {e}"));
-            let (net, ids) = sc.run();
+            let (net, ids) = sc.run_probed(&RunOptions::default(), None);
             assert!(net.session_stats(ids[0]).delivered > 0, "{d}");
         }
     }
@@ -1457,7 +1467,7 @@ run 10s
         let text = "nodes 1\nsession route=0..0 rate=32000 shape=32000:848 \
                     source=burst(period=100ms,count=5,len=424)\nrun 5s";
         let sc = Scenario::parse(text).unwrap();
-        let (net, ids) = sc.run();
+        let (net, ids) = sc.run_probed(&RunOptions::default(), None);
         assert!(net.session_stats(ids[0]).delivered >= 200);
     }
 
@@ -1635,10 +1645,13 @@ run 10s
         let sc = Scenario::parse(OVERLOAD_SCN)
             .unwrap()
             .with_horizon(Duration::from_secs(2));
-        let (mut net, _ids) = sc.run_opts(&RunOptions {
-            oracle: OracleMode::Count,
-            ..RunOptions::default()
-        });
+        let (mut net, _ids) = sc.run_probed(
+            &RunOptions {
+                oracle: OracleMode::Count,
+                ..RunOptions::default()
+            },
+            None,
+        );
         net.oracle_drain_check();
         assert!(
             net.oracle_violations() > 0,
@@ -1695,7 +1708,7 @@ run 10s
         // Dropping the rejected line leaves a runnable scenario.
         let kept = sc.retain_sessions(&[true, true, false]);
         assert_eq!(kept.sessions.len(), 2);
-        let (net, ids) = kept.run();
+        let (net, ids) = kept.run_probed(&RunOptions::default(), None);
         assert!(net.session_stats(ids[0]).delivered > 0);
     }
 
@@ -1892,7 +1905,7 @@ run 10s
         let sc = Scenario::parse(text).unwrap();
         assert_eq!(sc.sessions[0].route_nodes(), vec![0, 2, 3]);
         assert_eq!(sc.sessions[0].route_desc(), "0-2-3");
-        let (net, ids) = sc.run();
+        let (net, ids) = sc.run_probed(&RunOptions::default(), None);
         assert!(net.session_stats(ids[0]).delivered > 0);
         assert_eq!(Scenario::parse(&sc.to_text()).unwrap(), sc);
         for (bad, want) in [
@@ -1923,10 +1936,13 @@ run 10s
         let sc = Scenario::parse(text).unwrap();
         assert_eq!(sc.regulator, RegulatorBackend::Interleaved);
         assert_eq!(Scenario::parse(&sc.to_text()).unwrap(), sc);
-        let (mut net, ids) = sc.run_opts(&RunOptions {
-            oracle: OracleMode::Count,
-            ..RunOptions::default()
-        });
+        let (mut net, ids) = sc.run_probed(
+            &RunOptions {
+                oracle: OracleMode::Count,
+                ..RunOptions::default()
+            },
+            None,
+        );
         net.oracle_drain_check();
         assert!(net.session_stats(ids[0]).delivered > 100);
         assert_eq!(net.oracle_violations(), 0, "{:?}", net.oracle_totals());

@@ -1,7 +1,8 @@
 //! `lit-repro` command-line behaviour, driven through the built binary:
 //! `--ac3` / `--ladder` are usage errors wherever they would be ignored,
-//! `--ac3 scenario FILE` prints one verdict per session and a tally, and
-//! an output file that cannot be written fails the run.
+//! `--ac3 scenario FILE` prints one verdict per session and a tally,
+//! `--regulator` reaches the figure commands, and an output file that
+//! cannot be written fails the run.
 
 #![forbid(unsafe_code)]
 
@@ -72,6 +73,28 @@ fn ac3_scenario_prints_a_verdict_per_session_then_the_tally() {
         ]
     );
     assert!(!String::from_utf8_lossy(&out.stderr).contains("undecided"));
+}
+
+#[test]
+fn regulator_flag_reaches_the_figure_commands() {
+    // fig14-17, not fig8: MIX/AC2 holds packets of several sessions per
+    // node, which is where the two regulators part ways.
+    let csv = |dir: &str, flags: &[&str]| {
+        let dir = format!("{}/{dir}", env!("CARGO_TARGET_TMPDIR"));
+        let mut args = vec!["--out", &dir, "--replicas", "1", "--seconds", "2"];
+        args.extend_from_slice(flags);
+        args.push("fig14-17");
+        let out = lit_repro(&args);
+        assert!(out.status.success(), "{out:?}");
+        std::fs::read_to_string(format!("{dir}/fig14_17.csv")).expect("fig14_17.csv written")
+    };
+    let per_session = csv("reg_default", &[]);
+    assert_eq!(
+        per_session,
+        csv("reg_ps", &["--regulator", "per-session"]),
+        "the default is the per-session regulator"
+    );
+    assert_ne!(per_session, csv("reg_il", &["--regulator", "interleaved"]));
 }
 
 /// A path below a regular file: nothing can be created there.

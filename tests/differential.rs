@@ -7,7 +7,7 @@
 #![forbid(unsafe_code)]
 
 use lit_repro::fuzz;
-use lit_repro::scenario::Scenario;
+use lit_repro::scenario::{RunOptions, Scenario};
 
 /// Campaign seed for this test. Any failure prints the case seed; replay
 /// it with `fuzz_diff --seed <campaign> --cases 1` after reproducing the
@@ -33,8 +33,8 @@ fn minimized_failures_replay_from_text() {
     for case in 0..4 {
         let sc = fuzz::generate(CAMPAIGN_SEED.wrapping_add(case));
         let back = Scenario::parse(&sc.to_text()).expect("serialized scenario parses");
-        let (a, ids_a) = sc.run();
-        let (b, ids_b) = back.run();
+        let (a, ids_a) = sc.run_probed(&RunOptions::default(), None);
+        let (b, ids_b) = back.run_probed(&RunOptions::default(), None);
         for (x, y) in ids_a.iter().zip(&ids_b) {
             assert_eq!(
                 a.session_stats(*x).delivered,

@@ -142,6 +142,7 @@ fn held_counter_matches_eligible_events_with_positive_holding() {
         ..RunOptions::default()
     };
     let (mut net, _ids) = sc.run_probed(&opts, Some(Box::new(ObsProbe::new(1 << 16))));
+    assert_eq!(net.oracle_drain_check(), 0);
     let probe = net.take_probe().expect("probe installed");
     let obs = probe
         .as_any()

@@ -8,13 +8,18 @@
 
 #![forbid(unsafe_code)]
 
+use lit_net::RegulatorBackend;
+use lit_repro::collect::Collector;
 use lit_repro::experiments::{common, fig14_17, fig7, fig8, fig9_11, firewall, RunConfig};
+use lit_repro::scenario::RunOptions;
 use lit_sim::Duration;
 
-fn quick(seconds: u64) -> RunConfig {
+/// Oracle off, nothing observed: these tests read the result tables, so
+/// any throwaway collector will do.
+fn quick(collector: &Collector, seconds: u64) -> RunConfig<'_> {
     RunConfig {
         seconds: Some(seconds),
-        ..RunConfig::paper()
+        ..RunConfig::paper(collector)
     }
 }
 
@@ -23,7 +28,10 @@ fn quick(seconds: u64) -> RunConfig {
 #[test]
 fn fig7_bounds_hold_across_the_sweep() {
     for &a_off_us in &[6_500u64, 88_000, 650_000] {
-        let p = fig7::point(&quick(15), Duration::from_us(a_off_us));
+        let p = fig7::point(
+            &quick(&Collector::default(), 15),
+            Duration::from_us(a_off_us),
+        );
         assert!(p.delivered > 100, "a_off={a_off_us}us: too few packets");
         assert!(
             p.max_delay < p.delay_bound,
@@ -46,8 +54,8 @@ fn fig7_bounds_hold_across_the_sweep() {
 
 #[test]
 fn fig7_utilization_endpoints_match_paper() {
-    let lo = fig7::point(&quick(15), Duration::from_us(6_500));
-    let hi = fig7::point(&quick(15), Duration::from_ms(650));
+    let lo = fig7::point(&quick(&Collector::default(), 15), Duration::from_us(6_500));
+    let hi = fig7::point(&quick(&Collector::default(), 15), Duration::from_ms(650));
     assert!((lo.expected_utilization - 0.982).abs() < 1e-3);
     assert!((hi.expected_utilization - 0.351).abs() < 1e-3);
     // Delay stays far below the ~72.6 ms bound even at 98 % utilization —
@@ -59,7 +67,7 @@ fn fig7_utilization_endpoints_match_paper() {
 
 #[test]
 fn fig8_jitter_control_shape() {
-    let r = fig8::run(&quick(30));
+    let r = fig8::run(&quick(&Collector::default(), 30));
     let (no_jc, jc) = (&r.sessions[0], &r.sessions[1]);
     assert!(no_jc.delivered > 300 && jc.delivered > 300);
 
@@ -82,7 +90,7 @@ fn fig8_jitter_control_shape() {
 
 #[test]
 fn fig12_fig13_buffer_bounds_hold_at_every_hop() {
-    let r = fig8::run(&quick(30));
+    let r = fig8::run(&quick(&Collector::default(), 30));
     for s in &r.sessions {
         for (name, b) in [("first", &s.buffer_first), ("last", &s.buffer_last)] {
             assert!(
@@ -104,7 +112,7 @@ fn fig12_fig13_buffer_bounds_hold_at_every_hop() {
 // ------------------------------------------------------- Figures 9, 10, 11
 
 fn check_distribution(variant: fig9_11::Variant, expect_rho: f64) {
-    let r = fig9_11::run(&quick(30), variant);
+    let r = fig9_11::run(&quick(&Collector::default(), 30), variant);
     assert!((r.rho - expect_rho).abs() < 0.01, "rho={}", r.rho);
     assert!(r.delivered > 300);
     assert!(r.lateness_fraction < 1.0);
@@ -153,8 +161,8 @@ fn fig10_bound_is_looser_than_fig9() {
     // The paper: for the low-rate session the analytic bound visibly
     // detaches from the observation (β grows as r shrinks). Compare the
     // 1 % read-outs of bound vs empirical in both figures.
-    let r9 = fig9_11::run(&quick(30), fig9_11::Variant::Fig9);
-    let r10 = fig9_11::run(&quick(30), fig9_11::Variant::Fig10);
+    let r9 = fig9_11::run(&quick(&Collector::default(), 30), fig9_11::Variant::Fig9);
+    let r10 = fig9_11::run(&quick(&Collector::default(), 30), fig9_11::Variant::Fig10);
     let gap = |r: &fig9_11::DistResult| {
         let ana = r.analytic_percentile(0.01).unwrap();
         let emp = r.empirical_percentile(0.01).unwrap();
@@ -172,7 +180,7 @@ fn fig10_bound_is_looser_than_fig9() {
 
 #[test]
 fn fig14_17_class_hierarchy_shape() {
-    let p = fig14_17::point(&quick(20), Duration::from_ms(88));
+    let p = fig14_17::point(&quick(&Collector::default(), 20), Duration::from_ms(88));
     let [c1_nojc, c1_jc, c2_nojc, c2_jc] = p.tagged;
 
     // Every tagged session respects its bounds.
@@ -211,6 +219,37 @@ fn fig14_17_class_hierarchy_shape() {
     assert!(p.lateness_fraction < 1.0);
 }
 
+#[test]
+fn regulator_option_reaches_the_figure_networks() {
+    // `--regulator` used to stop at the scenario runner. MIX under AC2
+    // puts two jitter-controlled sessions on the five-hop route, so the
+    // shared interleaved FIFO makes one wait behind the other's holds and
+    // the jitter-controlled statistics must move. (CROSS would not show
+    // it: its one jitter-controlled session is the only one ever held,
+    // and a FIFO of one session releases exactly like its own regulator.)
+    let jc_stats = |regulator| {
+        let collector = Collector::default();
+        let cfg = RunConfig {
+            seed: 7,
+            engine: RunOptions {
+                regulator: Some(regulator),
+                ..RunOptions::default()
+            },
+            ..RunConfig::paper(&collector)
+        };
+        let (mut net, tagged) = common::build_mix_ac2(&cfg, Duration::from_ms(88));
+        net.run_until(lit_sim::Time::from_secs(5));
+        [tagged.class1_jc, tagged.class2_jc].map(|id| {
+            let st = net.session_stats(id);
+            (st.delivered, st.max_delay(), st.mean_delay(), st.jitter())
+        })
+    };
+    assert_ne!(
+        jc_stats(RegulatorBackend::PerSession),
+        jc_stats(RegulatorBackend::Interleaved)
+    );
+}
+
 // ---------------------------------------------------- pathwise ineq. (12)
 
 #[test]
@@ -218,7 +257,12 @@ fn pathwise_excess_never_reaches_beta_plus_alpha() {
     // The strongest check in the suite: for every delivered packet of
     // every session in a fully loaded MIX network,
     // D_i − D_i^ref < β + α must hold individually.
-    let (mut net, _) = common::build_mix_one_class(Duration::from_ms(88), 77);
+    let collector = Collector::default();
+    let cfg = RunConfig {
+        seed: 77,
+        ..RunConfig::paper(&collector)
+    };
+    let (mut net, _) = common::build_mix_one_class(&cfg, Duration::from_ms(88));
     net.run_until(lit_sim::Time::from_secs(15));
     for i in 0..net.num_sessions() {
         let id = lit_net::SessionId(i as u32);
@@ -243,7 +287,7 @@ fn firewall_fcfs_is_the_outlier() {
     // 60 s, not 20: the victim needs a few ON-periods to collide with
     // burst alignments before FCFS pushes it past the bound (it first
     // crosses near t ≈ 40 s with this seed; 60 s leaves margin).
-    let rows = firewall::run(&quick(60));
+    let rows = firewall::run(&quick(&Collector::default(), 60));
     assert_eq!(rows.len(), 9);
     assert!(firewall::fcfs_is_worst(&rows));
     // The rate-based sorted-priority disciplines keep the victim under
@@ -266,12 +310,13 @@ fn firewall_fcfs_is_the_outlier() {
 
 #[test]
 fn experiments_are_bit_reproducible() {
-    let a = fig7::point(&quick(10), Duration::from_ms(88));
-    let b = fig7::point(&quick(10), Duration::from_ms(88));
+    let a = fig7::point(&quick(&Collector::default(), 10), Duration::from_ms(88));
+    let b = fig7::point(&quick(&Collector::default(), 10), Duration::from_ms(88));
     assert_eq!(a.max_delay, b.max_delay);
     assert_eq!(a.jitter, b.jitter);
     assert_eq!(a.delivered, b.delivered);
-    let mut c = quick(10);
+    let collector = Collector::default();
+    let mut c = quick(&collector, 10);
     c.seed ^= 1;
     let d = fig7::point(&c, Duration::from_ms(88));
     assert!(d.max_delay != a.max_delay || d.delivered != a.delivered);
@@ -284,7 +329,9 @@ fn buffer_distribution_bound_holds_empirically() {
     // The reconstruction of [6]'s distributional buffer bound: at every
     // hop, the occupancy CCDF must stay below the shifted reference-delay
     // CCDF (both measured on the same run).
-    let (mut net, no_jc, jc) = common::build_cross_onoff(RunConfig::paper().seed);
+    let collector = Collector::default();
+    let cfg = RunConfig::paper(&collector);
+    let (mut net, no_jc, jc) = common::build_cross_onoff(&cfg, cfg.seed);
     net.run_until(lit_sim::Time::from_secs(25));
     for (id, has_jc) in [(no_jc, false), (jc, true)] {
         let st = net.session_stats(id);
@@ -308,7 +355,7 @@ fn buffer_distribution_bound_holds_empirically() {
 #[test]
 fn bucketed_queue_error_is_bounded_by_hops_times_bucket() {
     use lit_repro::experiments::ablation;
-    let rows = ablation::run(&quick(15));
+    let rows = ablation::run(&quick(&Collector::default(), 15));
     let exact = rows[0];
     assert!(exact.bucket.is_none());
     for r in &rows[1..] {
@@ -353,8 +400,8 @@ fn fig11_bound_is_tighter_than_fig10() {
     // analytic bound is loose under Poisson cross traffic but tight under
     // phase-aligned CBR cross traffic (whose per-frame batches realize the
     // per-hop worst case).
-    let r10 = fig9_11::run(&quick(60), fig9_11::Variant::Fig10);
-    let r11 = fig9_11::run(&quick(60), fig9_11::Variant::Fig11);
+    let r10 = fig9_11::run(&quick(&Collector::default(), 60), fig9_11::Variant::Fig10);
+    let r11 = fig9_11::run(&quick(&Collector::default(), 60), fig9_11::Variant::Fig11);
     let tightness = |r: &fig9_11::DistResult| {
         let ana = r.analytic_percentile(0.001).unwrap().as_millis_f64();
         let emp = r.empirical_percentile(0.001).unwrap().as_millis_f64();
@@ -370,7 +417,7 @@ fn fig11_bound_is_tighter_than_fig10() {
 #[test]
 fn heavytail_simulated_bound_holds() {
     use lit_repro::experiments::heavytail;
-    let r = heavytail::run(&quick(40));
+    let r = heavytail::run(&quick(&Collector::default(), 40));
     assert!(r.delivered > 500);
     assert!(r.lateness_fraction < 1.0);
     // Pathwise ceiling respected even for infinite-variance traffic.

@@ -78,7 +78,9 @@ fn lit_reduces_to_virtualclock() {
 /// every packet's end-to-end delay stays below
 /// `b₀/r + β + α` — and the per-packet excess over the reference
 /// server stays below `β + α`. The conformance oracle runs in `Panic`
-/// mode throughout, so every regulator invariant is checked per packet.
+/// mode throughout, so every regulator invariant is checked per packet
+/// and the explicit drain check at the end panics on ineq. 16 or a
+/// work-conservation failure.
 #[test]
 fn delay_bound_holds_for_shaped_arbitrary_traffic() {
     check("delay_bound_holds_for_shaped_arbitrary_traffic", |g| {
@@ -133,6 +135,7 @@ fn delay_bound_holds_for_shaped_arbitrary_traffic() {
                 );
             }
         }
+        net.oracle_drain_check();
         assert_eq!(net.oracle_violations(), 0);
     });
 }

@@ -232,12 +232,15 @@ fn scenarios_match_scalar_across_shard_counts() {
             .unwrap_or_else(|e| panic!("{file}: {e}"))
             .with_horizon(Duration::from_ms(horizon_ms));
         let run = |shards: usize| {
-            let (mut net, _ids) = sc.run_opts(&RunOptions {
-                oracle: OracleMode::Count,
-                stats: Some(stats_cfg()),
-                shards: Some(shards),
-                ..RunOptions::default()
-            });
+            let (mut net, _ids) = sc.run_probed(
+                &RunOptions {
+                    oracle: OracleMode::Count,
+                    stats: Some(stats_cfg()),
+                    shards: Some(shards),
+                    ..RunOptions::default()
+                },
+                None,
+            );
             fingerprint(&mut net)
         };
         let want = run(1);

@@ -7,14 +7,21 @@
 
 #![forbid(unsafe_code)]
 
+use lit_repro::collect::Collector;
 use lit_repro::experiments::common::build_mix_one_class;
+use lit_repro::experiments::RunConfig;
 use lit_sim::{Duration, Time};
 
 #[test]
 #[ignore = "long: ~25M events; run with --release -- --ignored"]
 fn mix_full_horizon_all_invariants() {
     let run = || {
-        let (mut net, _) = build_mix_one_class(Duration::from_us(6_500), 424_242);
+        let collector = Collector::default();
+        let cfg = RunConfig {
+            seed: 424_242,
+            ..RunConfig::paper(&collector)
+        };
+        let (mut net, _) = build_mix_one_class(&cfg, Duration::from_us(6_500));
         net.run_until(Time::from_secs(600));
         let mut summary = Vec::new();
         for i in 0..net.num_sessions() {
