@@ -7,6 +7,18 @@
 //! bins *plus* the exact minimum and maximum, so bound checks ("observed
 //! max below calculated upper bound") are not blurred by binning.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use lit_sim::Duration;
 
 /// A histogram of [`Duration`] samples with fixed bin width.
@@ -52,7 +64,13 @@ impl DurationHistogram {
         self.max = self.max.max(d);
         let idx = (d.as_ps() / self.bin_width.as_ps()) as usize;
         if idx < self.bins.len() {
-            self.bins[idx] += 1;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`idx < self.bins.len()` checked on the line above"
+            )]
+            {
+                self.bins[idx] += 1;
+            }
         } else {
             self.overflow += 1;
         }

@@ -54,6 +54,18 @@
 //! overflow is a conservative [`Ac3FastError::Overflow`] rejection rather
 //! than a wrapped comparison.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use lit_net::DelayAssignment;
 use lit_sim::{Duration, PS_PER_SEC};
 use std::collections::BTreeMap;

@@ -27,6 +27,18 @@
 //! for fixed-size packets, and for any configuration where `dᵢ` makes `F`
 //! monotone within a session).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use lit_net::{
     DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionId, SessionSpec,
 };
@@ -112,28 +124,24 @@ impl Discipline for LitDiscipline {
         "leave-in-time"
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "in-bounds by grow(idx) directly above"
+    )]
     fn register_session(&mut self, spec: &SessionSpec, delay: &DelayAssignment) {
         let idx = spec.id.index();
         let c = &mut self.cols;
         c.grow(idx);
         let coeffs = delay.coeffs(spec.rate_bps);
         // Registration-time writes, in-bounds by the grow() above.
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
         c.occupied[idx] = true;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
         c.jitter[idx] = spec.jitter_control;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
         c.rate_bps[idx] = spec.rate_bps;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
         c.d_num_ps[idx] = coeffs.num_ps;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
         c.d_den[idx] = coeffs.den;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
         c.d_base_ps[idx] = coeffs.base_ps;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
         c.d_max_ps[idx] = delay.d_max(spec.max_len_bits, spec.rate_bps).as_ps();
         // Fresh K-recursion: a reused slot must start at K₀ = t₁.
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
         c.k_prev_ps[idx] = 0;
     }
 
@@ -143,6 +151,10 @@ impl Discipline for LitDiscipline {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "in-bounds: check_registered proved occupied[idx], and all columns share one length"
+    )]
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
         let idx = pkt.session.index();
         self.check_registered(idx);
@@ -150,28 +162,21 @@ impl Discipline for LitDiscipline {
 
         // Eligibility: eq. (6) / (7). `pkt.hold` is Aⁿ from upstream
         // (zero at the first hop per eq. 8).
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
         let eligible = if c.jitter[idx] { now + pkt.hold } else { now };
 
         // Deadline: eq. (10)–(11), with K₀ = t₁ making the first base
         // simply E₁ (since E₁ ≥ t₁ ≥ 0 = the fresh-slot K value).
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
         let k_prev = c.k_prev_ps[idx];
         let base = eligible.max(Time::from_ps(k_prev));
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
         let rate = c.rate_bps[idx];
         let coeffs = lit_net::DelayCoeffs {
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
             num_ps: c.d_num_ps[idx],
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
             den: c.d_den[idx],
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
             base_ps: c.d_base_ps[idx],
         };
         let d = Duration::from_ps(coeffs.d_ps(pkt.len_bits));
         let f = base + d;
         let k = base + Duration::from_bits_at_rate(pkt.len_bits as u64, rate);
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
         c.k_prev_ps[idx] = k.as_ps();
 
         pkt.deadline = f;
@@ -182,7 +187,10 @@ impl Discipline for LitDiscipline {
     fn on_departure(&mut self, pkt: &mut Packet, finish: Time) {
         let idx = pkt.session.index();
         self.check_registered(idx);
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "in-bounds: check_registered proved occupied[idx], and all columns share one length"
+        )]
         let d_max = Duration::from_ps(self.cols.d_max_ps[idx]);
         // Holding time for the next hop, eq. (9):
         //   A = (F + L_MAX/C − F̂) + (d_max − d_i).

@@ -14,6 +14,18 @@
 //! which is also the skeleton of VirtualClock's deadline update (eq. 2) and
 //! of the `K` clock in Leave-in-Time's final form (eq. 11).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use lit_sim::{Duration, Time};
 
 /// Incremental evaluator of eq. (1).

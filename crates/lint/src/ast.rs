@@ -80,12 +80,8 @@ pub enum ItemKind {
     /// `struct Name { fields }` (braced form only; tuple and unit
     /// structs are `Other`).
     Struct(Vec<Field>),
-    /// `const NAME: Ty = value;` / `static NAME: Ty = value;` with the
-    /// value span kept for const-index resolution.
-    Const {
-        /// Span of the initializer expression tokens.
-        value: Span,
-    },
+    /// `const NAME: Ty = value;` / `static NAME: Ty = value;`.
+    Const,
     /// Anything else (use, type, enum, macro invocation, …).
     Other,
 }
@@ -362,7 +358,7 @@ fn stmts_in_item<'a>(it: &'a Item, f: &mut dyn FnMut(&'a Stmt)) {
 }
 
 /// Visit every statement in a block and in all blocks nested below it.
-pub fn stmts_in_block<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Stmt)) {
+fn stmts_in_block<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Stmt)) {
     for s in &b.stmts {
         f(s);
         match &s.kind {
@@ -482,7 +478,7 @@ fn dump_item(it: &Item, toks: &[Tok], depth: usize, s: &mut String) {
                 s.push_str(&format!("field {}: {}\n", f.name, span_text(f.ty, toks)));
             }
         }
-        ItemKind::Const { .. } => s.push_str(&format!("const {name}\n")),
+        ItemKind::Const => s.push_str(&format!("const {name}\n")),
         ItemKind::Other => s.push_str(&format!("other {name}\n")),
     }
 }

@@ -1,8 +1,7 @@
-//! Findings, allow annotations, and the machine-readable JSON report.
+//! Findings, allow annotations, and the report of a `check` run.
 
 use crate::lexer::LineComment;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One diagnostic produced by a rule (or by the annotation machinery
 /// itself, for malformed or unused annotations).
@@ -174,68 +173,6 @@ impl Report {
         }
         m
     }
-
-    /// Serialize to the `lit-lint-v1` JSON schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"schema\": \"lit-lint-v1\",\n");
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(
-            s,
-            "  \"counts\": {{ \"total\": {}, \"allowed\": {}, \"violations\": {}, \
-             \"allow_annotations\": {} }},",
-            self.findings.len(),
-            self.findings.iter().filter(|f| f.allowed()).count(),
-            self.violation_count(),
-            self.allows_total
-        );
-        s.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{ \"rule\": {}, \"file\": {}, \"line\": {}, \"column\": {}, \
-                 \"message\": {}, \"snippet\": {}, \"allowed\": {}, \"justification\": {} }}",
-                json_str(f.rule),
-                json_str(&f.file),
-                f.line,
-                f.col,
-                json_str(&f.message),
-                json_str(&f.snippet),
-                f.allowed(),
-                match &f.justification {
-                    Some(j) => json_str(j),
-                    None => "null".to_string(),
-                }
-            );
-            s.push_str(if i + 1 < self.findings.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
-
-/// Minimal JSON string escaping (the workspace is dependency-free).
-fn json_str(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -246,8 +183,8 @@ mod tests {
     #[test]
     fn allow_grammar_round_trip() {
         assert_eq!(
-            parse_allow_body("allow(no-panic-hot-path, \"sized at build\")"),
-            Ok(("no-panic-hot-path".into(), "sized at build".into()))
+            parse_allow_body("allow(checked-clock-ops, \"sized at build\")"),
+            Ok(("checked-clock-ops".into(), "sized at build".into()))
         );
         assert!(parse_allow_body("allow(rule)").is_err());
         assert!(parse_allow_body("allow(rule, \"\")").is_err());
@@ -280,24 +217,5 @@ mod tests {
         assert!(allows.is_empty());
         assert_eq!(errs.len(), 1);
         assert_eq!(errs[0].rule, "bad-allow");
-    }
-
-    #[test]
-    fn json_report_escapes() {
-        let mut r = Report::default();
-        r.findings.push(Finding {
-            rule: "raw-time-arithmetic",
-            file: "a\\b.rs".into(),
-            line: 3,
-            col: 1,
-            message: "say \"no\"".into(),
-            snippet: "x\ty".into(),
-            justification: None,
-        });
-        let j = r.to_json();
-        assert!(j.contains("\"lit-lint-v1\""));
-        assert!(j.contains("a\\\\b.rs"));
-        assert!(j.contains("say \\\"no\\\""));
-        assert!(j.contains("\"violations\": 1"));
     }
 }

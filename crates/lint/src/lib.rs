@@ -1,20 +1,19 @@
-//! # lit-lint — workspace static analysis for clock and hot-path discipline
+//! # lit-lint — workspace static analysis for the clock contract
 //!
 //! A dependency-free, *syntax-aware* static-analysis pass over the whole
-//! workspace, run as `cargo run -p lit-lint -- check`. Six rules:
+//! workspace, run as `cargo run -p lit-lint -- check`. It holds only the
+//! rules that need to know what a `Time` is (or what the shard window
+//! protocol is); everything the compiler can see — panicking calls and
+//! indexing in the hot-path files, randomly-ordered containers — is
+//! clippy's job (`#![deny(clippy::…)]` file headers, an `expect`
+//! attribute with its `reason` at each justified site, and the root
+//! `clippy.toml`). Four rules:
 //!
 //! * [`rules::RAW_TIME_ARITHMETIC`] — no raw `u64`/`f64` arithmetic,
 //!   narrowing casts, or float literals flowing into `Time`/`Duration`;
-//! * [`rules::NO_PANIC_HOT_PATH`] — `unwrap`/`expect`/`panic!`/panicking
-//!   indexing banned in the scheduler hot paths; indexes the tree can
-//!   prove in bounds (const array lengths, for-range loop variables) are
-//!   exempt, as are assert-macro argument lists;
 //! * [`rules::CHECKED_CLOCK_OPS`] — `wrapping_*`/`overflowing_*`/
 //!   `saturating_*` in a statement touching clock-carrying values must
 //!   be justified;
-//! * [`rules::NONDETERMINISTIC_ITERATION`] — no `HashMap`/`HashSet`
-//!   iteration or draining in the engine crates (net/core/sim), where
-//!   iteration order would leak into the deterministic event path;
 //! * [`rules::BARRIER_PROTOCOL`] — a per-loop state machine over the
 //!   sharded executor's window protocol (publish → barrier A → send →
 //!   barrier B → drain), pinning the PR-7 abort-race class;
@@ -24,8 +23,6 @@
 //! Escape hatch: `// lit-lint: allow(<rule>, "<justification>")` on (or
 //! directly above) the offending line. Justifications are mandatory and
 //! non-empty; stale or malformed annotations are themselves violations.
-//! Diagnostics are emitted as machine-readable JSON (`--json`, schema
-//! `lit-lint-v1`).
 //!
 //! The engine is a hand-rolled lexer ([`lexer`]), a recursive-descent
 //! parser producing a lightweight item/statement/expression tree with
@@ -48,76 +45,37 @@ pub mod source;
 
 use diag::{Finding, Report};
 use source::SourceFile;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// What to scan and how rules map onto the tree. Paths are
 /// workspace-relative and `/`-separated.
 pub struct Config {
-    /// Files covered by `no-panic-hot-path`.
-    pub hot_paths: Vec<String>,
     /// Path prefixes exempt from the clock rules (`raw-time-arithmetic`,
     /// `checked-clock-ops`): the definitions themselves and the
     /// float-by-design analysis crate.
     pub time_exempt: Vec<String>,
     /// Path prefixes never scanned at all (fixtures of known-bad code).
     pub skip: Vec<String>,
-    /// Engine-crate source prefixes where iteration order must be
-    /// deterministic (`nondeterministic-iteration`).
-    pub engine_paths: Vec<String>,
     /// Files subject to the barrier-protocol window state machine.
     pub barrier_files: Vec<String>,
-    /// When non-empty, only these rules run.
-    pub only_rules: BTreeSet<String>,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
-            hot_paths: [
-                "crates/net/src/node.rs",
-                "crates/net/src/shard.rs",
-                "crates/net/src/arena.rs",
-                "crates/net/src/equeue.rs",
-                "crates/net/src/table.rs",
-                "crates/sim/src/queue.rs",
-                "crates/sim/src/heap.rs",
-                "crates/sim/src/calendar.rs",
-                "crates/sim/src/wheel.rs",
-                "crates/core/src/discipline.rs",
-                "crates/core/src/refserver.rs",
-                "crates/core/src/admission/fast.rs",
-                "crates/obs/src/probe.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
             time_exempt: ["crates/analysis/", "crates/sim/src/time.rs", "crates/lint/"]
                 .map(String::from)
                 .to_vec(),
             skip: ["crates/lint/tests/fixtures/"].map(String::from).to_vec(),
-            engine_paths: ["crates/net/src/", "crates/core/src/", "crates/sim/src/"]
-                .map(String::from)
-                .to_vec(),
             barrier_files: ["crates/net/src/shard.rs"].map(String::from).to_vec(),
-            only_rules: BTreeSet::new(),
         }
     }
 }
 
 impl Config {
-    /// Is `rel` one of the configured hot-path files?
-    pub fn is_hot_path(&self, rel: &str) -> bool {
-        self.hot_paths.iter().any(|p| p == rel)
-    }
-
     /// Is `rel` exempt from the clock rules?
     pub fn is_time_exempt(&self, rel: &str) -> bool {
         self.time_exempt.iter().any(|p| rel.starts_with(p))
-    }
-
-    /// Is `rel` engine-crate source (deterministic iteration required)?
-    pub fn is_engine_path(&self, rel: &str) -> bool {
-        self.engine_paths.iter().any(|p| rel.starts_with(p))
     }
 
     /// Is `rel` subject to the barrier-protocol state machine?
@@ -130,11 +88,6 @@ impl Config {
     /// and examples are exempt from the clock rules.
     pub fn is_production_src(&self, rel: &str) -> bool {
         rel.starts_with("src/") || rel.contains("/src/")
-    }
-
-    /// Should the rule run at all under `only_rules`?
-    pub fn rule_enabled(&self, name: &str) -> bool {
-        self.only_rules.is_empty() || self.only_rules.contains(name)
     }
 }
 
@@ -187,7 +140,7 @@ pub fn rel_str(p: &Path) -> String {
         .join("/")
 }
 
-/// Run every enabled rule over one in-memory file and resolve allow
+/// Run every rule over one in-memory file and resolve allow
 /// annotations. Exposed for the fixture self-tests.
 pub fn check_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     check_source_counted(rel, src, cfg).0
@@ -200,11 +153,9 @@ pub fn check_source_counted(rel: &str, src: &str, cfg: &Config) -> (Vec<Finding>
     let mut findings: Vec<Finding> = Vec::new();
     findings.extend(file.allow_errors.iter().cloned());
     for rule in rules::all() {
-        if cfg.rule_enabled(rule.name) {
-            findings.extend((rule.check)(&file, cfg));
-        }
+        findings.extend((rule.check)(&file, cfg));
     }
-    resolve_allows(&file, &mut findings, cfg);
+    resolve_allows(&file, &mut findings);
     findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     (findings, file.allows.len())
 }
@@ -212,13 +163,9 @@ pub fn check_source_counted(rel: &str, src: &str, cfg: &Config) -> (Vec<Finding>
 /// Match findings against the file's allow annotations: a finding on an
 /// annotation's target line with the annotation's rule is suppressed (its
 /// justification recorded); an annotation that suppresses nothing becomes
-/// a `stale-allow` violation — the burndown signal of the precise engine.
-///
-/// Annotations for rules that are disabled under `--rule` filtering are
-/// left alone (they may well suppress a finding when the full set runs),
-/// and `stale-allow` findings are only emitted when that rule is itself
-/// enabled.
-fn resolve_allows(file: &SourceFile, findings: &mut Vec<Finding>, cfg: &Config) {
+/// a `stale-allow` violation — whatever rule it names, so an annotation
+/// for a rule that no longer exists cannot survive either.
+fn resolve_allows(file: &SourceFile, findings: &mut Vec<Finding>) {
     let mut used = vec![false; file.allows.len()];
     for f in findings.iter_mut() {
         for (k, a) in file.allows.iter().enumerate() {
@@ -229,11 +176,8 @@ fn resolve_allows(file: &SourceFile, findings: &mut Vec<Finding>, cfg: &Config) 
             }
         }
     }
-    if !cfg.rule_enabled(rules::STALE_ALLOW) {
-        return;
-    }
     for (k, a) in file.allows.iter().enumerate() {
-        if !used[k] && cfg.rule_enabled(&a.rule) {
+        if !used[k] {
             findings.push(Finding {
                 rule: rules::STALE_ALLOW,
                 file: file.rel.clone(),
@@ -268,20 +212,6 @@ pub fn run_check(root: &Path, cfg: &Config) -> std::io::Result<Report> {
     Ok(report)
 }
 
-/// Every allow annotation in the workspace, with the file carrying it —
-/// the `lit-lint allows` burndown inventory.
-pub fn collect_allows(root: &Path, cfg: &Config) -> std::io::Result<Vec<(String, diag::Allow)>> {
-    let mut out = Vec::new();
-    for rel in workspace_files(root, cfg)? {
-        let src = std::fs::read_to_string(root.join(&rel))?;
-        let file = SourceFile::new(&rel_str(&rel), &src);
-        for a in file.allows {
-            out.push((file.rel.clone(), a));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,6 +235,23 @@ mod tests {
         assert!(raw[0].allowed());
         assert_eq!(raw[0].justification.as_deref(), Some("documented widening"));
         assert_eq!(fs.iter().filter(|f| f.rule == "stale-allow").count(), 1);
+
+        // An annotation naming a rule that has left the rule set (the
+        // two that moved to clippy) suppresses nothing, so it is stale:
+        // an orphaned comment cannot survive a scan.
+        for gone in ["no-panic-hot-path", "nondeterministic-iteration"] {
+            let src = format!(
+                "#![forbid(unsafe_code)]\n\
+                 fn f(v: &[u8], i: usize) -> u8 {{\n\
+                     // lit-lint: allow({gone}, \"i < v.len() by construction\")\n\
+                     v[i]\n\
+                 }}\n"
+            );
+            let fs = check_source("crates/net/src/node.rs", &src, &cfg);
+            assert_eq!(fs.len(), 1, "{fs:?}");
+            assert_eq!(fs[0].rule, rules::STALE_ALLOW);
+            assert!(!fs[0].allowed());
+        }
     }
 
     #[test]

@@ -558,15 +558,11 @@ impl<'a> Parser<'a> {
             .tok(j)
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.clone());
-        // Scan to the `=` at depth 0, then the value runs to the `;`.
+        // Scan to the `;` at depth 0.
         let mut k = j;
-        let mut eq = None;
         while let Some(t) = self.tok(k) {
             if t.is_punct(';') {
                 break;
-            }
-            if t.is_punct('=') && eq.is_none() && !self.is_fat_arrow(k) {
-                eq = Some(k);
             }
             if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
                 k = self.matching_close(k);
@@ -583,14 +579,10 @@ impl<'a> Parser<'a> {
         } else {
             k.max(start + 1)
         };
-        let value = match eq {
-            Some(e) => Span { lo: e + 1, hi: k },
-            None => Span::empty(k),
-        };
         Item {
             span: Span { lo: start, hi: end },
             name,
-            kind: ItemKind::Const { value },
+            kind: ItemKind::Const,
         }
     }
 

@@ -8,20 +8,15 @@ use crate::Config;
 
 mod barrier;
 mod checked_clock;
-mod no_panic;
-mod nondet_iter;
 mod raw_time;
 
 pub use barrier::BARRIER_PROTOCOL;
 pub use checked_clock::CHECKED_CLOCK_OPS;
-pub use no_panic::NO_PANIC_HOT_PATH;
-pub use nondet_iter::NONDETERMINISTIC_ITERATION;
 pub use raw_time::RAW_TIME_ARITHMETIC;
 
 /// `stale-allow` is not a pass over source tokens: it fires from the
 /// allow-resolution step in `lib.rs` when an annotation suppresses
-/// nothing under the precise engine. It still registers here so
-/// `lit-lint rules` lists it and `--rule stale-allow` can gate on it.
+/// nothing. It still registers here so `lit-lint rules` lists it.
 pub const STALE_ALLOW: &str = "stale-allow";
 
 fn no_pass(_f: &SourceFile, _c: &Config) -> Vec<Finding> {
@@ -51,25 +46,11 @@ pub fn all() -> Vec<Rule> {
             check: raw_time::check,
         },
         Rule {
-            name: NO_PANIC_HOT_PATH,
-            describe: "unwrap/expect/panic!/indexing-without-get banned in scheduler hot paths",
-            protects: "a production scheduler must degrade, not abort, mid-schedule",
-            check: no_panic::check,
-        },
-        Rule {
             name: CHECKED_CLOCK_OPS,
             describe: "wrapping_*/overflowing_*/saturating_* on clock-carrying values \
                        must be justified",
             protects: "the fail-loudly overflow contract of sim/src/time.rs",
             check: checked_clock::check,
-        },
-        Rule {
-            name: NONDETERMINISTIC_ITERATION,
-            describe: "no HashMap/HashSet iteration or order-dependent draining in the \
-                       engine crates (net/core/sim)",
-            protects: "byte-identical results across shard counts (DESIGN.md §12) — only \
-                       as strong as every iteration order in the event path",
-            check: nondet_iter::check,
         },
         Rule {
             name: BARRIER_PROTOCOL,

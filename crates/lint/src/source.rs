@@ -27,8 +27,7 @@ pub struct SourceFile {
     /// (struct field type, `let` annotation, fn parameter type).
     pub type_mask: Vec<bool>,
     /// `pat_mask[i]`: token `i` is inside a binding pattern (`let` /
-    /// `for` / match-arm patterns), where `[a, b]` is a slice pattern,
-    /// not an index.
+    /// `for` / match-arm patterns), where a name is bound, not called.
     pub pat_mask: Vec<bool>,
     /// Parsed allow annotations.
     pub allows: Vec<Allow>,
@@ -86,8 +85,8 @@ impl SourceFile {
 
 /// Compute the attribute / declared-type / pattern context masks from
 /// the parsed tree. Tokens inside these positions are data the rules'
-/// expression patterns must not match against (`#[derive(Hash)]` is not
-/// a `HashMap` use; `let [a, b] = xs;` is not an index).
+/// expression patterns must not match against (`from_ps` naming a field
+/// type or bound in a pattern is not a constructor call).
 fn context_masks(tree: &Tree, n: usize) -> (Vec<bool>, Vec<bool>, Vec<bool>) {
     let mut attr = vec![false; n];
     let mut ty = vec![false; n];

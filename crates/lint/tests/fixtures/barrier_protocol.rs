@@ -15,7 +15,6 @@
 fn pre_fix_worker_loop(shard: &mut Shard) {
     let worker = |shard: &mut Shard| {
         loop {
-            // lit-lint: allow(no-panic-hot-path, "next_ts has one published slot per shard")
             next_ts[shard.id].store(shard.next_event_ps(), Ordering::SeqCst);
             barrier.wait();
             let tmin = next_ts.iter().map(|a| a.load(Ordering::SeqCst)).min().unwrap_or(u64::MAX);

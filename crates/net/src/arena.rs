@@ -17,6 +17,18 @@
 //! instead of silently aliasing an unrelated packet — `get`/`take` return
 //! `None` and the executor's debug assertions catch the wiring bug.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::packet::Packet;
 use lit_sim::Time;
 
@@ -85,7 +97,10 @@ impl PacketArena {
     pub fn alloc(&mut self, pkt: Packet) -> PacketRef {
         self.live += 1;
         if let Some(idx) = self.free.pop() {
-            // lit-lint: allow(no-panic-hot-path, "free-list entries are indices of slots this arena pushed; they never dangle")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "free-list entries are indices of slots this arena pushed; they never dangle"
+            )]
             let slot = &mut self.slots[idx as usize];
             slot.pkt = pkt;
             return PacketRef { idx, gen: slot.gen };

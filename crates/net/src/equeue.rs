@@ -20,6 +20,18 @@
 //! The `ablation-queue` command of `lit-repro` measures both the error and
 //! the cost on the paper's workloads.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use lit_sim::{CalendarQueue, Duration, KeyedEntry};
 use std::collections::BinaryHeap;
 

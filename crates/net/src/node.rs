@@ -24,6 +24,18 @@
 //! sorted same-instant groups inside lookahead windows) and a unit test
 //! drive a node with no event set at all.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::arena::{PacketArena, PacketRef};
 use crate::discipline::{Discipline, DisciplineFactory, RegFifo, RegulatorBackend};
 use crate::equeue::{EligibleQueue, QueueKind};
@@ -100,7 +112,10 @@ pub(crate) struct Topology {
 impl Topology {
     /// The node serving hop `hop` of session `sid`.
     fn node_at(&self, sid: usize, hop: usize) -> u32 {
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id and hop index they were routed with at build")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "executor invariant: packets carry the session id and hop index they were routed with at build"
+        )]
         self.hops[sid][hop].0
     }
 
@@ -144,23 +159,32 @@ struct Injector {
 /// was minted by `build` against these very tables, so a miss is a
 /// wiring bug, not an input error.
 fn owned<T>(slots: &mut [Option<T>], i: usize) -> &mut T {
+    #[expect(
+        clippy::expect_used,
+        reason = "executor invariant: events only name nodes, injectors and stats rows that build installed on this core"
+    )]
     slots
         .get_mut(i)
         .and_then(Option::as_mut)
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: events only name nodes, injectors and stats rows that build installed on this core")
         .expect("event names a slot this core does not own")
 }
 
 /// A packet that must still be live: references stay valid from `alloc`
 /// until the delivery or handoff that `take`s them.
 fn live(arena: &PacketArena, p: PacketRef) -> &Packet {
-    // lit-lint: allow(no-panic-hot-path, "executor invariant: events and queues only hold references the arena has not yet taken")
+    #[expect(
+        clippy::expect_used,
+        reason = "executor invariant: events and queues only hold references the arena has not yet taken"
+    )]
     arena.get(p).expect("stale packet reference")
 }
 
 /// Mutable twin of [`live`].
 fn live_mut(arena: &mut PacketArena, p: PacketRef) -> &mut Packet {
-    // lit-lint: allow(no-panic-hot-path, "executor invariant: events and queues only hold references the arena has not yet taken")
+    #[expect(
+        clippy::expect_used,
+        reason = "executor invariant: events and queues only hold references the arena has not yet taken"
+    )]
     arena.get_mut(p).expect("stale packet reference")
 }
 
@@ -329,7 +353,10 @@ impl NodeCore {
     /// pull/schedule the next one.
     fn inject<S: Sink>(&mut self, sid: u32, sink: &mut S) {
         let s = owned(&mut self.injectors, sid as usize);
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: an Inject event is only emitted when `pending` was just filled")
+        #[expect(
+            clippy::expect_used,
+            reason = "executor invariant: an Inject event is only emitted when `pending` was just filled"
+        )]
         let e = s.pending.take().expect("Inject without pending emission");
         debug_assert_eq!(e.at, self.now);
         let seq = s.next_seq;
@@ -384,7 +411,10 @@ impl NodeCore {
             // Regulator invariants (eq. 6–7): E is per-session monotone
             // at every hop, and never lies in the past.
             let who = (sid as u32, seq, node_idx);
-            // lit-lint: allow(no-panic-hot-path, "oracle state is sized per session and hop at build, same shape as the route")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "oracle state is sized per session and hop at build, same shape as the route"
+            )]
             let last = &mut self.oracle.last_eligible[sid][hop];
             if decision.eligible < *last {
                 let prev = *last;
@@ -566,7 +596,10 @@ impl NodeCore {
     fn tx_done<S: Sink>(&mut self, node_idx: u32, sink: &mut S) {
         let finish = self.now;
         let node = owned(&mut self.nodes, node_idx as usize);
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: a TxDone event exists only while `current` is occupied")
+        #[expect(
+            clippy::expect_used,
+            reason = "executor invariant: a TxDone event exists only while `current` is occupied"
+        )]
         let p = node.current.take().expect("TxDone with idle link");
         let pkt = live_mut(&mut self.arena, p);
         node.discipline.on_departure(pkt, finish);
@@ -576,7 +609,10 @@ impl NodeCore {
         let (sid, hop, seq) = (pkt.session.index(), pkt.hop as usize, pkt.seq);
 
         // Node accounting.
-        // lit-lint: allow(no-panic-hot-path, "node_stats is built with one entry per node")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "node_stats is built with one entry per node"
+        )]
         let nst = &mut self.node_stats[node_idx as usize];
         nst.transmitted += 1;
         nst.bits_transmitted += pkt.len_bits as u64;
@@ -662,11 +698,17 @@ impl NodeCore {
         // packets *delivered* so far: known on the delivering core under
         // every driver, and never looser than the injected-side maximum
         // (which can run a few packets ahead).
-        // lit-lint: allow(no-panic-hot-path, "oracle tables are sized to the session count at build")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "oracle tables are sized to the session count at build"
+        )]
         let dref = &mut self.oracle.ref_max_ps[sid];
         *dref = (*dref).max(pkt.ref_delay.as_ps() as i128);
         let dref_ps = *dref;
-        // lit-lint: allow(no-panic-hot-path, "oracle tables are sized to the session count at build")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "oracle tables are sized to the session count at build"
+        )]
         let Some(b) = self.oracle.bounds[sid] else {
             return;
         };

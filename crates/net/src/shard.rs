@@ -91,6 +91,18 @@
 //! occurrence bumps the process-global [`shard_fallbacks`] counter, and
 //! the driver in use is observable via [`crate::Network::shard_count`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::node::{Ev, NodeCore, Sink, Topology};
 use crate::packet::Packet;
 use lit_sim::{EventBackend, EventQueue, Time};
@@ -220,10 +232,16 @@ impl ShardSink {
         if self.spilling.get(dest) == Some(&true) {
             return self.spill_push(dest, h);
         }
-        // lit-lint: allow(no-panic-hot-path, "wire() creates an outbox for every shard pair with a route edge; tx_done only targets those")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "wire() creates an outbox for every shard pair with a route edge; tx_done only targets those"
+        )]
+        #[expect(
+            clippy::expect_used,
+            reason = "wire() created a mailbox for every cross-shard route edge"
+        )]
         let tx = self.outboxes[dest]
             .as_ref()
-            // lit-lint: allow(no-panic-hot-path, "wire() created a mailbox for every cross-shard route edge")
             .expect("handoff to a shard pair without a mailbox");
         match tx.try_send(h) {
             Ok(()) => {}
@@ -243,12 +261,18 @@ impl ShardSink {
     }
 
     fn spill_push(&mut self, dest: usize, h: Handoff) {
-        // lit-lint: allow(no-panic-hot-path, "spill is built as a full nshards×nshards matrix")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "spill is built as a full nshards×nshards matrix"
+        )]
         let lane = &self.spill[self.id][dest];
         // The lane is uncontended by protocol (sends and drains are
         // separated by a barrier); a poisoned lock means another shard
         // panicked and the run is aborting anyway.
-        // lit-lint: allow(no-panic-hot-path, "poisoned only if a sibling shard already panicked; propagating is correct")
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned only if a sibling shard already panicked; propagating is correct"
+        )]
         lane.lock().expect("spill lane poisoned").push(h);
     }
 }
@@ -344,9 +368,15 @@ impl Shard {
                     sink.handoff_buf.push(h);
                 }
             }
-            // lit-lint: allow(no-panic-hot-path, "spill is built as a full nshards×nshards matrix; inboxes has one entry per shard")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "spill is built as a full nshards×nshards matrix; inboxes has one entry per shard"
+            )]
             let lane = &sink.spill[src][sink.id];
-            // lit-lint: allow(no-panic-hot-path, "poisoned only if a sibling shard already panicked; propagating is correct")
+            #[expect(
+                clippy::expect_used,
+                reason = "poisoned only if a sibling shard already panicked; propagating is correct"
+            )]
             let mut lane = lane.lock().expect("spill lane poisoned");
             sink.handoff_buf.append(&mut lane);
         }
@@ -370,13 +400,26 @@ pub(crate) fn wire(shards: &mut [Shard], topo: &Topology) -> u64 {
     let mut edge = vec![vec![false; nshards]; nshards];
     for route in &topo.hops {
         for w in route.windows(2) {
-            // lit-lint: allow(no-panic-hot-path, "windows(2) yields exactly two elements")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "windows(2) yields exactly two elements"
+            )]
             let (a, z) = (w[0].0, w[1].0);
             if owner(a) != owner(z) {
-                // lit-lint: allow(no-panic-hot-path, "route nodes index the link table by construction")
-                lookahead_ps = lookahead_ps.min(topo.links[a as usize].propagation.as_ps());
-                // lit-lint: allow(no-panic-hot-path, "the edge matrix is nshards × nshards and owners are < nshards")
-                edge[owner(a)][owner(z)] = true;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "route nodes index the link table by construction"
+                )]
+                {
+                    lookahead_ps = lookahead_ps.min(topo.links[a as usize].propagation.as_ps());
+                }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "the edge matrix is nshards × nshards and owners are < nshards"
+                )]
+                {
+                    edge[owner(a)][owner(z)] = true;
+                }
             }
         }
     }
@@ -398,10 +441,14 @@ pub(crate) fn wire(shards: &mut [Shard], topo: &Topology) -> u64 {
     for (from, row) in edge.iter().enumerate() {
         for (to, _) in row.iter().enumerate().filter(|(_, &has)| has) {
             let (tx, rx) = std::sync::mpsc::sync_channel(MAILBOX_CAP);
-            // lit-lint: allow(no-panic-hot-path, "from/to enumerate the nshards × nshards edge matrix; every mailbox row was sized to nshards just above")
-            shards[from].sink.outboxes[to] = Some(tx);
-            // lit-lint: allow(no-panic-hot-path, "from/to enumerate the nshards × nshards edge matrix; every mailbox row was sized to nshards just above")
-            shards[to].sink.inboxes[from] = Some(rx);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "from/to enumerate the nshards × nshards edge matrix; every mailbox row was sized to nshards just above"
+            )]
+            {
+                shards[from].sink.outboxes[to] = Some(tx);
+                shards[to].sink.inboxes[from] = Some(rx);
+            }
         }
     }
     lookahead_ps
@@ -432,7 +479,10 @@ pub(crate) fn run_windows(shards: &mut [Shard], lookahead_ps: u64, until: Time) 
             // therefore checked only after barrier B, where the
             // flagging store (sequenced before the flagger's own
             // barrier-B wait) is visible to every shard alike.
-            // lit-lint: allow(no-panic-hot-path, "next_ts has one published slot per shard")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "next_ts has one published slot per shard"
+            )]
             next_ts[shard.sink.id].store(shard.next_event_ps(), Ordering::SeqCst);
             barrier.wait();
             let tmin = next_ts

@@ -11,6 +11,18 @@
 //! * per-node link utilization and scheduler lateness (finish − deadline),
 //!   the saturation diagnostic.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use lit_analysis::{BatchMeans, BusyFraction, DurationHistogram};
 use lit_sim::{Duration, Time};
 
@@ -115,7 +127,13 @@ impl OccupancyHistogram {
         self.max_bits = self.max_bits.max(bits);
         let idx = (bits / self.bin_bits) as usize;
         if idx < self.bins.len() {
-            self.bins[idx] += 1;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`idx < self.bins.len()` checked on the line above"
+            )]
+            {
+                self.bins[idx] += 1;
+            }
         } else {
             self.overflow += 1;
         }

@@ -17,6 +17,18 @@
 //!   struct-of-arrays columns (see `lit-core`), but reuses the same
 //!   occupancy discipline.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::packet::SessionId;
 
 /// Free-list allocator for dense [`SessionId`]s.
@@ -61,7 +73,10 @@ impl IdSlab {
             }
             return SessionId(id);
         }
-        // lit-lint: allow(no-panic-hot-path, "control-plane growth path; 2^32 concurrent sessions exceeds any reachable configuration and must stop the run")
+        #[expect(
+            clippy::expect_used,
+            reason = "control-plane growth path; 2^32 concurrent sessions exceeds any reachable configuration and must stop the run"
+        )]
         let id = u32::try_from(self.live.len()).expect("session id space exhausted");
         self.live.push(true);
         SessionId(id)

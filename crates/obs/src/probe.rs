@@ -9,6 +9,18 @@
 //! packet arrival, regulator release, service start, departure and on
 //! every conformance-oracle violation.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::metrics::ObsShard;
 use crate::trace::{TraceEvent, TraceKind, TraceRing};
 use lit_sim::{Duration, Time};

@@ -45,6 +45,18 @@
 //! knob lives one level up, in `lit-net`'s bucketed eligible queue, which
 //! quantizes keys *before* they reach this ring.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::entry::KeyedEntry;
 use core::cell::Cell;
 use std::collections::BinaryHeap;
@@ -93,17 +105,31 @@ impl<T> Bucket<T> {
     fn insert_sorted(&mut self, slot: Slot<T>) {
         let mut i = self.len as usize;
         while i > 0 {
-            // lit-lint: allow(no-panic-hot-path, "structure invariant: i <= len <= BUCKET_CAP and every slot below len is Some")
+            #[expect(
+                clippy::indexing_slicing,
+                clippy::expect_used,
+                reason = "structure invariant: i <= len <= BUCKET_CAP and every slot below len is Some"
+            )]
             let prev = self.slots[i - 1].as_ref().expect("bucket: hole below len");
             if (prev.key, prev.seq) <= (slot.key, slot.seq) {
                 break;
             }
-            // lit-lint: allow(no-panic-hot-path, "caller guarantees len < BUCKET_CAP, so i and i - 1 are in bounds")
-            self.slots[i] = self.slots[i - 1].take();
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "caller guarantees len < BUCKET_CAP, so i and i - 1 are in bounds"
+            )]
+            {
+                self.slots[i] = self.slots[i - 1].take();
+            }
             i -= 1;
         }
-        // lit-lint: allow(no-panic-hot-path, "caller guarantees len < BUCKET_CAP, so i is in bounds")
-        self.slots[i] = Some(slot);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "caller guarantees len < BUCKET_CAP, so i is in bounds"
+        )]
+        {
+            self.slots[i] = Some(slot);
+        }
         self.len += 1;
     }
 
@@ -111,8 +137,13 @@ impl<T> Bucket<T> {
         let out = self.slots[0].take()?;
         let l = self.len as usize;
         for i in 0..l - 1 {
-            // lit-lint: allow(no-panic-hot-path, "structure invariant: i + 1 < len <= BUCKET_CAP")
-            self.slots[i] = self.slots[i + 1].take();
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "structure invariant: i + 1 < len <= BUCKET_CAP"
+            )]
+            {
+                self.slots[i] = self.slots[i + 1].take();
+            }
         }
         self.len -= 1;
         Some(out)
@@ -121,10 +152,16 @@ impl<T> Bucket<T> {
     /// Remove and return the largest entry; caller guarantees non-empty.
     fn pop_back(&mut self) -> Slot<T> {
         self.len -= 1;
-        // lit-lint: allow(no-panic-hot-path, "structure invariant: the old len was <= BUCKET_CAP and every slot below it is Some")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "structure invariant: the old len was <= BUCKET_CAP and every slot below it is Some"
+        )]
+        #[expect(
+            clippy::expect_used,
+            reason = "structure invariant: every slot below len is Some"
+        )]
         self.slots[self.len as usize]
             .take()
-            // lit-lint: allow(no-panic-hot-path, "structure invariant: every slot below len is Some")
             .expect("bucket: hole below len")
     }
 }
@@ -286,7 +323,10 @@ impl<T> CalendarQueue<T> {
     /// entry to the overflow heap when the inline slots are full.
     fn place(&mut self, slot: Slot<T>) {
         let idx = self.bucket_of(slot.key);
-        // lit-lint: allow(no-panic-hot-path, "bucket_of maps every key into 0..buckets.len()")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket_of maps every key into 0..buckets.len()"
+        )]
         let b = &mut self.buckets[idx];
         if (b.len as usize) < BUCKET_CAP {
             b.insert_sorted(slot);
@@ -296,10 +336,12 @@ impl<T> CalendarQueue<T> {
         // Overflow traffic is O(log n) work the width estimate should
         // have avoided; charge it so chronic spilling triggers a rebuild.
         self.debt.set(self.debt.get() + 1);
-        // lit-lint: allow(no-panic-hot-path, "this branch runs only when the bucket is full, so its last slot is Some")
+        #[expect(
+            clippy::expect_used,
+            reason = "this branch runs only when the bucket is full, so its last slot is Some"
+        )]
         let back = b.slots[BUCKET_CAP - 1]
             .as_ref()
-            // lit-lint: allow(no-panic-hot-path, "this branch runs only when the bucket is full, so its last slot is Some")
             .expect("bucket: hole below len");
         let spill = if (slot.key, slot.seq) >= (back.key, back.seq) {
             slot
@@ -364,10 +406,13 @@ impl<T> CalendarQueue<T> {
         };
         let (key, item) = match pos.loc {
             MinLoc::Ring(idx) => {
-                // lit-lint: allow(no-panic-hot-path, "hint invariant: find_min cached a position inside an occupied bucket, and every mutation clears the hint")
+                #[expect(
+                    clippy::indexing_slicing,
+                    clippy::expect_used,
+                    reason = "hint invariant: find_min cached a position inside an occupied bucket, and every mutation clears the hint"
+                )]
                 let slot = self.buckets[idx]
                     .pop_front()
-                    // lit-lint: allow(no-panic-hot-path, "hint invariant: find_min cached a position inside an occupied bucket, and every mutation clears the hint")
                     .expect("calendar: hinted bucket is empty");
                 debug_assert_eq!((slot.key, slot.seq), (pos.key, pos.seq));
                 self.ring_len -= 1;
@@ -375,10 +420,13 @@ impl<T> CalendarQueue<T> {
             }
             MinLoc::Overflow => {
                 self.debt.set(self.debt.get() + 1);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "hint invariant: find_min saw a non-empty overflow heap, and every mutation clears the hint"
+                )]
                 let e = self
                     .overflow
                     .pop()
-                    // lit-lint: allow(no-panic-hot-path, "hint invariant: find_min saw a non-empty overflow heap, and every mutation clears the hint")
                     .expect("calendar: hinted overflow is empty");
                 debug_assert_eq!((e.key, e.seq), (pos.key, pos.seq));
                 self.ov_min = self.overflow.peek().map(|o| (o.key, o.seq));

@@ -24,6 +24,18 @@
 //! panic path; a miss would be a bug in the index arithmetic below and
 //! ends the loop instead.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::time::Time;
 
 /// Children per node.

@@ -16,6 +16,18 @@
 //! Payloads are `Copy`: the heap moves entries through a hole, not by
 //! swaps.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::calendar::CalendarQueue;
 use crate::heap::QuadHeap;
 use crate::time::Time;

@@ -33,6 +33,18 @@
 //! most ten times over its lifetime, so the per-event cost is O(1)
 //! amortized regardless of how far ahead it was scheduled.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::cell::Cell;
 use std::collections::VecDeque;
 
@@ -134,13 +146,16 @@ impl<T> TimerWheel<T> {
     /// Drop all entries, keeping allocations. The seq counter keeps
     /// increasing so global FIFO order survives a clear.
     pub fn clear(&mut self) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "l < LEVELS and s < SLOTS: 6-bit bitmap index"
+        )]
         for l in 0..LEVELS {
             let mut occ = self.occ[l];
             self.occ[l] = 0;
             while occ != 0 {
                 let s = occ.trailing_zeros() as usize;
                 occ &= occ - 1;
-                // lit-lint: allow(no-panic-hot-path, "l < LEVELS and s < SLOTS: 6-bit bitmap index")
                 self.slots[l * SLOTS + s].clear();
             }
         }
@@ -164,10 +179,15 @@ impl<T> TimerWheel<T> {
     fn place(&mut self, e: Entry<T>) {
         let l = self.level_of(e.key);
         let s = ((e.key >> (BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-        // lit-lint: allow(no-panic-hot-path, "l < LEVELS (64-bit key / 6-bit digits) and s < SLOTS (6-bit mask)")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "l < LEVELS (64-bit key / 6-bit digits) and s < SLOTS (6-bit mask)"
+        )]
         self.slots[l * SLOTS + s].push_back(e);
-        // lit-lint: allow(no-panic-hot-path, "l < LEVELS as above")
-        self.occ[l] |= 1 << s;
+        #[expect(clippy::indexing_slicing, reason = "l < LEVELS as above")]
+        {
+            self.occ[l] |= 1 << s;
+        }
     }
 
     /// Insert `item` at `key`. Keys may arrive out of order; a key below
@@ -191,13 +211,16 @@ impl<T> TimerWheel<T> {
     /// new slots. Cold path: only a backdated push lands here.
     fn rebuild(&mut self, new_front: u64) {
         let mut all: Vec<Entry<T>> = Vec::with_capacity(self.len);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "l < LEVELS and s < SLOTS: 6-bit bitmap index"
+        )]
         for l in 0..LEVELS {
             let mut occ = self.occ[l];
             self.occ[l] = 0;
             while occ != 0 {
                 let s = occ.trailing_zeros() as usize;
                 occ &= occ - 1;
-                // lit-lint: allow(no-panic-hot-path, "l < LEVELS and s < SLOTS: 6-bit bitmap index")
                 all.extend(self.slots[l * SLOTS + s].drain(..));
             }
         }
@@ -214,7 +237,10 @@ impl<T> TimerWheel<T> {
     /// entry cascades at most `LEVELS - 1` times over its lifetime.
     fn cascade(&mut self) {
         let mut l = 1;
-        // lit-lint: allow(no-panic-hot-path, "l < LEVELS: loop guard checks the bound before indexing")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "l < LEVELS: loop guard checks the bound before indexing"
+        )]
         while l < LEVELS && self.occ[l] == 0 {
             l += 1;
         }
@@ -222,16 +248,24 @@ impl<T> TimerWheel<T> {
         if l >= LEVELS {
             return;
         }
-        // lit-lint: allow(no-panic-hot-path, "l < LEVELS: guarded by the check above")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "l < LEVELS: guarded by the check above"
+        )]
         let s = self.occ[l].trailing_zeros() as usize;
         let shift = BITS * l as u32;
         debug_assert!(
             s as u64 > (self.cursor >> shift) & (SLOTS as u64 - 1),
             "wheel: occupied slot at or below the cursor digit"
         );
-        // lit-lint: allow(no-panic-hot-path, "l < LEVELS as above")
-        self.occ[l] &= !(1 << s);
-        // lit-lint: allow(no-panic-hot-path, "l < LEVELS and s < SLOTS: 6-bit bitmap index")
+        #[expect(clippy::indexing_slicing, reason = "l < LEVELS as above")]
+        {
+            self.occ[l] &= !(1 << s);
+        }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "l < LEVELS and s < SLOTS: 6-bit bitmap index"
+        )]
         let drained = std::mem::take(&mut self.slots[l * SLOTS + s]);
         // Span start of the cascaded slot: cursor digits above `l` kept,
         // digit `l` set to `s`, everything below zeroed. The top level's
@@ -251,9 +285,12 @@ impl<T> TimerWheel<T> {
     /// Pop the front entry of level-0 slot `s` and advance the cursor to
     /// its key. Caller guarantees the slot is occupied.
     fn take_front(&mut self, s: usize) -> (u64, T) {
-        // lit-lint: allow(no-panic-hot-path, "s < SLOTS: 6-bit bitmap index")
+        #[expect(clippy::indexing_slicing, reason = "s < SLOTS: 6-bit bitmap index")]
         let q = &mut self.slots[s];
-        // lit-lint: allow(no-panic-hot-path, "caller found slot s occupied in the level-0 bitmap, and the bitmap tracks emptiness exactly")
+        #[expect(
+            clippy::expect_used,
+            reason = "caller found slot s occupied in the level-0 bitmap, and the bitmap tracks emptiness exactly"
+        )]
         let e = q.pop_front().expect("wheel: occupied slot is empty");
         if q.is_empty() {
             self.occ[0] &= !(1 << s);
@@ -302,10 +339,13 @@ impl<T> TimerWheel<T> {
         let l0 = self.occ[0];
         if l0 != 0 {
             let s = l0.trailing_zeros() as usize;
-            // lit-lint: allow(no-panic-hot-path, "s < SLOTS: 6-bit bitmap index")
+            #[expect(clippy::indexing_slicing, reason = "s < SLOTS: 6-bit bitmap index")]
+            #[expect(
+                clippy::expect_used,
+                reason = "the level-0 bitmap tracks emptiness exactly"
+            )]
             let e = self.slots[s]
                 .front()
-                // lit-lint: allow(no-panic-hot-path, "the level-0 bitmap tracks emptiness exactly")
                 .expect("wheel: occupied slot is empty");
             return Some(MinPos {
                 level: 0,
@@ -316,7 +356,10 @@ impl<T> TimerWheel<T> {
             });
         }
         let mut l = 1;
-        // lit-lint: allow(no-panic-hot-path, "l < LEVELS: loop guard checks the bound before indexing")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "l < LEVELS: loop guard checks the bound before indexing"
+        )]
         while l < LEVELS && self.occ[l] == 0 {
             l += 1;
         }
@@ -324,14 +367,23 @@ impl<T> TimerWheel<T> {
             debug_assert!(false, "wheel: non-empty but no occupied level");
             return None;
         }
-        // lit-lint: allow(no-panic-hot-path, "l < LEVELS: guarded by the check above")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "l < LEVELS: guarded by the check above"
+        )]
         let s = self.occ[l].trailing_zeros() as usize;
-        // lit-lint: allow(no-panic-hot-path, "l < LEVELS and s < SLOTS: 6-bit bitmap index")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "l < LEVELS and s < SLOTS: 6-bit bitmap index"
+        )]
+        #[expect(
+            clippy::expect_used,
+            reason = "the bitmap tracks emptiness exactly, so the slot queue is non-empty"
+        )]
         let (idx, e) = self.slots[l * SLOTS + s]
             .iter()
             .enumerate()
             .min_by_key(|(_, e)| (e.key, e.seq))
-            // lit-lint: allow(no-panic-hot-path, "the bitmap tracks emptiness exactly, so the slot queue is non-empty")
             .expect("wheel: occupied slot is empty");
         Some(MinPos {
             level: l,
@@ -364,7 +416,10 @@ impl<T> TimerWheel<T> {
                 m
             }
         };
-        // lit-lint: allow(no-panic-hot-path, "hint invariant: find_min cached a live position and every mutation clears the hint")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "hint invariant: find_min cached a live position and every mutation clears the hint"
+        )]
         let e = &self.slots[pos.level * SLOTS + pos.slot][pos.idx];
         debug_assert_eq!((e.key, e.seq), (pos.key, pos.seq));
         Some((e.key, e.item_ref()))
