@@ -53,7 +53,7 @@ pub use discipline::{Discipline, DisciplineFactory, RegulatorBackend, ScheduleDe
 pub use equeue::QueueKind;
 pub use lit_obs::{NoopProbe, ObsProbe, PacketView, Probe};
 pub use lit_sim::EventBackend;
-pub use network::{Network, NetworkBuilder};
+pub use network::{EventSetStats, Network, NetworkBuilder};
 pub use oracle::{OracleConfig, OracleMode, OracleTotals, SessionBounds, ViolationKind};
 pub use packet::{NodeId, Packet, SessionId};
 pub use spec::{DelayAssignment, DelayCoeffs, LinkParams, SessionSpec};
@@ -345,60 +345,251 @@ mod tests {
         }
     }
 
+    /// FCFS whose regulator hold depends on the session — `base` times
+    /// the session id modulo `cycle` — so that eligibility instants at a
+    /// node are *not* in arrival order, and some packets are not held.
+    struct Staggered {
+        base: Duration,
+        cycle: u32,
+    }
+
+    impl Discipline for Staggered {
+        fn name(&self) -> &'static str {
+            "test-staggered"
+        }
+        fn register_session(&mut self, _: &SessionSpec, _: &DelayAssignment) {}
+        fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
+            let eligible = now + self.base * u64::from(pkt.session.0 % self.cycle);
+            pkt.deadline = eligible;
+            ScheduleDecision::at(eligible, eligible)
+        }
+        fn on_departure(&mut self, _: &mut Packet, _: Time) {}
+    }
+
+    fn staggered_factory(
+        base: Duration,
+        cycle: u32,
+    ) -> impl Fn(&LinkParams) -> Box<dyn Discipline> {
+        move |_: &LinkParams| Box::new(Staggered { base, cycle }) as Box<dyn Discipline>
+    }
+
+    /// A source that lies about being periodic: it reports `gap` as its
+    /// period and emits at `k·gap` plus up to a whole gap of jitter.
+    struct Liar {
+        gap: Duration,
+        next: Time,
+    }
+
+    impl lit_traffic::Source for Liar {
+        fn next_emission(&mut self, rng: &mut lit_sim::SimRng) -> Option<lit_traffic::Emission> {
+            self.next += self.gap;
+            let jitter = Duration::from_ps(rng.below(self.gap.as_ps()));
+            Some(lit_traffic::Emission {
+                at: self.next + jitter,
+                len_bits: 424,
+            })
+        }
+        fn period(&self) -> Option<Duration> {
+            Some(self.gap)
+        }
+    }
+
+    /// Everything a run shows of itself: the event count, and per session
+    /// the counts, the delay extremes and the delivery log.
+    fn outcome(net: &Network) -> impl PartialEq + std::fmt::Debug {
+        let sessions: Vec<_> = (0..net.num_sessions() as u32)
+            .map(|i| {
+                let st = net.session_stats(SessionId(i));
+                let log: Vec<DeliveryRecord> = st.deliveries.iter().cloned().collect();
+                let delays = (st.e2e.min(), st.max_delay(), st.jitter());
+                (st.injected, st.delivered, delays, st.max_excess(), log)
+            })
+            .collect();
+        (net.event_count(), sessions)
+    }
+
+    /// The event-set engine is a pure performance knob: every backend
+    /// pops the identical `(time, seq)` sequence — the heap with its
+    /// sorted-run lanes, the calendar and the wheel without any — so a
+    /// whole run (regulator holds, contention, RNG draws and all) is
+    /// equal down to the delivery logs and the event count. `add`
+    /// populates the builder and says how long to run; returns what the
+    /// heap's lanes did.
+    fn assert_matches_heap(
+        other: EventBackend,
+        factory: &DisciplineFactory<'_>,
+        add: impl Fn(&mut NetworkBuilder) -> Time,
+    ) -> EventSetStats {
+        let run = |backend: EventBackend| {
+            let cfg = StatsConfig {
+                delivery_log_cap: 32,
+                ..Default::default()
+            };
+            let mut b = NetworkBuilder::new()
+                .seed(21)
+                .stats(cfg)
+                .event_backend(backend);
+            let until = add(&mut b);
+            let mut net = b.build(factory);
+            net.run_until(until);
+            net
+        };
+        let (heap, reference) = (run(EventBackend::Heap), run(other));
+        assert_eq!(outcome(&heap), outcome(&reference), "heap vs {other:?}");
+        let laneless = reference.event_set_stats();
+        assert_eq!((laneless.lane_appended, laneless.lane_fell_back), (0, 0));
+        heap.event_set_stats()
+    }
+
+    /// Eight Poisson sessions over three hops, every packet held 30 µs:
+    /// no source is periodic, the release lanes carry every hold.
+    fn poisson_tandem(b: &mut NetworkBuilder) -> Time {
+        let nodes = b.tandem(3, LinkParams::paper_t1());
+        for _ in 0..8 {
+            b.add_session(
+                SessionSpec::atm(SessionId(0), 150_000),
+                &nodes,
+                Box::new(PoissonSource::new(Duration::from_ms(4), 424)),
+            );
+        }
+        Time::from_secs(10)
+    }
+
+    /// 2 000 phase-*aligned* CBR sessions of two periods over two hops,
+    /// every second one jitter-controlled, plus one of a third period
+    /// nobody shares; run with the odd sessions held one cell time and
+    /// the even ones not at all. Cells reach node 1 one cell time apart,
+    /// so an odd session's release (a lane head) falls on the very
+    /// picosecond the next even session's cell arrives and is eligible
+    /// at once (a heap event) with the same FCFS key: which of the two
+    /// transmits first is decided by push order alone. The periods are
+    /// 4 000 and 5 000 cell times, so injections (lane heads) also fall
+    /// on `TxDone`s of the burst before.
+    fn aligned_cbr(b: &mut NetworkBuilder) -> Time {
+        let cell = LinkParams::paper_t1().lmax_time();
+        let nodes = b.tandem(2, LinkParams::paper_t1());
+        for i in 0..2_000u64 {
+            let mut spec = SessionSpec::atm(SessionId(0), 300);
+            spec.jitter_control = i % 2 == 1;
+            let gap = cell * (4_000 + 1_000 * (i / 2 % 2));
+            b.add_session(spec, &nodes, Box::new(DeterministicSource::new(gap, 424)));
+        }
+        let lone = DeterministicSource::new(cell * 4_500, 424);
+        b.add_session(SessionSpec::atm(SessionId(0), 300), &nodes, Box::new(lone));
+        Time::ZERO + cell * 13_000
+    }
+
+    /// Forty sources that claim one period and jitter every emission.
+    fn lying_sources(b: &mut NetworkBuilder) -> Time {
+        let nodes = b.tandem(2, LinkParams::paper_t1());
+        for _ in 0..40 {
+            let source = Liar {
+                gap: Duration::from_ms(20),
+                next: Time::ZERO,
+            };
+            b.add_session(
+                SessionSpec::atm(SessionId(0), 30_000),
+                &nodes,
+                Box::new(source),
+            );
+        }
+        Time::from_secs(4)
+    }
+
+    /// Nodes 0 and 1 both feed node 2; staggered CBR phases.
+    fn fan_in(b: &mut NetworkBuilder) -> Time {
+        let nodes = b.tandem(3, LinkParams::paper_t1());
+        for i in 0..30u64 {
+            let route = [nodes[(i % 2) as usize], nodes[2]];
+            let source = DeterministicSource::new(Duration::from_ms(10), 424)
+                .with_offset(Duration::from_us(i * 331));
+            b.add_session(
+                SessionSpec::atm(SessionId(0), 42_400),
+                &route,
+                Box::new(source),
+            );
+        }
+        Time::from_secs(2)
+    }
+
+    fn event_backend_matches_heap(other: EventBackend) {
+        let hold = fifo_factory(Duration::from_us(30));
+        let seen = assert_matches_heap(other, &hold, poisson_tandem);
+        assert!(
+            seen.lane_appended > 0 && seen.lane_fell_back == 0,
+            "{seen:?}"
+        );
+
+        let alternate = staggered_factory(LinkParams::paper_t1().lmax_time(), 2);
+        let seen = assert_matches_heap(other, &alternate, aligned_cbr);
+        assert_eq!(seen.lane_fell_back, 0, "{seen:?}");
+        // Only the lone session's injections and the packets on the wire
+        // ever sat in the heap.
+        assert!(seen.heap_high_water <= 8, "{seen:?}");
+
+        // A lying period hint and out-of-order releases cost fallbacks,
+        // never order.
+        let seen = assert_matches_heap(other, &hold, lying_sources);
+        assert!(seen.lane_fell_back > 0, "{seen:?}");
+        let staggered = staggered_factory(Duration::from_us(400), 3);
+        let seen = assert_matches_heap(other, &staggered, fan_in);
+        assert!(seen.lane_fell_back > 0, "{seen:?}");
+    }
+
     #[test]
     fn calendar_event_backend_matches_heap() {
-        // The event-set engine is a pure performance knob: both backends
-        // must pop the identical (time, seq) sequence, so a whole run —
-        // regulator holds, contention, RNG draws and all — is bit-equal.
-        let run = |backend: EventBackend| {
-            let mut b = NetworkBuilder::new().seed(21).event_backend(backend);
-            let nodes = b.tandem(3, LinkParams::paper_t1());
-            let mut sids = Vec::new();
-            for _ in 0..8 {
-                sids.push(b.add_session(
-                    SessionSpec::atm(SessionId(0), 150_000),
-                    &nodes,
-                    Box::new(PoissonSource::new(Duration::from_ms(4), 424)),
-                ));
-            }
-            let mut net = b.build(&fifo_factory(Duration::from_us(30)));
-            net.run_until(Time::from_secs(10));
-            sids.iter()
-                .map(|&s| {
-                    let st = net.session_stats(s);
-                    (st.delivered, st.max_delay(), st.jitter())
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(EventBackend::Heap), run(EventBackend::Calendar));
+        event_backend_matches_heap(EventBackend::Calendar);
     }
 
     #[test]
     fn wheel_event_backend_matches_heap() {
-        // Same contract as the calendar test: the hierarchical timer wheel
-        // must pop the identical (time, seq) sequence as the heap,
-        // so whole runs are bit-equal.
-        let run = |backend: EventBackend| {
-            let mut b = NetworkBuilder::new().seed(34).event_backend(backend);
-            let nodes = b.tandem(3, LinkParams::paper_t1());
-            let mut sids = Vec::new();
-            for _ in 0..8 {
-                sids.push(b.add_session(
-                    SessionSpec::atm(SessionId(0), 150_000),
-                    &nodes,
-                    Box::new(PoissonSource::new(Duration::from_ms(4), 424)),
-                ));
-            }
-            let mut net = b.build(&fifo_factory(Duration::from_us(30)));
-            net.run_until(Time::from_secs(10));
-            sids.iter()
-                .map(|&s| {
-                    let st = net.session_stats(s);
-                    (st.delivered, st.max_delay(), st.jitter())
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(EventBackend::Heap), run(EventBackend::Wheel));
+        event_backend_matches_heap(EventBackend::Wheel);
+    }
+
+    #[test]
+    fn build_opens_a_lane_only_for_a_period_two_sources_share() {
+        let mut b = NetworkBuilder::new();
+        let nodes = b.tandem(1, LinkParams::paper_t1());
+        let cbr = |ms| DeterministicSource::new(Duration::from_ms(ms), 424);
+        let spec = SessionSpec::atm(SessionId(0), 100_000);
+        b.add_session(spec, &nodes, Box::new(cbr(10)));
+        b.add_session(spec, &nodes, Box::new(cbr(15))); // nobody else's period
+        let shifted = cbr(10).with_offset(Duration::from_ms(3));
+        b.add_session(spec, &nodes, Box::new(shifted));
+        let poisson = PoissonSource::new(Duration::from_ms(8), 424);
+        b.add_session(spec, &nodes, Box::new(poisson));
+        let net = b.build(&fifo_factory(Duration::ZERO));
+        // First injections: two through the 10 ms lane, two on the heap.
+        let seen = net.event_set_stats();
+        assert_eq!((seen.lane_appended, seen.heap_high_water), (2, 2));
+        assert_eq!(net.event_count(), 4);
+    }
+
+    #[test]
+    fn cbr_sessions_leave_the_heap_to_packets_in_flight() {
+        // A 10 000-session copy of `lit-bench`'s `sessions_100k` builder,
+        // every packet held 30 µs at each hop.
+        const N: u64 = 10_000;
+        let link = LinkParams::paper_t1();
+        let mut b = NetworkBuilder::new().stats(StatsConfig::compact());
+        let nodes = b.tandem(2, link);
+        let rate = link.rate_bps * 8 / 10 / N;
+        let gap = Duration::from_bits_at_rate(424, rate);
+        for i in 0..N {
+            let mut spec = SessionSpec::atm(SessionId(0), rate);
+            spec.jitter_control = i % 2 == 1;
+            let offset = gap * i / N + Duration::from_ns(37);
+            let source = DeterministicSource::new(gap, 424).with_offset(offset);
+            b.add_session(spec, &nodes, Box::new(source));
+        }
+        let mut net = b.build(&fifo_factory(Duration::from_us(30)));
+        net.run_until(Time::ZERO + gap * 4);
+        let seen = net.event_set_stats();
+        assert!(seen.heap_high_water <= 8, "{seen:?}");
+        assert_eq!(seen.lane_fell_back, 0, "{seen:?}");
+        // Per packet: its source's next injection and a release per hop.
+        let injected = net.session_stats(SessionId(0)).injected * N;
+        assert!(seen.lane_appended >= injected * 3, "{seen:?}");
     }
 
     #[test]

@@ -18,8 +18,9 @@ use crate::shard::{owner_of, Shard};
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
 use crate::stats::{NodeStats, SessionStats, StatsConfig};
 use lit_obs::Probe;
-use lit_sim::{Duration, EventBackend, SeedSeq, Time};
+use lit_sim::{Duration, EventBackend, EventQueue, Lane, SeedSeq, Time};
 use lit_traffic::Source;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A session definition awaiting `build`.
@@ -125,11 +126,14 @@ impl NetworkBuilder {
 
     /// Select the engine of the future-event set (default:
     /// [`EventBackend::Heap`]). All three backends pop the identical
-    /// event sequence, so this is purely a performance knob. Measured by
-    /// `lit-bench`'s traced pass against the heap: the wheel costs
-    /// +53…+88 ns/event and the calendar +12…+33 ns/event on the
-    /// shallow-event-set workloads; at an event set 1.5e5 deep the wheel
-    /// costs +26…+56 and the calendar ties (−3…+9, median +0.2).
+    /// event sequence, so this is purely a performance knob; only the
+    /// heap has lanes for sorted runs (periodic injections, per-session
+    /// regulator releases), under the other two every event is pushed
+    /// alike. Measured by `lit-bench`'s traced pass against the heap, one
+    /// pass per workload: the wheel costs +52…+76 ns/event and the
+    /// calendar +22…+29 on the shallow-event-set workloads; at 1.5e5
+    /// pending events, where the heap keeps 5 and lanes the rest, the
+    /// wheel costs +58 and the calendar +42.
     pub fn event_backend(mut self, backend: EventBackend) -> Self {
         self.event_backend = backend;
         self
@@ -224,6 +228,7 @@ impl NetworkBuilder {
 
         let mut shards: Vec<Shard> = (0..nshards)
             .map(|id| {
+                let mut events = EventQueue::with_backend(self.event_backend);
                 let core = NodeCore::new(
                     Arc::clone(&topo),
                     |n| owner(n as u32) == id,
@@ -231,10 +236,23 @@ impl NetworkBuilder {
                     self.queue_kind,
                     self.oracle,
                     self.regulator,
+                    &mut events,
                 );
-                Shard::new(id, nshards, core, self.event_backend)
+                Shard::new(id, nshards, core, events)
             })
             .collect();
+
+        // Sources of one period on one shard fire in a fixed cyclic order:
+        // a sorted run, which gets an event-set lane. Count first — a
+        // period only one source has stays on the heap, so there are never
+        // more lanes than half the sessions.
+        let first_owner = |sid: usize| owner(topo.hops[sid][0].0);
+        let mut periods: BTreeMap<(usize, Duration), (usize, Option<Lane>)> = BTreeMap::new();
+        for (sid, source) in sources.iter().enumerate() {
+            if let Some(period) = source.period() {
+                periods.entry((first_owner(sid), period)).or_default().0 += 1;
+            }
+        }
 
         // Register sessions: disciplines and a stats row on each hop's
         // owner, the injector (with its RNG from the global per-session
@@ -248,9 +266,19 @@ impl NetworkBuilder {
                     .core
                     .register_hop(sid, *node, delay, &self.stats_cfg);
             }
-            let first = &mut shards[owner(route[0].0)];
-            if let Some(at) = first.core.install_injector(sid, source, rng) {
-                first.sink.events.push(at, Ev::Inject { sid: sid as u32 });
+            let first = &mut shards[first_owner(sid)];
+            let events = &mut first.sink.events;
+            let lane = source
+                .period()
+                .and_then(|period| periods.get_mut(&(first_owner(sid), period)))
+                .filter(|(sharing, _)| *sharing >= 2)
+                .map(|(_, lane)| *lane.get_or_insert_with(|| events.lane()));
+            if let Some(at) = first.core.install_injector(sid, source, rng, lane) {
+                let ev = Ev::Inject { sid: sid as u32 };
+                match lane {
+                    Some(lane) => events.push_lane(lane, at, ev),
+                    None => events.push(at, ev),
+                }
             }
         }
 
@@ -303,6 +331,24 @@ impl NetworkBuilder {
             s
         }
     }
+}
+
+/// Exact counters of the future-event sets behind a [`Network`]
+/// ([`Network::event_set_stats`]): no clock is read for them, and they
+/// repeat run for run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventSetStats {
+    /// Most events the heap ever held at once — what a pop sifts
+    /// through; events waiting in lanes are not in it. Each shard's own
+    /// high-water mark, added up.
+    pub heap_high_water: u64,
+    /// Events scheduled through a lane (`Inject` of a periodic source,
+    /// `Eligible` of a per-session regulator) that kept it sorted.
+    pub lane_appended: u64,
+    /// Lane pushes that would have broken the lane's order and went to
+    /// the heap instead. Always zero under the calendar and the wheel,
+    /// which have no lanes.
+    pub lane_fell_back: u64,
 }
 
 /// The network: topology + sessions + node-step cores + accumulated
@@ -440,6 +486,18 @@ impl Network {
     /// shard counts: same workload, same count.
     pub fn event_count(&self) -> u64 {
         self.shards.iter().map(Shard::event_count).sum()
+    }
+
+    /// What the future-event sets did, summed over the shards.
+    pub fn event_set_stats(&self) -> EventSetStats {
+        let mut sum = EventSetStats::default();
+        for events in self.shards.iter().map(|s| &s.sink.events) {
+            let (appended, fell_back) = events.lane_pushes();
+            sum.heap_high_water += events.heap_high_water();
+            sum.lane_appended += appended;
+            sum.lane_fell_back += fell_back;
+        }
+        sum
     }
 
     /// Remove the installed observability probe. Callers that install a

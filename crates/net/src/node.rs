@@ -23,6 +23,18 @@
 //! *when* they hand events back (event-set FIFO order, or canonically
 //! sorted same-instant groups inside lookahead windows) and a unit test
 //! drive a node with no event set at all.
+//!
+//! Two kinds of event are sorted runs and go through event-set *lanes*
+//! ([`Sink::emit_lane`], see `lit_sim::EventQueue`): the next `Inject` of
+//! a periodic source, on the lane its period shares with the other
+//! sources of that period, and the `Eligible` of a packet a per-session
+//! regulator holds, on the lane of its node. The second is the paper's
+//! eq. 9: a jitter-controlled packet's eligibility at node n+1 is
+//! `Fⁿ + L_MAX/Cₙ + Γₙ + (dⁿ_max − dⁿᵢ)` — the actual finish time
+//! cancels — and node n serves in increasing `Fⁿ`, so releases reach the
+//! next regulator already in time order. The lane is a hint: a push
+//! that would break its order falls through to the heap, and the pop
+//! order is the no-lane one either way.
 
 #![deny(
     clippy::unwrap_used,
@@ -44,7 +56,7 @@ use crate::packet::{Packet, SessionId};
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
 use crate::stats::{DeliveryRecord, NodeStats, SessionStats, StatsConfig};
 use lit_obs::{PacketView, Probe};
-use lit_sim::{Duration, EventQueue, SimRng, Time};
+use lit_sim::{Duration, EventQueue, Lane, SimRng, Time};
 use lit_traffic::{Emission, Source};
 use std::sync::Arc;
 
@@ -76,6 +88,11 @@ pub(crate) enum Ev {
 pub(crate) trait Sink {
     /// Schedule `ev` at `at`, never earlier than the core's clock.
     fn emit(&mut self, at: Time, ev: Ev);
+    /// [`Sink::emit`] with a hint: `ev` continues the sorted run `lane`
+    /// was opened for. Same order of dispatch as `emit` in every case.
+    fn emit_lane(&mut self, _lane: Lane, at: Time, ev: Ev) {
+        self.emit(at, ev);
+    }
     /// The packet's next hop is `node`, which the emitting core does not
     /// own: deliver it there at `at`.
     fn handoff(&mut self, node: u32, at: Time, pkt: Packet);
@@ -88,6 +105,10 @@ pub(crate) trait Sink {
 impl Sink for EventQueue<Ev> {
     fn emit(&mut self, at: Time, ev: Ev) {
         self.push(at, ev);
+    }
+
+    fn emit_lane(&mut self, lane: Lane, at: Time, ev: Ev) {
+        self.push_lane(lane, at, ev);
     }
 
     fn handoff(&mut self, node: u32, _at: Time, _pkt: Packet) {
@@ -141,6 +162,8 @@ struct NodeRt {
     /// under [`RegulatorBackend::Interleaved`]; stays empty (and costs
     /// nothing) under the per-session backend.
     fifo: RegFifo<PacketRef>,
+    /// The event-set lane of this node's per-session regulator releases.
+    releases: Lane,
 }
 
 /// The injector of one session, owned by the core of its first hop.
@@ -153,6 +176,8 @@ struct Injector {
     pending: Option<Emission>,
     /// Reference-server clock `W_{i-1,s}` (eq. 1); `None` before packet 1.
     ref_w: Option<Time>,
+    /// The event-set lane of the source's period, if it shares one.
+    lane: Option<Lane>,
 }
 
 /// The slot of something this core owns. Every index an event carries
@@ -240,7 +265,9 @@ pub(crate) struct NodeCore {
 }
 
 impl NodeCore {
-    /// A core over the nodes `owns` selects, with no sessions yet.
+    /// A core over the nodes `owns` selects, with no sessions yet; opens
+    /// one release lane per owned node in `events`, the event set that
+    /// will feed it.
     pub(crate) fn new(
         topo: Arc<Topology>,
         owns: impl Fn(usize) -> bool,
@@ -248,6 +275,7 @@ impl NodeCore {
         queue_kind: QueueKind,
         oracle: OracleConfig,
         regulator: RegulatorBackend,
+        events: &mut EventQueue<Ev>,
     ) -> Self {
         let session_hops: Vec<usize> = topo.hops.iter().map(Vec::len).collect();
         let mut oracle = OracleRt::new(oracle, &session_hops);
@@ -266,6 +294,7 @@ impl NodeCore {
                         queue: EligibleQueue::new(queue_kind),
                         current: None,
                         fifo: RegFifo::new(),
+                        releases: events.lane(),
                     })
                 })
                 .collect(),
@@ -300,12 +329,14 @@ impl NodeCore {
     }
 
     /// Install the injector of session `sid` (whose first hop this core
-    /// owns) and pull its first emission; returns when to inject it.
+    /// owns), scheduling through `lane` if given, and pull its first
+    /// emission; returns when to inject it.
     pub(crate) fn install_injector(
         &mut self,
         sid: usize,
         source: Box<dyn Source>,
         rng: SimRng,
+        lane: Option<Lane>,
     ) -> Option<Time> {
         let mut inj = Injector {
             rate_bps: self.topo.specs.get(sid).map_or(0, |s| s.rate_bps),
@@ -314,6 +345,7 @@ impl NodeCore {
             next_seq: 1, // the paper numbers packets from 1
             pending: None,
             ref_w: None,
+            lane,
         };
         inj.pending = inj.source.next_emission(&mut inj.rng);
         let at = inj.pending.map(|e| e.at);
@@ -375,7 +407,10 @@ impl NodeCore {
         s.pending = s.source.next_emission(&mut s.rng);
         if let Some(next) = s.pending {
             debug_assert!(next.at >= e.at, "source emitted into the past");
-            sink.emit(next.at, Ev::Inject { sid });
+            match s.lane {
+                Some(lane) => sink.emit_lane(lane, next.at, Ev::Inject { sid }),
+                None => sink.emit(next.at, Ev::Inject { sid }),
+            }
         }
 
         let st = owned(&mut self.stats, sid as usize);
@@ -459,7 +494,7 @@ impl NodeCore {
             }
         } else if decision.eligible > now {
             self.arena.hold(p, decision.key, decision.eligible);
-            sink.emit(decision.eligible, Ev::Eligible { p });
+            sink.emit_lane(node.releases, decision.eligible, Ev::Eligible { p });
         } else {
             self.enqueue_eligible(node_idx, p, decision.key, sink);
         }
@@ -840,11 +875,12 @@ mod tests {
             QueueKind::Exact,
             oracle,
             regulator,
+            &mut EventQueue::new(),
         );
         core.register_hop(0, 0, &spec.delay, &StatsConfig::default());
         let cells = [(Time::from_us(1_000), 424), (Time::from_us(1_100), 424)];
         let source = Box::new(TraceSource::from_pairs(cells));
-        let first = core.install_injector(0, source, SimRng::seed_from(1));
+        let first = core.install_injector(0, source, SimRng::seed_from(1), None);
         assert_eq!(first, Some(Time::from_us(1_000)));
         core
     }

@@ -105,7 +105,7 @@
 
 use crate::node::{Ev, NodeCore, Sink, Topology};
 use crate::packet::Packet;
-use lit_sim::{EventBackend, EventQueue, Time};
+use lit_sim::{EventQueue, Lane, Time};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -203,12 +203,15 @@ impl Sink for ShardSink {
     /// Same-instant events append to the current group's tail (FIFO,
     /// like a heap loop would pop them), future ones go to the event set.
     fn emit(&mut self, at: Time, ev: Ev) {
-        debug_assert!(at >= self.now, "scheduled into the past");
-        if at == self.now {
-            self.group.push(ev);
-            self.appended += 1;
-        } else {
+        if !self.joins_group(at, ev) {
             self.events.push(at, ev);
+        }
+    }
+
+    /// As `emit`, with future events going through `lane`.
+    fn emit_lane(&mut self, lane: Lane, at: Time, ev: Ev) {
+        if !self.joins_group(at, ev) {
+            self.events.push_lane(lane, at, ev);
         }
     }
 
@@ -224,6 +227,18 @@ impl Sink for ShardSink {
 }
 
 impl ShardSink {
+    /// Append `ev` to the tail of the group being dispatched if it is due
+    /// at this very instant; says whether it was.
+    fn joins_group(&mut self, at: Time, ev: Ev) -> bool {
+        debug_assert!(at >= self.now, "scheduled into the past");
+        let joins = at == self.now;
+        if joins {
+            self.group.push(ev);
+            self.appended += 1;
+        }
+        joins
+    }
+
     /// Send a handoff to shard `dest`: through the bounded channel while
     /// it has room, then through the spill lane for the rest of the
     /// window (per-pair FIFO is preserved: the receiver drains the
@@ -285,11 +300,12 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Shard `id` of `nshards` over `core`, with no mailboxes yet.
-    pub(crate) fn new(id: usize, nshards: usize, core: NodeCore, backend: EventBackend) -> Self {
+    /// Shard `id` of `nshards`: `core` fed by `events` (the event set
+    /// its lanes were opened in), with no mailboxes yet.
+    pub(crate) fn new(id: usize, nshards: usize, core: NodeCore, events: EventQueue<Ev>) -> Self {
         Shard {
             sink: ShardSink {
-                events: EventQueue::with_backend(backend),
+                events,
                 now: Time::ZERO,
                 group: Vec::new(),
                 appended: 0,

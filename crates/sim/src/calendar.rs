@@ -509,7 +509,11 @@ impl<T> CalendarQueue<T> {
                 if let Some(m) = best {
                     // Everything lives ≥ a year ahead; restart future
                     // scans at the minimum instead of re-walking the ring.
-                    self.cur.set(m.key);
+                    // The overflow may hold something earlier, which a
+                    // rebuild can bring back into the ring: the cursor
+                    // stays a lower bound on that too.
+                    let ov = self.ov_min.map_or(m.key, |(key, _)| key);
+                    self.cur.set(m.key.min(ov));
                 }
             }
         }
@@ -639,6 +643,32 @@ mod tests {
         assert_eq!(q.pop().unwrap().0, 1_200);
         assert_eq!(q.pop().unwrap().0, 1_500);
         assert_eq!(q.pop().unwrap().0, 2_000);
+    }
+
+    #[test]
+    fn cursor_jump_on_peek_respects_the_overflow() {
+        // Six entries at width 1 spill the 16 000s to the overflow. Once
+        // the ring holds only the far 64 000, a *peek* finds its year
+        // empty and jumps the cursor — which must not pass the overflow's
+        // 16 000s, or the next push drags it to 17 000 and the rebuild
+        // that re-rings them leaves them behind it.
+        let mut q = CalendarQueue::new();
+        for key in [4_000, 16_000, 4_000, 16_000, 8_000, 16_000] {
+            q.push(key, ());
+        }
+        assert_eq!(q.pop(), Some((4_000, ())));
+        q.push(13_000, ());
+        q.push(64_000, ());
+        for want in [4_000, 8_000, 13_000, 16_000] {
+            assert_eq!(q.pop(), Some((want, ())));
+        }
+        assert_eq!(q.peek_key(), Some(16_000));
+        q.push(17_000, ());
+        assert_eq!(q.peek_key(), Some(16_000));
+        for want in [16_000, 16_000, 17_000, 64_000] {
+            assert_eq!(q.pop(), Some((want, ())));
+        }
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

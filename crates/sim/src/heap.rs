@@ -97,6 +97,23 @@ impl<E: Copy> QuadHeap<E> {
         self.v.first().map(|e| e.at)
     }
 
+    /// The earliest entry's `(at, seq)` as one integer — comparable
+    /// across heaps fed from one seq counter — and its payload.
+    #[inline]
+    pub(crate) fn peek(&self) -> Option<(u128, &E)> {
+        self.v.first().map(|e| (e.key(), &e.event))
+    }
+
+    /// Overwrite the earliest entry with a later one: one sift instead of
+    /// the two of a pop followed by a push. A no-op on an empty heap.
+    #[inline]
+    pub(crate) fn replace_root(&mut self, at: Time, seq: u64, event: E) {
+        if !self.v.is_empty() {
+            let hole = self.sink_hole();
+            self.sift_up(hole, Entry { at, seq, event });
+        }
+    }
+
     pub(crate) fn push(&mut self, at: Time, seq: u64, event: E) {
         let hole = self.v.len();
         let e = Entry { at, seq, event };
@@ -231,6 +248,34 @@ mod tests {
             }
             assert_eq!(h.pop_if(|_, _| true), None);
         }
+    }
+
+    #[test]
+    fn replace_root_is_pop_then_push() {
+        // Every size around the first two level boundaries, the
+        // replacement landing before, among and after what is pending.
+        for n in 1..=22u64 {
+            for at in [0, 2 * n / 3, 2 * n + 1] {
+                let mut h = QuadHeap::with_capacity(0);
+                let mut want = QuadHeap::with_capacity(0);
+                for i in 0..n {
+                    h.push(Time::from_ps(2 * (n - i)), i, i);
+                    want.push(Time::from_ps(2 * (n - i)), i, i);
+                }
+                assert_eq!(h.peek(), Some(((2u128 << 64) | (n - 1) as u128, &(n - 1))));
+                h.replace_root(Time::from_ps(at), n, n);
+                want.pop_if(|_, _| true);
+                want.push(Time::from_ps(at), n, n);
+                assert_heap(&h);
+                while let Some(e) = want.pop_if(|_, _| true) {
+                    assert_eq!(h.pop_if(|_, _| true), Some(e));
+                }
+                assert_eq!(h.len(), 0);
+            }
+        }
+        let mut empty = QuadHeap::<u8>::with_capacity(0);
+        empty.replace_root(Time::ZERO, 0, 0);
+        assert_eq!(empty.peek(), None);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`EventQueue`] — the future-event set, FIFO-stable among same-time
 //!   events so runs are bit-reproducible, with a pluggable engine
 //!   ([`EventBackend`]): 4-ary heap by default, amortized-O(1)
-//!   [`CalendarQueue`] ring or hierarchical [`TimerWheel`] opt-in;
+//!   [`CalendarQueue`] ring or hierarchical [`TimerWheel`] opt-in; sorted
+//!   runs of events wait in FIFO [`Lane`]s beside the heap, same pop order;
 //! * [`KeyedEntry`] — the shared reversed-`Ord` entry for FIFO-stable
 //!   min-heaps throughout the workspace;
 //! * [`SimRng`] / [`SeedSeq`] — per-component reproducible random streams.
@@ -31,7 +32,7 @@ mod wheel;
 
 pub use calendar::CalendarQueue;
 pub use entry::KeyedEntry;
-pub use queue::{EventBackend, EventQueue};
+pub use queue::{EventBackend, EventQueue, Lane};
 pub use rng::{SeedSeq, SimRng};
 pub use time::{Duration, Time, PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};
 pub use wheel::TimerWheel;

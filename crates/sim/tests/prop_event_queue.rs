@@ -214,6 +214,160 @@ fn refusal_drain_clear_and_reuse() {
     }
 }
 
+/// One step of a lane program.
+#[derive(Clone, Copy, Debug)]
+enum LaneOp {
+    Push(Time),
+    /// Through lane number `.0` (of the 1–4 the program opened).
+    PushLane(usize, Time),
+    Pop,
+    /// `pop_if` with a predicate that says no.
+    Refuse,
+    /// `pop_if(|t, _| t <= horizon)` until it declines.
+    PopDue(Time),
+    /// Pop until empty: every lane drained, then reused.
+    Drain,
+    Clear,
+}
+
+/// A program over `lanes` lanes on a 1 ns grid 64 wide that creeps
+/// forward, so that lane heads tie with heap roots and with each other
+/// all the time. A lane push usually continues its lane's run, and
+/// deliberately often does not (the fallback); either kind of push is
+/// sometimes a far-future sentinel.
+fn gen_lane_program(g: &mut Gen, lanes: usize) -> Vec<LaneOp> {
+    let n = g.size(1, 300);
+    let mut base = 0u64;
+    let mut tails = vec![0u64; lanes];
+    let at = |g: &mut Gen, base: u64| match g.weighted(&[12, 1]) {
+        0 => (base + g.below(64)) * 1_000,
+        _ => u64::MAX - g.below(3),
+    };
+    (0..n)
+        .map(|_| {
+            base += g.below(3);
+            match g.weighted(&[6, 12, 8, 1, 2, 1, 1]) {
+                0 => LaneOp::Push(Time::from_ps(at(g, base))),
+                1 => {
+                    let lane = g.size(0, lanes);
+                    let t = match g.weighted(&[3, 1]) {
+                        // At or after the lane's last push…
+                        0 => (tails[lane].max(base * 1_000)).saturating_add(g.below(4) * 1_000),
+                        // …or wherever, which usually is before it.
+                        _ => at(g, base),
+                    };
+                    tails[lane] = t;
+                    LaneOp::PushLane(lane, Time::from_ps(t))
+                }
+                2 => LaneOp::Pop,
+                3 => LaneOp::Refuse,
+                4 => LaneOp::PopDue(Time::from_ps((base + g.below(64)) * 1_000)),
+                5 => {
+                    tails.fill(0);
+                    LaneOp::Drain
+                }
+                _ => {
+                    tails.fill(0);
+                    LaneOp::Clear
+                }
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn lanes_match_sorted_reference_on_every_backend() {
+    check("lanes_match_sorted_reference_on_every_backend", |g| {
+        let lanes = g.size(1, 5);
+        let program = gen_lane_program(g, lanes);
+        for backend in [
+            EventBackend::Heap,
+            EventBackend::Calendar,
+            EventBackend::Wheel,
+        ] {
+            let mut q = EventQueue::with_backend(backend);
+            let handles: Vec<_> = (0..lanes).map(|_| q.lane()).collect();
+            // Reference: a Vec kept sorted by (time, push index); the
+            // payload is the push index.
+            let mut model: Vec<(Time, u64)> = Vec::new();
+            let mut idx = 0u64;
+            let mut lane_pushes = 0u64;
+            let file = |model: &mut Vec<(Time, u64)>, t: Time, idx: &mut u64| {
+                let at = model.partition_point(|&(mt, _)| mt <= t);
+                model.insert(at, (t, *idx));
+                *idx += 1;
+            };
+            for &op in &program {
+                match op {
+                    LaneOp::Push(t) => {
+                        q.push(t, idx);
+                        file(&mut model, t, &mut idx);
+                    }
+                    LaneOp::PushLane(lane, t) => {
+                        q.push_lane(handles[lane], t, idx);
+                        file(&mut model, t, &mut idx);
+                        lane_pushes += 1;
+                    }
+                    LaneOp::Pop => {
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        assert_eq!(q.pop(), want);
+                    }
+                    LaneOp::Refuse => {
+                        let front = model.first().copied();
+                        let mut shown = None;
+                        assert_eq!(
+                            q.pop_if(|t, &e| {
+                                shown = Some((t, e));
+                                false
+                            }),
+                            None
+                        );
+                        assert_eq!(shown, front, "the predicate sees the front");
+                    }
+                    LaneOp::PopDue(horizon) => {
+                        while let Some(got) = q.pop_if(|t, _| t <= horizon) {
+                            assert_eq!(got, model.remove(0));
+                        }
+                        assert!(model.first().is_none_or(|&(t, _)| t > horizon));
+                    }
+                    LaneOp::Drain => {
+                        for want in model.drain(..) {
+                            assert_eq!(q.pop(), Some(want));
+                        }
+                        assert_eq!(q.pop(), None);
+                    }
+                    LaneOp::Clear => {
+                        q.clear();
+                        model.clear();
+                    }
+                }
+                assert_eq!(q.len(), model.len());
+                assert_eq!(q.is_empty(), model.is_empty());
+                assert_eq!(q.pushed(), idx);
+                assert_eq!(
+                    q.peek_time(),
+                    model.first().map(|&(t, _)| t),
+                    "{backend:?} after {op:?}"
+                );
+                assert!(q.heap_len() <= q.len());
+                assert!(q.heap_high_water() >= q.heap_len() as u64);
+            }
+            // Whatever is left comes out in exact model order.
+            for want in model {
+                assert_eq!(q.pop(), Some(want));
+            }
+            assert_eq!(q.pop(), None);
+            // Only the heap has lanes; there every lane push is counted
+            // as one or the other.
+            let (appended, fell_back) = q.lane_pushes();
+            match backend {
+                EventBackend::Heap => assert_eq!(appended + fell_back, lane_pushes),
+                _ => assert_eq!((appended, fell_back), (0, 0)),
+            }
+        }
+    });
+}
+
 #[test]
 fn calendar_and_heap_backends_agree() {
     check("calendar_and_heap_backends_agree", |g| {

@@ -61,6 +61,10 @@ impl Source for DeterministicSource {
     fn mean_rate_bps(&self) -> Option<f64> {
         Some(self.len_bits as f64 / self.gap.as_secs_f64())
     }
+
+    fn period(&self) -> Option<Duration> {
+        Some(self.gap)
+    }
 }
 
 /// An adversarial source: every `period`, emits `burst` packets
@@ -126,6 +130,13 @@ mod tests {
     fn paper_cbr_is_32kbps() {
         let s = DeterministicSource::paper_cbr();
         assert!((s.mean_rate_bps().unwrap() - 32_000.0).abs() < 1.0);
+        // The phase does not change the period; a burst source has none.
+        let s = s.with_offset(Duration::from_ms(2));
+        assert_eq!(s.period(), Some(Duration::from_us(13_250)));
+        assert_eq!(
+            BurstSource::new(Duration::from_ms(10), 4, 424).period(),
+            None
+        );
     }
 
     #[test]

@@ -5,8 +5,15 @@
 //! the next emission and schedules it. Sources carry their own internal
 //! clock, so they are independent of the event loop and can be unit-tested
 //! (and property-tested) in isolation.
+//!
+//! A source may also say that it is strictly periodic
+//! ([`Source::period`]). The executor uses that only to pick the
+//! event-set lane the source's injections go through — sources of one
+//! period fire in a fixed cyclic order, a sorted run — and checks every
+//! push against the lane's tail, so a wrong answer costs speed, never
+//! order.
 
-use lit_sim::{SimRng, Time};
+use lit_sim::{Duration, SimRng, Time};
 
 /// A single packet emission: the instant the packet is handed to the
 /// network (its last bit generated) and its length.
@@ -37,6 +44,13 @@ pub trait Source: Send {
     fn mean_rate_bps(&self) -> Option<f64> {
         None
     }
+
+    /// The fixed spacing of successive emissions, if every gap is the
+    /// same. A scheduling *hint* (see the module docs): never relied on
+    /// for correctness, and `None` is always a valid answer.
+    fn period(&self) -> Option<Duration> {
+        None
+    }
 }
 
 /// Extension helpers for working with sources outside the event loop.
@@ -61,7 +75,6 @@ impl<S: Source + ?Sized> SourceExt for S {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lit_sim::Duration;
 
     /// A two-packet source for exercising the trait plumbing.
     struct TwoShots {

@@ -4,13 +4,54 @@
 //! order of 25 million events — and re-checks every invariant the shorter
 //! suites assert: bounds for *all* sessions, conservation, non-saturation,
 //! and bit-reproducibility of the summary.
+//!
+//! Also pins, on `lit-bench`'s `sessions_100k` network, the exact counters
+//! the sorted-run lanes of the future-event set are judged by.
 
 #![forbid(unsafe_code)]
 
+use lit_net::{EventSetStats, LinkParams, NetworkBuilder, SessionId, SessionSpec, StatsConfig};
 use lit_repro::collect::Collector;
 use lit_repro::experiments::common::build_mix_one_class;
 use lit_repro::experiments::RunConfig;
 use lit_sim::{Duration, Time};
+use lit_traffic::DeterministicSource;
+
+/// `lit-bench`'s `sessions_100k` network (a copy of `NetPlan::builder`): a
+/// 2-node T1 tandem, 100 000 CBR sessions at 0.8·C/n each, every second
+/// one jitter-controlled, phases spread over one gap plus 37 ns so no two
+/// events ever tie. Every CBR injection and every regulator release
+/// (eq. 9, jitter-controlled or not) is a sorted run: all of them wait in
+/// lanes, none falls back, and the heap holds only the handful of packets
+/// on the wire.
+#[test]
+#[ignore = "long: 100 000 sessions, ~7M events; run with --release -- --ignored"]
+fn sessions_100k_event_set_counters_at_seed_1() {
+    const N: u64 = 100_000;
+    let link = LinkParams::paper_t1();
+    let mut b = NetworkBuilder::new().seed(1).stats(StatsConfig::compact());
+    let nodes = b.tandem(2, link);
+    let rate = link.rate_bps * 8 / 10 / N;
+    let gap = Duration::from_bits_at_rate(424, rate);
+    for i in 0..N {
+        let mut spec = SessionSpec::atm(SessionId(0), rate);
+        spec.jitter_control = i % 2 == 1;
+        let offset = gap * i / N + Duration::from_ns(37);
+        let source = DeterministicSource::new(gap, 424).with_offset(offset);
+        b.add_session(spec, &nodes, Box::new(source));
+    }
+    let mut net = b.build(&lit_core::LitDiscipline::factory());
+    net.run_until(Time::from_secs(600));
+    assert_eq!(net.event_count(), 7_241_506);
+    assert_eq!(
+        net.event_set_stats(),
+        EventSetStats {
+            heap_high_water: 5,
+            lane_appended: 2_497_169,
+            lane_fell_back: 0,
+        }
+    );
+}
 
 #[test]
 #[ignore = "long: ~25M events; run with --release -- --ignored"]
