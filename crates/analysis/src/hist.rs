@@ -6,6 +6,11 @@
 //! summary (Figs. 7, 14–17). [`DurationHistogram`] keeps counts in fixed
 //! bins *plus* the exact minimum and maximum, so bound checks ("observed
 //! max below calculated upper bound") are not blurred by binning.
+//!
+//! The counts live in [`Bins`], which costs what it has seen: the bin
+//! count is a ceiling, and only the prefix of bins up to the highest one
+//! hit is in memory. `lit_net::OccupancyHistogram` sits on the same store
+//! (bits instead of picoseconds).
 
 #![deny(
     clippy::unwrap_used,
@@ -21,35 +26,185 @@
 
 use lit_sim::Duration;
 
+/// The counts of a fixed-bin-width histogram over `u64` samples, stored as
+/// far as the data reached: bins `0..nbins` exist logically, the prefix up
+/// to the highest bin ever hit exists in memory (nothing until the first
+/// sample), and samples at or past `nbins · width` share one overflow
+/// counter. Every answer is the one a dense array of `nbins` counters
+/// would give.
+#[derive(Clone, Debug)]
+pub struct Bins {
+    width: u64,
+    /// `hit[i]` counts samples in `[i·width, (i+1)·width)`; bins from
+    /// `hit.len()` on are all zero.
+    hit: Vec<u64>,
+    nbins: usize,
+    overflow: u64,
+}
+
+impl Bins {
+    /// `nbins` logical bins of `width` each, none of them stored yet.
+    ///
+    /// # Panics
+    /// Panics if `width` or `nbins` is zero.
+    pub fn new(width: u64, nbins: usize) -> Self {
+        assert!(width > 0, "histogram: zero bin width");
+        assert!(nbins > 0, "histogram: zero bins");
+        Bins {
+            width,
+            hit: Vec::new(),
+            nbins,
+            overflow: 0,
+        }
+    }
+
+    /// Count one sample.
+    #[inline]
+    pub fn record(&mut self, x: u64) {
+        let idx = (x / self.width) as usize;
+        match self.hit.get_mut(idx) {
+            Some(c) => *c += 1,
+            None => self.record_past_prefix(idx),
+        }
+    }
+
+    /// The first sample of a bin past the stored prefix: count an
+    /// overflow, or grow the prefix to reach the bin. Capacity doubles,
+    /// so filling up costs O(log nbins) reallocations, and is clamped to
+    /// `nbins`, so the store never holds more than the dense layout did.
+    #[cold]
+    fn record_past_prefix(&mut self, idx: usize) {
+        if idx >= self.nbins {
+            self.overflow += 1;
+            return;
+        }
+        self.grow(idx + 1);
+        if let Some(c) = self.hit.last_mut() {
+            *c = 1;
+        }
+    }
+
+    /// Store bins `0..len` (`len ≤ nbins`).
+    fn grow(&mut self, len: usize) {
+        let cap = (2 * self.hit.len()).clamp(len, self.nbins);
+        self.hit.reserve_exact(cap - self.hit.len());
+        self.hit.resize(len, 0);
+    }
+
+    /// Samples counted, overflow included: one pass over the stored bins.
+    pub fn total(&self) -> u64 {
+        self.below(self.nbins).saturating_add(self.overflow)
+    }
+
+    /// Samples in bins `0..idx`.
+    fn below(&self, idx: usize) -> u64 {
+        let stored = self.hit.iter().take(idx);
+        stored.fold(0, |sum, &c| sum.saturating_add(c))
+    }
+
+    /// All `nbins` logical counts in bin order: the stored prefix, then
+    /// zeros.
+    fn counts(&self) -> impl ExactSizeIterator<Item = &u64> + '_ {
+        (0..self.nbins).map(|i| self.hit.get(i).unwrap_or(&0))
+    }
+
+    /// `(bin_lower_edge, count)` of every non-empty bin, in bin order.
+    fn nonempty(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let bins = self.hit.iter().enumerate().filter(|(_, &c)| c > 0);
+        bins.map(|(i, &c)| (i as u64 * self.width, c))
+    }
+
+    /// `(bin_lower_edge, fraction of all samples)` of every non-empty bin.
+    pub fn pdf(&self) -> Vec<(u64, f64)> {
+        let n = self.total().max(1) as f64;
+        self.nonempty()
+            .map(|(edge, c)| (edge, c as f64 / n))
+            .collect()
+    }
+
+    /// Upper estimate of `P(sample > x)`: every sample in the bin holding
+    /// `x` counts as exceeding it. Zero on an empty histogram.
+    pub fn ccdf_at(&self, x: u64) -> f64 {
+        let total = self.total();
+        if total == 0 {
+            return 0.0;
+        }
+        let below = self.below((x / self.width) as usize);
+        total.saturating_sub(below) as f64 / total as f64
+    }
+
+    /// Empirical `(x, P(sample > x))` at the upper edge of bin 0 and of
+    /// every non-empty bin, up to the bin that leaves nothing beyond it;
+    /// overflowed samples end it with a row at `max`, the largest sample.
+    pub fn ccdf(&self, max: u64) -> Vec<(u64, f64)> {
+        let total = self.total();
+        let mut out = Vec::new();
+        let mut remaining = total;
+        // Past the stored prefix every bin is empty and adds no row; bin 0
+        // has its row even when nothing is stored (every sample overflowed).
+        for (i, &c) in self.counts().enumerate().take(self.hit.len().max(1)) {
+            if remaining == 0 {
+                break;
+            }
+            remaining = remaining.saturating_sub(c);
+            if c > 0 || i == 0 {
+                out.push(((i as u64 + 1) * self.width, remaining as f64 / total as f64));
+            }
+        }
+        if self.overflow > 0 {
+            out.push((max, 0.0));
+        }
+        out
+    }
+
+    /// Add another store's counts into this one. Counts saturate at
+    /// `u64::MAX` rather than wrapping, so pathological pooling degrades
+    /// the distribution instead of corrupting it; the stored prefixes
+    /// need not be equally long.
+    ///
+    /// # Panics
+    /// Panics on mismatched bin width or bin count.
+    pub fn merge(&mut self, other: &Bins) {
+        assert_eq!(self.width, other.width, "merge: bin width mismatch");
+        assert_eq!(self.nbins, other.nbins, "merge: bin count mismatch");
+        if self.hit.len() < other.hit.len() {
+            self.grow(other.hit.len());
+        }
+        for (a, b) in self.hit.iter_mut().zip(&other.hit) {
+            *a = a.saturating_add(*b);
+        }
+        self.overflow = self.overflow.saturating_add(other.overflow);
+    }
+}
+
 /// A histogram of [`Duration`] samples with fixed bin width.
 #[derive(Clone, Debug)]
 pub struct DurationHistogram {
-    bin_width: Duration,
-    /// `bins[i]` counts samples in `[i·w, (i+1)·w)`.
-    bins: Vec<u64>,
-    /// Samples at or above `bins.len() · w`.
-    overflow: u64,
-    count: u64,
+    /// Over picoseconds.
+    bins: Bins,
     sum_ps: u128,
     min: Duration,
     max: Duration,
 }
 
+/// `(ps, y)` rows as `(Duration, y)` rows.
+fn in_durations<Y>(
+    rows: impl IntoIterator<Item = (u64, Y)>,
+) -> impl Iterator<Item = (Duration, Y)> {
+    rows.into_iter().map(|(ps, y)| (Duration::from_ps(ps), y))
+}
+
 impl DurationHistogram {
     /// A histogram with `nbins` bins of width `bin_width`; samples beyond
     /// the last bin land in a single overflow bucket (still counted in all
-    /// aggregate statistics).
+    /// aggregate statistics). `nbins` is a ceiling, not a cost: see
+    /// [`Bins`].
     ///
     /// # Panics
     /// Panics if `bin_width` is zero or `nbins` is zero.
     pub fn new(bin_width: Duration, nbins: usize) -> Self {
-        assert!(bin_width > Duration::ZERO, "histogram: zero bin width");
-        assert!(nbins > 0, "histogram: zero bins");
         DurationHistogram {
-            bin_width,
-            bins: vec![0; nbins],
-            overflow: 0,
-            count: 0,
+            bins: Bins::new(bin_width.as_ps(), nbins),
             sum_ps: 0,
             min: Duration::MAX,
             max: Duration::ZERO,
@@ -58,84 +213,72 @@ impl DurationHistogram {
 
     /// Record one sample.
     pub fn record(&mut self, d: Duration) {
-        self.count += 1;
         self.sum_ps += d.as_ps() as u128;
         self.min = self.min.min(d);
         self.max = self.max.max(d);
-        let idx = (d.as_ps() / self.bin_width.as_ps()) as usize;
-        if idx < self.bins.len() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "`idx < self.bins.len()` checked on the line above"
-            )]
-            {
-                self.bins[idx] += 1;
-            }
-        } else {
-            self.overflow += 1;
-        }
+        self.bins.record(d.as_ps());
     }
 
-    /// Number of recorded samples.
+    /// Number of recorded samples: the sum of the counts, so one pass over
+    /// the stored bins — a report-time question, not a per-packet one.
     pub fn count(&self) -> u64 {
-        self.count
+        self.bins.total()
+    }
+
+    /// No sample yet. The extrema start crossed (`min` at the top, `max`
+    /// at zero) and any sample uncrosses them, so this reads two words.
+    fn is_empty(&self) -> bool {
+        self.min > self.max
     }
 
     /// Exact smallest sample, or `None` if empty.
     pub fn min(&self) -> Option<Duration> {
-        (self.count > 0).then_some(self.min)
+        (!self.is_empty()).then_some(self.min)
     }
 
     /// Exact largest sample, or `None` if empty.
     pub fn max(&self) -> Option<Duration> {
-        (self.count > 0).then_some(self.max)
+        (!self.is_empty()).then_some(self.max)
     }
 
     /// Exact range `max − min` (the paper's *jitter* of a sample set), or
     /// `None` if empty.
     pub fn spread(&self) -> Option<Duration> {
-        (self.count > 0).then(|| self.max - self.min)
+        (!self.is_empty()).then(|| self.max - self.min)
     }
 
     /// Mean of all samples, or `None` if empty.
     pub fn mean(&self) -> Option<Duration> {
-        (self.count > 0).then(|| Duration::from_ps((self.sum_ps / self.count as u128) as u64))
+        (!self.is_empty()).then(|| Duration::from_ps((self.sum_ps / self.count() as u128) as u64))
     }
 
     /// The configured bin width.
     pub fn bin_width(&self) -> Duration {
-        self.bin_width
+        Duration::from_ps(self.bins.width)
     }
 
     /// Count in the overflow bucket.
     pub fn overflow_count(&self) -> u64 {
-        self.overflow
+        self.bins.overflow
     }
 
-    /// Raw bin counts: `bin_counts()[i]` counts samples in
-    /// `[i·w, (i+1)·w)`. Exposed for exact count-based comparisons (the
-    /// conformance oracle's ineq.-16 check), where the f64 CCDF helpers
-    /// would round.
-    pub fn bin_counts(&self) -> &[u64] {
-        &self.bins
+    /// Raw bin counts, all `nbins` of them whatever is stored: the `i`-th
+    /// counts samples in `[i·w, (i+1)·w)`. Exposed for exact count-based
+    /// comparisons (the conformance oracle's ineq.-16 check, run
+    /// digests), where the f64 CCDF helpers would round.
+    pub fn bin_counts(&self) -> impl ExactSizeIterator<Item = &u64> + '_ {
+        self.bins.counts()
     }
 
     /// Iterate `(bin_lower_edge, count)` for all non-empty bins.
     pub fn nonempty_bins(&self) -> impl Iterator<Item = (Duration, u64)> + '_ {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (self.bin_width * i as u64, c))
+        in_durations(self.bins.nonempty())
     }
 
     /// Fraction of samples in each bin, `(bin_lower_edge, fraction)`, for
     /// distribution plots like the paper's Figure 8.
     pub fn pdf(&self) -> Vec<(Duration, f64)> {
-        let n = self.count.max(1) as f64;
-        self.nonempty_bins()
-            .map(|(edge, c)| (edge, c as f64 / n))
-            .collect()
+        in_durations(self.bins.pdf()).collect()
     }
 
     /// Empirical complementary CDF evaluated at the *upper edge* of every
@@ -146,26 +289,7 @@ impl DurationHistogram {
     /// analytic *upper* bounds (ineq. 16, Figs. 9–11) are conservative in
     /// the right direction.
     pub fn ccdf(&self) -> Vec<(Duration, f64)> {
-        if self.count == 0 {
-            return Vec::new();
-        }
-        let n = self.count as f64;
-        let mut remaining = self.count;
-        let mut out = Vec::new();
-        for (i, &c) in self.bins.iter().enumerate() {
-            remaining -= c;
-            if c > 0 || i == 0 {
-                let upper = self.bin_width * (i as u64 + 1);
-                out.push((upper, remaining as f64 / n));
-            }
-            if remaining == 0 {
-                break;
-            }
-        }
-        if self.overflow > 0 {
-            out.push((self.max, 0.0));
-        }
-        out
+        in_durations(self.bins.ccdf(self.max.as_ps())).collect()
     }
 
     /// Upper estimate of `P(sample > t)`: every sample in the bin
@@ -174,12 +298,7 @@ impl DurationHistogram {
     /// histogram stands in for a distribution being used as an *upper
     /// bound* (the paper's "simulated upper bound" of Figs. 9–11).
     pub fn ccdf_at(&self, t: Duration) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let idx = (t.as_ps() / self.bin_width.as_ps()) as usize;
-        let below: u64 = self.bins.iter().take(idx.min(self.bins.len())).sum();
-        (self.count - below) as f64 / self.count as f64
+        self.bins.ccdf_at(t.as_ps())
     }
 
     /// The smallest duration `d` (resolved to a bin upper edge, or the
@@ -187,37 +306,28 @@ impl DurationHistogram {
     /// samples are `≤ d`. `q` must be in `(0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<Duration> {
         assert!(q > 0.0 && q <= 1.0, "quantile: q out of range");
-        if self.count == 0 {
+        if self.is_empty() {
             return None;
         }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut cum = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            cum += c;
+        let target = (q * self.count() as f64).ceil() as u64;
+        let mut cum = 0u64;
+        for (edge, c) in self.bins.nonempty() {
+            cum = cum.saturating_add(c);
             if cum >= target {
-                return Some(self.bin_width * (i as u64 + 1));
+                return Some(Duration::from_ps(edge + self.bins.width));
             }
         }
         Some(self.max)
     }
 
-    /// Merge another histogram with identical bin layout into this one.
+    /// Merge another histogram with identical bin layout into this one
+    /// (counts saturate, see [`Bins::merge`]).
     ///
     /// # Panics
     /// Panics on mismatched bin width or bin count.
     pub fn merge(&mut self, other: &DurationHistogram) {
-        assert_eq!(self.bin_width, other.bin_width, "merge: bin width mismatch");
-        assert_eq!(
-            self.bins.len(),
-            other.bins.len(),
-            "merge: bin count mismatch"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum_ps += other.sum_ps;
+        self.bins.merge(&other.bins);
+        self.sum_ps = self.sum_ps.saturating_add(other.sum_ps);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }

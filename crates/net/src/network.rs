@@ -23,18 +23,13 @@ use lit_traffic::Source;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A session definition awaiting `build`.
-struct SessionDef {
-    spec: SessionSpec,
-    hops: Vec<(u32, DelayAssignment)>,
-    source: Box<dyn Source>,
-}
-
 /// Builds a [`Network`]: add nodes, add sessions on routes, then `build`
 /// with a discipline factory.
 pub struct NetworkBuilder {
-    links: Vec<LinkParams>,
-    sessions: Vec<SessionDef>,
+    /// Nodes, specs and routes, filled in place as they are added.
+    topo: Topology,
+    /// The source of each session, in session order.
+    sources: Vec<Box<dyn Source>>,
     stats_cfg: StatsConfig,
     master_seed: u64,
     queue_kind: QueueKind,
@@ -55,8 +50,13 @@ impl NetworkBuilder {
     /// An empty network with seed 0 and default statistics sizing.
     pub fn new() -> Self {
         NetworkBuilder {
-            links: Vec::new(),
-            sessions: Vec::new(),
+            topo: Topology {
+                links: Vec::new(),
+                specs: Vec::new(),
+                hops: Vec::new(),
+                route_start: vec![0],
+            },
+            sources: Vec::new(),
             stats_cfg: StatsConfig::default(),
             master_seed: 0,
             queue_kind: QueueKind::Exact,
@@ -153,8 +153,8 @@ impl NetworkBuilder {
 
     /// Add a server node with the given outgoing link; returns its id.
     pub fn add_node(&mut self, link: LinkParams) -> NodeId {
-        let id = NodeId(self.links.len() as u32);
-        self.links.push(link);
+        let id = NodeId(self.topo.links.len() as u32);
+        self.topo.links.push(link);
         id
     }
 
@@ -191,13 +191,18 @@ impl NetworkBuilder {
         assert!(!hops.is_empty(), "session route is empty");
         for &(n, _) in &hops {
             assert!(
-                (n as usize) < self.links.len(),
+                (n as usize) < self.topo.links.len(),
                 "route references unknown node {n}"
             );
         }
-        let id = SessionId(self.sessions.len() as u32);
+        let id = SessionId(self.sources.len() as u32);
         spec.id = id;
-        self.sessions.push(SessionDef { spec, hops, source });
+        // The route joins the flat table: a session owns no vector.
+        self.topo.specs.push(spec);
+        self.topo.hops.extend(hops);
+        let end = u32::try_from(self.topo.hops.len()).expect("routes pass u32::MAX hops in all");
+        self.topo.route_start.push(end);
+        self.sources.push(source);
         id
     }
 
@@ -210,20 +215,13 @@ impl NetworkBuilder {
         if nshards <= 1 && self.shards > 1 {
             crate::shard::record_fallback();
         }
-        let n_nodes = self.links.len();
+        let n_nodes = self.topo.links.len();
         let owner = |node: u32| owner_of(node as usize, n_nodes, nshards);
-
-        let mut sources = Vec::with_capacity(self.sessions.len());
-        let mut topo = Topology {
-            links: self.links,
-            specs: Vec::with_capacity(self.sessions.len()),
-            hops: Vec::with_capacity(self.sessions.len()),
-        };
-        for def in self.sessions {
-            topo.specs.push(def.spec);
-            topo.hops.push(def.hops);
-            sources.push(def.source);
-        }
+        let (mut topo, sources) = (self.topo, self.sources);
+        // The tables grew by doubling and are final now.
+        topo.specs.shrink_to_fit();
+        topo.hops.shrink_to_fit();
+        topo.route_start.shrink_to_fit();
         let topo = Arc::new(topo);
 
         let mut shards: Vec<Shard> = (0..nshards)
@@ -246,7 +244,7 @@ impl NetworkBuilder {
         // a sorted run, which gets an event-set lane. Count first — a
         // period only one source has stays on the heap, so there are never
         // more lanes than half the sessions.
-        let first_owner = |sid: usize| owner(topo.hops[sid][0].0);
+        let first_owner = |sid: usize| owner(topo.route(sid)[0].0);
         let mut periods: BTreeMap<(usize, Duration), (usize, Option<Lane>)> = BTreeMap::new();
         for (sid, source) in sources.iter().enumerate() {
             if let Some(period) = source.period() {
@@ -259,7 +257,7 @@ impl NetworkBuilder {
         // seed sequence — identical streams for every shard count) on
         // the first hop's owner.
         let mut seeds = SeedSeq::new(self.master_seed);
-        for (sid, (route, source)) in topo.hops.iter().zip(sources).enumerate() {
+        for (sid, (route, source)) in topo.routes().zip(sources).enumerate() {
             let rng = seeds.next_rng();
             for (node, delay) in route {
                 shards[owner(*node)]
@@ -288,7 +286,7 @@ impl NetworkBuilder {
             u64::MAX
         };
         if let Some(mut p) = self.probe {
-            let session_hops: Vec<usize> = topo.hops.iter().map(Vec::len).collect();
+            let session_hops: Vec<usize> = topo.routes().map(<[_]>::len).collect();
             p.on_build(self.master_seed, n_nodes, &session_hops);
             // A probe forces one shard, so shard 0 sees every hook.
             shards[0].core.probe = Some(p);
@@ -314,15 +312,16 @@ impl NetworkBuilder {
     /// has zero propagation delay, which would make the conservative
     /// lookahead window empty.
     fn effective_shards(&self) -> usize {
-        let s = self.shards.min(self.links.len()).max(1);
+        let links = &self.topo.links;
+        let s = self.shards.min(links.len()).max(1);
         if s <= 1 || self.probe.is_some() || self.oracle.mode == OracleMode::Panic {
             return 1;
         }
-        let owner = |node: u32| owner_of(node as usize, self.links.len(), s);
-        let zero_lookahead = self.sessions.iter().any(|def| {
-            def.hops.windows(2).any(|w| {
+        let owner = |node: u32| owner_of(node as usize, links.len(), s);
+        let zero_lookahead = self.topo.routes().any(|route| {
+            route.windows(2).any(|w| {
                 owner(w[0].0) != owner(w[1].0)
-                    && self.links[w[0].0 as usize].propagation == Duration::ZERO
+                    && links[w[0].0 as usize].propagation == Duration::ZERO
             })
         });
         if zero_lookahead {
@@ -397,9 +396,9 @@ impl Network {
         if self.shards.len() < 2 {
             return;
         }
-        self.merged_sessions = (0..self.topo.hops.len())
+        self.merged_sessions = (0..self.topo.specs.len())
             .map(|sid| {
-                let mut row = SessionStats::new(&self.stats_cfg, self.topo.hops[sid].len());
+                let mut row = SessionStats::new(&self.stats_cfg, self.topo.route(sid).len());
                 for st in self
                     .shards
                     .iter()
@@ -461,7 +460,7 @@ impl Network {
 
     /// The per-hop delay assignments of a session (node index, assignment).
     pub fn session_hops(&self, id: SessionId) -> &[(u32, DelayAssignment)] {
-        &self.topo.hops[id.index()]
+        self.topo.route(id.index())
     }
 
     /// The outgoing-link parameters of a node.
@@ -538,7 +537,7 @@ impl Network {
             return 0;
         }
         let mut failed = 0;
-        for sid in 0..self.topo.hops.len() {
+        for sid in 0..self.topo.specs.len() {
             // Every core holds the same installed bounds.
             let Some(b) = self.shards[0].core.oracle.bounds[sid] else {
                 continue;
@@ -552,7 +551,7 @@ impl Network {
                 continue;
             };
             failed += 1;
-            let last_node = self.topo.hops[sid].last().map_or(0, |h| h.0 as usize);
+            let last_node = self.topo.route(sid).last().map_or(0, |h| h.0 as usize);
             let core = self.owner_mut(last_node);
             core.flag_session(sid, ViolationKind::CcdfBound, || {
                 format!(

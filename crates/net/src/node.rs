@@ -121,28 +121,42 @@ impl Sink for EventQueue<Ev> {
 }
 
 /// What every core and the facade read and nobody writes after `build`.
+/// Routes are one flat table, not a vector per session: a session costs
+/// no allocation here, and finding a hop's node is one offset add.
 pub(crate) struct Topology {
     /// Outgoing link of each node.
     pub(crate) links: Vec<LinkParams>,
     /// The spec each session was registered with.
     pub(crate) specs: Vec<SessionSpec>,
-    /// `(node index, delay assignment at that node)` along each route.
-    pub(crate) hops: Vec<Vec<(u32, DelayAssignment)>>,
+    /// `(node index, delay assignment at that node)` along every route,
+    /// session after session.
+    pub(crate) hops: Vec<(u32, DelayAssignment)>,
+    /// Where each session's route starts in `hops`, then `hops.len()`:
+    /// one entry more than there are sessions.
+    pub(crate) route_start: Vec<u32>,
 }
 
 impl Topology {
+    /// The route of session `sid` (empty for an unknown session).
+    pub(crate) fn route(&self, sid: usize) -> &[(u32, DelayAssignment)] {
+        let ends = self.route_start.get(sid).zip(self.route_start.get(sid + 1));
+        ends.and_then(|(&from, &to)| self.hops.get(from as usize..to as usize))
+            .unwrap_or(&[])
+    }
+
+    /// Every route, in session order.
+    pub(crate) fn routes(&self) -> impl Iterator<Item = &[(u32, DelayAssignment)]> {
+        (0..self.specs.len()).map(|sid| self.route(sid))
+    }
+
     /// The node serving hop `hop` of session `sid`.
     fn node_at(&self, sid: usize, hop: usize) -> u32 {
+        debug_assert!(hop < self.route(sid).len(), "hop off the route");
         #[expect(
             clippy::indexing_slicing,
             reason = "executor invariant: packets carry the session id and hop index they were routed with at build"
         )]
-        self.hops[sid][hop].0
-    }
-
-    /// Number of hops on session `sid`'s route.
-    fn route_len(&self, sid: usize) -> usize {
-        self.hops.get(sid).map_or(0, Vec::len)
+        self.hops[self.route_start[sid] as usize + hop].0
     }
 
     /// Whether session `sid` asked for delay-jitter control.
@@ -277,7 +291,7 @@ impl NodeCore {
         regulator: RegulatorBackend,
         events: &mut EventQueue<Ev>,
     ) -> Self {
-        let session_hops: Vec<usize> = topo.hops.iter().map(Vec::len).collect();
+        let session_hops: Vec<usize> = topo.routes().map(<[_]>::len).collect();
         let mut oracle = OracleRt::new(oracle, &session_hops);
         oracle.interleaved = regulator == RegulatorBackend::Interleaved;
         NodeCore {
@@ -322,7 +336,7 @@ impl NodeCore {
                 .discipline
                 .register_session(spec, delay);
         }
-        let hops = self.topo.route_len(sid);
+        let hops = self.topo.route(sid).len();
         if let Some(row) = self.stats.get_mut(sid) {
             row.get_or_insert_with(|| SessionStats::new(cfg, hops));
         }
@@ -677,7 +691,7 @@ impl NodeCore {
         // Session accounting: the packet no longer occupies this node.
         owned(&mut self.stats, sid).release(hop, pkt.len_bits as u64);
 
-        let last = hop + 1 >= self.topo.route_len(sid);
+        let last = hop + 1 >= self.topo.route(sid).len();
         if let Some(pr) = self.probe.as_deref_mut() {
             // Deadline slack F − departure; negative means the packet
             // left late (the oracle's lateness check allows < L_MAX/C).
@@ -865,7 +879,8 @@ mod tests {
         let topo = Arc::new(Topology {
             links: vec![link],
             specs: vec![spec],
-            hops: vec![vec![(0, spec.delay)]],
+            hops: vec![(0, spec.delay)],
+            route_start: vec![0, 1],
         });
         let factory = |_: &LinkParams| Box::new(Hold) as Box<dyn Discipline>;
         let mut core = NodeCore::new(

@@ -298,25 +298,20 @@ pub(crate) fn ccdf_shift_violation(
 ) -> Option<(i128, u64, u64)> {
     let w = e2e.bin_width().as_ps() as i128;
     debug_assert_eq!(e2e.bin_width(), reference.bin_width());
-    let eb = e2e.bin_counts();
-    let rb = reference.bin_counts();
-    // suffix[k] = packets delivered in bins k.. (+ overflow).
-    let mut suffix = vec![e2e.overflow_count(); eb.len() + 1];
-    for k in (0..eb.len()).rev() {
-        suffix[k] = suffix[k + 1] + eb[k];
-    }
     // prefix[m] = reference samples certainly ≤ m·w (bins 0..m).
-    let mut prefix = vec![0u64; rb.len() + 1];
-    for m in 0..rb.len() {
-        prefix[m + 1] = prefix[m] + rb[m];
+    let mut prefix = vec![0u64];
+    for &c in reference.bin_counts() {
+        prefix.push(prefix.last().map_or(0, |below| below + c));
     }
     let rtotal = reference.count();
-    for k in 0..eb.len() {
+    // Packets delivered above bin k, overflow bucket included.
+    let mut lhs = e2e.count();
+    for (k, &c) in e2e.bin_counts().enumerate() {
         // Threshold d = k·w; delivered packets in bins ≥ k+1 (and the
         // overflow bucket) have D ≥ (k+1)·w > d, strictly.
-        let lhs = suffix[k + 1];
+        lhs -= c;
         if lhs == 0 {
-            break; // suffix counts only shrink with k
+            break; // it only shrinks with k
         }
         let t = k as i128 * w - shift_ps;
         let rhs = if t < 0 {
@@ -324,8 +319,8 @@ pub(crate) fn ccdf_shift_violation(
         } else {
             // Bins m with upper edge (m+1)·w ≤ t hold samples certainly
             // not exceeding t.
-            let m = ((t / w) as usize).min(rb.len());
-            rtotal - prefix[m]
+            let certain = prefix.get((t / w) as usize).or(prefix.last());
+            rtotal - certain.copied().unwrap_or(0)
         };
         if lhs > rhs {
             return Some((k as i128 * w, lhs, rhs));

@@ -414,7 +414,7 @@ pub(crate) fn wire(shards: &mut [Shard], topo: &Topology) -> u64 {
     let owner = |node: u32| owner_of(node as usize, topo.links.len(), nshards);
     let mut lookahead_ps = u64::MAX;
     let mut edge = vec![vec![false; nshards]; nshards];
-    for route in &topo.hops {
+    for route in topo.routes() {
         for w in route.windows(2) {
             #[expect(
                 clippy::indexing_slicing,

@@ -10,6 +10,10 @@
 //!   counting the packet under transmission (Figs. 12–13);
 //! * per-node link utilization and scheduler lateness (finish − deadline),
 //!   the saturation diagnostic.
+//!
+//! A session's row costs what its traffic touched: histogram bins exist
+//! from their first hit ([`Bins`]), and the per-hop rows — gauge, maximum
+//! and counts, 64 bytes a hop — are the row's one allocation at build.
 
 #![deny(
     clippy::unwrap_used,
@@ -23,7 +27,7 @@
     clippy::allow_attributes_without_reason
 )]
 
-use lit_analysis::{BatchMeans, BusyFraction, DurationHistogram};
+use lit_analysis::{BatchMeans, Bins, BusyFraction, DurationHistogram};
 use lit_sim::{Duration, Time};
 
 /// Sizing knobs for the statistics collectors.
@@ -32,11 +36,12 @@ pub struct StatsConfig {
     /// Bin width of the end-to-end and reference delay histograms.
     pub delay_bin: Duration,
     /// Number of delay bins (delays beyond land in overflow but still
-    /// count toward max/jitter exactly).
+    /// count toward max/jitter exactly). A ceiling, not a cost: a bin
+    /// takes memory from the first sample at or past it.
     pub delay_bins: usize,
     /// Bin width, in bits, of the buffer-occupancy histograms.
     pub buffer_bin_bits: u64,
-    /// Number of buffer bins.
+    /// Number of buffer bins (a ceiling, as `delay_bins`).
     pub buffer_bins: usize,
     /// Keep the **last** this-many per-packet delivery records per
     /// session (0 = off, the default). Each record is ~48 bytes; the log
@@ -57,11 +62,13 @@ impl Default for StatsConfig {
 }
 
 impl StatsConfig {
-    /// Minimal-footprint sizing for scale runs with very many sessions
-    /// (e.g. the 1k→1M scaling curve): coarse delay bins covering the
+    /// Coarse-resolution sizing for scale runs with very many sessions
+    /// (e.g. the 1k→1M scaling curve): delay bins of 20 ms covering the
     /// same 1 s span, a handful of buffer bins, no delivery log. Maxima,
-    /// jitter, and counts stay exact — only distribution resolution is
-    /// traded — and per-session memory drops from ~tens of kB to ~1 kB.
+    /// jitter, and counts stay exact; only distribution resolution is
+    /// traded. Bins cost memory only once hit, so against the default
+    /// this bounds what a session *can* grow to (928 B of counts over two
+    /// hops instead of 68 kB), not what an idle one holds.
     pub fn compact() -> Self {
         StatsConfig {
             delay_bin: Duration::from_ms(20),
@@ -98,50 +105,38 @@ impl DeliveryRecord {
     }
 }
 
-/// Histogram over buffer occupancy samples (bits), with exact maximum.
+/// One hop's buffer occupancy of one session, one 64-byte row: the gauge
+/// (bits held there now), the exact maximum, and the histogram of the
+/// samples, on the same grow-on-first-hit [`Bins`] as `DurationHistogram`.
 #[derive(Clone, Debug)]
 pub struct OccupancyHistogram {
-    bin_bits: u64,
-    bins: Vec<u64>,
-    overflow: u64,
-    count: u64,
+    /// Over bits.
+    bins: Bins,
     max_bits: u64,
+    /// Bits in the buffer right now (bookkeeping between samples).
+    level_bits: u64,
 }
 
 impl OccupancyHistogram {
-    /// `nbins` bins of `bin_bits` bits each.
+    /// `nbins` bins of `bin_bits` bits each (`nbins` is a ceiling, not a
+    /// cost).
     pub fn new(bin_bits: u64, nbins: usize) -> Self {
-        assert!(bin_bits > 0 && nbins > 0, "occupancy histogram: empty");
         OccupancyHistogram {
-            bin_bits,
-            bins: vec![0; nbins],
-            overflow: 0,
-            count: 0,
+            bins: Bins::new(bin_bits, nbins),
             max_bits: 0,
+            level_bits: 0,
         }
     }
 
     /// Record one occupancy sample.
     pub fn record(&mut self, bits: u64) {
-        self.count += 1;
         self.max_bits = self.max_bits.max(bits);
-        let idx = (bits / self.bin_bits) as usize;
-        if idx < self.bins.len() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "`idx < self.bins.len()` checked on the line above"
-            )]
-            {
-                self.bins[idx] += 1;
-            }
-        } else {
-            self.overflow += 1;
-        }
+        self.bins.record(bits);
     }
 
-    /// Number of samples.
+    /// Number of samples (one pass over the stored bins).
     pub fn count(&self) -> u64 {
-        self.count
+        self.bins.total()
     }
 
     /// Exact largest sample in bits.
@@ -151,70 +146,32 @@ impl OccupancyHistogram {
 
     /// `(bin_lower_edge_bits, fraction)` for all non-empty bins.
     pub fn pdf(&self) -> Vec<(u64, f64)> {
-        let n = self.count.max(1) as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64 * self.bin_bits, c as f64 / n))
-            .collect()
+        self.bins.pdf()
     }
 
     /// Merge another histogram with identical bin layout into this one
-    /// (used to pool replica runs into one distribution). Counts
-    /// saturate at `u64::MAX` rather than wrapping, so pathological
-    /// pooling degrades the distribution instead of corrupting it.
+    /// (used to pool replica runs into one distribution, and by the
+    /// k-shard driver, where the gauges add because only a hop's owner
+    /// ever moves its gauge). Counts saturate, see [`Bins::merge`].
     ///
     /// # Panics
     /// Panics on mismatched bin width or bin count.
     pub fn merge(&mut self, other: &OccupancyHistogram) {
-        assert_eq!(self.bin_bits, other.bin_bits, "merge: bin width mismatch");
-        assert_eq!(
-            self.bins.len(),
-            other.bins.len(),
-            "merge: bin count mismatch"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a = a.saturating_add(*b);
-        }
-        self.overflow = self.overflow.saturating_add(other.overflow);
-        self.count = self.count.saturating_add(other.count);
+        self.bins.merge(&other.bins);
         self.max_bits = self.max_bits.max(other.max_bits);
+        self.level_bits = self.level_bits.saturating_add(other.level_bits);
     }
 
     /// Upper estimate of `P(occupancy > bits)`: samples in the bin
     /// containing `bits` count as exceeding it (conservative in the
     /// direction needed when comparing against analytic upper bounds).
     pub fn ccdf_at(&self, bits: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let idx = (bits / self.bin_bits) as usize;
-        let below: u64 = self.bins.iter().take(idx.min(self.bins.len())).sum();
-        (self.count - below) as f64 / self.count as f64
+        self.bins.ccdf_at(bits)
     }
 
     /// Empirical `P(occupancy > bits)` at each bin upper edge.
     pub fn ccdf(&self) -> Vec<(u64, f64)> {
-        if self.count == 0 {
-            return Vec::new();
-        }
-        let n = self.count as f64;
-        let mut remaining = self.count;
-        let mut out = Vec::new();
-        for (i, &c) in self.bins.iter().enumerate() {
-            remaining -= c;
-            if c > 0 || i == 0 {
-                out.push(((i as u64 + 1) * self.bin_bits, remaining as f64 / n));
-            }
-            if remaining == 0 {
-                break;
-            }
-        }
-        if self.overflow > 0 {
-            out.push((self.max_bits, 0.0));
-        }
-        out
+        self.bins.ccdf(self.max_bits)
     }
 }
 
@@ -232,8 +189,6 @@ pub struct SessionStats {
     pub reference: DurationHistogram,
     /// Per-hop buffer occupancy distributions, one per route hop.
     pub buffer: Vec<OccupancyHistogram>,
-    /// Current per-hop occupancy in bits (bookkeeping).
-    pub(crate) occupancy_bits: Vec<u64>,
     /// Largest observed `D_i − D_i^ref` over delivered packets, in signed
     /// picoseconds. The pathwise content of ineq. (12): under
     /// Leave-in-Time this never reaches `β + α`.
@@ -260,7 +215,6 @@ impl SessionStats {
             buffer: (0..hops)
                 .map(|_| OccupancyHistogram::new(cfg.buffer_bin_bits, cfg.buffer_bins))
                 .collect(),
-            occupancy_bits: vec![0; hops],
             max_excess_ps: i128::MIN,
             delay_batches: BatchMeans::default_config(),
             deliveries: std::collections::VecDeque::new(),
@@ -274,18 +228,16 @@ impl SessionStats {
     /// the paper samples buffer occupancy. Out-of-range hops (a wiring
     /// bug) record nothing rather than panicking mid-simulation.
     pub(crate) fn occupy(&mut self, hop: usize, len_bits: u64) {
-        if let (Some(occ), Some(hist)) =
-            (self.occupancy_bits.get_mut(hop), self.buffer.get_mut(hop))
-        {
-            *occ += len_bits;
-            hist.record(*occ);
+        if let Some(row) = self.buffer.get_mut(hop) {
+            row.level_bits += len_bits;
+            row.record(row.level_bits);
         }
     }
 
     /// The packet's last bit left `hop`: release its bits from the gauge.
     pub(crate) fn release(&mut self, hop: usize, len_bits: u64) {
-        if let Some(occ) = self.occupancy_bits.get_mut(hop) {
-            *occ = occ.saturating_sub(len_bits);
+        if let Some(row) = self.buffer.get_mut(hop) {
+            row.level_bits = row.level_bits.saturating_sub(len_bits);
         }
     }
 
@@ -302,9 +254,6 @@ impl SessionStats {
         self.reference.merge(&o.reference);
         for (a, b) in self.buffer.iter_mut().zip(&o.buffer) {
             a.merge(b);
-        }
-        for (a, b) in self.occupancy_bits.iter_mut().zip(&o.occupancy_bits) {
-            *a += *b;
         }
         self.max_excess_ps = self.max_excess_ps.max(o.max_excess_ps);
         // Delivery-derived batch means live entirely on the last-hop
@@ -527,19 +476,19 @@ mod tests {
     #[test]
     fn occupancy_merge_saturates_instead_of_wrapping() {
         let mut a = OccupancyHistogram::new(100, 2);
-        a.bins[0] = u64::MAX - 1;
-        a.count = u64::MAX - 1;
-        a.overflow = u64::MAX;
-        let mut b = OccupancyHistogram::new(100, 2);
-        b.record(10);
-        b.record(10);
-        b.record(500); // overflow
-        a.merge(&b);
-        assert_eq!(a.bins[0], u64::MAX);
-        assert_eq!(a.count, u64::MAX);
-        assert_eq!(a.overflow, u64::MAX);
-        // Still usable afterwards: probabilities stay in [0, 1].
-        let p = a.ccdf_at(0);
-        assert!((0.0..=1.0).contains(&p));
+        a.record(10);
+        a.record(500); // overflow
+        for _ in 0..64 {
+            // Pooled with itself: bin 0 and the overflow bucket double.
+            let twin = a.clone();
+            a.merge(&twin);
+        }
+        a.merge(&a.clone());
+        assert_eq!(a.count(), u64::MAX);
+        assert_eq!(a.pdf(), [(0, 1.0)]); // bin 0 stopped at the ceiling too
+                                         // Still usable afterwards: probabilities stay in [0, 1].
+        assert!([0, 150, 900]
+            .iter()
+            .all(|&b| (0.0..=1.0).contains(&a.ccdf_at(b))));
     }
 }
