@@ -21,6 +21,11 @@
 //! continuously at the last stable point — asymptotically exact and
 //! monotone.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "float by design: queueing theory in f64 seconds; a Duration enters and leaves only as a report value"
+)]
+
 use lit_sim::Duration;
 
 /// An M/D/1 queue: Poisson arrivals at rate `λ`, fixed service time `D`.

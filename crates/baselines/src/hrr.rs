@@ -82,21 +82,19 @@ impl HrrDiscipline {
     /// Slots a session of rate `r` needs: `⌈r·T / L_MAX⌉`, the paper's
     /// `L/T`-granularity bandwidth allocation.
     fn slots_for(&self, spec: &SessionSpec) -> u32 {
-        let bits_per_frame =
-            spec.rate_bps as u128 * self.frame.as_ps() as u128 / lit_sim::PS_PER_SEC as u128;
-        bits_per_frame.div_ceil(spec.max_len_bits as u128).max(1) as u32
+        let bits_per_frame = self.frame.bits_at_rate(spec.rate_bps);
+        bits_per_frame.div_ceil(spec.max_len_bits as u64).max(1) as u32
     }
 
     /// Frame index containing `t`.
     fn frame_of(&self, t: Time) -> u64 {
-        // lit-lint: allow(raw-time-arithmetic, "dimensionless frame index: ratio of two ps counts; division cannot overflow")
-        t.as_ps() / self.frame.as_ps()
+        t.frame_index(self.frame)
     }
 
     /// Start instant of frame `k` (test helper).
     #[cfg(test)]
     fn frame_start(&self, k: u64) -> Time {
-        Time::from_ps(k * self.frame.as_ps())
+        Time::ZERO + self.frame * k
     }
 }
 
@@ -134,7 +132,6 @@ impl Discipline for HrrDiscipline {
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
         let earliest = self.frame_of(now) + 1; // never the arrival frame
         let frame_len = self.frame;
-        let frame_ps = self.frame.as_ps();
         let s = self
             .sessions
             .get_mut(pkt.session)
@@ -149,7 +146,7 @@ impl Discipline for HrrDiscipline {
             s.used = 0;
         }
         s.used += 1;
-        let eligible = Time::ZERO + Duration::from_ps(frame_ps) * s.frame;
+        let eligible = Time::ZERO + frame_len * s.frame;
         pkt.deadline = eligible + frame_len; // must clear within its frame
         ScheduleDecision {
             eligible,

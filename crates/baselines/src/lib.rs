@@ -189,7 +189,7 @@ mod tests {
                 b.add_session(
                     SessionSpec::atm(SessionId(0), 1_472_000),
                     &[*n],
-                    Box::new(PoissonSource::new(Duration::from_secs_f64(0.28804e-3), 424)),
+                    Box::new(PoissonSource::new(Duration::from_ns(288_040), 424)),
                 );
             }
             let mut net = b.build(factory);

@@ -190,7 +190,7 @@ impl RcspAdmission {
     /// Worst-case work (transmission time) session `s` can demand within
     /// a window `w`: `(⌈w/x_min⌉ + 1)` maximum-length packets.
     fn demand_in(&self, s: &RcspSession, w: Duration) -> Duration {
-        let n = w.as_ps().div_ceil(s.x_min.as_ps()) + 1;
+        let n = w.div_ceil(s.x_min) + 1;
         Duration::from_bits_at_rate(s.max_len_bits as u64 * n, self.link_bps)
     }
 

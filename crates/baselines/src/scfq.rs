@@ -76,6 +76,10 @@ impl Discipline for ScfqDiscipline {
         self.sessions.remove(id);
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SCFQ's virtual clock is a float by definition; it is mapped onto the Time axis only to ride the packet's deadline field"
+    )]
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
         self.backlog += 1;
         let v = self.v;
@@ -88,7 +92,6 @@ impl Discipline for ScfqDiscipline {
         // The tag rides in the packet's scratch deadline field (virtual
         // seconds mapped onto the Time axis) so the service-start hook can
         // read it back.
-        // lit-lint: allow(raw-time-arithmetic, "SCFQ's virtual clock is a float by definition; it is mapped onto the Time axis only to ride the packet's deadline field")
         pkt.deadline = Time::ZERO + lit_sim::Duration::from_secs_f64(f);
         ScheduleDecision {
             eligible: now,

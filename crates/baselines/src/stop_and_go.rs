@@ -42,9 +42,7 @@ impl StopAndGoDiscipline {
 
     /// Start of the frame *after* the one containing `t`.
     fn next_frame_start(&self, t: Time) -> Time {
-        // lit-lint: allow(raw-time-arithmetic, "dimensionless frame index: ratio of two ps counts; division cannot overflow")
-        let k = t.as_ps() / self.frame.as_ps();
-        Time::ZERO + self.frame * (k + 1)
+        Time::ZERO + self.frame * (t.frame_index(self.frame) + 1)
     }
 }
 

@@ -31,7 +31,7 @@ fn run_tagged_pair(
         b.add_session(
             SessionSpec::atm(SessionId(0), 1_400_000),
             &[*n],
-            Box::new(PoissonSource::new(Duration::from_secs_f64(0.32e-3), 424)),
+            Box::new(PoissonSource::new(Duration::from_us(320), 424)),
         );
     }
     let mut net = b.build(factory);
@@ -95,7 +95,7 @@ fn rcsp_priority_levels_order_delays() {
             SessionSpec::atm(SessionId(0), 1_400_000)
                 .with_delay(DelayAssignment::Fixed(Duration::from_ms(15))),
             &[*n],
-            Box::new(PoissonSource::new(Duration::from_secs_f64(0.3e-3), 424)),
+            Box::new(PoissonSource::new(Duration::from_us(300), 424)),
         );
     }
     let mut net = b.build(&RcspDiscipline::factory(levels));

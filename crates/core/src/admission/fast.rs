@@ -90,7 +90,7 @@ const BNB_NODE_BUDGET: u64 = 1 << 21;
 struct ClassKey {
     rate_bps: u64,
     len_bits: u32,
-    d_ps: u64,
+    d: Duration,
 }
 
 /// A stable, generation-checked reference to one admitted session.
@@ -161,7 +161,7 @@ impl Ac3Witness {
             let n = c.count as u128;
             sum_l = sum_l.checked_add((c.max_len_bits as u128).checked_mul(n)?)?;
             sum_r = sum_r.checked_add((c.rate_bps as u128).checked_mul(n)?)?;
-            let rd = (c.rate_bps as u128).checked_mul(c.d.as_ps() as u128)?;
+            let rd = c.d.picobits_at_rate(c.rate_bps);
             sum_rd = sum_rd.checked_add(rd.checked_mul(n)?)?;
         }
         let lhs = sum_l.checked_mul(sum_r)?.checked_mul(PS)?;
@@ -339,11 +339,10 @@ impl Ac3Fast {
         if total_rate > self.link_bps {
             return Err(Ac3FastError::RateExceeded);
         }
-        let d_ps = d.as_ps();
         let key = ClassKey {
             rate_bps,
             len_bits: max_len_bits,
-            d_ps,
+            d,
         };
         self.check_feasible(key)?;
         match self.classes.entry(key) {
@@ -433,8 +432,7 @@ impl Ac3Fast {
     fn check_feasible(&self, cand: ClassKey) -> Result<(), Ac3FastError> {
         let cl = cand.len_bits as u128;
         let cr = cand.rate_bps as u128;
-        // u64×u64 cannot overflow u128.
-        let cw = (cand.rate_bps as u128) * (cand.d_ps as u128);
+        let cw = cand.d.picobits_at_rate(cand.rate_bps);
 
         // Singleton set {candidate}: d ≥ L/C.
         if self.violated(cl, cr, cw)? {
@@ -451,7 +449,7 @@ impl Ac3Fast {
         let mut aggs: Vec<Agg> = Vec::with_capacity(self.classes.len());
         for (&key, &count) in &self.classes {
             let n = count as u128;
-            let w_each = (key.rate_bps as u128) * (key.d_ps as u128);
+            let w_each = key.d.picobits_at_rate(key.rate_bps);
             let tot_w = w_each.checked_mul(n).ok_or(Ac3FastError::Overflow)?;
             aggs.push(Agg {
                 key,
@@ -528,18 +526,12 @@ impl Ac3Fast {
         // PS·L_A·R_A — all subsets feasible. (Overflow here only skips
         // the shortcut.)
         if let Some(ps_tl) = tl.checked_mul(PS) {
-            let min_cd = pruned
+            let min_d = pruned
                 .iter()
                 .filter_map(|&i| aggs.get(i))
-                .map(|a| (self.link_bps as u128).checked_mul(a.key.d_ps as u128))
-                .chain(std::iter::once(
-                    (self.link_bps as u128).checked_mul(cand.d_ps as u128),
-                ))
-                .try_fold(u128::MAX, |m, v| v.map(|v| m.min(v)));
-            if let Some(min_cd) = min_cd {
-                if min_cd >= ps_tl {
-                    return Ok(());
-                }
+                .fold(cand.d, |m, a| m.min(a.key.d));
+            if min_d.picobits_at_rate(self.link_bps) >= ps_tl {
+                return Ok(());
             }
         }
 
@@ -645,7 +637,7 @@ impl Ac3Fast {
                 aggs.get(i).map_or(f64::INFINITY, |a| {
                     let l = a.key.len_bits as f64;
                     let r = a.key.rate_bps as f64;
-                    (ps_f * l + c_f * (a.key.d_ps as f64)) / (l / r + lam)
+                    (ps_f * l + c_f * (a.key.d.as_ps() as f64)) / (l / r + lam)
                 })
             };
             key(a).total_cmp(&key(b)).then(a.cmp(&b))
@@ -725,7 +717,7 @@ fn spec_of(key: ClassKey, count: u64) -> Ac3ClassSpec {
     Ac3ClassSpec {
         rate_bps: key.rate_bps,
         max_len_bits: key.len_bits,
-        d: Duration::from_ps(key.d_ps),
+        d: key.d,
         count,
     }
 }

@@ -18,8 +18,14 @@
 //! * delay jitter (ineq. 17 and its no-jitter-control sibling);
 //! * per-node buffer space (the two unnumbered inequalities).
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    clippy::float_arithmetic
+)]
+
 use lit_net::{DelayAssignment, LinkParams, Network, SessionId};
-use lit_sim::{Duration, Time, PS_PER_SEC};
+use lit_sim::Duration;
 
 /// One hop as seen by the bound calculator: the node's outgoing link and
 /// the session's delay assignment at that node.
@@ -126,7 +132,7 @@ impl PathBounds {
         let eval = |len: u32| -> i128 {
             let d = last.assignment.d_for(len, self.rate_bps);
             let lr = Duration::from_bits_at_rate(len as u64, self.rate_bps);
-            d.as_ps() as i128 - lr.as_ps() as i128
+            d.signed_sub(lr)
         };
         eval(self.min_len_bits).max(eval(self.max_len_bits))
     }
@@ -134,7 +140,7 @@ impl PathBounds {
     /// `β + α` in signed picoseconds — the shift of ineq. 16 and the
     /// "+ constants" of ineq. 12.
     pub fn shift_ps(&self) -> i128 {
-        self.beta().as_ps() as i128 + self.alpha_ps()
+        i128::from(self.beta()) + self.alpha_ps()
     }
 
     /// `δⁿ_max = L_MAX/Cₙ + dⁿ_max − L_min,s/Cₙ` — hop `n`'s jitter
@@ -153,9 +159,7 @@ impl PathBounds {
     /// Upper bound on end-to-end delay (ineq. 12), given the session's
     /// reference-server delay bound `D^ref_max`.
     pub fn delay_bound(&self, dref_max: Duration) -> Duration {
-        let ps = dref_max.as_ps() as i128 + self.shift_ps();
-        let ps = u64::try_from(ps.max(0)).expect("delay bound fits u64 ps");
-        Duration::from_ps(ps)
+        Duration::from_signed_clamped(i128::from(dref_max) + self.shift_ps())
     }
 
     /// Ineq. (15): the delay bound for a session conforming to a token
@@ -171,15 +175,8 @@ impl PathBounds {
     /// (`Δ^{1,N} − d^N_max`), with control only the last hop contributes
     /// (`δ^N_max − d^N_max`, ineq. 17).
     pub fn jitter_bound(&self, dref_max: Duration, jitter_control: bool) -> Duration {
-        let n = self.hops.len();
-        let spread_ps = if jitter_control {
-            self.delta_max(n - 1).as_ps() as i128 - self.d_max(n - 1).as_ps() as i128
-        } else {
-            self.delta_sum(n).as_ps() as i128 - self.d_max(n - 1).as_ps() as i128
-        };
-        let ps = dref_max.as_ps() as i128 + spread_ps + self.alpha_ps();
-        let ps = u64::try_from(ps.max(0)).expect("jitter bound fits u64 ps");
-        Duration::from_ps(ps)
+        let spread_ps = self.oracle_bounds(jitter_control).jitter_spread_ps;
+        Duration::from_signed_clamped(i128::from(dref_max) + spread_ps)
     }
 
     /// Upper bound on the buffer space (bits) the session can occupy at
@@ -199,8 +196,7 @@ impl PathBounds {
         };
         let window = dref_max + upstream + self.hops[n].link.lmax_time() + self.d_max(n);
         // ceil(window · r) bits.
-        let num = window.as_ps() as u128 * self.rate_bps as u128;
-        num.div_ceil(PS_PER_SEC as u128) as u64
+        window.bits_at_rate_ceil(self.rate_bps)
     }
 
     /// Upper bound on the buffer-space *distribution* at hop `n`:
@@ -245,11 +241,12 @@ impl PathBounds {
     /// theorem).
     pub fn oracle_bounds(&self, jitter_control: bool) -> lit_net::SessionBounds {
         let n = self.hops.len();
-        let spread_ps = if jitter_control {
-            self.delta_max(n - 1).as_ps() as i128 - self.d_max(n - 1).as_ps() as i128
+        let upstream = if jitter_control {
+            self.delta_max(n - 1)
         } else {
-            self.delta_sum(n).as_ps() as i128 - self.d_max(n - 1).as_ps() as i128
+            self.delta_sum(n)
         };
+        let spread_ps = upstream.signed_sub(self.d_max(n - 1));
         lit_net::SessionBounds {
             shift_ps: self.shift_ps(),
             jitter_spread_ps: spread_ps + self.alpha_ps(),
@@ -264,14 +261,13 @@ impl PathBounds {
     /// or empirical (a measured reference-server histogram — the paper's
     /// "simulated upper bound").
     pub fn delay_ccdf_bound<F: Fn(Duration) -> f64>(&self, ref_ccdf: F, d: Duration) -> f64 {
-        let arg_ps = d.as_ps() as i128 - self.shift_ps();
+        let arg_ps = i128::from(d) - self.shift_ps();
         if arg_ps < 0 {
             // The shift exceeds d: the reference CCDF is evaluated on a
             // negative delay, where P(D^ref > x) = 1.
             1.0
         } else {
-            let ps = u64::try_from(arg_ps).expect("CCDF argument fits u64 ps");
-            ref_ccdf(Duration::from_ps(ps))
+            ref_ccdf(Duration::from_signed_clamped(arg_ps))
         }
     }
 }
@@ -307,12 +303,6 @@ pub fn stop_and_go_comparison(
     (sng_low, sng_high, lit)
 }
 
-/// A [`Time`]-anchored helper: the end of a run as a `Time`, for bound
-/// comparisons against `SessionStats` extrema.
-pub fn as_time(d: Duration) -> Time {
-    Time::ZERO + d
-}
-
 /// Compute and install the conformance-oracle bound constants for every
 /// session of `net`, from the exact per-hop assignments the scheduler is
 /// using. Call once after `NetworkBuilder::build` on a network whose
@@ -320,7 +310,7 @@ pub fn as_time(d: Duration) -> Time {
 /// [`crate::LitDiscipline`] (or VirtualClock, which it subsumes).
 pub fn install_oracle_bounds(net: &mut Network) {
     for i in 0..net.num_sessions() {
-        let id = SessionId(i as u32);
+        let id = SessionId(u32::try_from(i).expect("session ids are dense u32s"));
         let jc = net.session_spec(id).jitter_control;
         let bounds = PathBounds::for_session(net, id).oracle_bounds(jc);
         net.set_session_bounds(id, bounds);
@@ -370,7 +360,7 @@ mod tests {
         ];
         hops[4].assignment = DelayAssignment::Fixed(Duration::from_ms(2));
         let pb = PathBounds::new(32_000, 424, 424, hops);
-        assert_eq!(pb.alpha_ps(), -(Duration::from_us(11_250).as_ps() as i128));
+        assert_eq!(pb.alpha_ps(), -i128::from(Duration::from_us(11_250)));
     }
 
     #[test]
@@ -382,7 +372,7 @@ mod tests {
         };
         let pb = PathBounds::new(32_000, 848, 424, vec![hop]);
         // α = 20 ms − 424/32000 = 6.75 ms (at L_min).
-        assert_eq!(pb.alpha_ps(), Duration::from_us(6_750).as_ps() as i128);
+        assert_eq!(pb.alpha_ps(), i128::from(Duration::from_us(6_750)));
     }
 
     #[test]
@@ -432,7 +422,7 @@ mod tests {
         let b = pb.buffer_bound_bits(dref, 0, true);
         assert_eq!(a, b);
         // r·(13.25 + 0.276042 + 13.25) ms · 32 kbit/s ≈ 856.8 bits.
-        assert!((a as f64 - 856.8).abs() < 1.0, "{a}");
+        assert!((856..=857).contains(&a), "{a}");
     }
 
     #[test]
@@ -454,7 +444,7 @@ mod tests {
         let pb = paper_path(false);
         // A toy reference CCDF: exp(−t/10ms).
         let ref_ccdf = |t: Duration| (-t.as_millis_f64() / 10.0).exp();
-        let shift = Duration::from_ps(pb.shift_ps() as u64);
+        let shift = Duration::from_signed_clamped(pb.shift_ps());
         // Below the shift the bound is 1.
         assert_eq!(
             pb.delay_ccdf_bound(ref_ccdf, shift - Duration::from_ms(1)),

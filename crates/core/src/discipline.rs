@@ -36,7 +36,11 @@
     clippy::unimplemented,
     clippy::indexing_slicing,
     clippy::allow_attributes,
-    clippy::allow_attributes_without_reason
+    clippy::allow_attributes_without_reason,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    clippy::float_arithmetic
 )]
 
 use lit_net::{
@@ -47,12 +51,13 @@ use lit_sim::{Duration, Time};
 /// Struct-of-arrays per-session state: one flat column per field, indexed
 /// by dense `SessionId`. A scan over many sessions touches contiguous
 /// memory instead of hopping across `Option<Struct>` slots, and every
-/// column is a plain fixed-point array.
+/// clock column is a typed fixed-point array.
 ///
-/// `k_prev_ps` holds the eq. 11 recursion state with `0` standing in for
-/// "no packet yet": the paper sets `K₀ = t₁`, and since `E₁ ≥ t₁ ≥ 0` the
-/// first packet's base `max{E₁, K₀}` equals `max{E₁, 0} = E₁` — exactly
-/// what the explicit `Option::None` case computed. No sentinel branch.
+/// `k_prev` holds the eq. 11 recursion state with `Time::ZERO` standing
+/// in for "no packet yet": the paper sets `K₀ = t₁`, and since
+/// `E₁ ≥ t₁ ≥ 0` the first packet's base `max{E₁, K₀}` equals
+/// `max{E₁, 0} = E₁` — exactly what the explicit `Option::None` case
+/// computed. No sentinel branch.
 #[derive(Default)]
 struct SessionCols {
     /// Slot occupancy; a packet from a vacant slot is a wiring bug.
@@ -62,28 +67,28 @@ struct SessionCols {
     /// Reserved rate `r_s` in bit/s — the eq. 11 `L/r` clock.
     rate_bps: Vec<u64>,
     /// Per-hop delay assignment, lowered to fixed-point coefficients:
-    /// `d_ps(len) = (len·num_ps + den/2)/den + base_ps`.
+    /// `d(len) = (len·num_ps + den/2)/den ps + base`.
     d_num_ps: Vec<u128>,
     d_den: Vec<u128>,
-    d_base_ps: Vec<u64>,
+    d_base: Vec<Duration>,
     /// `d_max,s` at this node — enters the holding-time stamp (eq. 9).
-    d_max_ps: Vec<u64>,
-    /// `K_{i-1,s}` in ps; `0` before the first packet (see above).
-    k_prev_ps: Vec<u64>,
+    d_max: Vec<Duration>,
+    /// `K_{i-1,s}`; `Time::ZERO` before the first packet (see above).
+    k_prev: Vec<Time>,
 }
 
 impl SessionCols {
     fn grow(&mut self, idx: usize) {
         if self.occupied.len() <= idx {
-            let n = idx + 1;
+            let n = idx.saturating_add(1); // usize::MAX slots cannot exist
             self.occupied.resize(n, false);
             self.jitter.resize(n, false);
             self.rate_bps.resize(n, 0);
             self.d_num_ps.resize(n, 0);
             self.d_den.resize(n, 1);
-            self.d_base_ps.resize(n, 0);
-            self.d_max_ps.resize(n, 0);
-            self.k_prev_ps.resize(n, 0);
+            self.d_base.resize(n, Duration::ZERO);
+            self.d_max.resize(n, Duration::ZERO);
+            self.k_prev.resize(n, Time::ZERO);
         }
     }
 }
@@ -139,10 +144,10 @@ impl Discipline for LitDiscipline {
         c.rate_bps[idx] = spec.rate_bps;
         c.d_num_ps[idx] = coeffs.num_ps;
         c.d_den[idx] = coeffs.den;
-        c.d_base_ps[idx] = coeffs.base_ps;
-        c.d_max_ps[idx] = delay.d_max(spec.max_len_bits, spec.rate_bps).as_ps();
+        c.d_base[idx] = coeffs.base;
+        c.d_max[idx] = delay.d_max(spec.max_len_bits, spec.rate_bps);
         // Fresh K-recursion: a reused slot must start at K₀ = t₁.
-        c.k_prev_ps[idx] = 0;
+        c.k_prev[idx] = Time::ZERO;
     }
 
     fn unregister_session(&mut self, id: SessionId) {
@@ -166,24 +171,26 @@ impl Discipline for LitDiscipline {
 
         // Deadline: eq. (10)–(11), with K₀ = t₁ making the first base
         // simply E₁ (since E₁ ≥ t₁ ≥ 0 = the fresh-slot K value).
-        let k_prev = c.k_prev_ps[idx];
-        let base = eligible.max(Time::from_ps(k_prev));
+        let base = eligible.max(c.k_prev[idx]);
         let rate = c.rate_bps[idx];
         let coeffs = lit_net::DelayCoeffs {
             num_ps: c.d_num_ps[idx],
             den: c.d_den[idx],
-            base_ps: c.d_base_ps[idx],
+            base: c.d_base[idx],
         };
-        let d = Duration::from_ps(coeffs.d_ps(pkt.len_bits));
+        let d = coeffs.d_for(pkt.len_bits);
         let f = base + d;
-        let k = base + Duration::from_bits_at_rate(pkt.len_bits as u64, rate);
-        c.k_prev_ps[idx] = k.as_ps();
+        c.k_prev[idx] = base + Duration::from_bits_at_rate(pkt.len_bits as u64, rate);
 
         pkt.deadline = f;
         pkt.d = d;
         ScheduleDecision::at(eligible, f)
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "eq. 9 sums three signed terms, each below 2⁶⁵ in magnitude, in i128: it cannot wrap"
+    )]
     fn on_departure(&mut self, pkt: &mut Packet, finish: Time) {
         let idx = pkt.session.index();
         self.check_registered(idx);
@@ -191,29 +198,24 @@ impl Discipline for LitDiscipline {
             clippy::indexing_slicing,
             reason = "in-bounds: check_registered proved occupied[idx], and all columns share one length"
         )]
-        let d_max = Duration::from_ps(self.cols.d_max_ps[idx]);
+        let d_max = self.cols.d_max[idx];
         // Holding time for the next hop, eq. (9):
         //   A = (F + L_MAX/C − F̂) + (d_max − d_i).
         // Both parenthesized terms are provably non-negative; computed in
         // signed 128-bit picoseconds and checked.
-        let slack_ps = pkt.deadline.as_ps() as i128 + self.link.lmax_time().as_ps() as i128
-            - finish.as_ps() as i128;
+        let slack_ps =
+            i128::from(pkt.deadline) + i128::from(self.link.lmax_time()) - i128::from(finish);
         // Under an *exact* eligible queue, F̂ < F + L_MAX/C always (the
         // paper's non-saturation invariant; re-checked by the tests via
         // NodeStats::max_lateness). Under an approximate bucketed queue
         // the finish may run late by up to one bucket — the documented
         // emulation error — so the holding time is clamped instead of
         // asserted.
-        let spread_ps = d_max.as_ps() as i128 - pkt.d.as_ps() as i128;
+        let spread_ps = d_max.signed_sub(pkt.d);
         debug_assert!(spread_ps >= 0, "d_i exceeded d_max");
-        let hold_ps = (slack_ps + spread_ps).max(0);
-        // Unreachable arm: the hold is bounded by d_max plus one link
-        // transmission, both far below u64 picoseconds; saturate rather
-        // than panic on the hot path if that ever stops holding.
-        pkt.hold = match u64::try_from(hold_ps) {
-            Ok(ps) => Duration::from_ps(ps),
-            Err(_) => Duration::MAX,
-        };
+        // Eq. 8's max(0, ·); the hold is bounded by d_max plus one link
+        // transmission, so the constructor's saturating arm is unreachable.
+        pkt.hold = Duration::from_signed_clamped(slack_ps + spread_ps);
     }
 }
 

@@ -35,7 +35,7 @@ pub use admission::fast::{Ac3ClassSpec, Ac3Fast, Ac3FastError, Ac3Handle, Ac3Wit
 pub use admission::{
     AdmissionError, ClassedAdmission, ConfigError, DRule, DelayClass, Procedure, SessionRequest,
 };
-pub use bounds::{as_time, install_oracle_bounds, stop_and_go_comparison, HopSpec, PathBounds};
+pub use bounds::{install_oracle_bounds, stop_and_go_comparison, HopSpec, PathBounds};
 pub use connection::{Connection, ConnectionManager, EstablishError};
 pub use discipline::LitDiscipline;
 pub use refserver::{RefOutcome, ReferenceServer};

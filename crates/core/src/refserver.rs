@@ -23,7 +23,11 @@
     clippy::unimplemented,
     clippy::indexing_slicing,
     clippy::allow_attributes,
-    clippy::allow_attributes_without_reason
+    clippy::allow_attributes_without_reason,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    clippy::float_arithmetic
 )]
 
 use lit_sim::{Duration, Time};

@@ -122,7 +122,7 @@ fn backlogged_sessions_get_their_reserved_rates() {
     let mut sids = Vec::new();
     for &r in &rates {
         // Offer ~2x the reservation so the session never goes idle.
-        let gap = Duration::from_secs_f64(424.0 / (2.0 * r as f64));
+        let gap = Duration::from_bits_at_rate(424, 2 * r);
         sids.push(b.add_session(
             SessionSpec::atm(SessionId(0), r),
             &nodes,

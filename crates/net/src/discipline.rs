@@ -20,7 +20,7 @@
 
 use crate::packet::{Packet, SessionId};
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
-use lit_sim::Time;
+use lit_sim::{Duration, Time};
 use std::collections::VecDeque;
 
 /// How each node realizes the delay regulator that holds ahead-of-schedule
@@ -93,8 +93,8 @@ pub(crate) struct RegFifo<P> {
     pub(crate) queue: VecDeque<RegEntry<P>>,
     /// Instant of the most recent release (ZERO before any).
     pub(crate) last_release: Time,
-    /// Running max of `E − a` (picoseconds) over every packet that joined.
-    pub(crate) max_hold_ps: u64,
+    /// Running max of `E − a` over every packet that joined.
+    pub(crate) max_hold: Duration,
 }
 
 impl<P> RegFifo<P> {
@@ -102,7 +102,7 @@ impl<P> RegFifo<P> {
         RegFifo {
             queue: VecDeque::new(),
             last_release: Time::ZERO,
-            max_hold_ps: 0,
+            max_hold: Duration::ZERO,
         }
     }
 
@@ -110,7 +110,7 @@ impl<P> RegFifo<P> {
     /// packet's own hold `E − a` into the running shaping ceiling.
     pub(crate) fn join(&mut self, item: P, key: u128, eligible: Time, now: Time) {
         if let Some(hold) = eligible.checked_since(now) {
-            self.max_hold_ps = self.max_hold_ps.max(hold.as_ps());
+            self.max_hold = self.max_hold.max(hold);
         }
         self.queue.push_back(RegEntry {
             item,
@@ -137,7 +137,7 @@ impl ScheduleDecision {
     pub fn at(eligible: Time, deadline: Time) -> Self {
         ScheduleDecision {
             eligible,
-            key: deadline.as_ps() as u128,
+            key: u128::from(deadline),
         }
     }
 }
@@ -203,11 +203,11 @@ mod tests {
     #[test]
     fn reg_fifo_tracks_running_max_hold() {
         let mut f: RegFifo<u32> = RegFifo::new();
-        assert_eq!(f.max_hold_ps, 0);
+        assert_eq!(f.max_hold, Duration::ZERO);
         f.join(1, 10, Time::from_ms(5), Time::from_ms(2)); // hold 3 ms
         f.join(2, 11, Time::from_ms(6), Time::from_ms(5)); // hold 1 ms
         f.join(3, 12, Time::from_ms(4), Time::from_ms(6)); // E in the past
-        assert_eq!(f.max_hold_ps, lit_sim::Duration::from_ms(3).as_ps());
+        assert_eq!(f.max_hold, Duration::from_ms(3));
         assert_eq!(f.queue.len(), 3);
         assert_eq!(f.queue.front().map(|e| e.item), Some(1));
         assert_eq!(f.last_release, Time::ZERO);
@@ -217,7 +217,7 @@ mod tests {
     fn decision_key_encodes_deadline() {
         let d = ScheduleDecision::at(Time::from_ms(1), Time::from_ms(5));
         assert_eq!(d.eligible, Time::from_ms(1));
-        assert_eq!(d.key, Time::from_ms(5).as_ps() as u128);
+        assert_eq!(d.key, u128::from(Time::from_ms(5)));
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl<T> EligibleQueue<T> {
             QueueKind::Bucketed { bucket } => {
                 assert!(bucket > Duration::ZERO, "bucketed queue: zero width");
                 EligibleQueue::Bucketed {
-                    bucket_ps: bucket.as_ps() as u128,
+                    bucket_ps: u128::from(bucket),
                     ring: CalendarQueue::new(),
                 }
             }
@@ -165,10 +165,10 @@ mod tests {
         let w = Duration::from_ms(1);
         let mut q = EligibleQueue::new(QueueKind::Bucketed { bucket: w });
         // Keys 0.4 ms and 0.9 ms share bucket 0: FIFO wins over key order.
-        q.push(Duration::from_us(900).as_ps() as u128, pkt(1));
-        q.push(Duration::from_us(400).as_ps() as u128, pkt(2));
+        q.push(u128::from(Duration::from_us(900)), pkt(1));
+        q.push(u128::from(Duration::from_us(400)), pkt(2));
         // 1.5 ms lands in bucket 1.
-        q.push(Duration::from_us(1_500).as_ps() as u128, pkt(3));
+        q.push(u128::from(Duration::from_us(1_500)), pkt(3));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|p| p.seq).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
@@ -211,7 +211,7 @@ mod tests {
         for round in 0..50u64 {
             for i in 0..(round % 7) + 1 {
                 // Mix of shared and distinct buckets, plus far-ahead keys.
-                let key = (round % 3) as u128 * w.as_ps() as u128
+                let key = (round % 3) as u128 * u128::from(w)
                     + i as u128
                     + (i % 2) as u128 * 1_000_000_000;
                 q.push(key, pkt(pushed));

@@ -717,7 +717,7 @@ mod tests {
             assert_eq!(net.shard_count(), shards);
             net.set_session_bounds(
                 sid,
-                lit_net_bounds(i128::MAX / 2, -(Duration::from_ms(5).as_ps() as i128)),
+                lit_net_bounds(i128::MAX / 2, -i128::from(Duration::from_ms(5))),
             );
             net.run_until(Time::from_secs(1));
             assert_eq!(net.session_stats(sid).delivered, 10);

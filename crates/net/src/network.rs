@@ -573,12 +573,14 @@ impl Network {
         for n in 0..self.topo.links.len() {
             let link = self.topo.links[n];
             let nst = self.node_stats(NodeId(n as u32));
-            let service_ps =
-                Duration::from_bits_at_rate(nst.bits_transmitted, link.rate_bps).as_ps() as i128;
-            let busy_ps = nst.busy.busy_at(now).as_ps() as i128;
+            let service_ps = i128::from(Duration::from_bits_at_rate(
+                nst.bits_transmitted,
+                link.rate_bps,
+            ));
+            let busy_ps = i128::from(nst.busy.busy_at(now));
             let transmitted = nst.transmitted;
             let count = transmitted as i128;
-            let lmax_ps = link.lmax_time().as_ps() as i128;
+            let lmax_ps = i128::from(link.lmax_time());
             if busy_ps >= service_ps - count && busy_ps <= service_ps + count + lmax_ps {
                 continue;
             }

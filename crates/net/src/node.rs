@@ -45,7 +45,10 @@
     clippy::unimplemented,
     clippy::indexing_slicing,
     clippy::allow_attributes,
-    clippy::allow_attributes_without_reason
+    clippy::allow_attributes_without_reason,
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    clippy::float_arithmetic
 )]
 
 use crate::arena::{PacketArena, PacketRef};
@@ -459,7 +462,7 @@ impl NodeCore {
         if self.oracle.enabled() {
             // Regulator invariants (eq. 6–7): E is per-session monotone
             // at every hop, and never lies in the past.
-            let who = (sid as u32, seq, node_idx);
+            let who = (pkt.session.0, seq, node_idx);
             #[expect(
                 clippy::indexing_slicing,
                 reason = "oracle state is sized per session and hop at build, same shape as the route"
@@ -527,7 +530,7 @@ impl NodeCore {
         let node_idx = self.topo.node_at(sid, hop);
         if self.oracle.enabled() && now != at {
             let (kind, seq) = (ViolationKind::ReleaseTime, pkt.seq);
-            let who = (sid as u32, seq, node_idx);
+            let who = (pkt.session.0, seq, node_idx);
             flag(&mut self.oracle, &mut self.probe, kind, now, who, || {
                 format!("session {sid} seq {seq} released at {now}, eligibility was {at}")
             });
@@ -573,7 +576,7 @@ impl NodeCore {
                 break;
             };
             let expected = node.fifo.last_release.max(entry.eligible);
-            let ceiling_ps = node.fifo.max_hold_ps;
+            let ceiling = node.fifo.max_hold;
             node.fifo.last_release = now;
             let pkt = live(&self.arena, entry.item);
             let (sid, seq) = (pkt.session.0, pkt.seq);
@@ -588,13 +591,15 @@ impl NodeCore {
                         )
                     });
                 }
-                let shaping_ps = now.checked_since(entry.eligible).map_or(0, |d| d.as_ps());
-                if shaping_ps > ceiling_ps {
+                let shaping = now.checked_since(entry.eligible).unwrap_or(Duration::ZERO);
+                if shaping > ceiling {
                     let kind = ViolationKind::ShapingBound;
                     flag(&mut self.oracle, &mut self.probe, kind, now, who, || {
                         format!(
-                            "node {node_idx} session {sid} seq {seq}: held {shaping_ps} ps \
-                             past its eligibility, service-curve ceiling is {ceiling_ps} ps"
+                            "node {node_idx} session {sid} seq {seq}: held {} ps \
+                             past its eligibility, service-curve ceiling is {} ps",
+                            shaping.as_ps(),
+                            ceiling.as_ps()
                         )
                     });
                 }
@@ -653,7 +658,7 @@ impl NodeCore {
         let pkt = live_mut(&mut self.arena, p);
         node.discipline.on_departure(pkt, finish);
         let propagation = node.link.propagation;
-        let lmax_ps = node.link.lmax_time().as_ps() as i128;
+        let lmax_ps = i128::from(node.link.lmax_time());
         let idle = node.queue.is_empty();
         let (sid, hop, seq) = (pkt.session.index(), pkt.hop as usize, pkt.seq);
 
@@ -665,7 +670,7 @@ impl NodeCore {
         let nst = &mut self.node_stats[node_idx as usize];
         nst.transmitted += 1;
         nst.bits_transmitted += pkt.len_bits as u64;
-        let lateness = finish.as_ps() as i128 - pkt.deadline.as_ps() as i128;
+        let lateness = finish.signed_since(pkt.deadline);
         nst.max_lateness_ps = nst.max_lateness_ps.max(lateness);
         if idle {
             nst.busy.set_idle(finish);
@@ -679,7 +684,7 @@ impl NodeCore {
             // Non-saturation lemma: F̂ < F + L_MAX/C.
             nst.oracle_violations += 1;
             let (kind, deadline) = (ViolationKind::Lateness, pkt.deadline);
-            let who = (sid as u32, seq, node_idx);
+            let who = (pkt.session.0, seq, node_idx);
             flag(&mut self.oracle, &mut self.probe, kind, finish, who, || {
                 format!(
                     "node {node_idx} session {sid} seq {seq}: finish {finish} is \
@@ -695,8 +700,8 @@ impl NodeCore {
         if let Some(pr) = self.probe.as_deref_mut() {
             // Deadline slack F − departure; negative means the packet
             // left late (the oracle's lateness check allows < L_MAX/C).
-            let slack = (pkt.deadline.as_ps() as i128 - finish.as_ps() as i128)
-                .clamp(i64::MIN as i128, i64::MAX as i128) as i64;
+            let slack = pkt.deadline.signed_since(finish);
+            let slack = i64::try_from(slack).unwrap_or(if slack < 0 { i64::MIN } else { i64::MAX });
             pr.on_depart(finish, node_idx, pview(pkt), slack, last);
         }
         let arrival = finish + propagation;
@@ -732,7 +737,7 @@ impl NodeCore {
         let delay = delivery - pkt.created;
         st.e2e.record(delay);
         st.delay_batches.record(delay.as_secs_f64());
-        let excess = delay.as_ps() as i128 - pkt.ref_delay.as_ps() as i128;
+        let excess = delay.signed_sub(pkt.ref_delay);
         st.max_excess_ps = st.max_excess_ps.max(excess);
         st.log_delivery(DeliveryRecord {
             seq: pkt.seq,
@@ -752,7 +757,7 @@ impl NodeCore {
             reason = "oracle tables are sized to the session count at build"
         )]
         let dref = &mut self.oracle.ref_max_ps[sid];
-        *dref = (*dref).max(pkt.ref_delay.as_ps() as i128);
+        *dref = (*dref).max(i128::from(pkt.ref_delay));
         let dref_ps = *dref;
         #[expect(
             clippy::indexing_slicing,
@@ -761,7 +766,7 @@ impl NodeCore {
         let Some(b) = self.oracle.bounds[sid] else {
             return;
         };
-        let who = (sid as u32, pkt.seq, u32::MAX);
+        let who = (pkt.session.0, pkt.seq, u32::MAX);
         // Ineq. 12, pathwise: D_i − D^ref_i < β + α, for any arrival
         // pattern (the firewall property).
         if excess >= b.shift_ps {
@@ -778,7 +783,7 @@ impl NodeCore {
         // D^ref_max plus the spread constant. Both running maxima only
         // grow, so checking per delivery is equivalent to checking at
         // drain time; ineq. 12 implies it pathwise.
-        let jitter_ps = st.e2e.spread().map_or(0, |j| j.as_ps() as i128);
+        let jitter_ps = st.e2e.spread().map_or(0, i128::from);
         if jitter_ps >= dref_ps + b.jitter_spread_ps {
             st.oracle_violations += 1;
             let kind = ViolationKind::JitterBound;
@@ -802,7 +807,7 @@ impl NodeCore {
         if let Some(st) = self.stats.get_mut(sid).and_then(Option::as_mut) {
             st.oracle_violations += 1;
         }
-        let who = (sid as u32, 0, u32::MAX);
+        let who = (u32::try_from(sid).unwrap_or(u32::MAX), 0, u32::MAX);
         flag(
             &mut self.oracle,
             &mut self.probe,
@@ -823,7 +828,7 @@ impl NodeCore {
         if let Some(nst) = self.node_stats.get_mut(node) {
             nst.oracle_violations += 1;
         }
-        let who = (u32::MAX, 0, node as u32);
+        let who = (u32::MAX, 0, u32::try_from(node).unwrap_or(u32::MAX));
         flag(
             &mut self.oracle,
             &mut self.probe,

@@ -25,6 +25,12 @@
 //! through `Network::oracle_totals` once the run (and its
 //! `Network::oracle_drain_check`) is done.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    clippy::float_arithmetic
+)]
+
 use lit_analysis::DurationHistogram;
 use lit_sim::Time;
 
@@ -296,7 +302,7 @@ pub(crate) fn ccdf_shift_violation(
     reference: &DurationHistogram,
     shift_ps: i128,
 ) -> Option<(i128, u64, u64)> {
-    let w = e2e.bin_width().as_ps() as i128;
+    let w = i128::from(e2e.bin_width());
     debug_assert_eq!(e2e.bin_width(), reference.bin_width());
     // prefix[m] = reference samples certainly ≤ m·w (bins 0..m).
     let mut prefix = vec![0u64];
@@ -347,7 +353,7 @@ mod tests {
         // D_i = Dref_i + 3 ms < Dref_i + 5 ms shift.
         let e2e = hist(&[13, 14, 18]);
         let reference = hist(&[10, 11, 15]);
-        let shift = Duration::from_ms(5).as_ps() as i128;
+        let shift = i128::from(Duration::from_ms(5));
         assert_eq!(ccdf_shift_violation(&e2e, &reference, shift), None);
     }
 
@@ -357,12 +363,12 @@ mod tests {
         // shift at thresholds between the reference tail and the sample.
         let e2e = hist(&[30]);
         let reference = hist(&[10]);
-        let shift = Duration::from_ms(5).as_ps() as i128;
+        let shift = i128::from(Duration::from_ms(5));
         let v = ccdf_shift_violation(&e2e, &reference, shift);
         assert!(v.is_some());
         let (d, lhs, rhs) = v.unwrap();
         assert_eq!((lhs, rhs), (1, 0));
-        assert!(d >= Duration::from_ms(16).as_ps() as i128, "d={d}");
+        assert!(d >= i128::from(Duration::from_ms(16)), "d={d}");
     }
 
     #[test]
@@ -372,7 +378,7 @@ mod tests {
         // pass thanks to the conservative rounding.
         let mut e2e = DurationHistogram::new(Duration::from_ms(1), 64);
         let mut reference = DurationHistogram::new(Duration::from_ms(1), 64);
-        let shift = Duration::from_ms(5).as_ps() as i128;
+        let shift = i128::from(Duration::from_ms(5));
         for i in 0..50u64 {
             let r = Duration::from_us(i * 137);
             reference.record(r);
@@ -388,7 +394,7 @@ mod tests {
         // Both in overflow, within shift: fine.
         reference.record(Duration::from_ms(100));
         e2e.record(Duration::from_ms(102));
-        let shift = Duration::from_ms(5).as_ps() as i128;
+        let shift = i128::from(Duration::from_ms(5));
         assert_eq!(ccdf_shift_violation(&e2e, &reference, shift), None);
         // Overflowed delivery with an in-range reference 50 ms earlier:
         // must be flagged even though bins can't resolve the overflow.

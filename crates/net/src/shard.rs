@@ -509,7 +509,8 @@ pub(crate) fn run_windows(shards: &mut [Shard], lookahead_ps: u64, until: Time) 
             if tmin == u64::MAX || tmin > until_ps {
                 break;
             }
-            // lit-lint: allow(checked-clock-ops, "u64::MAX is the no-event sentinel; saturating keeps it a sentinel instead of wrapping")
+            // u64::MAX is the no-event sentinel; saturating keeps it a
+            // sentinel instead of wrapping.
             let horizon = tmin.saturating_add(lookahead_ps);
             // A panicking shard must not leave siblings parked on a
             // barrier: trap the payload, flag the abort, and keep

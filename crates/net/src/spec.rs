@@ -75,9 +75,9 @@ impl DelayAssignment {
             DelayAssignment::Linear { num, den, base } => {
                 // len · num / den seconds, computed exactly in u128 ps.
                 let num_ps = len_bits as u128 * num as u128 * PS_PER_SEC as u128;
-                let ps = (num_ps + den / 2) / den;
-                let ps = u64::try_from(ps).expect("linear delay increment fits u64 ps");
-                base + Duration::from_ps(ps)
+                let slope = Duration::try_from((num_ps + den / 2) / den)
+                    .expect("linear delay increment fits u64 ps");
+                base + slope
             }
             DelayAssignment::Fixed(d) => d,
         }
@@ -91,24 +91,24 @@ impl DelayAssignment {
     }
 
     /// Lower this assignment to branch-free fixed-point coefficients for a
-    /// session with reserved rate `rate_bps`. `coeffs(r).d_ps(len)` is
-    /// bit-identical to `d_for(len, r).as_ps()` for every form.
+    /// session with reserved rate `rate_bps`. `coeffs(r).d_for(len)` is
+    /// bit-identical to `d_for(len, r)` for every form.
     pub fn coeffs(&self, rate_bps: u64) -> DelayCoeffs {
         match *self {
             DelayAssignment::LenOverRate => DelayCoeffs {
                 num_ps: PS_PER_SEC as u128,
                 den: rate_bps as u128,
-                base_ps: 0,
+                base: Duration::ZERO,
             },
             DelayAssignment::Linear { num, den, base } => DelayCoeffs {
                 num_ps: num as u128 * PS_PER_SEC as u128,
                 den,
-                base_ps: base.as_ps(),
+                base,
             },
             DelayAssignment::Fixed(d) => DelayCoeffs {
                 num_ps: 0,
                 den: 1,
-                base_ps: d.as_ps(),
+                base: d,
             },
         }
     }
@@ -118,11 +118,11 @@ impl DelayAssignment {
 /// every form becomes
 ///
 /// ```text
-/// d_ps(len) = (len · num_ps + den/2) / den + base_ps
+/// d(len) = (len · num_ps + den/2) / den ps + base
 /// ```
 ///
 /// computed exactly in `u128`. Struct-of-arrays schedulers store one
-/// `(num_ps, den, base_ps)` triple per session and evaluate eq. 8–11 over
+/// `(num_ps, den, base)` triple per session and evaluate eq. 8–11 over
 /// flat arrays with no per-packet enum dispatch; the half-denominator
 /// rounding matches `Duration::from_bits_at_rate` and
 /// [`DelayAssignment::d_for`] bit for bit.
@@ -132,22 +132,20 @@ pub struct DelayCoeffs {
     pub num_ps: u128,
     /// Per-bit slope denominator (never zero for a valid session).
     pub den: u128,
-    /// Constant offset in picoseconds.
-    pub base_ps: u64,
+    /// Constant offset.
+    pub base: Duration,
 }
 
 impl DelayCoeffs {
-    /// The delay increment for a `len_bits`-bit packet, in picoseconds.
+    /// The delay increment `d_i` for a `len_bits`-bit packet (eq. 10).
     ///
     /// # Panics
     /// Panics if the increment overflows `u64` picoseconds or `den` is
     /// zero — the same loud failures as the `DelayAssignment` path.
     #[inline]
-    pub fn d_ps(&self, len_bits: u32) -> u64 {
+    pub fn d_for(&self, len_bits: u32) -> Duration {
         let ps = (len_bits as u128 * self.num_ps + self.den / 2) / self.den;
-        let ps = u64::try_from(ps).expect("delay increment fits u64 ps");
-        ps.checked_add(self.base_ps)
-            .expect("delay increment overflowed u64 ps")
+        Duration::try_from(ps).expect("delay increment fits u64 ps") + self.base
     }
 }
 
@@ -287,8 +285,8 @@ mod tests {
                 let c = da.coeffs(rate);
                 for len in [0u32, 1, 53, 424, 848, 65_535, 1 << 24] {
                     assert_eq!(
-                        c.d_ps(len),
-                        da.d_for(len, rate).as_ps(),
+                        c.d_for(len),
+                        da.d_for(len, rate),
                         "form={da:?} rate={rate} len={len}"
                     );
                 }

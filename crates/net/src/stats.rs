@@ -101,7 +101,7 @@ impl DeliveryRecord {
 
     /// Pathwise excess `D_i − D^ref_i` in signed picoseconds.
     pub fn excess_ps(&self) -> i128 {
-        self.delay().as_ps() as i128 - self.ref_delay.as_ps() as i128
+        self.delay().signed_sub(self.ref_delay)
     }
 }
 
@@ -308,9 +308,12 @@ impl SessionStats {
 
     /// Batch-means ~95 % confidence interval on the mean end-to-end delay
     /// `(mean, half_width)`, if enough batches completed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reporting boundary: a batch-means CI is float statistics, converted back to a Duration for display only"
+    )]
     pub fn mean_delay_ci(&self) -> Option<(Duration, Duration)> {
         let (m, h) = self.delay_batches.interval()?;
-        // lit-lint: allow(raw-time-arithmetic, "reporting boundary: a batch-means CI is float statistics converted back to a Duration for display")
         Some((Duration::from_secs_f64(m), Duration::from_secs_f64(h)))
     }
 }

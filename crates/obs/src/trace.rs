@@ -294,7 +294,8 @@ pub fn chrome_trace_json(groups: &[(u64, Vec<TraceEvent>)]) -> String {
                     e.session,
                     e.seq,
                     ts_us(e.start_ps),
-                    // lit-lint: allow(checked-clock-ops, "export-side clamp: a Depart always has t >= start, but a malformed ring must not abort the dump")
+                    // Export-side clamp: a Depart always has t ≥ start, but a
+                    // malformed ring must not abort the dump.
                     ts_us(e.t_ps.saturating_sub(e.start_ps)),
                     e.session,
                     e.seq,

@@ -21,6 +21,17 @@ pub const T1_BPS: u64 = 1_536_000;
 /// The standard 32 kbit/s reservation of the paper's ON-OFF/CBR sessions.
 pub const VOICE_BPS: u64 = 32_000;
 
+/// The paper's Table-1 mean gaps are whole nanoseconds (pinned against
+/// their float spellings in `lit_sim::time`'s tests). Fig. 9's tagged
+/// 400 kbit/s Poisson session: 1.5143 ms.
+pub const TAGGED_400K_GAP: Duration = Duration::from_ns(1_514_300);
+/// Fig. 9's 1 136 kbit/s Poisson cross traffic: 0.3929 ms.
+pub const CROSS_1136K_GAP: Duration = Duration::from_ns(392_900);
+/// The 1 472 kbit/s Poisson cross traffic of Fig. 8/10/12–13: 0.28804 ms.
+pub const CROSS_1472K_GAP: Duration = Duration::from_ns(288_040);
+/// The firewall experiment's polite 640 kbit/s filler: 0.8 ms.
+pub const FILLER_640K_GAP: Duration = Duration::from_ns(800_000);
+
 /// How long to simulate, with which master seed, how to spread
 /// independent runs over worker threads, under which engine options, and
 /// where finished networks leave their results. The only carrier of any
@@ -116,12 +127,7 @@ pub fn replica_seed(master: u64, replica: u32) -> u64 {
     if replica == 0 {
         return master;
     }
-    // SplitMix64 output function over (master, replica) — statistically
-    // independent streams without any shared state between replicas.
-    let mut z = master.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(replica as u64));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    lit_sim::splitmix64_at(master, replica as u64)
 }
 
 /// Run every item of a sweep through `f` on a pool of
@@ -459,11 +465,7 @@ pub fn build_cross_onoff_queued(
     );
     let jc = add(&mut b, &mut admission, five_hop(), VOICE_BPS, true, onoff());
     for route in cross_routes() {
-        let src = Box::new(PoissonSource::new(
-            // lit-lint: allow(raw-time-arithmetic, "paper's Table 1 gives mean gaps in fractional milliseconds; one rounding at config build, sub-ps error")
-            Duration::from_secs_f64(0.28804e-3),
-            ATM_CELL_BITS,
-        ));
+        let src = Box::new(PoissonSource::new(CROSS_1472K_GAP, ATM_CELL_BITS));
         add(&mut b, &mut admission, route, 1_472_000, false, src);
     }
     // A bucketed eligible queue deliberately approximates deadline order,

@@ -21,6 +21,7 @@
 
 use super::common::{
     build_cross_poisson, max_lateness_fraction, run_points, CrossTraffic, PooledSession, RunConfig,
+    CROSS_1136K_GAP, CROSS_1472K_GAP, TAGGED_400K_GAP,
 };
 use crate::report::{frac, Table};
 use lit_analysis::Md1;
@@ -43,8 +44,7 @@ impl Variant {
     /// Tagged session `(rate_bps, mean_gap)`.
     pub fn session(self) -> (u64, Duration) {
         match self {
-            // lit-lint: allow(raw-time-arithmetic, "paper's Table 1 gives mean gaps in fractional milliseconds; one rounding at config build, sub-ps error")
-            Variant::Fig9 => (400_000, Duration::from_secs_f64(1.5143e-3)),
+            Variant::Fig9 => (400_000, TAGGED_400K_GAP),
             Variant::Fig10 | Variant::Fig11 => (32_000, Duration::from_ms(40)),
         }
     }
@@ -54,13 +54,11 @@ impl Variant {
         match self {
             Variant::Fig9 => CrossTraffic::Poisson {
                 rate_bps: 1_136_000,
-                // lit-lint: allow(raw-time-arithmetic, "paper's Table 1 gives mean gaps in fractional milliseconds; one rounding at config build, sub-ps error")
-                mean_gap: Duration::from_secs_f64(0.3929e-3),
+                mean_gap: CROSS_1136K_GAP,
             },
             Variant::Fig10 => CrossTraffic::Poisson {
                 rate_bps: 1_472_000,
-                // lit-lint: allow(raw-time-arithmetic, "paper's Table 1 gives mean gaps in fractional milliseconds; one rounding at config build, sub-ps error")
-                mean_gap: Duration::from_secs_f64(0.28804e-3),
+                mean_gap: CROSS_1472K_GAP,
             },
             Variant::Fig11 => CrossTraffic::Deterministic { count: 47 },
         }

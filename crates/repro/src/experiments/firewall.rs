@@ -14,7 +14,7 @@
 //! priority gives the lowest raw delay.
 
 use super::common::{
-    max_lateness_fraction, run_points, voice_bounds, RunConfig, T1_BPS, VOICE_BPS,
+    max_lateness_fraction, run_points, voice_bounds, RunConfig, FILLER_640K_GAP, T1_BPS, VOICE_BPS,
 };
 use crate::report::{ms, Table};
 use crate::topology::{cross_routes, five_hop, paper_tandem};
@@ -66,11 +66,7 @@ fn run_one(factory: &DisciplineFactory<'_>, name: &'static str, cfg: &RunConfig)
         b.add_session(
             SessionSpec::atm(SessionId(0), 640_000),
             &route.nodes(&nodes),
-            Box::new(PoissonSource::new(
-                // lit-lint: allow(raw-time-arithmetic, "paper's Table 1 gives mean gaps in fractional milliseconds; one rounding at config build, sub-ps error")
-                Duration::from_secs_f64(0.8e-3),
-                ATM_CELL_BITS,
-            )),
+            Box::new(PoissonSource::new(FILLER_640K_GAP, ATM_CELL_BITS)),
         );
     }
     let _ = T1_BPS; // victim + misbehaver + filler stay below C reserved

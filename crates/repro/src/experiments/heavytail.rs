@@ -13,7 +13,9 @@
 //! shifted co-simulated reference CCDF. There is no analytic column —
 //! that is the point.
 
-use super::common::{max_lateness_fraction, run_points, PooledSession, RunConfig, T1_BPS};
+use super::common::{
+    max_lateness_fraction, run_points, PooledSession, RunConfig, CROSS_1472K_GAP, T1_BPS,
+};
 use crate::report::{frac, Table};
 use crate::topology::{cross_routes, five_hop, paper_tandem};
 use lit_core::{ClassedAdmission, DRule, LitDiscipline, PathBounds, SessionRequest};
@@ -90,11 +92,7 @@ fn build(cfg: &RunConfig, seed: u64) -> (lit_net::Network, SessionId) {
         b.add_session_with_hops(
             SessionSpec::atm(SessionId(0), 1_472_000),
             hops,
-            Box::new(PoissonSource::new(
-                // lit-lint: allow(raw-time-arithmetic, "paper's Table 1 gives mean gaps in fractional milliseconds; one rounding at config build, sub-ps error")
-                Duration::from_secs_f64(0.28804e-3),
-                ATM_CELL_BITS,
-            )),
+            Box::new(PoissonSource::new(CROSS_1472K_GAP, ATM_CELL_BITS)),
         );
     }
 

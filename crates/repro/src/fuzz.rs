@@ -58,13 +58,9 @@ fn fuzz_stats() -> StatsConfig {
     }
 }
 
-/// SplitMix64 output function — derives independent case seeds from
-/// `(campaign seed, case index)`.
+/// Independent case seeds from `(campaign seed, case index)`.
 fn case_seed(master: u64, case: u64) -> u64 {
-    let mut z = master.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(case.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    lit_sim::splitmix64_at(master, case.wrapping_add(1))
 }
 
 /// Generate the random scenario of `seed`. Deterministic, whole-ns

@@ -55,7 +55,7 @@ use lit_net::{
     DelayAssignment, DisciplineFactory, EventBackend, LinkParams, Network, NetworkBuilder,
     OracleConfig, OracleMode, QueueKind, RegulatorBackend, SessionId, SessionSpec, StatsConfig,
 };
-use lit_sim::{Duration, Time};
+use lit_sim::{Duration, ParseDurationError, Time, PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};
 use lit_traffic::{
     BurstSource, DeterministicSource, OnOffConfig, OnOffSource, PoissonSource, ShapedSource, Source,
 };
@@ -559,27 +559,29 @@ pub struct Scenario {
     pub(crate) horizon: Duration,
 }
 
-/// Parse a duration literal like `13.25ms`, `60s`, `100us`, `500ns`.
+/// Duration units of the scenario grammar, coarsest first.
+const UNITS: [(&str, u64); 4] = [
+    ("s", PS_PER_SEC),
+    ("ms", PS_PER_MS),
+    ("us", PS_PER_US),
+    ("ns", PS_PER_NS),
+];
+
+/// Parse a duration literal like `13.25ms`, `60s`, `100us`, `500ns`:
+/// a decimal count of a unit, read exactly ([`Duration::from_decimal`]).
 fn parse_duration(s: &str) -> Result<Duration, String> {
     let (num, unit) = s
         .find(|c: char| c.is_alphabetic())
         .map(|i| s.split_at(i))
         .ok_or_else(|| format!("duration '{s}' is missing a unit"))?;
-    let v: f64 = num
-        .parse()
-        .map_err(|_| format!("bad duration value '{num}'"))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(format!("duration '{s}' out of range"));
-    }
-    let secs = match unit {
-        "s" => v,
-        "ms" => v / 1e3,
-        "us" => v / 1e6,
-        "ns" => v / 1e9,
-        other => return Err(format!("unknown duration unit '{other}'")),
-    };
-    // lit-lint: allow(raw-time-arithmetic, "scenario files carry durations as decimal unit strings; one rounding at parse time, fail-loud on overflow")
-    Ok(Duration::from_secs_f64(secs))
+    let &(_, unit_ps) = UNITS
+        .iter()
+        .find(|(name, _)| *name == unit)
+        .ok_or_else(|| format!("unknown duration unit '{unit}'"))?;
+    Duration::from_decimal(num, unit_ps).map_err(|e| match e {
+        ParseDurationError::Malformed => format!("bad duration value '{num}'"),
+        ParseDurationError::OutOfRange => format!("duration '{s}' out of range"),
+    })
 }
 
 /// Render a duration as the shortest exact literal [`parse_duration`]
@@ -587,16 +589,9 @@ fn parse_duration(s: &str) -> Result<Duration, String> {
 /// fractional-nanosecond fallback for sub-ns precision.
 fn fmt_duration(d: Duration) -> String {
     let ps = d.as_ps();
-    if ps.is_multiple_of(1_000_000_000_000) {
-        format!("{}s", ps / 1_000_000_000_000)
-    } else if ps.is_multiple_of(1_000_000_000) {
-        format!("{}ms", ps / 1_000_000_000)
-    } else if ps.is_multiple_of(1_000_000) {
-        format!("{}us", ps / 1_000_000)
-    } else if ps.is_multiple_of(1_000) {
-        format!("{}ns", ps / 1_000)
-    } else {
-        format!("{}.{:03}ns", ps / 1_000, ps % 1_000)
+    match UNITS.iter().find(|(_, per)| ps.is_multiple_of(*per)) {
+        Some((unit, per)) => format!("{}{unit}", ps / per),
+        None => format!("{}.{:03}ns", ps / PS_PER_NS, ps % PS_PER_NS),
     }
 }
 
@@ -1509,6 +1504,18 @@ run 10s
         ] {
             assert_eq!(parse_duration(&fmt_duration(d)).unwrap(), d, "{d}");
         }
+    }
+
+    #[test]
+    fn durations_round_trip_past_the_f64_mantissa() {
+        // A float parser reads 2⁵³ + 1 ps (`9007199254740.993ns`) one off.
+        for ps in [9_007_199_254_740_993, u64::MAX - 1, u64::MAX] {
+            let d = Duration::from_ps(ps);
+            assert_eq!(parse_duration(&fmt_duration(d)).unwrap(), d, "{ps}");
+        }
+        let err = |s| parse_duration(s).unwrap_err();
+        assert!(err("18446744073709551.616ns").contains("out of range"));
+        assert!(err("1.2.3ms").contains("bad duration value"));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!   (the "cross traffic").
 
 use lit_net::{LinkParams, NetworkBuilder, NodeId};
+use lit_sim::splitmix64_at;
 
 /// Number of server nodes in the paper's topology.
 pub const NUM_NODES: usize = 5;
@@ -156,28 +157,20 @@ pub fn fattree_uplink_paths(depth: usize, fanout: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// SplitMix64 finalizer — the WAN generator's only "randomness", fully
-/// determined by the flow index so path sets reproduce bit-identically
-/// everywhere.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// `flows` deterministic forward paths over a `nodes`-link line — what
 /// the `wan` generator stanza instantiates. Each flow starts at a
 /// pseudorandom node and jumps 1–3 links while room remains, capped at 5
-/// hops; node ids strictly increase, so any flow set is acyclic.
+/// hops; node ids strictly increase, so any flow set is acyclic. SplitMix64
+/// steps are the generator's only "randomness", fully determined by the
+/// flow index, so path sets reproduce bit-identically everywhere.
 pub fn wan_paths(flows: usize, nodes: usize) -> Vec<Vec<usize>> {
     (0..flows)
         .map(|flow| {
-            let mut h = splitmix(flow as u64);
+            let mut h = splitmix64_at(flow as u64, 1);
             let mut cur = (h % nodes.max(1) as u64) as usize;
             let mut path = vec![cur];
             while path.len() < 5 {
-                h = splitmix(h);
+                h = splitmix64_at(h, 1);
                 let step = 1 + (h % 3) as usize;
                 if cur + step >= nodes {
                     break;

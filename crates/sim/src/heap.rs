@@ -52,7 +52,7 @@ impl<E> Entry<E> {
     /// `(at, seq)` as one integer: smaller pops first.
     #[inline(always)]
     fn key(&self) -> u128 {
-        (self.at.as_ps() as u128) << 64 | self.seq as u128
+        u128::from(self.at) << 64 | self.seq as u128
     }
 }
 

@@ -33,6 +33,6 @@ mod wheel;
 pub use calendar::CalendarQueue;
 pub use entry::KeyedEntry;
 pub use queue::{EventBackend, EventQueue, Lane};
-pub use rng::{SeedSeq, SimRng};
-pub use time::{Duration, Time, PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};
+pub use rng::{splitmix64_at, SeedSeq, SimRng};
+pub use time::{Duration, ParseDurationError, Time, PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};
 pub use wheel::TimerWheel;

@@ -75,6 +75,12 @@ enum Inner<E> {
     Wheel(TimerWheel<E>),
 }
 
+/// A calendar key (`u128::from(Time)` at push) back as an instant: lossless.
+#[inline]
+fn calendar_time(key: u128) -> Time {
+    Time::from_ps(key as u64)
+}
+
 /// A sorted-run FIFO of an [`EventQueue`], opened by [`EventQueue::lane`].
 /// Only meaningful to the queue that opened it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,7 +216,7 @@ impl<E: Copy> EventQueue<E> {
             // The calendar and the wheel keep their own monotone seq,
             // incremented once per push just like ours, so FIFO order
             // matches the heap's.
-            Inner::Calendar(c) => c.push(at.as_ps() as u128, event),
+            Inner::Calendar(c) => c.push(u128::from(at), event),
             Inner::Wheel(w) => w.push(at.as_ps(), event),
         }
         self.heap_high_water = self.heap_high_water.max(self.heap_len() as u64);
@@ -256,8 +262,7 @@ impl<E: Copy> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Time, E)> {
         match &mut self.inner {
             Inner::Heap(_) => self.pop_if(|_, _| true),
-            // lit-lint: allow(raw-time-arithmetic, "calendar keys are as_ps() values widened to u128 at push; the narrowing is a lossless roundtrip")
-            Inner::Calendar(c) => c.pop().map(|(k, e)| (Time::from_ps(k as u64), e)),
+            Inner::Calendar(c) => c.pop().map(|(k, e)| (calendar_time(k), e)),
             Inner::Wheel(w) => w.pop().map(|(k, e)| (Time::from_ps(k), e)),
         }
     }
@@ -300,8 +305,7 @@ impl<E: Copy> EventQueue<E> {
                 }
                 return Some((at, event));
             }
-            // lit-lint: allow(raw-time-arithmetic, "calendar keys are as_ps() values widened to u128 at push; the narrowing is a lossless roundtrip")
-            Inner::Calendar(c) => c.peek().map(|(k, e)| pred(Time::from_ps(k as u64), e)),
+            Inner::Calendar(c) => c.peek().map(|(k, e)| pred(calendar_time(k), e)),
             Inner::Wheel(w) => w.peek().map(|(k, e)| pred(Time::from_ps(k), e)),
         };
         // The peek above caches the min position (calendar/wheel hints),
@@ -320,8 +324,7 @@ impl<E: Copy> EventQueue<E> {
                 (Some(root), Some(head)) => Some(root.min(head)),
                 (root, head) => root.or(head),
             },
-            // lit-lint: allow(raw-time-arithmetic, "calendar keys are as_ps() values widened to u128 at push; the narrowing is a lossless roundtrip")
-            Inner::Calendar(c) => c.peek_key().map(|k| Time::from_ps(k as u64)),
+            Inner::Calendar(c) => c.peek_key().map(calendar_time),
             Inner::Wheel(w) => w.peek_key().map(Time::from_ps),
         }
     }

@@ -9,13 +9,14 @@
 
 use crate::time::Duration;
 
-/// SplitMix64 step: a high-quality 64-bit mixer used only to derive child
-/// seeds from a master seed. (Algorithm from Steele, Lea & Flood,
-/// "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014.)
+/// The `n`-th output (1-based) of the SplitMix64 stream seeded with
+/// `seed` (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
+/// Generators", OOPSLA 2014), without stepping through the ones before
+/// it: how child streams, replicas, fuzz cases and generated topologies
+/// derive independent seeds.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+pub fn splitmix64_at(seed: u64, n: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(n));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -24,19 +25,21 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Derives independent child seeds from one master seed.
 #[derive(Clone, Debug)]
 pub struct SeedSeq {
-    state: u64,
+    master: u64,
+    drawn: u64,
 }
 
 impl SeedSeq {
     /// Start a sequence from `master`.
     pub fn new(master: u64) -> Self {
-        SeedSeq { state: master }
+        SeedSeq { master, drawn: 0 }
     }
 
     /// The next child seed. Consecutive calls yield decorrelated values
     /// even for adjacent master seeds.
     pub fn next_seed(&mut self) -> u64 {
-        splitmix64(&mut self.state)
+        self.drawn += 1;
+        splitmix64_at(self.master, self.drawn)
     }
 
     /// A ready-to-use RNG stream seeded with the next child seed.
@@ -60,14 +63,8 @@ impl Xoshiro256pp {
     /// xoshiro authors recommend (avoids correlated low-entropy states and
     /// can never produce the forbidden all-zero state).
     fn from_seed(seed: u64) -> Self {
-        let mut st = seed;
         Xoshiro256pp {
-            s: [
-                splitmix64(&mut st),
-                splitmix64(&mut st),
-                splitmix64(&mut st),
-                splitmix64(&mut st),
-            ],
+            s: [1, 2, 3, 4].map(|n| splitmix64_at(seed, n)),
         }
     }
 
@@ -145,10 +142,13 @@ impl SimRng {
     /// Both the paper's Poisson interarrival times and the ON/OFF sojourn
     /// times are exponential. `1 - U` (not `U`) keeps the argument of `ln`
     /// strictly positive since `U ∈ [0, 1)`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "exponential sampling is float by nature; one rounding at the draw boundary, fail-loud on overflow"
+    )]
     pub fn exponential(&mut self, mean: Duration) -> Duration {
         let u = self.unit_f64();
         let x = -(1.0 - u).ln() * mean.as_secs_f64();
-        // lit-lint: allow(raw-time-arithmetic, "exponential sampling is float by nature; one rounding at the draw boundary, fail-loud on overflow")
         Duration::from_secs_f64(x)
     }
 

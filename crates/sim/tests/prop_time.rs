@@ -1,16 +1,16 @@
 //! Property tests for the fixed-point clock types near `u64::MAX`.
 //!
-//! The contract lit-lint's clock rules lean on: arithmetic on `Time`/
-//! `Duration` either reports overflow (`checked_*` returns `None`) or
-//! fails loudly (constructors and `+`/`-` panic), in debug *and* release.
-//! A silently wrapped clock would corrupt deadline order, so these
-//! properties drive inputs within a few thousand picoseconds of the
-//! representable ceiling and assert nothing wraps.
+//! The clock contract `lit_sim::time` carries in its types: arithmetic on
+//! `Time`/`Duration` either reports overflow (`checked_*` returns `None`),
+//! fails loudly (constructors and `+`/`-` panic) or widens (`signed_*`,
+//! `From`, `picobits_at_rate`), in debug *and* release. These properties
+//! drive inputs within a few thousand picoseconds of the representable
+//! ceiling and assert nothing wraps.
 
 #![forbid(unsafe_code)]
 
 use lit_prop::{check, Gen};
-use lit_sim::{Duration, Time, PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};
+use lit_sim::{Duration, ParseDurationError, Time, PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};
 use std::panic::catch_unwind;
 
 /// A magnitude mix that hammers the overflow boundary: mostly values
@@ -100,13 +100,88 @@ fn checked_ops_match_u128_oracle() {
             "checked_mul disagrees with u128 for {b} * {k}"
         );
 
-        // Subtraction in both directions: checked reports, saturating clamps.
+        // Subtraction in both directions: checked reports, signed widens.
         let u = Time::from_ps(b);
         if a >= b {
             assert_eq!(t.checked_since(u), Some(Duration::from_ps(a - b)));
         } else {
             assert_eq!(t.checked_since(u), None);
-            assert_eq!(t.saturating_since(u), Duration::ZERO);
+        }
+        assert_eq!(t.signed_since(u), a as i128 - b as i128);
+    });
+}
+
+/// The widened operations agree with `i128`/`u128` math for any operands:
+/// signed differences are antisymmetric and extend `checked_since`, `From`
+/// round-trips, eq. 8's clamp is `max(0, ·)` with the `MAX` sentinel above
+/// `u64::MAX`, and the quotients and rate products cannot wrap.
+#[test]
+fn widened_ops_match_wide_oracle() {
+    check("widened_ops_match_wide_oracle", |g| {
+        let (a, b) = (gen_count(g), gen_count(g));
+        let (t, u) = (Time::from_ps(a), Time::from_ps(b));
+        let (d, e) = (Duration::from_ps(a), Duration::from_ps(b));
+        let (wa, diff) = (a as i128, a as i128 - b as i128);
+
+        assert_eq!((t.signed_since(u), u.signed_since(t)), (diff, -diff));
+        assert_eq!((d.signed_sub(e), e.signed_sub(d)), (diff, -diff));
+        match t.checked_since(u) {
+            Some(span) => assert_eq!(i128::from(span), diff),
+            None => assert!(diff < 0),
+        }
+        assert_eq!((i128::from(t), u128::from(t)), (wa, a as u128));
+        assert_eq!(Duration::try_from(u128::from(d)), Ok(d));
+        assert!(Duration::try_from(u128::from(d) + u128::from(u64::MAX) + 1).is_err());
+
+        // Clamp at 0, below it, inside the range and past u64::MAX.
+        let clamp = Duration::from_signed_clamped;
+        assert_eq!((clamp(0), clamp(-1 - wa)), (Duration::ZERO, Duration::ZERO));
+        assert_eq!(
+            (clamp(wa), clamp(wa + u64::MAX as i128 + 1)),
+            (d, Duration::MAX)
+        );
+        assert_eq!(clamp(diff), Duration::from_ps(a.saturating_sub(b)));
+
+        let frame = Duration::from_ps(b.max(1));
+        assert_eq!(t.frame_index(frame), a / b.max(1));
+        assert_eq!(d.div_ceil(frame), a.div_ceil(b.max(1)));
+        assert_eq!(d.picobits_at_rate(b), a as u128 * b as u128);
+    });
+}
+
+/// Decimal parse ∘ exact format is the identity over all of `u64`, in
+/// every unit, and the integer parser equals the float path it replaced
+/// wherever that path was exact: it rounded three times (parse, `/ 10⁹`,
+/// `· 10¹²`), which stays under half a picosecond below 2⁵⁰ ps (≈ 19 min)
+/// and is already one off at 2⁵³ + 1.
+#[test]
+fn decimal_roundtrips_over_all_of_u64() {
+    /// The retired `f64` parser of `scenario::parse_duration` (ns unit).
+    fn float_path(num: &str) -> Duration {
+        let secs = num.parse::<f64>().unwrap() / 1e9;
+        Duration::from_ps((secs * PS_PER_SEC as f64).round() as u64)
+    }
+    check("decimal_roundtrips_over_all_of_u64", |g| {
+        let ps = match g.weighted(&[2, 1, 1]) {
+            0 => g.u64(),
+            1 => gen_count(g),
+            _ => g.below(1 << 50),
+        };
+        let want = Duration::from_ps(ps);
+        let units = [PS_PER_NS, PS_PER_US, PS_PER_MS, PS_PER_SEC];
+        for (unit, places) in units.into_iter().zip([3, 6, 9, 12]) {
+            let parse = |s: &str| Duration::from_decimal(s, unit);
+            let text = format!("{}.{:0places$}", ps / unit, ps % unit);
+            assert_eq!(parse(&text), Ok(want), "{text} × {unit}");
+            // More digits than the picosecond resolves round half-up.
+            assert_eq!(parse(&format!("{text}4999")), Ok(want), "{text}4999");
+            let up = want.checked_add(Duration::from_ps(1));
+            assert_eq!(parse(&format!("{text}5")).ok(), up, "{text}5");
+            if unit == PS_PER_NS && ps < 1 << 50 {
+                assert_eq!(parse(&text), Ok(float_path(&text)));
+            }
+            let negative = parse(&format!("-{text}"));
+            assert_eq!(negative, Err(ParseDurationError::OutOfRange));
         }
     });
 }

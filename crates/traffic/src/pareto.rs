@@ -91,12 +91,15 @@ impl ParetoOnOffSource {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Pareto sampling is float by nature; the 1 h cap bounds the draw before its one rounding"
+    )]
     fn draw_off(&self, rng: &mut SimRng) -> Duration {
         let secs = pareto_with_mean(rng, self.cfg.off_shape, self.cfg.mean_off.as_secs_f64());
         // Cap a single silence at an hour: keeps pathological tail draws
         // from overflowing the clock while distorting the mean by < 1e-6
         // at any realistic configuration.
-        // lit-lint: allow(raw-time-arithmetic, "Pareto sampling is float by nature; the 1h cap above bounds the draw before rounding")
         Duration::from_secs_f64(secs.min(3_600.0))
     }
 

@@ -71,7 +71,7 @@ mod tests {
     fn rate_matches_lambda() {
         // Paper Fig. 9 session: a_P = 1.5143 ms, 424-bit packets
         // => 424/0.0015143 ≈ 280 kbit/s offered on a 400 kbit/s reservation.
-        let mut s = PoissonSource::new(Duration::from_secs_f64(1.5143e-3), 424);
+        let mut s = PoissonSource::new(Duration::from_ns(1_514_300), 424);
         let mut rng = SimRng::seed_from(21);
         let horizon = Time::from_secs(600);
         let em = s.emissions_until(horizon, &mut rng);

@@ -80,7 +80,7 @@ impl TokenBucket {
             .checked_since(self.last)
             .expect("TokenBucket: time went backwards");
         self.last = now;
-        let add = dt.as_ps() as u128 * self.rate_bps as u128;
+        let add = dt.picobits_at_rate(self.rate_bps);
         self.tokens_pb = (self.tokens_pb + add).min(self.depth_pb);
     }
 
@@ -118,9 +118,9 @@ impl TokenBucket {
         }
         let deficit = need - self.tokens_pb;
         // ceil(deficit / rate) picoseconds until the deficit refills.
-        let wait_ps = u64::try_from(deficit.div_ceil(self.rate_bps as u128))
+        let wait = Duration::try_from(deficit.div_ceil(self.rate_bps as u128))
             .expect("token-bucket refill wait fits u64 ps");
-        Some(now + Duration::from_ps(wait_ps))
+        Some(now + wait)
     }
 }
 

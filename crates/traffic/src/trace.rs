@@ -5,7 +5,7 @@
 //! by anyone wanting to feed measured traces through the simulator.
 
 use crate::source::{Emission, Source};
-use lit_sim::{SimRng, Time};
+use lit_sim::{Duration, ParseDurationError, SimRng, Time, PS_PER_US};
 
 /// Replays a fixed list of emissions, in order.
 #[derive(Clone, Debug)]
@@ -45,7 +45,8 @@ impl TraceSource {
 
     /// Parse a trace from CSV text with a `time_us,len_bits` header —
     /// the interchange format for replaying externally captured traces.
-    /// Times are fractional microseconds.
+    /// Times are decimal microseconds, read exactly
+    /// ([`Duration::from_decimal`]).
     ///
     /// # Errors
     /// Returns a message naming the offending 1-based line.
@@ -59,22 +60,15 @@ impl TraceSource {
             let (t, l) = line
                 .split_once(',')
                 .ok_or_else(|| format!("line {}: expected 'time_us,len_bits'", i + 1))?;
-            let t_us: f64 = t
-                .trim()
-                .parse()
-                .map_err(|_| format!("line {}: bad time '{t}'", i + 1))?;
-            if !t_us.is_finite() || t_us < 0.0 {
-                return Err(format!("line {}: time out of range", i + 1));
-            }
+            let at = Duration::from_decimal(t.trim(), PS_PER_US).map_err(|e| match e {
+                ParseDurationError::Malformed => format!("line {}: bad time '{t}'", i + 1),
+                ParseDurationError::OutOfRange => format!("line {}: time out of range", i + 1),
+            })?;
             let len: u32 = l
                 .trim()
                 .parse()
                 .map_err(|_| format!("line {}: bad length '{l}'", i + 1))?;
-            pairs.push((
-                // lit-lint: allow(raw-time-arithmetic, "trace files carry timestamps as fractional microseconds; one rounding at load time, fail-loud on overflow")
-                lit_sim::Time::ZERO + lit_sim::Duration::from_secs_f64(t_us / 1e6),
-                len,
-            ));
+            pairs.push((Time::ZERO + at, len));
         }
         if pairs.windows(2).any(|w| w[0].0 > w[1].0) {
             return Err("trace not time-sorted".to_string());
@@ -89,7 +83,7 @@ impl TraceSource {
         for e in &self.trace[self.pos..] {
             out.push_str(&format!(
                 "{:.3},{}\n",
-                (e.at - lit_sim::Time::ZERO).as_secs_f64() * 1e6,
+                (e.at - Time::ZERO).as_secs_f64() * 1e6,
                 e.len_bits
             ));
         }
@@ -150,7 +144,7 @@ mod tests {
             let y = b.next_emission(&mut rng).unwrap();
             assert_eq!(x.len_bits, y.len_bits);
             // Round-trip through fractional microseconds: sub-ns exact.
-            let dx = (x.at.as_ps() as i128 - y.at.as_ps() as i128).abs();
+            let dx = x.at.signed_since(y.at).abs();
             assert!(dx < 1_000_000, "time drifted by {dx} ps");
         }
     }

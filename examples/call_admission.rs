@@ -42,7 +42,8 @@ fn main() {
                 // Admitted: become a real (shaped, hence conforming)
                 // session in the network.
                 let depth = 4 * ATM_CELL_BITS as u64;
-                let mean_gap = Duration::from_secs_f64(ATM_CELL_BITS as f64 / (0.85 * rate as f64));
+                // Offer 85 % of the reservation: L / (0.85·r) = 100·L / (85·r).
+                let mean_gap = Duration::from_bits_at_rate(ATM_CELL_BITS as u64 * 100, rate * 85);
                 let src =
                     ShapedSource::new(PoissonSource::new(mean_gap, ATM_CELL_BITS), rate, depth);
                 let sid = builder.add_session_with_hops(

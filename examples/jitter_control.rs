@@ -17,6 +17,7 @@ use leave_in_time::core::{LitDiscipline, PathBounds};
 use leave_in_time::net::{LinkParams, NetworkBuilder, SessionId, SessionSpec};
 use leave_in_time::prelude::*;
 use leave_in_time::traffic::{OnOffConfig, OnOffSource, PoissonSource, ATM_CELL_BITS};
+use lit_repro::experiments::common::CROSS_1472K_GAP;
 
 fn main() {
     let mut builder = NetworkBuilder::new().seed(42);
@@ -41,10 +42,7 @@ fn main() {
         builder.add_session(
             SessionSpec::atm(SessionId(0), 1_472_000),
             &[*node],
-            Box::new(PoissonSource::new(
-                Duration::from_secs_f64(0.28804e-3),
-                ATM_CELL_BITS,
-            )),
+            Box::new(PoissonSource::new(CROSS_1472K_GAP, ATM_CELL_BITS)),
         );
     }
 

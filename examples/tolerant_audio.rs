@@ -20,13 +20,14 @@ use leave_in_time::core::{LitDiscipline, PathBounds};
 use leave_in_time::net::{LinkParams, NetworkBuilder, SessionId, SessionSpec};
 use leave_in_time::prelude::*;
 use leave_in_time::traffic::{PoissonSource, ATM_CELL_BITS};
+use lit_repro::experiments::common::{CROSS_1136K_GAP, TAGGED_400K_GAP};
 
 fn main() {
     // The audio session: 424-bit cells, mean gap 1.5143 ms, reserved
     // 400 kbit/s over five hops (the paper's Figure 9 operating point,
     // rho = 0.7).
     let rate = 400_000u64;
-    let gap = Duration::from_secs_f64(1.5143e-3);
+    let gap = TAGGED_400K_GAP;
     let hops = 5usize;
 
     let mut builder = NetworkBuilder::new().seed(1234);
@@ -41,10 +42,7 @@ fn main() {
         builder.add_session(
             SessionSpec::atm(SessionId(0), 1_136_000),
             &[*node],
-            Box::new(PoissonSource::new(
-                Duration::from_secs_f64(0.3929e-3),
-                ATM_CELL_BITS,
-            )),
+            Box::new(PoissonSource::new(CROSS_1136K_GAP, ATM_CELL_BITS)),
         );
     }
     let mut net = builder.build(&LitDiscipline::factory());
