@@ -112,10 +112,7 @@ impl Discipline for EddDiscipline {
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
         let jitter = self.jitter;
-        let s = self
-            .sessions
-            .get_mut(pkt.session)
-            .expect("packet from unregistered session");
+        let s = self.sessions.registered_mut(pkt.session);
         // Jitter-EDD: the regulator holds the packet for the upstream
         // slack carried in the header.
         let eligible = if jitter { now + pkt.hold } else { now };

@@ -132,10 +132,7 @@ impl Discipline for HrrDiscipline {
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
         let earliest = self.frame_of(now) + 1; // never the arrival frame
         let frame_len = self.frame;
-        let s = self
-            .sessions
-            .get_mut(pkt.session)
-            .expect("packet from unregistered session");
+        let s = self.sessions.registered_mut(pkt.session);
         // Find the first frame ≥ earliest with quota left for the session.
         if s.frame < earliest {
             s.frame = earliest;

@@ -253,4 +253,34 @@ mod tests {
         let ratio = h / l;
         assert!((ratio - 3.0).abs() < 0.1, "ratio={ratio}");
     }
+
+    #[test]
+    fn every_session_table_discipline_rejects_an_unregistered_packet_alike() {
+        let link = LinkParams::paper_t1();
+        let disciplines: [Box<dyn lit_net::Discipline>; 7] = [
+            Box::new(LitDiscipline::new(link)),
+            Box::new(VirtualClockDiscipline::new()),
+            Box::new(WfqDiscipline::new(link)),
+            Box::new(ScfqDiscipline::new()),
+            Box::new(EddDiscipline::jitter_edd()),
+            Box::new(RcspDiscipline::new(vec![Duration::from_ms(5)])),
+            Box::new(HrrDiscipline::new(link, 48)),
+        ];
+        for mut d in disciplines {
+            d.register_session(
+                &SessionSpec::atm(SessionId(0), 32_000),
+                &DelayAssignment::LenOverRate,
+            );
+            let mut pkt = lit_net::Packet::new(SessionId(1), 1, 424, Time::ZERO);
+            let run = std::panic::AssertUnwindSafe(|| d.on_arrival(&mut pkt, Time::ZERO));
+            let payload = std::panic::catch_unwind(run).expect_err(d.name());
+            let msg = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(
+                msg,
+                Some("packet from unregistered session"),
+                "{}",
+                d.name()
+            );
+        }
+    }
 }

@@ -107,10 +107,7 @@ impl Discipline for RcspDiscipline {
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
-        let s = self
-            .sessions
-            .get_mut(pkt.session)
-            .expect("packet from unregistered session");
+        let s = self.sessions.registered_mut(pkt.session);
         // Rate controller: reconstruct x_min spacing.
         let eligible = match s.e_prev {
             Some(prev) => now.max(prev + s.x_min),

@@ -83,10 +83,7 @@ impl Discipline for ScfqDiscipline {
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
         self.backlog += 1;
         let v = self.v;
-        let s = self
-            .sessions
-            .get_mut(pkt.session)
-            .expect("packet from unregistered session");
+        let s = self.sessions.registered_mut(pkt.session);
         let f = s.f_last.max(v) + pkt.len_bits as f64 / s.weight;
         s.f_last = f;
         // The tag rides in the packet's scratch deadline field (virtual

@@ -65,10 +65,7 @@ impl Discipline for VirtualClockDiscipline {
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
-        let s = self
-            .sessions
-            .get_mut(pkt.session)
-            .expect("packet from unregistered session");
+        let s = self.sessions.registered_mut(pkt.session);
         let service = Duration::from_bits_at_rate(pkt.len_bits as u64, s.rate_bps);
         let base = match s.f_prev {
             Some(f) => now.max(f),

@@ -125,10 +125,7 @@ impl Discipline for WfqDiscipline {
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
         self.advance_virtual(now);
         let v = self.v;
-        let s = self
-            .sessions
-            .get_mut(pkt.session)
-            .expect("packet from unregistered session");
+        let s = self.sessions.registered_mut(pkt.session);
         let start = v.max(s.f_last);
         let f = start + pkt.len_bits as f64 / s.weight;
         s.f_last = f;

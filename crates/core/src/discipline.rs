@@ -44,60 +44,36 @@
 )]
 
 use lit_net::{
-    DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionId, SessionSpec,
+    DelayAssignment, DelayCoeffs, Discipline, LinkParams, Packet, ScheduleDecision, SessionId,
+    SessionSpec, SessionTable,
 };
 use lit_sim::{Duration, Time};
 
-/// Struct-of-arrays per-session state: one flat column per field, indexed
-/// by dense `SessionId`. A scan over many sessions touches contiguous
-/// memory instead of hopping across `Option<Struct>` slots, and every
-/// clock column is a typed fixed-point array.
+/// One session's state at one node: 80 bytes, one row of the node's
+/// [`SessionTable`].
 ///
 /// `k_prev` holds the eq. 11 recursion state with `Time::ZERO` standing
 /// in for "no packet yet": the paper sets `K₀ = t₁`, and since
 /// `E₁ ≥ t₁ ≥ 0` the first packet's base `max{E₁, K₀}` equals
 /// `max{E₁, 0} = E₁` — exactly what the explicit `Option::None` case
 /// computed. No sentinel branch.
-#[derive(Default)]
-struct SessionCols {
-    /// Slot occupancy; a packet from a vacant slot is a wiring bug.
-    occupied: Vec<bool>,
+struct LitSession {
     /// Whether the session requested delay-jitter control (eq. 7 vs 6).
-    jitter: Vec<bool>,
+    jitter: bool,
     /// Reserved rate `r_s` in bit/s — the eq. 11 `L/r` clock.
-    rate_bps: Vec<u64>,
-    /// Per-hop delay assignment, lowered to fixed-point coefficients:
-    /// `d(len) = (len·num_ps + den/2)/den ps + base`.
-    d_num_ps: Vec<u128>,
-    d_den: Vec<u128>,
-    d_base: Vec<Duration>,
+    rate_bps: u64,
+    /// Per-hop delay assignment, lowered to fixed-point coefficients.
+    coeffs: DelayCoeffs,
     /// `d_max,s` at this node — enters the holding-time stamp (eq. 9).
-    d_max: Vec<Duration>,
+    d_max: Duration,
     /// `K_{i-1,s}`; `Time::ZERO` before the first packet (see above).
-    k_prev: Vec<Time>,
-}
-
-impl SessionCols {
-    fn grow(&mut self, idx: usize) {
-        if self.occupied.len() <= idx {
-            let n = idx.saturating_add(1); // usize::MAX slots cannot exist
-            self.occupied.resize(n, false);
-            self.jitter.resize(n, false);
-            self.rate_bps.resize(n, 0);
-            self.d_num_ps.resize(n, 0);
-            self.d_den.resize(n, 1);
-            self.d_base.resize(n, Duration::ZERO);
-            self.d_max.resize(n, Duration::ZERO);
-            self.k_prev.resize(n, Time::ZERO);
-        }
-    }
+    k_prev: Time,
 }
 
 /// One Leave-in-Time scheduler instance (one per server node).
 pub struct LitDiscipline {
     link: LinkParams,
-    /// Dense per-session columns, indexed by `SessionId`.
-    cols: SessionCols,
+    sessions: SessionTable<LitSession>,
 }
 
 impl LitDiscipline {
@@ -105,22 +81,13 @@ impl LitDiscipline {
     pub fn new(link: LinkParams) -> Self {
         LitDiscipline {
             link,
-            cols: SessionCols::default(),
+            sessions: SessionTable::new(),
         }
     }
 
     /// A boxed factory suitable for [`lit_net::NetworkBuilder::build`].
     pub fn factory() -> impl Fn(&LinkParams) -> Box<dyn Discipline> {
         |link: &LinkParams| Box::new(LitDiscipline::new(*link)) as Box<dyn Discipline>
-    }
-
-    /// Occupancy guard shared by the packet-facing entry points.
-    #[inline]
-    fn check_registered(&self, idx: usize) {
-        assert!(
-            self.cols.occupied.get(idx).copied().unwrap_or(false),
-            "packet from unregistered session"
-        );
     }
 }
 
@@ -129,58 +96,39 @@ impl Discipline for LitDiscipline {
         "leave-in-time"
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "in-bounds by grow(idx) directly above"
-    )]
     fn register_session(&mut self, spec: &SessionSpec, delay: &DelayAssignment) {
-        let idx = spec.id.index();
-        let c = &mut self.cols;
-        c.grow(idx);
-        let coeffs = delay.coeffs(spec.rate_bps);
-        // Registration-time writes, in-bounds by the grow() above.
-        c.occupied[idx] = true;
-        c.jitter[idx] = spec.jitter_control;
-        c.rate_bps[idx] = spec.rate_bps;
-        c.d_num_ps[idx] = coeffs.num_ps;
-        c.d_den[idx] = coeffs.den;
-        c.d_base[idx] = coeffs.base;
-        c.d_max[idx] = delay.d_max(spec.max_len_bits, spec.rate_bps);
-        // Fresh K-recursion: a reused slot must start at K₀ = t₁.
-        c.k_prev[idx] = Time::ZERO;
+        // A fresh row: a reused slot restarts the K-recursion at K₀ = t₁.
+        let row = LitSession {
+            jitter: spec.jitter_control,
+            rate_bps: spec.rate_bps,
+            coeffs: delay.coeffs(spec.rate_bps),
+            d_max: delay.d_max(spec.max_len_bits, spec.rate_bps),
+            k_prev: Time::ZERO,
+        };
+        self.sessions.insert(spec.id, row);
+    }
+
+    fn reserve(&mut self, sessions: usize) {
+        self.sessions.reserve(sessions);
     }
 
     fn unregister_session(&mut self, id: SessionId) {
-        if let Some(slot) = self.cols.occupied.get_mut(id.index()) {
-            *slot = false;
-        }
+        self.sessions.remove(id);
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "in-bounds: check_registered proved occupied[idx], and all columns share one length"
-    )]
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
-        let idx = pkt.session.index();
-        self.check_registered(idx);
-        let c = &mut self.cols;
+        let s = self.sessions.registered_mut(pkt.session);
 
         // Eligibility: eq. (6) / (7). `pkt.hold` is Aⁿ from upstream
         // (zero at the first hop per eq. 8).
-        let eligible = if c.jitter[idx] { now + pkt.hold } else { now };
+        let eligible = if s.jitter { now + pkt.hold } else { now };
 
         // Deadline: eq. (10)–(11), with K₀ = t₁ making the first base
-        // simply E₁ (since E₁ ≥ t₁ ≥ 0 = the fresh-slot K value).
-        let base = eligible.max(c.k_prev[idx]);
-        let rate = c.rate_bps[idx];
-        let coeffs = lit_net::DelayCoeffs {
-            num_ps: c.d_num_ps[idx],
-            den: c.d_den[idx],
-            base: c.d_base[idx],
-        };
-        let d = coeffs.d_for(pkt.len_bits);
+        // simply E₁ (since E₁ ≥ t₁ ≥ 0 = the fresh-row K value).
+        let base = eligible.max(s.k_prev);
+        let d = s.coeffs.d_for(pkt.len_bits);
         let f = base + d;
-        c.k_prev[idx] = base + Duration::from_bits_at_rate(pkt.len_bits as u64, rate);
+        s.k_prev = base + Duration::from_bits_at_rate(pkt.len_bits as u64, s.rate_bps);
 
         pkt.deadline = f;
         pkt.d = d;
@@ -192,13 +140,7 @@ impl Discipline for LitDiscipline {
         reason = "eq. 9 sums three signed terms, each below 2⁶⁵ in magnitude, in i128: it cannot wrap"
     )]
     fn on_departure(&mut self, pkt: &mut Packet, finish: Time) {
-        let idx = pkt.session.index();
-        self.check_registered(idx);
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "in-bounds: check_registered proved occupied[idx], and all columns share one length"
-        )]
-        let d_max = self.cols.d_max[idx];
+        let d_max = self.sessions.registered_mut(pkt.session).d_max;
         // Holding time for the next hop, eq. (9):
         //   A = (F + L_MAX/C − F̂) + (d_max − d_i).
         // Both parenthesized terms are provably non-negative; computed in

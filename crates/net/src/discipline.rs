@@ -156,6 +156,12 @@ pub trait Discipline: Send {
     /// here. Called once per session before any of its packets arrive.
     fn register_session(&mut self, spec: &SessionSpec, delay: &DelayAssignment);
 
+    /// Network build: every session that will register here has an id
+    /// below `sessions`. Called once, before any registration, so a
+    /// discipline can size its per-session table in one block instead of
+    /// regrowing it. Default: no-op.
+    fn reserve(&mut self, _sessions: usize) {}
+
     /// A packet's last bit arrived at `now`. Returns eligibility and
     /// priority; may write `pkt.deadline` / `pkt.d` scratch fields.
     ///
@@ -233,6 +239,7 @@ mod tests {
             }
             fn on_departure(&mut self, _: &mut Packet, _: Time) {}
         }
+        Stateless.reserve(3);
         Stateless.unregister_session(SessionId(0));
     }
 }

@@ -43,6 +43,7 @@ mod network;
 mod node;
 pub mod oracle;
 mod packet;
+mod refserver;
 pub mod shard;
 mod spec;
 mod stats;
@@ -56,6 +57,7 @@ pub use lit_sim::EventBackend;
 pub use network::{EventSetStats, Network, NetworkBuilder};
 pub use oracle::{OracleConfig, OracleMode, OracleTotals, SessionBounds, ViolationKind};
 pub use packet::{NodeId, Packet, SessionId};
+pub use refserver::{RefOutcome, ReferenceServer};
 pub use spec::{DelayAssignment, DelayCoeffs, LinkParams, SessionSpec};
 pub use stats::{DeliveryRecord, NodeStats, OccupancyHistogram, SessionStats, StatsConfig};
 pub use table::{IdSlab, SessionTable};

@@ -56,6 +56,7 @@ use crate::discipline::{Discipline, DisciplineFactory, RegFifo, RegulatorBackend
 use crate::equeue::{EligibleQueue, QueueKind};
 use crate::oracle::{OracleConfig, OracleRt, ViolationKind};
 use crate::packet::{Packet, SessionId};
+use crate::refserver::ReferenceServer;
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
 use crate::stats::{DeliveryRecord, NodeStats, SessionStats, StatsConfig};
 use lit_obs::{PacketView, Probe};
@@ -185,14 +186,13 @@ struct NodeRt {
 
 /// The injector of one session, owned by the core of its first hop.
 struct Injector {
-    rate_bps: u64,
     source: Box<dyn Source>,
     rng: SimRng,
     next_seq: u64,
     /// Next emission already pulled from the source, awaiting injection.
     pending: Option<Emission>,
-    /// Reference-server clock `W_{i-1,s}` (eq. 1); `None` before packet 1.
-    ref_w: Option<Time>,
+    /// The session's reference server (eq. 1), co-simulated at injection.
+    reference: ReferenceServer,
     /// The event-set lane of the source's period, if it shares one.
     lane: Option<Lane>,
 }
@@ -305,13 +305,17 @@ impl NodeCore {
                 .iter()
                 .enumerate()
                 .map(|(n, link)| {
-                    owns(n).then(|| NodeRt {
-                        link: *link,
-                        discipline: factory(link),
-                        queue: EligibleQueue::new(queue_kind),
-                        current: None,
-                        fifo: RegFifo::new(),
-                        releases: events.lane(),
+                    owns(n).then(|| {
+                        let mut discipline = factory(link);
+                        discipline.reserve(topo.specs.len());
+                        NodeRt {
+                            link: *link,
+                            discipline,
+                            queue: EligibleQueue::new(queue_kind),
+                            current: None,
+                            fifo: RegFifo::new(),
+                            releases: events.lane(),
+                        }
                     })
                 })
                 .collect(),
@@ -356,12 +360,11 @@ impl NodeCore {
         lane: Option<Lane>,
     ) -> Option<Time> {
         let mut inj = Injector {
-            rate_bps: self.topo.specs.get(sid).map_or(0, |s| s.rate_bps),
             source,
             rng,
             next_seq: 1, // the paper numbers packets from 1
             pending: None,
-            ref_w: None,
+            reference: ReferenceServer::new(self.topo.specs.get(sid).map_or(0, |s| s.rate_bps)),
             lane,
         };
         inj.pending = inj.source.next_emission(&mut inj.rng);
@@ -411,13 +414,7 @@ impl NodeCore {
         let seq = s.next_seq;
         s.next_seq += 1;
         let mut pkt = Packet::new(SessionId(sid), seq, e.len_bits, e.at);
-
-        // Reference-server co-simulation (eq. 1): W_i = max(t_i, W_{i-1})
-        // + L_i/r, with W_0 = t_1.
-        let service = Duration::from_bits_at_rate(e.len_bits as u64, s.rate_bps);
-        let w = e.at.max(s.ref_w.unwrap_or(e.at)) + service;
-        s.ref_w = Some(w);
-        pkt.ref_delay = w - e.at;
+        pkt.ref_delay = s.reference.offer(e.at, e.len_bits).delay;
 
         // The next Inject is scheduled before anything the arrival below
         // schedules: same-instant order is emission order.

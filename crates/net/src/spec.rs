@@ -70,17 +70,7 @@ impl DelayAssignment {
     /// The delay increment for a packet of `len_bits` belonging to a
     /// session with reserved rate `rate_bps`.
     pub fn d_for(&self, len_bits: u32, rate_bps: u64) -> Duration {
-        match *self {
-            DelayAssignment::LenOverRate => Duration::from_bits_at_rate(len_bits as u64, rate_bps),
-            DelayAssignment::Linear { num, den, base } => {
-                // len · num / den seconds, computed exactly in u128 ps.
-                let num_ps = len_bits as u128 * num as u128 * PS_PER_SEC as u128;
-                let slope = Duration::try_from((num_ps + den / 2) / den)
-                    .expect("linear delay increment fits u64 ps");
-                base + slope
-            }
-            DelayAssignment::Fixed(d) => d,
-        }
+        self.coeffs(rate_bps).d_for(len_bits)
     }
 
     /// `d_max,s` — the supremum of `d_{i,s}` over all packets of a session
@@ -91,8 +81,8 @@ impl DelayAssignment {
     }
 
     /// Lower this assignment to branch-free fixed-point coefficients for a
-    /// session with reserved rate `rate_bps`. `coeffs(r).d_for(len)` is
-    /// bit-identical to `d_for(len, r)` for every form.
+    /// session with reserved rate `rate_bps`: the one arithmetic of eq. 10's
+    /// `d`, which [`DelayAssignment::d_for`] evaluates too.
     pub fn coeffs(&self, rate_bps: u64) -> DelayCoeffs {
         match *self {
             DelayAssignment::LenOverRate => DelayCoeffs {
@@ -121,11 +111,9 @@ impl DelayAssignment {
 /// d(len) = (len · num_ps + den/2) / den ps + base
 /// ```
 ///
-/// computed exactly in `u128`. Struct-of-arrays schedulers store one
-/// `(num_ps, den, base)` triple per session and evaluate eq. 8–11 over
-/// flat arrays with no per-packet enum dispatch; the half-denominator
-/// rounding matches `Duration::from_bits_at_rate` and
-/// [`DelayAssignment::d_for`] bit for bit.
+/// computed exactly in `u128`. A scheduler stores the triple in its
+/// per-session row and evaluates eq. 10 with no per-packet enum dispatch;
+/// the half-denominator rounding is `Duration::from_bits_at_rate`'s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DelayCoeffs {
     /// Per-bit slope numerator, pre-multiplied into picoseconds.
@@ -195,11 +183,6 @@ impl SessionSpec {
         self.delay = delay;
         self
     }
-
-    /// `L_max,s / r_s` for this session.
-    pub fn len_over_rate_max(&self) -> Duration {
-        Duration::from_bits_at_rate(self.max_len_bits as u64, self.rate_bps)
-    }
 }
 
 #[cfg(test)]
@@ -265,33 +248,39 @@ mod tests {
     }
 
     #[test]
-    fn coeffs_match_d_for_bit_exactly() {
-        let forms = [
-            DelayAssignment::LenOverRate,
-            DelayAssignment::Linear {
-                num: 10_000_000,
-                den: 100_000u128 * 100_000_000u128,
-                base: Duration::ZERO,
-            },
-            DelayAssignment::Linear {
-                num: 40_000_000,
-                den: 100_000u128 * 100_000_000u128,
-                base: Duration::from_us(200),
-            },
-            DelayAssignment::Fixed(Duration::from_ms(5)),
-        ];
-        for da in forms {
-            for rate in [32_000, 100_000, 1_536_000, 10_000_000_000] {
-                let c = da.coeffs(rate);
-                for len in [0u32, 1, 53, 424, 848, 65_535, 1 << 24] {
-                    assert_eq!(
-                        c.d_for(len),
-                        da.d_for(len, rate),
-                        "form={da:?} rate={rate} len={len}"
-                    );
-                }
+    fn coeffs_match_independent_references() {
+        // The paper's §2 worked example: C = 100 Mbit/s, r = 100 kbit/s,
+        // class slopes R1 = 10 and R2 = 40 Mbit/s, σ1 = 0.2 ms.
+        let den = 100_000u128 * 100_000_000u128;
+        let ac1 = DelayAssignment::Linear {
+            num: 10_000_000,
+            den,
+            base: Duration::ZERO,
+        };
+        let ac2 = DelayAssignment::Linear {
+            num: 40_000_000,
+            den,
+            base: Duration::from_us(200),
+        };
+        let fixed = DelayAssignment::Fixed(Duration::from_ms(5));
+        for rate in [32_000, 100_000, 1_536_000, 10_000_000_000] {
+            for len in [0u32, 1, 53, 400, 424, 848, 65_535, 1 << 24] {
+                let at = |da: DelayAssignment| da.coeffs(rate).d_for(len);
+                let l = u64::from(len);
+                let lor = Duration::from_bits_at_rate(l, rate);
+                assert_eq!(at(DelayAssignment::LenOverRate), lor, "L/r {rate} {len}");
+                // d = L·R/(r·C): L/(r·C/R) at the worked example's r·C/R,
+                // which is a whole rate only because the slopes divide r·C.
+                let slope1 = Duration::from_bits_at_rate(l, 1_000_000);
+                let slope2 = Duration::from_bits_at_rate(l, 250_000);
+                assert_eq!(at(ac1), slope1, "AC1 {rate} {len}");
+                assert_eq!(at(ac2), slope2 + Duration::from_us(200), "AC2 {rate} {len}");
+                assert_eq!(at(fixed), Duration::from_ms(5), "fixed {rate} {len}");
             }
         }
+        // The worked example's own numbers: 0.4 ms and 1.8 ms at L = 400.
+        assert_eq!(ac1.coeffs(100_000).d_for(400), Duration::from_us(400));
+        assert_eq!(ac2.coeffs(100_000).d_for(400), Duration::from_us(1_800));
     }
 
     #[test]
@@ -301,6 +290,5 @@ mod tests {
             .with_delay(DelayAssignment::Fixed(Duration::from_ms(2)));
         assert!(s.jitter_control);
         assert_eq!(s.delay, DelayAssignment::Fixed(Duration::from_ms(2)));
-        assert_eq!(s.len_over_rate_max(), Duration::from_us(13_250));
     }
 }

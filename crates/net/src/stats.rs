@@ -294,12 +294,6 @@ impl SessionStats {
         self.e2e.mean()
     }
 
-    /// Largest observed reference-server delay (the empirical
-    /// `D^ref_max`).
-    pub fn max_reference_delay(&self) -> Option<Duration> {
-        self.reference.max()
-    }
-
     /// Largest observed `D_i − D_i^ref` (signed ps), if any packet was
     /// delivered.
     pub fn max_excess(&self) -> Option<i128> {

@@ -11,11 +11,10 @@
 //!   capacity; with it, a torn-down session's slot is reused by the next
 //!   establishment and table footprints are bounded by the peak number of
 //!   concurrent sessions.
-//! * [`SessionTable`] — a small slab keyed by `SessionId` for disciplines
-//!   whose per-session state is a single struct (the baselines). The
-//!   Leave-in-Time scheduler goes further and splits its state into
-//!   struct-of-arrays columns (see `lit-core`), but reuses the same
-//!   occupancy discipline.
+//! * [`SessionTable`] — one row per session, keyed by `SessionId`: the
+//!   Leave-in-Time scheduler's eq. 10–11 state and every stateful
+//!   baseline's. A table the builder sizes up front ([`SessionTable::reserve`])
+//!   is one block of exactly that many rows.
 
 #![deny(
     clippy::unwrap_used,
@@ -96,11 +95,6 @@ impl IdSlab {
         }
     }
 
-    /// Whether `id` is currently allocated.
-    pub fn is_live(&self, id: SessionId) -> bool {
-        self.live.get(id.index()).copied().unwrap_or(false)
-    }
-
     /// Number of currently allocated ids.
     pub fn live_count(&self) -> usize {
         self.live.len() - self.free.len()
@@ -115,13 +109,13 @@ impl IdSlab {
 
 /// A slab of per-session state keyed by dense [`SessionId`]s.
 ///
-/// Insert/remove/lookup are O(1); capacity is the id high-water mark.
-/// Removing a session frees its state immediately (`Option` slot), so a
-/// reused id starts from a freshly inserted state, never a stale one.
+/// Insert/remove/lookup are O(1); capacity is the id high-water mark, or
+/// what [`SessionTable::reserve`] asked for. Removing a session frees its
+/// state immediately (`Option` slot), so a reused id starts from a freshly
+/// inserted state, never a stale one.
 #[derive(Clone, Debug)]
 pub struct SessionTable<S> {
     slots: Vec<Option<S>>,
-    live: usize,
 }
 
 impl<S> Default for SessionTable<S> {
@@ -133,10 +127,14 @@ impl<S> Default for SessionTable<S> {
 impl<S> SessionTable<S> {
     /// An empty table.
     pub fn new() -> Self {
-        SessionTable {
-            slots: Vec::new(),
-            live: 0,
-        }
+        SessionTable { slots: Vec::new() }
+    }
+
+    /// Make room for ids below `sessions` in one block of exactly that
+    /// many rows, so inserting them never regrows the table.
+    pub fn reserve(&mut self, sessions: usize) {
+        self.slots
+            .reserve_exact(sessions.saturating_sub(self.slots.len()));
     }
 
     /// Insert (or replace) the state for `id`, growing the table to fit.
@@ -146,24 +144,13 @@ impl<S> SessionTable<S> {
             self.slots.resize_with(idx + 1, || None);
         }
         if let Some(slot) = self.slots.get_mut(idx) {
-            if slot.replace(state).is_none() {
-                self.live += 1;
-            }
+            *slot = Some(state);
         }
     }
 
     /// Remove and return the state for `id`, if present.
     pub fn remove(&mut self, id: SessionId) -> Option<S> {
-        let out = self.slots.get_mut(id.index()).and_then(Option::take);
-        if out.is_some() {
-            self.live -= 1;
-        }
-        out
-    }
-
-    /// The state for `id`, if present.
-    pub fn get(&self, id: SessionId) -> Option<&S> {
-        self.slots.get(id.index()).and_then(Option::as_ref)
+        self.slots.get_mut(id.index()).and_then(Option::take)
     }
 
     /// Mutable state for `id`, if present.
@@ -171,32 +158,16 @@ impl<S> SessionTable<S> {
         self.slots.get_mut(id.index()).and_then(Option::as_mut)
     }
 
-    /// Whether `id` has state in the table.
-    pub fn contains(&self, id: SessionId) -> bool {
-        self.get(id).is_some()
-    }
-
-    /// Number of live sessions.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no sessions are live.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Table capacity: the id high-water mark seen so far.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Iterate live sessions in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (SessionId, &S)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            s.as_ref()
-                .map(|s| (SessionId(u32::try_from(i).unwrap_or(u32::MAX)), s))
-        })
+    /// Mutable state for the session a packet belongs to: a packet from a
+    /// session the discipline never registered (or tore down) is a wiring
+    /// bug, and stops the run here, at the caller.
+    #[track_caller]
+    pub fn registered_mut(&mut self, id: SessionId) -> &mut S {
+        #[expect(
+            clippy::expect_used,
+            reason = "executor invariant: packets only come from sessions registered at every hop of their route"
+        )]
+        self.get_mut(id).expect("packet from unregistered session")
     }
 
     /// Iterate live session states in id order.
@@ -264,27 +235,16 @@ mod tests {
     #[test]
     fn table_insert_remove_get() {
         let mut t: SessionTable<u64> = SessionTable::new();
+        t.reserve(3);
         t.insert(SessionId(2), 20);
         t.insert(SessionId(0), 0);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.capacity(), 3);
-        assert_eq!(t.get(SessionId(2)), Some(&20));
-        assert_eq!(t.get(SessionId(1)), None);
-        assert!(!t.contains(SessionId(1)));
-        *t.get_mut(SessionId(0)).unwrap() = 5;
+        t.insert(SessionId(0), 1); // replaces
+        assert_eq!(t.get_mut(SessionId(1)), None);
+        assert_eq!(t.get_mut(SessionId(7)), None);
+        *t.registered_mut(SessionId(0)) += 4;
         assert_eq!(t.remove(SessionId(0)), Some(5));
         assert_eq!(t.remove(SessionId(0)), None);
-        assert_eq!(t.len(), 1);
-        let pairs: Vec<_> = t.iter().map(|(id, &v)| (id, v)).collect();
-        assert_eq!(pairs, vec![(SessionId(2), 20)]);
-    }
-
-    #[test]
-    fn table_replace_keeps_live_count() {
-        let mut t: SessionTable<&str> = SessionTable::new();
-        t.insert(SessionId(1), "a");
-        t.insert(SessionId(1), "b");
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(SessionId(1)), Some(&"b"));
+        assert_eq!(t.values().copied().collect::<Vec<_>>(), [20]);
+        assert_eq!(t.slots.capacity(), 3, "reserved once, never regrown");
     }
 }

@@ -21,7 +21,10 @@
 //! Session options: `jc` (delay-jitter control), `d=<duration>` (fixed
 //! per-hop delay; default is `L/r`), `shape=<rate>:<bits>` (pass the
 //! source through a token-bucket shaper). Sources: `onoff`, `poisson`,
-//! `cbr(gap,len[,offset])`, `burst(period,count,len)`.
+//! `cbr(gap,len[,offset])`, `burst(period,count,len)`. A zero rate,
+//! `lmax`, length, count, gap, period or ON spacing, a shaper that can
+//! never pass a packet, and a packet longer than `lmax` (it voids every
+//! `L_MAX/C` term of β) are errors at their line, not engine panics.
 //!
 //! Further directives: `backend heap|calendar|wheel` selects the
 //! event-set implementation (default heap; all deliver identically);
@@ -156,12 +159,7 @@ impl SessionLine {
     /// Establish this session hop by hop against per-node procedure-3
     /// state; a refusal releases the hops already granted.
     fn ac3_establish(&self, nodes: &mut [Ac3Fast]) -> Ac3Verdict {
-        let len = match self.source {
-            SourceSpec::OnOff { len, .. }
-            | SourceSpec::Poisson { len, .. }
-            | SourceSpec::Cbr { len, .. }
-            | SourceSpec::Burst { len, .. } => len,
-        };
+        let len = self.source.len();
         let d = self
             .d
             .unwrap_or_else(|| Duration::from_bits_at_rate(len as u64, self.rate));
@@ -216,6 +214,18 @@ pub(crate) enum SourceSpec {
         count: u32,
         len: u32,
     },
+}
+
+impl SourceSpec {
+    /// The packet length every emission of this source has.
+    pub(crate) fn len(&self) -> u32 {
+        match *self {
+            SourceSpec::OnOff { len, .. }
+            | SourceSpec::Poisson { len, .. }
+            | SourceSpec::Cbr { len, .. }
+            | SourceSpec::Burst { len, .. } => len,
+        }
+    }
 }
 
 /// Offered load ρ in basis points from a decimal literal (`0.95` →
@@ -662,6 +672,11 @@ impl RunOptions {
     }
 }
 
+/// A count or rate literal that must not be zero.
+fn positive<T: std::str::FromStr + Default + PartialEq>(v: &str) -> Option<T> {
+    v.parse().ok().filter(|n| *n != T::default())
+}
+
 /// Split `key=value` (value may be absent for flags).
 fn keyval(tok: &str) -> (&str, Option<&str>) {
     match tok.split_once('=') {
@@ -733,6 +748,9 @@ impl Scenario {
         let mut generators = Vec::new();
         let mut regulator = RegulatorBackend::PerSession;
         let mut horizon = None;
+        // `(line, packet length)` of every session and generator stanza,
+        // held against `lmax` once the whole file is read.
+        let mut lens = Vec::new();
 
         let err = |line: usize, message: String| ParseError { line, message };
 
@@ -772,15 +790,17 @@ impl Scenario {
                     for tok in toks {
                         match keyval(tok) {
                             ("rate", Some(v)) => {
-                                link.rate_bps =
-                                    v.parse().map_err(|_| err(ln, "nodes: bad rate".into()))?
+                                link.rate_bps = positive(v).ok_or_else(|| {
+                                    err(ln, "nodes: rate must be a positive integer".into())
+                                })?
                             }
                             ("prop", Some(v)) => {
                                 link.propagation = parse_duration(v).map_err(|e| err(ln, e))?
                             }
                             ("lmax", Some(v)) => {
-                                link.lmax_bits =
-                                    v.parse().map_err(|_| err(ln, "nodes: bad lmax".into()))?
+                                link.lmax_bits = positive(v).ok_or_else(|| {
+                                    err(ln, "nodes: lmax must be a positive integer".into())
+                                })?
                             }
                             (k, _) => return Err(err(ln, format!("nodes: unknown option '{k}'"))),
                         }
@@ -826,7 +846,12 @@ impl Scenario {
                     let spec = toks
                         .next()
                         .ok_or_else(|| err(ln, "generate: missing family".into()))?;
-                    generators.push(GenSpec::parse_stanza(spec).map_err(|e| err(ln, e))?);
+                    let g = GenSpec::parse_stanza(spec).map_err(|e| err(ln, e))?;
+                    let (GenSpec::Tandem { len, .. }
+                    | GenSpec::FatTree { len, .. }
+                    | GenSpec::Wan { len, .. }) = g;
+                    lens.push((ln, len));
+                    generators.push(g);
                 }
                 "seed" => {
                     seed = toks
@@ -877,7 +902,9 @@ impl Scenario {
                                 first = Some((a, b));
                             }
                             ("rate", Some(v)) => {
-                                rate = Some(v.parse().map_err(|_| err(ln, "bad rate".into()))?)
+                                rate = Some(positive(v).ok_or_else(|| {
+                                    err(ln, "session: rate must be a positive integer".into())
+                                })?)
                             }
                             ("jc", None) => jc = true,
                             ("d", Some(v)) => d = Some(parse_duration(v).map_err(|e| err(ln, e))?),
@@ -908,6 +935,14 @@ impl Scenario {
                         (None, Some(ab)) => ab,
                         (None, None) => return Err(err(ln, "session: missing route".into())),
                     };
+                    let source = source.ok_or_else(|| err(ln, "session: missing source".into()))?;
+                    if let Some((r, depth)) = shape {
+                        if r == 0 || depth < u64::from(source.len()) {
+                            let msg = "shape: want a positive rate and depth ≥ the packet length";
+                            return Err(err(ln, msg.into()));
+                        }
+                    }
+                    lens.push((ln, source.len()));
                     sessions.push(SessionLine {
                         first: a,
                         last: b,
@@ -915,7 +950,7 @@ impl Scenario {
                         jc,
                         d,
                         shape,
-                        source: source.ok_or_else(|| err(ln, "session: missing source".into()))?,
+                        source,
                         path,
                     });
                 }
@@ -938,6 +973,11 @@ impl Scenario {
             None => return Err(err(0, "missing 'nodes' directive".into())),
         };
         let horizon = horizon.ok_or_else(|| err(0, "missing 'run' directive".into()))?;
+        // A packet longer than L_MAX voids every L_MAX/C term of β.
+        if let Some(&(ln, len)) = lens.iter().find(|&&(_, len)| len > link.lmax_bits) {
+            let lmax = link.lmax_bits;
+            return Err(err(ln, format!("packet length {len} exceeds lmax={lmax}")));
+        }
         for s in &sessions {
             let hi = s.route_nodes().into_iter().max().unwrap_or(0);
             if hi >= nodes {
@@ -969,24 +1009,29 @@ impl Scenario {
                 .map(|(_, v)| *v)
                 .ok_or_else(|| format!("source {name}: missing '{key}'"))
         };
+        // Lengths, counts, gaps and periods: zero has no meaning here.
         let len = |key: &str| -> Result<u32, String> {
-            get(key)?
-                .parse()
-                .map_err(|_| format!("source {name}: bad '{key}'"))
+            positive(get(key)?)
+                .ok_or_else(|| format!("source {name}: '{key}' must be a positive integer"))
+        };
+        let span = |key: &str| -> Result<Duration, String> {
+            Some(parse_duration(get(key)?)?)
+                .filter(|d| *d > Duration::ZERO)
+                .ok_or_else(|| format!("source {name}: '{key}' must be positive"))
         };
         match name {
             "onoff" => Ok(SourceSpec::OnOff {
                 on: parse_duration(get("on")?)?,
                 off: parse_duration(get("off")?)?,
-                t: parse_duration(get("t")?)?,
+                t: span("t")?,
                 len: len("len")?,
             }),
             "poisson" => Ok(SourceSpec::Poisson {
-                gap: parse_duration(get("gap")?)?,
+                gap: span("gap")?,
                 len: len("len")?,
             }),
             "cbr" => Ok(SourceSpec::Cbr {
-                gap: parse_duration(get("gap")?)?,
+                gap: span("gap")?,
                 len: len("len")?,
                 offset: args
                     .iter()
@@ -996,7 +1041,7 @@ impl Scenario {
                     .unwrap_or(Duration::ZERO),
             }),
             "burst" => Ok(SourceSpec::Burst {
-                period: parse_duration(get("period")?)?,
+                period: span("period")?,
                 count: len("count")?,
                 len: len("len")?,
             }),
@@ -1034,14 +1079,8 @@ impl Scenario {
             // The spec's packet-length range must cover what the source
             // emits: L_max enters d_max (eq. 9's holding-time stamp) and
             // β; L_min enters the jitter bound.
-            let len = match s.source {
-                SourceSpec::OnOff { len, .. }
-                | SourceSpec::Poisson { len, .. }
-                | SourceSpec::Cbr { len, .. }
-                | SourceSpec::Burst { len, .. } => len,
-            };
-            spec.max_len_bits = len;
-            spec.min_len_bits = len;
+            spec.max_len_bits = s.source.len();
+            spec.min_len_bits = s.source.len();
             if let Some(d) = s.d {
                 spec.delay = DelayAssignment::Fixed(d);
             }
@@ -1520,50 +1559,62 @@ run 10s
 
     #[test]
     fn malformed_inputs_error_with_context() {
-        // (input, expected substring of the message)
-        for (text, want) in [
-            ("nodes 2 bogus=1\nrun 1s", "unknown option 'bogus'"),
-            ("nodes x\nrun 1s", "bad count"),
-            ("nodes 2\ndiscipline tardis\nrun 1s", "unknown discipline"),
-            ("nodes 2\ndiscipline hrr:slots=zero\nrun 1s", "bad slot count"),
-            ("nodes 2\nqueue fifo\nrun 1s", "unknown queue kind"),
-            ("nodes 2\nbackend abacus\nrun 1s", "unknown backend"),
-            ("nodes 2\nseed minus-one\nrun 1s", "bad value"),
-            ("nodes 2\nrun 1parsec", "unknown duration unit"),
-            ("nodes 2\nrun -1s", "out of range"),
-            (
-                "nodes 2\nsession rate=1 source=poisson(gap=1ms,len=1)\nrun 1s",
-                "missing route",
-            ),
-            (
-                "nodes 2\nsession route=0..1 source=poisson(gap=1ms,len=1)\nrun 1s",
-                "missing rate",
-            ),
-            ("nodes 2\nsession route=0..1 rate=1\nrun 1s", "missing source"),
-            (
-                "nodes 2\nsession route=0..1 rate=1 source=chaos(x=1)\nrun 1s",
-                "unknown source kind",
-            ),
-            (
-                "nodes 2\nsession route=0..1 rate=1 source=poisson(len=1)\nrun 1s",
-                "missing 'gap'",
-            ),
-            (
-                "nodes 2\nsession route=0..1 rate=1 source=poisson\nrun 1s",
-                "bad source syntax",
-            ),
-            (
-                "nodes 2\nsession route=0..1 rate=1 shape=32000 source=poisson(gap=1ms,len=1)\nrun 1s",
-                "want rate:bits",
-            ),
-        ] {
+        // "input => expected substring of the message"
+        let whole = [
+            "nodes 2 bogus=1\nrun 1s => unknown option 'bogus'",
+            "nodes x\nrun 1s => bad count",
+            "nodes 2\ndiscipline tardis\nrun 1s => unknown discipline",
+            "nodes 2\ndiscipline hrr:slots=zero\nrun 1s => bad slot count",
+            "nodes 2\nqueue fifo\nrun 1s => unknown queue kind",
+            "nodes 2\nbackend abacus\nrun 1s => unknown backend",
+            "nodes 2\nseed minus-one\nrun 1s => bad value",
+            "nodes 2\nrun 1parsec => unknown duration unit",
+            "nodes 2\nrun -1s => out of range",
+            "nodes 2\nsession rate=1 source=poisson(gap=1ms,len=1)\nrun 1s => missing route",
+            // Hostile values: each used to panic in the engine or run
+            // silently with a void bound.
+            "nodes 2 rate=0\nrun 1s => nodes: rate must be a positive",
+            "nodes 2 lmax=0\nrun 1s => nodes: lmax must be a positive",
+            "nodes 2\ngenerate tandem(n=2,rho=0.5,len=848)\nrun 1s => 848 exceeds lmax=424",
+        ];
+        // The options of `session route=0..1` on a 2-node network.
+        let session = [
+            "source=poisson(gap=1ms,len=1) => missing rate",
+            "rate=1 => missing source",
+            "rate=1 source=chaos(x=1) => unknown source kind",
+            "rate=1 source=poisson(len=1) => missing 'gap'",
+            "rate=1 source=poisson => bad source syntax",
+            "rate=1 shape=32000 source=poisson(gap=1ms,len=1) => want rate:bits",
+            "rate=0 source=poisson(gap=1ms,len=1) => session: rate must be a positive",
+            "rate=1 source=poisson(gap=0ms,len=1) => 'gap' must be positive",
+            "rate=1 source=cbr(gap=0ms,len=1) => 'gap' must be positive",
+            "rate=1 source=burst(period=0ms,count=1,len=1) => 'period' must be positive",
+            "rate=1 source=burst(period=1ms,count=0,len=1) => 'count' must be a positive",
+            "rate=1 source=onoff(on=1ms,off=1ms,t=0ms,len=1) => 't' must be positive",
+            "rate=1 source=poisson(gap=1ms,len=0) => 'len' must be a positive",
+            "rate=1 source=cbr(gap=1ms,len=10000) => 10000 exceeds lmax=424",
+            "rate=1 shape=0:424 source=cbr(gap=1ms,len=424) => want a positive rate",
+            "rate=1 shape=1:423 source=cbr(gap=1ms,len=424) => depth ≥ the packet length",
+        ];
+        let check = |text: &str, want: &str| {
             let e = Scenario::parse(text).unwrap_err();
             assert!(
-                e.message.contains(want),
-                "for {text:?}: got {:?}, want substring {want:?}",
-                e.message
+                e.message.contains(want) && e.line > 0,
+                "for {text:?}: got {e}, want substring {want:?} at a line"
             );
+        };
+        let split = |row: &'static str| row.split_once(" => ").expect("input => expected");
+        for (text, want) in whole.map(split) {
+            check(text, want);
         }
+        for (opts, want) in session.map(split) {
+            check(&format!("nodes 2\nsession route=0..1 {opts}\nrun 1s"), want);
+        }
+        // `lmax` may come after the session: the length check waits for
+        // the whole file and still names the session's line.
+        let text = "\nsession route=0..1 rate=1 source=cbr(gap=1ms,len=848)\nnodes 2\nrun 1s";
+        let e = Scenario::parse(text).unwrap_err();
+        assert_eq!(e.to_string(), "line 2: packet length 848 exceeds lmax=424");
     }
 
     const FIG8_CROSS_SCN: &str = include_str!(concat!(

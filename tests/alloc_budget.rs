@@ -119,7 +119,9 @@ fn hold_to_budget(n: u64, secs: u64) {
     // Plus two hop prefixes, and an e2e prefix on the half that is not
     // jitter-controlled (the other half's delays all overflow 1 s).
     assert!(per_session(blocks) <= 5.0, "{blocks} blocks at {secs} s");
-    assert!(per_session(bytes) <= 1_300.0, "{bytes} B live at {secs} s");
+    // LiT's two 80-byte rows included, sized once at build: 1 188 B at
+    // 10 000 sessions and 75 s, 1 290 B if the row tables regrow.
+    assert!(per_session(bytes) <= 1_200.0, "{bytes} B live at {secs} s");
     assert!(net.session_stats(SessionId(0)).delivered > 0);
 }
 
