@@ -4,14 +4,15 @@
 //! `A ⊆ φ` that contains the candidate — `2^{|φ|}` evaluations, seconds
 //! per admit at 24 resident sessions (that enumerator is the test
 //! reference, `crates/core/tests/common/mod.rs`). This module answers the
-//! *same* question with cost independent of the number of resident
-//! sessions, so admit/release churn works at millions of sessions.
+//! *same* question in time polynomial in the number of distinct
+//! parameter classes and independent of the number of resident sessions,
+//! so admit/release churn works at millions of sessions.
 //!
 //! Write `F(A) = PS·(Σ_{s∈A} L_s)(Σ_{s∈A} r_s) − C·Σ_{s∈A} r_s·d_s`
 //! (picosecond-scaled, exactly the cross-multiplied form of the
 //! reference's `subset_ok`): the candidate is admissible iff
-//! `F(A) ≤ 0` for every `A ∋ candidate`. Three structural facts shrink
-//! the search (proofs in DESIGN.md §11):
+//! `F(A) ≤ 0` for every `A ∋ candidate`. Three structural facts answer
+//! it (proofs in DESIGN.md §11):
 //!
 //! 1. **All-or-none classes.** Adding one more member `s` to a set with
 //!    totals `(L, R)` changes `F` by `Δ⁺ = PS·(l_s·R + r_s·L + l_s·r_s) −
@@ -27,28 +28,23 @@
 //!    shrinking iteration of a monotone operator: by induction it never
 //!    drops a member of a maximal maximizer, so it converges to a
 //!    *superset* of one. Everything pruned is provably irrelevant.
-//! 3. **Sorted prefixes.** At the maximizer's own totals ratio
-//!    `λ* = L*/R*`, members are exactly the sessions with
-//!    `k_s(λ*) = r_s·(PS·l_s + C·d_s)/(l_s + λ*·r_s)` below a threshold —
-//!    a prefix of the sort by `k_s(λ*)`. Violating sets, when they
-//!    exist, live at the front of that order.
+//! 3. **Supermodular ⇒ minimum cut.** In class indicators `x_i` (class
+//!    totals `L_i`, `R_i`, `W_i`, candidate `(cl, cr, cw)` pinned), `F` is
+//!    the quadratic `F0 + Σ u_i·x_i + Σ_{i<j} q_ij·x_i·x_j` with
+//!    `F0 = PS·cl·cr − C·cw`, `u_i = PS·(cl·R_i + L_i·cr + L_i·R_i) −
+//!    C·W_i` and `q_ij = PS·(L_i·R_j + L_j·R_i) ≥ 0`. Nonnegative pairwise
+//!    coefficients make `F` supermodular, so its maximum is one minimum
+//!    s–t cut (Picard–Ratliff 1975).
 //!
 //! The decision pipeline: aggregate resident sessions into `(r, L, d)`
 //! classes (a [`BTreeMap`], so iteration — and therefore every witness —
-//! is deterministic), prune with (2), then if at most
-//! [`Ac3Fast::exhaustive_limit`] classes survive, enumerate their subsets
-//! Gray-code style — *provably exact* by (1)+(2). Beyond the limit, an
-//! equally exact branch-and-bound over classes takes over: DFS in the
-//! sorted-prefix order of (3) (so the first descent walks the most
-//! violation-prone prefixes), pruning any branch whose optimistic bound
-//! `PS·(L_p+L_suffix)(R_p+R_suffix) − C·W_p` cannot go positive. Its
-//! worst case is exponential in the *class* count only, fenced by a node
-//! budget whose exhaustion is a conservative rejection
-//! ([`Ac3FastError::DecisionBudget`] — never observed outside adversarial
-//! inputs); the differential suite (`crates/core/tests/diff_ac3.rs`)
-//! pins both paths to the exhaustive oracle. Service deployments with a
-//! bounded palette of delay classes (the paper's framing) always stay on
-//! the Gray-code path.
+//! is deterministic), prune with (2), accept at once when every
+//! survivor's `d` clears `PS·TL/C`, and otherwise answer with one
+//! max-flow over the `m` surviving classes (`Ac3Fast::cut_reject`):
+//! exact and polynomial in `m`, with no budget and no fallback. A
+//! rejection's witness is the minimal maximizer of `F`. The differential
+//! suite (`crates/core/tests/diff_ac3.rs`) pins the pipeline to the
+//! exhaustive oracle.
 //!
 //! All subset arithmetic is exact `u128`, `checked_*` throughout; any
 //! overflow is a conservative [`Ac3FastError::Overflow`] rejection rather
@@ -76,14 +72,8 @@ const PS: u128 = PS_PER_SEC as u128;
 /// Sentinel for "no free slot" in the handle free list.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Ceiling on [`Ac3Fast::with_exhaustive_limit`]: `2^20` subset sums is
-/// about a millisecond, the most an admit may spend in the exact path.
-const MAX_EXHAUSTIVE_LIMIT: u32 = 20;
-
-/// Node budget for the branch-and-bound fallback. `2^21` nodes is twice
-/// the Gray-code ceiling's subset count; exhausting it rejects
-/// conservatively rather than answering late or wrong.
-const BNB_NODE_BUDGET: u64 = 1 << 21;
+/// Level of a node the residual search has not reached.
+const UNSEEN: u32 = u32::MAX;
 
 /// One `(r, L_max, d)` parameter class; the unit of aggregation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -182,12 +172,6 @@ pub enum Ac3FastError {
     /// A cross-multiplied product exceeded `u128`; the request is
     /// conservatively rejected rather than compared with wrapped values.
     Overflow,
-    /// The branch-and-bound fallback hit its node budget before settling
-    /// the decision; the request is conservatively rejected. Requires
-    /// more than [`Ac3Fast::exhaustive_limit`] surviving classes *and* an
-    /// adversarial parameter spread — not reachable from a bounded
-    /// service-class palette.
-    DecisionBudget,
 }
 
 impl std::fmt::Display for Ac3FastError {
@@ -202,16 +186,7 @@ impl std::fmt::Display for Ac3FastError {
                 w.classes.len() + 1
             ),
             Ac3FastError::Overflow => {
-                write!(
-                    f,
-                    "admission arithmetic overflowed u128; rejected conservatively"
-                )
-            }
-            Ac3FastError::DecisionBudget => {
-                write!(
-                    f,
-                    "subset search exceeded its node budget; rejected conservatively"
-                )
+                f.write_str("admission arithmetic overflowed u128; rejected conservatively")
             }
         }
     }
@@ -233,6 +208,23 @@ struct Agg {
     tot_r: u128,
     /// `count · r·d`.
     tot_w: u128,
+}
+
+impl Agg {
+    /// `count` members of `key`; `None` if `count · r·d` overflows.
+    fn new(key: ClassKey, count: u64) -> Option<Agg> {
+        let n = count as u128;
+        let w_each = key.d.picobits_at_rate(key.rate_bps);
+        Some(Agg {
+            key,
+            count,
+            w_each,
+            // u32×u64 and u64×u64 products fit u128.
+            tot_l: (key.len_bits as u128) * n,
+            tot_r: (key.rate_bps as u128) * n,
+            tot_w: w_each.checked_mul(n)?,
+        })
+    }
 }
 
 /// Incremental admission control procedure 3 with teardown.
@@ -258,7 +250,6 @@ struct Agg {
 #[derive(Clone, Debug)]
 pub struct Ac3Fast {
     link_bps: u64,
-    exhaustive_limit: u32,
     admitted_rate_bps: u64,
     live: u64,
     slots: Vec<Slot>,
@@ -272,27 +263,12 @@ impl Ac3Fast {
         assert!(link_bps > 0, "Ac3Fast: zero link rate");
         Ac3Fast {
             link_bps,
-            exhaustive_limit: 16,
             admitted_rate_bps: 0,
             live: 0,
             slots: Vec::new(),
             free_head: NO_SLOT,
             classes: BTreeMap::new(),
         }
-    }
-
-    /// Override how many surviving classes the Gray-code enumeration may
-    /// cover before branch-and-bound takes over (default 16, clamped to
-    /// 20). `0` forces every decision through branch-and-bound — used by
-    /// the differential tests to exercise that path.
-    pub fn with_exhaustive_limit(mut self, limit: u32) -> Self {
-        self.exhaustive_limit = limit.min(MAX_EXHAUSTIVE_LIMIT);
-        self
-    }
-
-    /// The configured exhaustive-path class ceiling.
-    pub fn exhaustive_limit(&self) -> u32 {
-        self.exhaustive_limit
     }
 
     /// Link capacity `C` in bit/s.
@@ -376,6 +352,14 @@ impl Ac3Fast {
         if gen != handle.gen {
             return false;
         }
+        match self.classes.get_mut(&key) {
+            Some(n) if *n > 1 => *n -= 1,
+            Some(_) => {
+                self.classes.remove(&key);
+            }
+            // Unreachable: a live slot always has a class entry.
+            None => return false,
+        }
         *slot = Slot::Free {
             // A generation that would wrap retires the slot instead (it
             // never re-enters the free list with gen 0 colliding old
@@ -385,14 +369,6 @@ impl Ac3Fast {
         };
         if gen != u32::MAX {
             self.free_head = handle.slot;
-        }
-        match self.classes.get_mut(&key) {
-            Some(n) if *n > 1 => *n -= 1,
-            Some(_) => {
-                self.classes.remove(&key);
-            }
-            // Unreachable: a live slot always has a class entry.
-            None => return false,
         }
         self.admitted_rate_bps = self.admitted_rate_bps.saturating_sub(key.rate_bps);
         self.live = self.live.saturating_sub(1);
@@ -445,31 +421,16 @@ impl Ac3Fast {
             return Ok(());
         }
 
-        // Aggregate resident sessions into classes (deterministic order).
+        // Aggregate resident sessions into classes (deterministic order)
+        // and take the full-set totals (candidate included).
         let mut aggs: Vec<Agg> = Vec::with_capacity(self.classes.len());
+        let (mut tl, mut tr, mut tw) = (cl, cr, cw);
         for (&key, &count) in &self.classes {
-            let n = count as u128;
-            let w_each = key.d.picobits_at_rate(key.rate_bps);
-            let tot_w = w_each.checked_mul(n).ok_or(Ac3FastError::Overflow)?;
-            aggs.push(Agg {
-                key,
-                count,
-                w_each,
-                // u32×u64 and u64×u64 products fit u128.
-                tot_l: (key.len_bits as u128) * n,
-                tot_r: (key.rate_bps as u128) * n,
-                tot_w,
-            });
-        }
-
-        // Full-set totals (candidate included).
-        let mut tl = cl;
-        let mut tr = cr;
-        let mut tw = cw;
-        for a in &aggs {
+            let a = Agg::new(key, count).ok_or(Ac3FastError::Overflow)?;
             tl = tl.checked_add(a.tot_l).ok_or(Ac3FastError::Overflow)?;
             tr = tr.checked_add(a.tot_r).ok_or(Ac3FastError::Overflow)?;
             tw = tw.checked_add(a.tot_w).ok_or(Ac3FastError::Overflow)?;
+            aggs.push(a);
         }
 
         // Dominance pruning (module docs, fact 2): shrink from the full
@@ -514,10 +475,9 @@ impl Ac3Fast {
                 break;
             }
         }
-        let pruned: Vec<usize> = (0..aggs.len())
-            .filter(|&i| alive.get(i) == Some(&true))
-            .collect();
-        if pruned.is_empty() {
+        let mut keep = alive.iter();
+        aggs.retain(|_| keep.next() == Some(&true));
+        if aggs.is_empty() {
             return Ok(());
         }
 
@@ -526,190 +486,132 @@ impl Ac3Fast {
         // PS·L_A·R_A — all subsets feasible. (Overflow here only skips
         // the shortcut.)
         if let Some(ps_tl) = tl.checked_mul(PS) {
-            let min_d = pruned
-                .iter()
-                .filter_map(|&i| aggs.get(i))
-                .fold(cand.d, |m, a| m.min(a.key.d));
+            let min_d = aggs.iter().fold(cand.d, |m, a| m.min(a.key.d));
             if min_d.picobits_at_rate(self.link_bps) >= ps_tl {
                 return Ok(());
             }
         }
 
-        if pruned.len() as u32 <= self.exhaustive_limit {
-            // Provably exact: some maximal violating set (if any) is a
-            // union of whole surviving classes.
-            if let Some(inset) = self.exhaustive_reject((cl, cr, cw), &aggs, &pruned) {
-                return Err(Ac3FastError::Infeasible(witness(cand, &aggs, |i| {
-                    inset.contains(&i)
-                })));
-            }
-            return Ok(());
+        match self.cut_reject((cl, cr, cw), &aggs) {
+            Some(inset) => Err(Ac3FastError::Infeasible(witness(cand, &aggs, |i| {
+                inset.get(i) == Some(&true)
+            }))),
+            None => Ok(()),
         }
-        if let Some(inset) = self.bnb_reject((cl, cr, cw), &aggs, &pruned)? {
-            return Err(Ac3FastError::Infeasible(witness(cand, &aggs, |i| {
-                inset.contains(&i)
-            })));
-        }
-        Ok(())
     }
 
-    /// Gray-code enumeration of all subsets of the surviving classes
-    /// (candidate always in). Returns the class indices of a violating
-    /// set, or `None` if all subsets are feasible. Partial sums are
-    /// bounded by the full-set totals whose products were already
-    /// overflow-checked, so the inner loop uses plain arithmetic.
-    fn exhaustive_reject(
-        &self,
-        cand: (u128, u128, u128),
-        aggs: &[Agg],
-        pruned: &[usize],
-    ) -> Option<Vec<usize>> {
-        let k = pruned.len();
-        let (mut sl, mut sr, mut sw) = cand;
-        let link = self.link_bps as u128;
-        let mut inset = vec![false; k];
-        for step in 1..(1u64 << k) {
-            let b = step.trailing_zeros() as usize;
-            let a = pruned.get(b).and_then(|&i| aggs.get(i))?;
-            let flag = inset.get_mut(b)?;
-            if *flag {
-                sl -= a.tot_l;
-                sr -= a.tot_r;
-                sw -= a.tot_w;
-            } else {
-                sl += a.tot_l;
-                sr += a.tot_r;
-                sw += a.tot_w;
-            }
-            *flag = !*flag;
-            if sl * sr * PS > link * sw {
-                return Some(
-                    inset
-                        .iter()
-                        .zip(pruned.iter())
-                        .filter(|(f, _)| **f)
-                        .map(|(_, &i)| i)
-                        .collect(),
-                );
-            }
-        }
-        None
-    }
-
-    /// Exact branch-and-bound over the surviving classes, for decisions
-    /// beyond the Gray-code limit. Every node's partial set (candidate +
-    /// included classes) is a real subset, tested exactly; a branch is
-    /// pruned when even taking its whole suffix (which maximizes the
-    /// `PS·L·R` term) while paying only the already-included `C·W` cost
-    /// cannot violate. Classes are visited in ascending sorted-prefix key
-    /// `k(λ)` at the full-set ratio — a heuristic for finding violations
-    /// on the first descent; exactness never depends on it.
-    ///
-    /// Returns the class indices of a violating set, `Ok(None)` if all
-    /// subsets are provably feasible, or `Err(DecisionBudget)` past
-    /// [`BNB_NODE_BUDGET`] nodes. All arithmetic is bounded by the
-    /// overflow-checked full-set products.
-    fn bnb_reject(
-        &self,
-        cand: (u128, u128, u128),
-        aggs: &[Agg],
-        pruned: &[usize],
-    ) -> Result<Option<Vec<usize>>, Ac3FastError> {
-        let k = pruned.len();
-        let link = self.link_bps as u128;
+    /// Maximize `F` over unions of the surviving classes `live`,
+    /// candidate pinned, as one minimum s–t cut (module docs, fact 3):
+    /// membership in the minimal maximizer when it violates, `None` when
+    /// every subset is feasible. Node 0 is the source, survivor `i` is
+    /// node `i + 1` and node `m + 1` the sink; a cut with source side `A`
+    /// costs `T + F0 − F(A)`. Every capacity and `T + PS·cl·cr` is a sum
+    /// of distinct terms of the overflow-checked `PS·TL·TR`, or at most
+    /// `C·TW`; each node pair has capacity one way only, so no residual
+    /// exceeds it, and the flow never exceeds `T`: plain arithmetic.
+    fn cut_reject(&self, cand: (u128, u128, u128), live: &[Agg]) -> Option<Vec<bool>> {
         let (cl, cr, cw) = cand;
-
-        // Branching order: ascending k(λ) = (PS·L + C·d)/(L/r + λ) at
-        // λ = L_full/R_full. f64 is fine — this only orders exploration.
-        let c_f = self.link_bps as f64;
-        let ps_f = PS_PER_SEC as f64;
-        let (mut fl, mut fr) = (cl as f64, cr as f64);
-        for &i in pruned {
-            if let Some(a) = aggs.get(i) {
-                fl += a.tot_l as f64;
-                fr += a.tot_r as f64;
+        let link = self.link_bps as u128;
+        let n = live.len() + 2;
+        let mut cap = vec![0; n * n];
+        let mut set = |u: usize, v: usize, c: u128| {
+            if let Some(x) = cap.get_mut(u * n + v) {
+                *x = c;
+            }
+        };
+        // T + PS·cl·cr, so that need = T + F0 = this − C·cw is unsigned.
+        let mut t_and_ps_clcr = PS * cl * cr;
+        for (i, a) in live.iter().enumerate() {
+            let mut q_sum = 0;
+            for (j, b) in live.iter().enumerate().skip(i + 1) {
+                let q = PS * (a.tot_l * b.tot_r + b.tot_l * a.tot_r);
+                set(i + 1, j + 1, q);
+                q_sum += q;
+            }
+            // a_i = −u_i − Σ_{j>i} q_ij = cost − gain.
+            let gain = PS * (cl * a.tot_r + a.tot_l * cr + a.tot_l * a.tot_r) + q_sum;
+            let cost = link * a.tot_w;
+            if cost >= gain {
+                set(i + 1, n - 1, cost - gain);
+            } else {
+                set(0, i + 1, gain - cost);
+                t_and_ps_clcr += gain - cost;
             }
         }
-        let lam = fl / fr;
-        let mut order: Vec<usize> = pruned.to_vec();
-        order.sort_by(|&a, &b| {
-            let key = |i: usize| {
-                aggs.get(i).map_or(f64::INFINITY, |a| {
-                    let l = a.key.len_bits as f64;
-                    let r = a.key.rate_bps as f64;
-                    (ps_f * l + c_f * (a.key.d.as_ps() as f64)) / (l / r + lam)
-                })
-            };
-            key(a).total_cmp(&key(b)).then(a.cmp(&b))
-        });
-
-        // Suffix totals: suf[p] = Σ over order[p..] of (tot_l, tot_r).
-        let mut suf: Vec<(u128, u128)> = vec![(0, 0); k + 1];
-        for p in (0..k).rev() {
-            let (nl, nr) = suf.get(p + 1).copied().unwrap_or((0, 0));
-            let a = order.get(p).and_then(|&i| aggs.get(i));
-            let (al, ar) = a.map_or((0, 0), |a| (a.tot_l, a.tot_r));
-            if let Some(s) = suf.get_mut(p) {
-                *s = (nl + al, nr + ar);
-            }
-        }
-
-        let (mut sl, mut sr, mut sw) = (cl, cr, cw);
-        let mut chosen = vec![false; k];
-        let mut nodes: u64 = 0;
-        // Explicit DFS: (pos, phase). Phase 0 enters a node, phase 1
-        // undoes the include branch and opens the exclude branch.
-        let mut stack: Vec<(usize, u8)> = vec![(0, 0)];
-        while let Some((pos, phase)) = stack.pop() {
-            if phase == 1 {
-                if let Some(a) = order.get(pos).and_then(|&i| aggs.get(i)) {
-                    sl -= a.tot_l;
-                    sr -= a.tot_r;
-                    sw -= a.tot_w;
-                }
-                if let Some(c) = chosen.get_mut(pos) {
-                    *c = false;
-                }
-                stack.push((pos + 1, 0));
-                continue;
-            }
-            nodes += 1;
-            if nodes > BNB_NODE_BUDGET {
-                return Err(Ac3FastError::DecisionBudget);
-            }
-            // The partial set is itself a subset containing the candidate.
-            if sl * sr * PS > link * sw {
-                return Ok(Some(
-                    chosen
-                        .iter()
-                        .zip(order.iter())
-                        .filter(|(c, _)| **c)
-                        .map(|(_, &i)| i)
-                        .collect(),
-                ));
-            }
-            if pos >= k {
-                continue;
-            }
-            // Optimistic bound: take the entire suffix for free.
-            let (rl, rr) = suf.get(pos).copied().unwrap_or((0, 0));
-            if (sl + rl) * (sr + rr) * PS <= link * sw {
-                continue;
-            }
-            // Include branch first (phase 1 will undo it), then exclude.
-            if let Some(a) = order.get(pos).and_then(|&i| aggs.get(i)) {
-                sl += a.tot_l;
-                sr += a.tot_r;
-                sw += a.tot_w;
-            }
-            if let Some(c) = chosen.get_mut(pos) {
-                *c = true;
-            }
-            stack.push((pos, 1));
-            stack.push((pos + 1, 0));
-        }
-        Ok(None)
+        // need ≤ 0: no cut costs less, so every subset is feasible.
+        let need = t_and_ps_clcr.checked_sub(link * cw).filter(|&x| x > 0)?;
+        flow_short_of(&mut cap, n, need)
     }
+}
+
+/// Dinic's max-flow from node 0 to node `n − 1` of the dense `n × n`
+/// residual matrix `cap`, stopped as soon as it reaches `need`: `None` if
+/// it does, otherwise which of nodes `1 … n − 1` the source still reaches.
+fn flow_short_of(cap: &mut [u128], n: usize, need: u128) -> Option<Vec<bool>> {
+    let (mut level, mut next, mut queue) = (vec![UNSEEN; n], vec![0; n], Vec::with_capacity(n));
+    let mut flow = 0;
+    loop {
+        for (v, l) in level.iter_mut().enumerate() {
+            *l = if v == 0 { 0 } else { UNSEEN };
+        }
+        queue.clear();
+        queue.push(0);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let deeper = level.get(u).map_or(UNSEEN, |&l| l + 1);
+            let row = cap.get(u * n..(u + 1) * n).unwrap_or_default();
+            for (v, (&c, l)) in row.iter().zip(level.iter_mut()).enumerate() {
+                if c > 0 && *l == UNSEEN {
+                    *l = deeper;
+                    queue.push(v);
+                }
+            }
+        }
+        if level.last() == Some(&UNSEEN) {
+            return Some(level.iter().skip(1).map(|&l| l != UNSEEN).collect());
+        }
+        next.fill(0);
+        loop {
+            let pushed = augment(cap, &level, &mut next, 0, u128::MAX);
+            if pushed == 0 {
+                break;
+            }
+            flow += pushed;
+            if flow >= need {
+                return None;
+            }
+        }
+    }
+}
+
+/// Push one path of at most `limit` from `u` to the sink along `level`,
+/// advancing the current-arc pointers `next`; the amount pushed.
+fn augment(cap: &mut [u128], level: &[u32], next: &mut [usize], u: usize, limit: u128) -> u128 {
+    let n = level.len();
+    if u + 1 == n {
+        return limit;
+    }
+    let deeper = level.get(u).map_or(UNSEEN, |&l| l + 1);
+    while let Some(&v) = next.get(u).filter(|&&v| v < n) {
+        let c = cap.get(u * n + v).copied().unwrap_or(0);
+        if c > 0 && level.get(v) == Some(&deeper) {
+            let pushed = augment(cap, level, next, v, limit.min(c));
+            if pushed > 0 {
+                if let Some(x) = cap.get_mut(u * n + v) {
+                    *x -= pushed;
+                }
+                if let Some(x) = cap.get_mut(v * n + u) {
+                    *x += pushed;
+                }
+                return pushed;
+            }
+        }
+        if let Some(p) = next.get_mut(u) {
+            *p += 1;
+        }
+    }
+    0
 }
 
 /// A witness class from a raw key.
@@ -831,23 +733,140 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fallback_path_agrees_on_simple_cases() {
-        // exhaustive_limit = 0 forces every decision through the
-        // branch-and-bound; the full differential pin lives in
-        // tests/diff_ac3.rs.
-        let mut exact_path = Ac3Fast::new(1_536_000);
-        let mut sweep_path = Ac3Fast::new(1_536_000).with_exhaustive_limit(0);
-        for (r, l, d) in [
-            (100_000u64, 424u32, Duration::from_ms(8)),
-            (200_000, 1_000, Duration::from_ms(2)),
-            (768_000, 424, Duration::from_us(300)),
-            (400_000, 9_000, Duration::from_us(500)),
-            (32_000, 424, Duration::from_us(280)),
-        ] {
-            let a = exact_path.try_admit(r, l, d).is_ok();
-            let b = sweep_path.try_admit(r, l, d).is_ok();
-            assert_eq!(a, b, "r={r} l={l} d={d}");
+    fn key(rate_bps: u64, len_bits: u32, d: Duration) -> ClassKey {
+        ClassKey {
+            rate_bps,
+            len_bits,
+            d,
         }
+    }
+
+    #[test]
+    fn failed_release_leaves_the_instance_unchanged() {
+        let mut ac = Ac3Fast::new(1_536_000);
+        let (h, _) = ac.try_admit(768_000, 424, Duration::from_ms(20)).unwrap();
+        // Break the live-slot/class invariant to reach the defensive path.
+        let classes = std::mem::take(&mut ac.classes);
+        assert!(!ac.release(h));
+        assert_eq!((ac.len(), ac.admitted_rate_bps()), (1, 768_000));
+        ac.classes = classes;
+        assert!(ac.release(h), "the handle must still name a live slot");
+    }
+
+    /// Residents X = (1 kbit/s, 1 000 bit, 2 µs) and two Y = (1 kbit/s,
+    /// 1 000 bit, 7 µs) on 1 Gbit/s, a candidate like X. In units of
+    /// 10¹⁸: F({c}) = −1, F({c, X}) = 0, F({c, Y, Y}) = −7, F(all) = −2.
+    /// Nothing is pruned and the quick accept fails, so the cut decides.
+    #[test]
+    fn a_proper_subset_at_exactly_zero_decides_at_the_cut() {
+        let cand = Duration::from_us(2);
+        let admit_after = |x_d| {
+            let mut ac = Ac3Fast::new(1_000_000_000);
+            for d in [x_d, Duration::from_us(7), Duration::from_us(7)] {
+                ac.try_admit(1_000, 1_000, d).unwrap();
+            }
+            ac.try_admit(1_000, 1_000, cand)
+        };
+        assert!(admit_after(cand).is_ok());
+        let x_d = cand - Duration::from_ps(1);
+        let Err(Ac3FastError::Infeasible(w)) = admit_after(x_d) else {
+            panic!("one picosecond off X's d must violate at {{c, X}}");
+        };
+        assert_eq!(w.classes, [spec_of(key(1_000, 1_000, x_d), 1)]);
+        assert_eq!(w.violates(1_000_000_000), Some(true));
+    }
+
+    /// 200 resident classes of one `(r, L)` with `d` = 200 … 399 µs, and
+    /// a candidate 100 times longer whose `d` puts the full set at exactly
+    /// F = 0 and every smaller set below: nothing is pruned, and a search
+    /// over class subsets bounded by 2²¹ nodes does not settle it.
+    #[test]
+    fn two_hundred_surviving_classes_get_a_decided_verdict() {
+        let (us, ps) = (Duration::from_us, Duration::from_ps);
+        let mut ac = Ac3Fast::new(1_000_000_000);
+        for i in 0..200 {
+            ac.try_admit(1_000, 1_000, us(200 + i)).unwrap();
+        }
+        let Err(Ac3FastError::Infeasible(w)) = ac.try_admit(1_000, 100_000, us(400) - ps(1)) else {
+            panic!("one picosecond less must violate at the full set");
+        };
+        assert_eq!(w.num_sessions(), 201);
+        assert_eq!(w.violates(1_000_000_000), Some(true));
+        assert!(ac.try_admit(1_000, 100_000, us(400)).is_ok());
+    }
+
+    /// `F` of the candidate `c` plus the classes `pick` selects, exact.
+    fn f_of(link: u64, c: Agg, aggs: &[Agg], pick: impl Fn(usize) -> bool) -> i128 {
+        let picked = aggs.iter().enumerate().filter(|(i, _)| pick(*i));
+        let (l, r, w) = picked.fold((c.tot_l, c.tot_r, c.tot_w), |(l, r, w), (_, a)| {
+            (l + a.tot_l, r + a.tot_r, w + a.tot_w)
+        });
+        (l * r * PS) as i128 - (link as u128 * w) as i128
+    }
+
+    /// The cut over every class against a brute force over class subsets:
+    /// same verdict, and a witness that attains the maximum of `F`; the
+    /// whole pipeline gives the same verdict. Ranges keep `PS·TL·TR` and
+    /// `C·TW` below 2¹¹⁶.
+    #[test]
+    fn cut_matches_brute_force_over_class_subsets() {
+        lit_prop::check("ac3_cut_vs_brute_force", |g| {
+            let link = g.range(1_000, 1 << 33);
+            // (l, r, count, collinear): collinear classes are multiples
+            // of one base point and share its d, so (l, r, r·d) align.
+            let base = (g.range(1, 1 << 16), g.range(1, 1 << 20));
+            let shapes: Vec<_> = (0..g.size(1, 16))
+                .map(|_| {
+                    let (k, n) = (g.range(1, 16), g.range(1, 51));
+                    match g.weighted(&[2, 1]) {
+                        0 => (g.range(1, 1 << 20), g.range(1, link + 1), n, false),
+                        _ => (base.0 * k, base.1 * k, n, true),
+                    }
+                })
+                .collect();
+            // d near the singleton floor L/C or the full-set PS·TL/C.
+            let tl: u64 = shapes.iter().map(|s| s.0 * s.2).sum();
+            let threshold = (PS * tl as u128 / link as u128) as u64;
+            let mut draw_d = |l: u64| {
+                let floor = (PS * l as u128 / link as u128) as u64;
+                Duration::from_ps(match g.weighted(&[2, 2, 1]) {
+                    0 => floor - 2 + g.range(0, 5),
+                    1 => threshold - 4 + g.range(0, 9),
+                    _ => g.range(floor, floor.max(2 * threshold) + 2),
+                })
+            };
+            let (base_d, mut keys) = (draw_d(base.0), Vec::new());
+            for &(l, r, n, collinear) in &shapes {
+                let d = if collinear { base_d } else { draw_d(l) };
+                keys.push((key(r, l as u32, d), n));
+            }
+            // The first key is the candidate; the rest are residents.
+            let (cand, mut ac) = (keys[0].0, Ac3Fast::new(link));
+            for &(k, n) in &keys[1..] {
+                *ac.classes.entry(k).or_insert(0) += n;
+            }
+            let aggs: Vec<_> = ac
+                .classes
+                .iter()
+                .flat_map(|(&k, &n)| Agg::new(k, n))
+                .collect();
+            let c = Agg::new(cand, 1).unwrap();
+            let subsets =
+                (0..1u32 << aggs.len()).map(|m| f_of(link, c, &aggs, |i| m >> i & 1 == 1));
+            let best = subsets.max().unwrap();
+
+            let cut = ac.cut_reject((c.tot_l, c.tot_r, c.tot_w), &aggs);
+            assert_eq!(cut.is_some(), best > 0, "cut verdict at max F = {best}");
+            if let Some(inset) = cut {
+                let member = |i: usize| inset[i];
+                assert_eq!(f_of(link, c, &aggs, member), best, "no maximizer");
+                assert_eq!(witness(cand, &aggs, member).violates(link), Some(true));
+            }
+            match ac.check_feasible(cand) {
+                Ok(()) => assert!(best <= 0, "admitted at max F = {best}"),
+                Err(Ac3FastError::Infeasible(w)) if best > 0 => assert!(w.violates(link).unwrap()),
+                Err(e) => panic!("rejected at max F = {best}: {e:?}"),
+            }
+        });
     }
 }

@@ -13,11 +13,7 @@
 //!   to zero after a full drain.
 //!
 //! Residency is capped at `|φ| ≤ 12`, where the exact enumerator is the
-//! ground truth (`2^12` subsets per decision) and the fast path's
-//! Gray-code stage is provably exact. A second suite forces every fast
-//! decision through the branch-and-bound fallback
-//! (`with_exhaustive_limit(0)`), pinning the beyond-the-limit path to
-//! the same oracle.
+//! ground truth (`2^12` subsets per decision).
 //!
 //! Generator ranges keep every cross-multiplied product inside `u128`
 //! (`C ≤ 2^33`, `L ≤ 2^20`, `d ≤ ~2^54 ps`, `Σr ≤ C`, 13 sessions), so
@@ -105,15 +101,12 @@ fn gen_triple(g: &mut Gen, link_bps: u64) -> (u64, u32, u64) {
 }
 
 /// Drive one random interleaving through both backends in lockstep.
-fn drive(g: &mut Gen, exhaustive_limit: Option<u32>) {
+fn drive(g: &mut Gen) {
     // C ≤ 8 Gbit/s keeps all subset products (13 sessions, L ≤ 2^20,
     // d ≤ 2^54 ps) far inside u128 for both implementations.
     let link_bps = g.range(1_000, 8_000_000_000);
     let mut exact = Ac3Admission::new(link_bps);
     let mut fast = Ac3Fast::new(link_bps);
-    if let Some(limit) = exhaustive_limit {
-        fast = fast.with_exhaustive_limit(limit);
-    }
     let n_palette = g.size(0, 4);
     let palette: Vec<(u64, u32, u64)> = (0..n_palette).map(|_| gen_triple(g, link_bps)).collect();
     let mut mirror: Vec<Live> = Vec::new();
@@ -208,15 +201,5 @@ fn drive(g: &mut Gen, exhaustive_limit: Option<u32>) {
 
 #[test]
 fn fast_matches_exact_on_random_interleavings() {
-    // Default limit: every |φ| ≤ 12 decision takes the provably-exact
-    // Gray-code path.
-    check("diff_ac3_default_path", |g| drive(g, None));
-}
-
-#[test]
-fn fallback_path_matches_exact_on_random_interleavings() {
-    // exhaustive_limit = 0 forces every decision through the
-    // branch-and-bound fallback, pinning the beyond-the-limit path to
-    // the same oracle.
-    check("diff_ac3_fallback_path", |g| drive(g, Some(0)));
+    check("diff_ac3_default_path", drive);
 }

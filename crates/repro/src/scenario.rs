@@ -86,8 +86,8 @@ pub type Ac3Verdict = Result<(), (usize, Ac3FastError)>;
 
 /// [`Scenario::ac3_vet`]'s verdicts, counted. *Infeasible* is a decided
 /// "no" (test 18, ineq. 19, a zero parameter); *undecided* is a
-/// conservative one — [`Ac3FastError::DecisionBudget`] or
-/// [`Ac3FastError::Overflow`] — where the session might have fitted.
+/// conservative one — [`Ac3FastError::Overflow`] — where the session
+/// might have fitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Ac3Tally {
     /// Sessions every node on the route accepted.
@@ -105,7 +105,7 @@ impl Ac3Tally {
         for v in verdicts {
             match v {
                 Ok(()) => t.admitted += 1,
-                Err((_, Ac3FastError::DecisionBudget | Ac3FastError::Overflow)) => t.undecided += 1,
+                Err((_, Ac3FastError::Overflow)) => t.undecided += 1,
                 Err((
                     _,
                     Ac3FastError::ZeroParameter
@@ -1838,17 +1838,15 @@ run 10s
         );
     }
 
-    /// The tally's *undecided* column is fed constructed errors: neither
-    /// `DecisionBudget` (more than 16 surviving parameter classes *and*
-    /// an adversarial spread) nor `Overflow` (products past `u128`) is
-    /// reachable from a scenario file on a T1 link, so no fixture
-    /// contrives one.
+    /// The tally's *undecided* column is fed constructed errors:
+    /// `Overflow` (products past `u128`) is not reachable from a scenario
+    /// file on a T1 link, so no fixture contrives one.
     #[test]
     fn ac3_tally_counts_conservative_rejects_as_undecided() {
         let verdicts = [
             Ok(()),
             Err((0, Ac3FastError::RateExceeded)),
-            Err((3, Ac3FastError::DecisionBudget)),
+            Err((3, Ac3FastError::Overflow)),
             Ok(()),
             Err((1, Ac3FastError::Overflow)),
             Err((2, Ac3FastError::ZeroParameter)),
