@@ -17,7 +17,7 @@ use crate::packet::{NodeId, SessionId};
 use crate::shard::{owner_of, Shard};
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
 use crate::stats::{NodeStats, SessionStats, StatsConfig};
-use lit_obs::Probe;
+use lit_obs::{PacketView, Probe};
 use lit_sim::{Duration, EventBackend, EventQueue, Lane, SeedSeq, Time};
 use lit_traffic::Source;
 use std::collections::BTreeMap;
@@ -100,10 +100,10 @@ impl NetworkBuilder {
         self
     }
 
-    /// Install an observability probe (default: none). With no probe the
-    /// node step pays one always-false branch per hook site and never
-    /// materializes a [`lit_obs::PacketView`] — the zero-cost-when-off
-    /// contract.
+    /// Install an observability probe (default: none). With no probe and
+    /// the oracle off, each lifecycle point of the node step pays one
+    /// untaken branch and never materializes a [`lit_obs::PacketView`] —
+    /// the zero-cost-when-off contract.
     pub fn probe(mut self, probe: Box<dyn Probe>) -> Self {
         self.probe = Some(probe);
         self
@@ -289,7 +289,7 @@ impl NetworkBuilder {
             let session_hops: Vec<usize> = topo.routes().map(<[_]>::len).collect();
             p.on_build(self.master_seed, n_nodes, &session_hops);
             // A probe forces one shard, so shard 0 sees every hook.
-            shards[0].core.probe = Some(p);
+            shards[0].core.set_probe(Some(p));
         }
 
         let mut net = Network {
@@ -473,8 +473,8 @@ impl Network {
     /// `lit_core::install_oracle_bounds`). No-op when the oracle is off.
     pub fn set_session_bounds(&mut self, id: SessionId, bounds: SessionBounds) {
         for shard in &mut self.shards {
-            if shard.core.oracle.enabled() {
-                shard.core.oracle.bounds[id.index()] = Some(bounds);
+            if let Some(slot) = shard.core.oracle.bounds.get_mut(id.index()) {
+                *slot = Some(bounds);
             }
         }
     }
@@ -504,7 +504,7 @@ impl Network {
     /// registries back; take it *after* [`Network::oracle_drain_check`]
     /// so drain-time violations are part of what it recorded.
     pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        self.shards.first_mut()?.core.probe.take()
+        self.shards.first_mut()?.core.set_probe(None)
     }
 
     /// Total conformance-oracle violations recorded by this network.
@@ -536,7 +536,7 @@ impl Network {
         if !self.shards[0].core.oracle.enabled() {
             return 0;
         }
-        let mut failed = 0;
+        let (now, mut failed) = (self.now(), 0);
         for sid in 0..self.topo.specs.len() {
             // Every core holds the same installed bounds.
             let Some(b) = self.shards[0].core.oracle.bounds[sid] else {
@@ -552,8 +552,12 @@ impl Network {
             };
             failed += 1;
             let last_node = self.topo.route(sid).last().map_or(0, |h| h.0 as usize);
+            let whole = PacketView {
+                session: sid as u32,
+                ..PacketView::default()
+            };
             let core = self.owner_mut(last_node);
-            core.flag_session(sid, ViolationKind::CcdfBound, || {
+            core.violate(ViolationKind::CcdfBound, now, (u32::MAX, whole), || {
                 format!(
                     "session {sid}: {lhs} packets with D > {d_ps} ps, but only \
                      {rhs} with D^ref > {} ps (shift {} ps)",
@@ -569,7 +573,6 @@ impl Network {
         // packet still on the wire at the horizon, whose open busy
         // interval is closed virtually while its bits are not yet
         // counted.
-        let now = self.now();
         for n in 0..self.topo.links.len() {
             let link = self.topo.links[n];
             let nst = self.node_stats(NodeId(n as u32));
@@ -585,14 +588,24 @@ impl Network {
                 continue;
             }
             failed += 1;
-            let core = self.owner_mut(n);
-            core.flag_node(n, ViolationKind::WorkConservation, || {
+            let nobody = PacketView {
+                session: u32::MAX,
+                ..PacketView::default()
+            };
+            let detail = || {
                 format!(
                     "node {n}: busy {busy_ps} ps over [0, {now}] vs {service_ps} ps \
                      of transmitted service ({transmitted} packets, allowance ±{count} ps \
                      + {lmax_ps} ps in flight)"
                 )
-            });
+            };
+            let core = self.owner_mut(n);
+            core.violate(
+                ViolationKind::WorkConservation,
+                now,
+                (n as u32, nobody),
+                detail,
+            );
         }
         if failed > 0 {
             self.merge(); // the marks landed on per-shard rows

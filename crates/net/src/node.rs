@@ -24,6 +24,16 @@
 //! sorted same-instant groups inside lookahead windows) and a unit test
 //! drive a node with no event set at all.
 //!
+//! The oracle and the probe observe the lifecycle points: arrival,
+//! regulator release, service start, departure and delivery. A point
+//! builds one [`Record`], the node and the packet's [`PacketView`], once
+//! and only behind `observed`, a flag fixed when the core is built or a
+//! probe is installed; with the oracle off and no probe, a point costs one
+//! untaken branch. Every failed check goes through [`NodeCore::violate`],
+//! which counts it per kind, on the session and node rows the record
+//! names and at the probe, then panics in panic mode. The statistics rows
+//! are the run's results, not observers, and are written unconditionally.
+//!
 //! Two kinds of event are sorted runs and go through event-set *lanes*
 //! ([`Sink::emit_lane`], see `lit_sim::EventQueue`): the next `Inject` of
 //! a periodic source, on the lane its period shares with the other
@@ -54,7 +64,7 @@
 use crate::arena::{PacketArena, PacketRef};
 use crate::discipline::{Discipline, DisciplineFactory, RegFifo, RegulatorBackend};
 use crate::equeue::{EligibleQueue, QueueKind};
-use crate::oracle::{OracleConfig, OracleRt, ViolationKind};
+use crate::oracle::{Finding, OracleConfig, OracleRt, ViolationKind};
 use crate::packet::{Packet, SessionId};
 use crate::refserver::ReferenceServer;
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
@@ -153,6 +163,14 @@ impl Topology {
         (0..self.specs.len()).map(|sid| self.route(sid))
     }
 
+    /// Where hop `hop` of session `sid` sits in `hops`, and in every
+    /// table laid out like it.
+    fn slot(&self, sid: usize, hop: usize) -> usize {
+        self.route_start
+            .get(sid)
+            .map_or(usize::MAX, |&from| from as usize + hop)
+    }
+
     /// The node serving hop `hop` of session `sid`.
     fn node_at(&self, sid: usize, hop: usize) -> u32 {
         debug_assert!(hop < self.route(sid).len(), "hop off the route");
@@ -160,7 +178,7 @@ impl Topology {
             clippy::indexing_slicing,
             reason = "executor invariant: packets carry the session id and hop index they were routed with at build"
         )]
-        self.hops[self.route_start[sid] as usize + hop].0
+        self.hops[self.slot(sid, hop)].0
     }
 
     /// Whether session `sid` asked for delay-jitter control.
@@ -230,33 +248,21 @@ fn live_mut(arena: &mut PacketArena, p: PacketRef) -> &mut Packet {
     arena.get_mut(p).expect("stale packet reference")
 }
 
-/// The probe's view of a packet (identity + timing, no scheduler state).
-fn pview(pkt: &Packet) -> PacketView {
-    PacketView {
+/// What every observer of a lifecycle point sees: the node, `u32::MAX`
+/// past the last hop or for a whole-session check, and the packet.
+pub(crate) type Record = (u32, PacketView);
+
+/// The record of `pkt` at `node`.
+fn record(node: u32, pkt: &Packet) -> Record {
+    let view = PacketView {
         session: pkt.session.0,
         seq: pkt.seq,
         hop: pkt.hop,
         len_bits: pkt.len_bits,
         created: pkt.created,
         arrived: pkt.arrived,
-    }
-}
-
-/// Record one violation with the oracle (which panics in panic mode)
-/// and, if one is installed, the probe. `who` is `(session, seq, node)`
-/// with `u32::MAX` / 0 for the parts a check does not know.
-fn flag(
-    oracle: &mut OracleRt,
-    probe: &mut Option<Box<dyn Probe>>,
-    kind: ViolationKind,
-    at: Time,
-    who: (u32, u64, u32),
-    detail: impl FnOnce() -> String,
-) {
-    oracle.violate(kind, detail);
-    if let Some(p) = probe.as_deref_mut() {
-        p.on_violation(at, kind.label(), who.0, who.1, who.2);
-    }
+    };
+    (node, view)
 }
 
 /// The node-step state machine over the nodes one driver shard owns.
@@ -273,12 +279,15 @@ pub(crate) struct NodeCore {
     injectors: Vec<Option<Injector>>,
     /// Per-session statistics rows; `Some` iff any hop is owned. Rows are
     /// field-disjoint across cores (each field is written only by the
-    /// core owning the hop that produces it).
+    /// core owning the hop that produces it; violation counts add).
     pub(crate) stats: Vec<Option<SessionStats>>,
     /// How the nodes realize their delay regulators.
     regulator: RegulatorBackend,
     pub(crate) oracle: OracleRt,
-    pub(crate) probe: Option<Box<dyn Probe>>,
+    probe: Option<Box<dyn Probe>>,
+    /// Whether the oracle is on or a probe is installed: the one branch a
+    /// lifecycle point pays when nothing observes it.
+    observed: bool,
 }
 
 impl NodeCore {
@@ -294,9 +303,8 @@ impl NodeCore {
         regulator: RegulatorBackend,
         events: &mut EventQueue<Ev>,
     ) -> Self {
-        let session_hops: Vec<usize> = topo.routes().map(<[_]>::len).collect();
-        let mut oracle = OracleRt::new(oracle, &session_hops);
-        oracle.interleaved = regulator == RegulatorBackend::Interleaved;
+        let sessions = topo.specs.len();
+        let oracle = OracleRt::new(oracle, sessions, topo.hops.len());
         NodeCore {
             now: Time::ZERO,
             arena: PacketArena::new(),
@@ -307,7 +315,7 @@ impl NodeCore {
                 .map(|(n, link)| {
                     owns(n).then(|| {
                         let mut discipline = factory(link);
-                        discipline.reserve(topo.specs.len());
+                        discipline.reserve(sessions);
                         NodeRt {
                             link: *link,
                             discipline,
@@ -320,13 +328,20 @@ impl NodeCore {
                 })
                 .collect(),
             node_stats: topo.links.iter().map(|_| NodeStats::new()).collect(),
-            injectors: session_hops.iter().map(|_| None).collect(),
-            stats: session_hops.iter().map(|_| None).collect(),
+            injectors: (0..sessions).map(|_| None).collect(),
+            stats: (0..sessions).map(|_| None).collect(),
             topo,
             regulator,
+            observed: oracle.enabled(),
             oracle,
             probe: None,
         }
+    }
+
+    /// Install `probe` (`None` removes it) and return the one it replaces.
+    pub(crate) fn set_probe(&mut self, probe: Option<Box<dyn Probe>>) -> Option<Box<dyn Probe>> {
+        self.observed = probe.is_some() || self.oracle.enabled();
+        std::mem::replace(&mut self.probe, probe)
     }
 
     /// Connection establishment at one owned hop: register session `sid`
@@ -401,6 +416,41 @@ impl NodeCore {
         }
     }
 
+    /// Record one violation of `kind` at `at` against `rec`, in a fixed
+    /// order: the per-kind total, the session row and the node row the
+    /// record names, the probe; then, in panic mode, stop with `detail`,
+    /// which is rendered only then.
+    pub(crate) fn violate(
+        &mut self,
+        kind: ViolationKind,
+        at: Time,
+        (node, pkt): Record,
+        detail: impl FnOnce() -> String,
+    ) {
+        *self.oracle.totals.slot(kind) += 1;
+        if let Some(st) = self
+            .stats
+            .get_mut(pkt.session as usize)
+            .and_then(Option::as_mut)
+        {
+            st.oracle_violations += 1;
+        }
+        if let Some(nst) = self.node_stats.get_mut(node as usize) {
+            nst.oracle_violations += 1;
+        }
+        if let Some(pr) = self.probe.as_deref_mut() {
+            pr.on_violation(at, kind.label(), pkt.session, pkt.seq, node);
+        }
+        self.oracle.escalate(kind, detail);
+    }
+
+    /// Record every failed check the oracle found at a lifecycle point.
+    fn judge(&mut self, at: Time, rec: Record, found: impl IntoIterator<Item = Option<Finding>>) {
+        for f in found.into_iter().flatten() {
+            self.violate(f.kind, at, rec, || format!("{f} at {rec:?}"));
+        }
+    }
+
     /// Materialize the pending emission of `sid` as a packet at hop 0 and
     /// pull/schedule the next one.
     fn inject<S: Sink>(&mut self, sid: u32, sink: &mut S) {
@@ -440,7 +490,7 @@ impl NodeCore {
         let now = self.now;
         let pkt = live_mut(&mut self.arena, p);
         pkt.arrived = now;
-        let (sid, hop, seq) = (pkt.session.index(), pkt.hop as usize, pkt.seq);
+        let (sid, hop) = (pkt.session.index(), pkt.hop as usize);
         let node_idx = self.topo.node_at(sid, hop);
 
         // Buffer occupancy, sampled as the paper does: at last-bit arrival,
@@ -448,45 +498,23 @@ impl NodeCore {
         owned(&mut self.stats, sid).occupy(hop, pkt.len_bits as u64);
 
         let node = owned(&mut self.nodes, node_idx as usize);
-        if let Some(pr) = self.probe.as_deref_mut() {
-            pr.on_arrive(now, node_idx, pview(pkt), node.queue.len(), sink.depth());
-        }
         let decision = node.discipline.on_arrival(pkt, now);
+        let eligible = decision.eligible;
         debug_assert!(
-            decision.eligible >= now,
+            eligible >= now,
             "discipline produced an eligibility time in the past"
         );
-        if self.oracle.enabled() {
-            // Regulator invariants (eq. 6–7): E is per-session monotone
-            // at every hop, and never lies in the past.
-            let who = (pkt.session.0, seq, node_idx);
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "oracle state is sized per session and hop at build, same shape as the route"
-            )]
-            let last = &mut self.oracle.last_eligible[sid][hop];
-            if decision.eligible < *last {
-                let prev = *last;
-                let kind = ViolationKind::EligibilityOrder;
-                flag(&mut self.oracle, &mut self.probe, kind, now, who, || {
-                    format!(
-                        "session {sid} hop {hop} seq {seq}: eligibility {} < previous {prev}",
-                        decision.eligible
-                    )
-                });
-            } else {
-                *last = decision.eligible;
+        if self.observed {
+            let (rec, depth) = (record(node_idx, pkt), node.queue.len());
+            if let Some(pr) = self.probe.as_deref_mut() {
+                pr.on_arrive(now, node_idx, rec.1, depth, sink.depth());
             }
-            if decision.eligible < now {
-                let kind = ViolationKind::ReleaseTime;
-                flag(&mut self.oracle, &mut self.probe, kind, now, who, || {
-                    format!(
-                        "session {sid} hop {hop} seq {seq}: eligibility {} before arrival {now}",
-                        decision.eligible
-                    )
-                });
+            if self.oracle.enabled() {
+                let found = self.oracle.arrival(self.topo.slot(sid, hop), eligible, now);
+                self.judge(now, rec, found);
             }
         }
+        let node = owned(&mut self.nodes, node_idx as usize);
         if self.regulator == RegulatorBackend::Interleaved {
             // Interleaved join rule: a packet enters the shared FIFO when
             // it must be held (`E > now`) or when it is jitter-controlled
@@ -495,118 +523,98 @@ impl NodeCore {
             // eligible non-jc packets bypass the regulator, as unshaped
             // traffic does in TSN ATS.
             let jc = self.topo.jitter_control(sid);
-            if decision.eligible > now || (jc && !node.fifo.queue.is_empty()) {
+            if eligible > now || (jc && !node.fifo.queue.is_empty()) {
                 let was_empty = node.fifo.queue.is_empty();
-                node.fifo.join(p, decision.key, decision.eligible, now);
+                node.fifo.join(p, decision.key, eligible, now);
                 if was_empty {
                     // Joining an empty FIFO implies `E > now`, so the
                     // head timer is always armed strictly in the future.
-                    sink.emit(decision.eligible, Ev::RegFire { node: node_idx });
+                    sink.emit(eligible, Ev::RegFire { node: node_idx });
                 }
             } else {
                 self.enqueue_eligible(node_idx, p, decision.key, sink);
             }
-        } else if decision.eligible > now {
-            self.arena.hold(p, decision.key, decision.eligible);
-            sink.emit_lane(node.releases, decision.eligible, Ev::Eligible { p });
+        } else if eligible > now {
+            self.arena.hold(p, decision.key, eligible);
+            sink.emit_lane(node.releases, eligible, Ev::Eligible { p });
         } else {
             self.enqueue_eligible(node_idx, p, decision.key, sink);
         }
     }
 
-    /// A per-session regulator releases a packet it held. The event only
-    /// exists for packets with `E > arrival`, so `now − arrived` is the
-    /// holding time of eq. 8–9 and is strictly positive.
+    /// A per-session regulator releases a packet it held, armed for the
+    /// instant parked in its arena slot. The event only exists for packets
+    /// with `E > arrival`, so the holding time is strictly positive.
     fn eligible<S: Sink>(&mut self, p: PacketRef, sink: &mut S) {
-        let now = self.now;
-        let Some((pkt, key, at)) = self.arena.held(p) else {
+        let Some((pkt, key, armed)) = self.arena.held(p) else {
             debug_assert!(false, "released packet vanished");
             return;
         };
-        let (sid, hop) = (pkt.session.index(), pkt.hop as usize);
-        let node_idx = self.topo.node_at(sid, hop);
-        if self.oracle.enabled() && now != at {
-            let (kind, seq) = (ViolationKind::ReleaseTime, pkt.seq);
-            let who = (pkt.session.0, seq, node_idx);
-            flag(&mut self.oracle, &mut self.probe, kind, now, who, || {
-                format!("session {sid} seq {seq} released at {now}, eligibility was {at}")
-            });
-        }
-        if let Some(pr) = self.probe.as_deref_mut() {
-            let held = now.checked_since(pkt.arrived).unwrap_or(Duration::ZERO);
-            pr.on_eligible(now, node_idx, pview(pkt), held);
-        }
-        self.enqueue_eligible(node_idx, p, key, sink);
+        let node_idx = self.topo.node_at(pkt.session.index(), pkt.hop as usize);
+        self.release(node_idx, p, key, armed, None, sink);
     }
 
     /// The head of `node_idx`'s interleaved-regulator FIFO reached its
-    /// eligibility instant: release the head and every successor whose own
-    /// eligibility has also passed (head gating makes releases cascade),
-    /// then re-arm the timer at the new head's instant. On every release
-    /// the oracle checks the interleaved regulator's defining equation —
-    /// the release instant equals `max(previous release, entry E)` — and
-    /// the Thomas–Le Boudec shaping ceiling: a packet is never held past
-    /// its own eligibility longer than the largest `E − a` offset any
-    /// packet ever brought into this FIFO.
+    /// eligibility instant: release the head, then every successor whose
+    /// own eligibility has also passed (head gating makes releases
+    /// cascade), then re-arm the timer at the new head's instant. The
+    /// timer was armed for the head's eligibility and only this function
+    /// takes the head, so the head is released whatever the clock says and
+    /// checked against that instant; every release is also checked against
+    /// the regulator's own equation and shaping ceiling ([`Self::release`]).
     fn reg_fire<S: Sink>(&mut self, node_idx: u32, sink: &mut S) {
         let now = self.now;
-        if self.oracle.enabled() {
-            // The timer is only ever armed for the head's eligibility,
-            // and the head only leaves in this function.
-            let armed = owned(&mut self.nodes, node_idx as usize).fifo.queue.front();
-            if let Some(at) = armed.map(|h| h.eligible).filter(|&at| at != now) {
-                self.oracle.violate(ViolationKind::ReleaseTime, || {
-                    format!("node {node_idx}: regulator timer fired at {now}, was armed for {at}")
-                });
-            }
-        }
+        let mut first = true;
         loop {
-            let node = owned(&mut self.nodes, node_idx as usize);
-            let Some(head) = node.fifo.queue.front() else {
+            let fifo = &mut owned(&mut self.nodes, node_idx as usize).fifo;
+            let Some(head) = fifo.queue.front() else {
                 break;
             };
-            if head.eligible > now {
+            if head.eligible > now && !first {
                 sink.emit(head.eligible, Ev::RegFire { node: node_idx });
                 break;
             }
-            let Some(entry) = node.fifo.queue.pop_front() else {
+            let Some(entry) = fifo.queue.pop_front() else {
                 break;
             };
-            let expected = node.fifo.last_release.max(entry.eligible);
-            let ceiling = node.fifo.max_hold;
-            node.fifo.last_release = now;
-            let pkt = live(&self.arena, entry.item);
-            let (sid, seq) = (pkt.session.0, pkt.seq);
+            let rule = (
+                fifo.last_release.max(entry.eligible),
+                entry.eligible,
+                fifo.max_hold,
+            );
+            fifo.last_release = now;
+            let armed = if first { entry.eligible } else { now };
+            first = false;
+            self.release(node_idx, entry.item, entry.key, armed, Some(rule), sink);
+        }
+    }
+
+    /// A regulator releases held packet `p`, armed for `armed`, onto
+    /// `node_idx`'s eligible queue: the oracle referees the release
+    /// ([`OracleRt::release`], with the interleaved FIFO's `fifo` rule),
+    /// the probe sees the holding time `now − arrival` of eq. 8–9, and the
+    /// packet joins the queue.
+    fn release<S: Sink>(
+        &mut self,
+        node_idx: u32,
+        p: PacketRef,
+        key: u128,
+        armed: Time,
+        fifo: Option<(Time, Time, Duration)>,
+        sink: &mut S,
+    ) {
+        if self.observed {
+            let now = self.now;
+            let rec = record(node_idx, live(&self.arena, p));
             if self.oracle.enabled() {
-                let who = (sid, seq, node_idx);
-                if now != expected {
-                    let kind = ViolationKind::RegulatorFifo;
-                    flag(&mut self.oracle, &mut self.probe, kind, now, who, || {
-                        format!(
-                            "node {node_idx} session {sid} seq {seq}: released at {now}, \
-                             interleaved regulator requires max(last release, E) = {expected}"
-                        )
-                    });
-                }
-                let shaping = now.checked_since(entry.eligible).unwrap_or(Duration::ZERO);
-                if shaping > ceiling {
-                    let kind = ViolationKind::ShapingBound;
-                    flag(&mut self.oracle, &mut self.probe, kind, now, who, || {
-                        format!(
-                            "node {node_idx} session {sid} seq {seq}: held {} ps \
-                             past its eligibility, service-curve ceiling is {} ps",
-                            shaping.as_ps(),
-                            ceiling.as_ps()
-                        )
-                    });
-                }
+                self.judge(now, rec, self.oracle.release(now, armed, fifo));
             }
             if let Some(pr) = self.probe.as_deref_mut() {
-                let held = now.checked_since(pkt.arrived).unwrap_or(Duration::ZERO);
-                pr.on_eligible(now, node_idx, pview(pkt), held);
+                let held = now.checked_since(rec.1.arrived).unwrap_or(Duration::ZERO);
+                pr.on_eligible(now, node_idx, rec.1, held);
             }
-            self.enqueue_eligible(node_idx, entry.item, entry.key, sink);
         }
+        self.enqueue_eligible(node_idx, p, key, sink);
     }
 
     /// Put an eligible packet in the node's transmission queue and start
@@ -631,7 +639,7 @@ impl NodeCore {
         let tx = node.link.tx_time(pkt.len_bits);
         node.discipline.on_service_start(pkt, now);
         if let Some(pr) = self.probe.as_deref_mut() {
-            pr.on_dispatch(now, node_idx, pview(pkt));
+            pr.on_dispatch(now, node_idx, record(node_idx, pkt).1);
         }
         node.current = Some(p);
         if let Some(nst) = self.node_stats.get_mut(node_idx as usize) {
@@ -654,59 +662,47 @@ impl NodeCore {
         let p = node.current.take().expect("TxDone with idle link");
         let pkt = live_mut(&mut self.arena, p);
         node.discipline.on_departure(pkt, finish);
-        let propagation = node.link.propagation;
-        let lmax_ps = i128::from(node.link.lmax_time());
-        let idle = node.queue.is_empty();
-        let (sid, hop, seq) = (pkt.session.index(), pkt.hop as usize, pkt.seq);
-
-        // Node accounting.
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "node_stats is built with one entry per node"
-        )]
-        let nst = &mut self.node_stats[node_idx as usize];
-        nst.transmitted += 1;
-        nst.bits_transmitted += pkt.len_bits as u64;
+        let (link, idle) = (node.link, node.queue.is_empty());
+        let (sid, hop) = (pkt.session.index(), pkt.hop as usize);
         let lateness = finish.signed_since(pkt.deadline);
-        nst.max_lateness_ps = nst.max_lateness_ps.max(lateness);
-        if idle {
-            nst.busy.set_idle(finish);
-        }
-        // The non-saturation allowance is a *per-session-regulator*
-        // lemma: under the interleaved backend a packet can legitimately
-        // leave later (it may wait behind other sessions' holds in the
-        // shared FIFO), so the check is suspended there and the regulator
-        // invariants take over at release time.
-        if self.oracle.enabled() && !self.oracle.interleaved && lateness >= lmax_ps {
-            // Non-saturation lemma: F̂ < F + L_MAX/C.
-            nst.oracle_violations += 1;
-            let (kind, deadline) = (ViolationKind::Lateness, pkt.deadline);
-            let who = (pkt.session.0, seq, node_idx);
-            flag(&mut self.oracle, &mut self.probe, kind, finish, who, || {
-                format!(
-                    "node {node_idx} session {sid} seq {seq}: finish {finish} is \
-                     {lateness} ps past deadline {deadline} (allowance {lmax_ps} ps)"
-                )
-            });
-        }
 
+        if let Some(nst) = self.node_stats.get_mut(node_idx as usize) {
+            nst.transmitted += 1;
+            nst.bits_transmitted += pkt.len_bits as u64;
+            nst.max_lateness_ps = nst.max_lateness_ps.max(lateness);
+            if idle {
+                nst.busy.set_idle(finish);
+            }
+        }
         // Session accounting: the packet no longer occupies this node.
         owned(&mut self.stats, sid).release(hop, pkt.len_bits as u64);
 
         let last = hop + 1 >= self.topo.route(sid).len();
-        if let Some(pr) = self.probe.as_deref_mut() {
-            // Deadline slack F − departure; negative means the packet
-            // left late (the oracle's lateness check allows < L_MAX/C).
-            let slack = pkt.deadline.signed_since(finish);
-            let slack = i64::try_from(slack).unwrap_or(if slack < 0 { i64::MIN } else { i64::MAX });
-            pr.on_depart(finish, node_idx, pview(pkt), slack, last);
+        if self.observed {
+            let rec = record(node_idx, pkt);
+            // The non-saturation lemma is a per-session-regulator one:
+            // under the interleaved backend a packet may also wait behind
+            // other sessions' holds in the shared FIFO, and the checks at
+            // release take over.
+            if self.oracle.enabled() && self.regulator == RegulatorBackend::PerSession {
+                let found = self.oracle.departure(lateness, link.lmax_time());
+                self.judge(finish, rec, [found]);
+            }
+            if let Some(pr) = self.probe.as_deref_mut() {
+                // Deadline slack F − departure; negative means the packet
+                // left late (the lateness check allows < L_MAX/C).
+                let slack = -lateness;
+                let slack =
+                    i64::try_from(slack).unwrap_or(if slack < 0 { i64::MIN } else { i64::MAX });
+                pr.on_depart(finish, node_idx, rec.1, slack, last);
+            }
         }
-        let arrival = finish + propagation;
+        let arrival = finish + link.propagation;
         if last {
             self.deliver(p, finish, arrival);
         } else {
             let next = self.topo.node_at(sid, hop + 1);
-            pkt.hop += 1;
+            live_mut(&mut self.arena, p).hop += 1;
             if self.owns(next as usize) {
                 sink.emit(arrival, Ev::Arrive { p });
             } else if let Some(pkt) = self.arena.take(p) {
@@ -742,98 +738,14 @@ impl NodeCore {
             delivered: delivery,
             ref_delay: pkt.ref_delay,
         });
-        if !self.oracle.enabled() {
-            return;
+        // The oracle is the one observer of a delivery.
+        if self.oracle.enabled() {
+            let jitter = st.e2e.spread();
+            let found = self.oracle.delivery(sid, pkt.ref_delay, excess, jitter);
+            // The packet has left the last node: the record names none.
+            let rec = record(u32::MAX, &pkt);
+            self.judge(finish, rec, found);
         }
-        // The jitter reference is the largest reference delay among the
-        // packets *delivered* so far: known on the delivering core under
-        // every driver, and never looser than the injected-side maximum
-        // (which can run a few packets ahead).
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "oracle tables are sized to the session count at build"
-        )]
-        let dref = &mut self.oracle.ref_max_ps[sid];
-        *dref = (*dref).max(i128::from(pkt.ref_delay));
-        let dref_ps = *dref;
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "oracle tables are sized to the session count at build"
-        )]
-        let Some(b) = self.oracle.bounds[sid] else {
-            return;
-        };
-        let who = (pkt.session.0, pkt.seq, u32::MAX);
-        // Ineq. 12, pathwise: D_i − D^ref_i < β + α, for any arrival
-        // pattern (the firewall property).
-        if excess >= b.shift_ps {
-            st.oracle_violations += 1;
-            let kind = ViolationKind::DelayBound;
-            flag(&mut self.oracle, &mut self.probe, kind, finish, who, || {
-                format!(
-                    "session {sid} seq {}: excess {excess} ps ≥ β+α = {} ps",
-                    pkt.seq, b.shift_ps
-                )
-            });
-        }
-        // Ineq. 17 family: running jitter stays below the empirical
-        // D^ref_max plus the spread constant. Both running maxima only
-        // grow, so checking per delivery is equivalent to checking at
-        // drain time; ineq. 12 implies it pathwise.
-        let jitter_ps = st.e2e.spread().map_or(0, i128::from);
-        if jitter_ps >= dref_ps + b.jitter_spread_ps {
-            st.oracle_violations += 1;
-            let kind = ViolationKind::JitterBound;
-            flag(&mut self.oracle, &mut self.probe, kind, finish, who, || {
-                format!(
-                    "session {sid} seq {}: jitter {jitter_ps} ps ≥ \
-                     D^ref_max {dref_ps} + spread {} ps",
-                    pkt.seq, b.jitter_spread_ps
-                )
-            });
-        }
-    }
-
-    /// Drain-time mark: a whole-run check over session `sid` failed.
-    pub(crate) fn flag_session(
-        &mut self,
-        sid: usize,
-        kind: ViolationKind,
-        detail: impl FnOnce() -> String,
-    ) {
-        if let Some(st) = self.stats.get_mut(sid).and_then(Option::as_mut) {
-            st.oracle_violations += 1;
-        }
-        let who = (u32::try_from(sid).unwrap_or(u32::MAX), 0, u32::MAX);
-        flag(
-            &mut self.oracle,
-            &mut self.probe,
-            kind,
-            self.now,
-            who,
-            detail,
-        );
-    }
-
-    /// Drain-time mark: a whole-run check over owned node `node` failed.
-    pub(crate) fn flag_node(
-        &mut self,
-        node: usize,
-        kind: ViolationKind,
-        detail: impl FnOnce() -> String,
-    ) {
-        if let Some(nst) = self.node_stats.get_mut(node) {
-            nst.oracle_violations += 1;
-        }
-        let who = (u32::MAX, 0, u32::try_from(node).unwrap_or(u32::MAX));
-        flag(
-            &mut self.oracle,
-            &mut self.probe,
-            kind,
-            self.now,
-            who,
-            detail,
-        );
     }
 }
 
@@ -842,6 +754,7 @@ mod tests {
     use super::*;
     use crate::discipline::ScheduleDecision;
     use crate::oracle::{OracleMode, OracleTotals};
+    use lit_obs::ObsProbe;
     use lit_traffic::TraceSource;
 
     /// FCFS with a fixed 2 ms regulator hold.
@@ -947,12 +860,16 @@ mod tests {
         );
     }
 
-    /// Inject the first cell under the counting oracle, then dispatch the
-    /// release the core armed one picosecond late. The instant it was
-    /// armed for lives in the arena slot / the regulator FIFO, not in the
-    /// event: the release-time check must still see it.
-    fn late_release(regulator: RegulatorBackend) -> (Ev, OracleTotals) {
+    /// Inject the first cell under the counting oracle and a recording
+    /// probe, then dispatch the release the core armed one picosecond
+    /// late. The instant it was armed for lives in the arena slot / the
+    /// regulator FIFO, not in the event: the release-time check must
+    /// still see it. Every violation names the session and the node, so
+    /// each reaches both rows and the probe; returns the release, the
+    /// totals and the labels the probe saw, in label order.
+    fn late_release(regulator: RegulatorBackend) -> (Ev, OracleTotals, Vec<String>) {
         let mut core = one_node_core(regulator, OracleConfig::new(OracleMode::Count));
+        core.set_probe(Some(Box::new(ObsProbe::new(0))));
         core.now = Time::from_us(1_000);
         let mut armed = Vec::new();
         core.dispatch(Ev::Inject { sid: 0 }, &mut armed);
@@ -960,23 +877,34 @@ mod tests {
         assert_eq!(at, Time::from_us(3_000));
         core.now = at + Duration::from_ps(1);
         core.dispatch(release, &mut Vec::new());
-        (release, core.oracle.totals)
+        let totals = core.oracle.totals;
+        let session_row = core.stats[0].as_ref().expect("row installed");
+        assert_eq!(session_row.oracle_violations, totals.total());
+        assert_eq!(core.node_stats[0].oracle_violations, totals.total());
+        let probe = core.set_probe(None).expect("probe installed");
+        let obs = probe.as_any().and_then(|a| a.downcast_ref::<ObsProbe>());
+        let seen = &obs.expect("an ObsProbe").shard;
+        assert_eq!(seen.violation_total(), totals.total());
+        (release, totals, seen.violations.keys().cloned().collect())
     }
 
     #[test]
     fn late_eligible_event_is_one_release_time_violation() {
-        let (ev, seen) = late_release(RegulatorBackend::PerSession);
+        let (ev, seen, labels) = late_release(RegulatorBackend::PerSession);
         assert!(matches!(ev, Ev::Eligible { .. }));
         assert_eq!((seen.release_time, seen.total()), (1, 1));
+        assert_eq!(labels, [ViolationKind::ReleaseTime.label()]);
     }
 
     #[test]
     fn late_reg_fire_event_is_one_release_time_violation() {
-        let (ev, seen) = late_release(RegulatorBackend::Interleaved);
+        let (ev, seen, labels) = late_release(RegulatorBackend::Interleaved);
         assert_eq!(ev, Ev::RegFire { node: 0 });
         // The late release itself also breaks the regulator equation.
         assert_eq!((seen.release_time, seen.regulator_fifo), (1, 1));
         assert_eq!(seen.total(), 2);
+        let fifo = ViolationKind::RegulatorFifo;
+        assert_eq!(labels, [fifo.label(), ViolationKind::ReleaseTime.label()]);
     }
 
     #[test]

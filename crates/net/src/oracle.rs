@@ -32,7 +32,7 @@
 )]
 
 use lit_analysis::DurationHistogram;
-use lit_sim::Time;
+use lit_sim::{Duration, Time};
 
 /// What the oracle does when a check is evaluated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -145,22 +145,19 @@ impl ViolationKind {
             ViolationKind::WorkConservation => "work-conservation (heavy-traffic sanity)",
         }
     }
+
+    /// This kind's finding, observing `got` against `limit`, unless the
+    /// check held.
+    fn unless(self, held: bool, got: impl Into<i128>, limit: impl Into<i128>) -> Option<Finding> {
+        let (kind, got, limit) = (self, got.into(), limit.into());
+        (!held).then_some(Finding { kind, got, limit })
+    }
 }
 
+/// The label's name part, without the paper reference: `release-time`.
 impl std::fmt::Display for ViolationKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ViolationKind::EligibilityOrder => "eligibility-order",
-            ViolationKind::ReleaseTime => "release-time",
-            ViolationKind::Lateness => "lateness",
-            ViolationKind::DelayBound => "delay-bound",
-            ViolationKind::JitterBound => "jitter-bound",
-            ViolationKind::CcdfBound => "ccdf-bound",
-            ViolationKind::ShapingBound => "shaping-bound",
-            ViolationKind::RegulatorFifo => "regulator-fifo",
-            ViolationKind::WorkConservation => "work-conservation",
-        };
-        f.write_str(s)
+        f.write_str(self.label().split(" (").next().unwrap_or_default())
     }
 }
 
@@ -214,7 +211,7 @@ impl OracleTotals {
         self.work_conservation += o.work_conservation;
     }
 
-    fn slot(&mut self, kind: ViolationKind) -> &mut u64 {
+    pub(crate) fn slot(&mut self, kind: ViolationKind) -> &mut u64 {
         match kind {
             ViolationKind::EligibilityOrder => &mut self.eligibility_order,
             ViolationKind::ReleaseTime => &mut self.release_time,
@@ -229,48 +226,51 @@ impl OracleTotals {
     }
 }
 
-/// Per-network oracle state.
+/// A failed online check: what was observed against what the invariant
+/// allows, in signed picoseconds (instants count from zero).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Finding {
+    pub(crate) kind: ViolationKind,
+    got: i128,
+    limit: i128,
+}
+
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "observed {} ps, limit {} ps", self.got, self.limit)
+    }
+}
+
+/// Per-network oracle state: the totals, and the tables the online
+/// checks read, empty when the oracle is off. The node step reports each
+/// lifecycle point to the checks below, and only when the oracle is on.
 pub(crate) struct OracleRt {
     pub(crate) mode: OracleMode,
     pub(crate) totals: OracleTotals,
     /// Installed bounds, indexed by session.
     pub(crate) bounds: Vec<Option<SessionBounds>>,
-    /// Last eligibility time per `[session][hop]` (empty when disabled).
-    pub(crate) last_eligible: Vec<Vec<Time>>,
+    /// Last eligibility time at every route hop, laid out like the
+    /// topology's flat route table (`route_start[session] + hop`).
+    last_eligible: Vec<Time>,
     /// Largest reference delay over the packets *delivered* so far, per
-    /// session, in picoseconds: the jitter check's `D^ref_max` (empty
-    /// when disabled).
-    pub(crate) ref_max_ps: Vec<i128>,
-    /// Whether the network runs the interleaved regulator backend. Under
-    /// it the per-session lateness allowance no longer holds (a packet may
-    /// additionally wait behind other sessions' holds), so the `Lateness`
-    /// check is suspended and the `ShapingBound`/`RegulatorFifo` checks
-    /// take over at the regulator.
-    pub(crate) interleaved: bool,
+    /// session, in picoseconds: the jitter check's `D^ref_max`. Delivered
+    /// side, because the delivering core knows it under every driver, and
+    /// never looser than the injected-side maximum (which can run ahead).
+    ref_max_ps: Vec<i128>,
 }
 
 impl OracleRt {
-    pub(crate) fn new(cfg: OracleConfig, session_hops: &[usize]) -> Self {
-        let enabled = cfg.mode != OracleMode::Off;
+    /// The oracle of a network with `sessions` sessions whose routes have
+    /// `hops` hops in all.
+    pub(crate) fn new(cfg: OracleConfig, sessions: usize, hops: usize) -> Self {
+        let on = cfg.mode != OracleMode::Off;
+        let (sessions, hops) = if on { (sessions, hops) } else { (0, 0) };
         OracleRt {
             mode: cfg.mode,
             totals: OracleTotals::default(),
-            bounds: if enabled {
-                vec![None; session_hops.len()]
-            } else {
-                Vec::new()
-            },
-            last_eligible: if enabled {
-                session_hops.iter().map(|&h| vec![Time::ZERO; h]).collect()
-            } else {
-                Vec::new()
-            },
-            ref_max_ps: if enabled {
-                vec![i128::MIN; session_hops.len()]
-            } else {
-                Vec::new()
-            },
-            interleaved: false,
+            bounds: vec![None; sessions],
+            last_eligible: vec![Time::ZERO; hops],
+            ref_max_ps: vec![i128::MIN; sessions],
         }
     }
 
@@ -278,10 +278,79 @@ impl OracleRt {
         self.mode != OracleMode::Off
     }
 
-    /// Record one violation; panics in `Panic` mode. `detail` is only
-    /// rendered when a message is actually needed.
-    pub(crate) fn violate(&mut self, kind: ViolationKind, detail: impl FnOnce() -> String) {
-        *self.totals.slot(kind) += 1;
+    /// Eq. 6–7 at an arrival at `now`: the eligibility `E` at route slot
+    /// `slot` neither precedes the session's previous one there nor lies
+    /// in the past.
+    pub(crate) fn arrival(&mut self, slot: usize, e: Time, now: Time) -> [Option<Finding>; 2] {
+        let Some(last) = self.last_eligible.get_mut(slot) else {
+            return [None; 2];
+        };
+        let prev = std::mem::replace(last, (*last).max(e));
+        [
+            ViolationKind::EligibilityOrder.unless(e >= prev, e, prev),
+            ViolationKind::ReleaseTime.unless(e >= now, e, now),
+        ]
+    }
+
+    /// Eq. 6–9 at a regulator release at `now`: the packet leaves at
+    /// `armed`, the instant the regulator computed. Under the interleaved
+    /// backend `fifo` is `(max(last release, E), E, ceiling)`: the release
+    /// also equals the first (the regulator's defining equation) and holds
+    /// the packet past its own `E` no longer than the ceiling, the
+    /// Thomas–Le Boudec property that FIFO plus head gating holds no packet
+    /// longer than the largest `E − a` any packet brought into the FIFO.
+    pub(crate) fn release(
+        &self,
+        now: Time,
+        armed: Time,
+        fifo: Option<(Time, Time, Duration)>,
+    ) -> [Option<Finding>; 3] {
+        let (expected, e, ceiling) = fifo.unwrap_or((now, now, Duration::ZERO));
+        let shaping = now.checked_since(e).unwrap_or(Duration::ZERO);
+        [
+            ViolationKind::ReleaseTime.unless(now == armed, now, armed),
+            ViolationKind::RegulatorFifo.unless(now == expected, now, expected),
+            ViolationKind::ShapingBound.unless(shaping <= ceiling, shaping, ceiling),
+        ]
+    }
+
+    /// The non-saturation lemma at a departure `lateness = F̂ − F` past
+    /// the deadline: `F̂ < F + L_MAX/C`.
+    pub(crate) fn departure(&self, lateness: i128, lmax: Duration) -> Option<Finding> {
+        ViolationKind::Lateness.unless(lateness < i128::from(lmax), lateness, lmax)
+    }
+
+    /// The delivery of a packet of session `sid` with reference delay
+    /// `ref_delay` and `D_i − D^ref_i = excess`, which leaves the session
+    /// with the running `jitter`. Ineq. 12, pathwise: `excess < β + α`,
+    /// for any arrival pattern (the firewall property). Ineq. 17 family:
+    /// the jitter stays below `D^ref_max` plus the spread constant; both
+    /// running maxima only grow, so checking per delivery is checking at
+    /// drain time, and ineq. 12 implies it.
+    pub(crate) fn delivery(
+        &mut self,
+        sid: usize,
+        ref_delay: Duration,
+        excess: i128,
+        jitter: Option<Duration>,
+    ) -> [Option<Finding>; 2] {
+        let Some(dref) = self.ref_max_ps.get_mut(sid) else {
+            return [None; 2];
+        };
+        *dref = (*dref).max(i128::from(ref_delay));
+        let Some(b) = self.bounds.get(sid).copied().flatten() else {
+            return [None; 2];
+        };
+        let (jitter, most) = (jitter.map_or(0, i128::from), *dref + b.jitter_spread_ps);
+        [
+            ViolationKind::DelayBound.unless(excess < b.shift_ps, excess, b.shift_ps),
+            ViolationKind::JitterBound.unless(jitter < most, jitter, most),
+        ]
+    }
+
+    /// The last step of a violation: in panic mode, stop the run with
+    /// `detail`, which is rendered only then.
+    pub(crate) fn escalate(&self, kind: ViolationKind, detail: impl FnOnce() -> String) {
         if self.mode == OracleMode::Panic {
             panic!("conformance oracle: {kind}: {}", detail());
         }
@@ -338,7 +407,6 @@ pub(crate) fn ccdf_shift_violation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lit_sim::Duration;
 
     fn hist(samples_ms: &[u64]) -> DurationHistogram {
         let mut h = DurationHistogram::new(Duration::from_ms(1), 64);

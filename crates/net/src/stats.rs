@@ -200,8 +200,9 @@ pub struct SessionStats {
     /// [`StatsConfig::delivery_log_cap`] > 0).
     pub deliveries: std::collections::VecDeque<DeliveryRecord>,
     pub(crate) delivery_cap: usize,
-    /// Conformance-oracle violations attributed to this session (delay,
-    /// jitter and CCDF bound checks); always 0 when the oracle is off.
+    /// Conformance-oracle violations that name this session: every check
+    /// on one of its packets, at any hop or at delivery, plus the drain
+    /// check of ineq. 16; always 0 when the oracle is off.
     pub oracle_violations: u64,
 }
 
@@ -326,8 +327,9 @@ pub struct NodeStats {
     /// the scheduler-saturation diagnostic: Leave-in-Time guarantees
     /// `F̂ < F + L_MAX/C`.
     pub max_lateness_ps: i128,
-    /// Conformance-oracle violations attributed to this node (regulator
-    /// and lateness checks); always 0 when the oracle is off.
+    /// Conformance-oracle violations that name this node: every check on
+    /// a packet at this node (regulator and lateness), plus the drain check
+    /// of work conservation; always 0 when the oracle is off.
     pub oracle_violations: u64,
 }
 

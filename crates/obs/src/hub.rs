@@ -10,8 +10,8 @@
 //! thread-determinism snapshot test pins.
 //!
 //! A hub with both switches off hands out no probes ([`Hub::probe`]
-//! returns `None`) and the executor's hook sites stay a single
-//! always-false branch.
+//! returns `None`), and with the oracle off too the executor's lifecycle
+//! points stay one untaken branch each.
 
 use crate::metrics::ObsShard;
 use crate::probe::{ObsProbe, Probe};
@@ -55,8 +55,7 @@ impl Hub {
     }
 
     /// The probe a network should install, or `None` when collection is
-    /// off (the executor then pays one branch per hook site and nothing
-    /// more).
+    /// off.
     pub fn probe(&self) -> Option<Box<dyn Probe>> {
         self.on
             .then(|| Box::new(ObsProbe::new(self.trace_cap)) as Box<dyn Probe>)

@@ -13,13 +13,13 @@
 //!   Storage is dense arrays sized once at network build — no string keys
 //!   or map lookups on the hot path.
 //! * [`trace`] — a structured packet-lifecycle tracer ([`TraceRing`]):
-//!   arrive / eligible / dispatch / depart / drop / violation events in a
+//!   arrive / eligible / dispatch / depart / violation events in a
 //!   bounded ring (exact head + bounded tail), exported as Chrome
 //!   `trace_event` JSON for `chrome://tracing` or as compact JSONL.
 //! * [`probe`] — the [`Probe`] trait the network executor calls. Every
 //!   method has a no-op default; the executor holds an
-//!   `Option<Box<dyn Probe>>`, so the disabled path is a single
-//!   always-false branch per event (the CI overhead guard pins it ≤ 2%).
+//!   `Option<Box<dyn Probe>>`, so with no probe and the oracle off each
+//!   lifecycle point is one untaken branch.
 //! * [`hub`] — the collection point of one run, an ordinary value its
 //!   owner lends to whoever builds networks. Shards merge
 //!   commutatively (counters add, maxima max, histogram bins add) and

@@ -2,12 +2,12 @@
 //! implementations: [`NoopProbe`] (every hook is the default no-op) and
 //! [`ObsProbe`] (records into an [`ObsShard`] and a [`TraceRing`]).
 //!
-//! The executor holds an `Option<Box<dyn Probe>>`: when `None` (the
-//! default) each hook site is one always-false branch and no
-//! [`PacketView`] is ever materialized — that is the "zero-cost-when-off"
-//! contract the CI overhead guard enforces. When `Some`, hooks fire at
-//! packet arrival, regulator release, service start, departure and on
-//! every conformance-oracle violation.
+//! The executor holds an `Option<Box<dyn Probe>>`. With no probe and the
+//! oracle off (the default) each lifecycle point is one untaken branch and
+//! no [`PacketView`] is ever materialized — that is the
+//! "zero-cost-when-off" contract the CI overhead guard enforces. With a
+//! probe, hooks fire at packet arrival, regulator release, service start,
+//! departure and on every conformance-oracle violation.
 
 #![deny(
     clippy::unwrap_used,
@@ -29,7 +29,7 @@ use std::any::Any;
 /// A probe's view of a packet: the identity and timing fields every hook
 /// needs, decoupled from the network's own packet type (which lives in a
 /// crate that depends on this one).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PacketView {
     /// Owning session id.
     pub session: u32,
@@ -86,10 +86,6 @@ pub trait Probe: Send {
         _delivered: bool,
     ) {
     }
-
-    /// The packet was discarded (reserved: the lossless executor never
-    /// drops today).
-    fn on_drop(&mut self, _now: Time, _node: u32, _pkt: PacketView) {}
 
     /// The conformance oracle recorded a violation; `tag` names the
     /// violated inequality (`ViolationKind::label`). `node` is
@@ -156,6 +152,25 @@ impl ObsProbe {
     }
 }
 
+/// The trace event of stage `kind` for `pkt` at `node` and `now`, its
+/// kind-specific fields empty.
+#[inline(always)]
+fn event(kind: TraceKind, now: Time, node: u32, pkt: PacketView) -> TraceEvent {
+    TraceEvent {
+        kind,
+        t_ps: now.as_ps(),
+        session: pkt.session,
+        seq: pkt.seq,
+        node,
+        hop: pkt.hop,
+        len_bits: pkt.len_bits,
+        aux_ps: 0,
+        start_ps: 0,
+        delivered: false,
+        tag: "",
+    }
+}
+
 impl Probe for ObsProbe {
     fn on_build(&mut self, master_seed: u64, nodes: usize, session_hops: &[usize]) {
         self.seed = master_seed;
@@ -178,19 +193,7 @@ impl Probe for ObsProbe {
             n.eligible_depth.record(eligible_depth as u64);
         }
         self.shard.event_depth.record(event_depth as u64);
-        self.record(TraceEvent {
-            kind: TraceKind::Arrive,
-            t_ps: now.as_ps(),
-            session: pkt.session,
-            seq: pkt.seq,
-            node,
-            hop: pkt.hop,
-            len_bits: pkt.len_bits,
-            aux_ps: 0,
-            start_ps: 0,
-            delivered: false,
-            tag: "",
-        });
+        self.record(event(TraceKind::Arrive, now, node, pkt));
     }
 
     fn on_eligible(&mut self, now: Time, node: u32, pkt: PacketView, held: Duration) {
@@ -203,18 +206,10 @@ impl Probe for ObsProbe {
             h.held += 1;
             h.holding_ps.record(held.as_ps());
         }
+        let aux_ps = held.as_ps().min(i64::MAX as u64) as i64;
         self.record(TraceEvent {
-            kind: TraceKind::Eligible,
-            t_ps: now.as_ps(),
-            session: pkt.session,
-            seq: pkt.seq,
-            node,
-            hop: pkt.hop,
-            len_bits: pkt.len_bits,
-            aux_ps: held.as_ps().min(i64::MAX as u64) as i64,
-            start_ps: 0,
-            delivered: false,
-            tag: "",
+            aux_ps,
+            ..event(TraceKind::Eligible, now, node, pkt)
         });
     }
 
@@ -230,19 +225,7 @@ impl Probe for ObsProbe {
         {
             h.dispatches += 1;
         }
-        self.record(TraceEvent {
-            kind: TraceKind::Dispatch,
-            t_ps: now.as_ps(),
-            session: pkt.session,
-            seq: pkt.seq,
-            node,
-            hop: pkt.hop,
-            len_bits: pkt.len_bits,
-            aux_ps: 0,
-            start_ps: 0,
-            delivered: false,
-            tag: "",
-        });
+        self.record(event(TraceKind::Dispatch, now, node, pkt));
     }
 
     fn on_depart(&mut self, now: Time, node: u32, pkt: PacketView, slack_ps: i64, delivered: bool) {
@@ -258,51 +241,22 @@ impl Probe for ObsProbe {
             }
         }
         self.record(TraceEvent {
-            kind: TraceKind::Depart,
-            t_ps: now.as_ps(),
-            session: pkt.session,
-            seq: pkt.seq,
-            node,
-            hop: pkt.hop,
-            len_bits: pkt.len_bits,
             aux_ps: slack_ps,
             start_ps: pkt.arrived.as_ps(),
             delivered,
-            tag: "",
-        });
-    }
-
-    fn on_drop(&mut self, now: Time, node: u32, pkt: PacketView) {
-        self.record(TraceEvent {
-            kind: TraceKind::Drop,
-            t_ps: now.as_ps(),
-            session: pkt.session,
-            seq: pkt.seq,
-            node,
-            hop: pkt.hop,
-            len_bits: pkt.len_bits,
-            aux_ps: 0,
-            start_ps: 0,
-            delivered: false,
-            tag: "",
+            ..event(TraceKind::Depart, now, node, pkt)
         });
     }
 
     fn on_violation(&mut self, now: Time, tag: &'static str, session: u32, seq: u64, node: u32) {
         *self.shard.violations.entry(tag.to_string()).or_insert(0) += 1;
-        self.record(TraceEvent {
-            kind: TraceKind::Violation,
-            t_ps: now.as_ps(),
+        let pkt = PacketView {
             session,
             seq,
-            node,
-            hop: 0,
-            len_bits: 0,
-            aux_ps: 0,
-            start_ps: 0,
-            delivered: false,
-            tag,
-        });
+            ..PacketView::default()
+        };
+        let e = event(TraceKind::Violation, now, node, pkt);
+        self.record(TraceEvent { tag, ..e });
     }
 
     fn as_any(&self) -> Option<&dyn Any> {

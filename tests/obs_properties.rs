@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use lit_net::{NodeId, OracleMode};
+use lit_net::{NodeId, OracleMode, ViolationKind};
 use lit_obs::metrics::ObsShard;
 use lit_obs::{trace::TraceKind, ObsProbe};
 use lit_repro::fuzz;
@@ -120,6 +120,35 @@ fn metrics_agree_with_ground_truth_on_fuzzed_scenarios() {
         );
         assert_eq!(shard.networks, 1);
     }
+}
+
+#[test]
+fn violation_counters_match_oracle_totals_kind_by_kind_under_overload() {
+    // At rho = 1.2 the oracle must fire. Every kind it counts reaches the
+    // probe under that kind's label, as often: the same violation path
+    // feeds both, whichever check found it.
+    let text = include_str!("../scenarios/overload_rho120.scn");
+    let sc = Scenario::parse(text).expect("parse overload fixture");
+    let (net, shard) = run_with_probe(&sc);
+    let t = net.oracle_totals();
+    assert!(t.total() > 0, "overload ran clean: {t:?}");
+    let by_kind = [
+        (ViolationKind::EligibilityOrder, t.eligibility_order),
+        (ViolationKind::ReleaseTime, t.release_time),
+        (ViolationKind::Lateness, t.lateness),
+        (ViolationKind::DelayBound, t.delay_bound),
+        (ViolationKind::JitterBound, t.jitter_bound),
+        (ViolationKind::CcdfBound, t.ccdf_bound),
+        (ViolationKind::ShapingBound, t.shaping_bound),
+        (ViolationKind::RegulatorFifo, t.regulator_fifo),
+        (ViolationKind::WorkConservation, t.work_conservation),
+    ];
+    let expected: std::collections::BTreeMap<String, u64> = by_kind
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|(kind, n)| (kind.label().to_string(), n))
+        .collect();
+    assert_eq!(shard.violations, expected);
 }
 
 #[test]
