@@ -31,9 +31,7 @@
 //! `x_min = L_max / r` (the paper notes that in [26] "bandwidth is
 //! reserved at the peak rate implied by `x_min`").
 
-use lit_net::{
-    DelayAssignment, Discipline, Packet, ScheduleDecision, SessionId, SessionSpec, SessionTable,
-};
+use lit_net::{DelayAssignment, Discipline, Packet, ScheduleDecision, SessionSpec, SessionTable};
 use lit_sim::{Duration, Time};
 
 /// Per-session EDD state at one node.
@@ -104,10 +102,6 @@ impl Discipline for EddDiscipline {
                 exa_prev: None,
             },
         );
-    }
-
-    fn unregister_session(&mut self, id: SessionId) {
-        self.sessions.remove(id);
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {

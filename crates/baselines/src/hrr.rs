@@ -19,8 +19,7 @@
 //! service order emerges from the node's ordinary eligible queue.
 
 use lit_net::{
-    DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionId, SessionSpec,
-    SessionTable,
+    DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionSpec, SessionTable,
 };
 use lit_sim::{Duration, Time};
 
@@ -120,13 +119,6 @@ impl Discipline for HrrDiscipline {
                 used: 0,
             },
         );
-    }
-
-    fn unregister_session(&mut self, id: SessionId) {
-        if let Some(s) = self.sessions.remove(id) {
-            // Return the slots so a future establishment can reuse them.
-            self.slots_granted -= s.quota;
-        }
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {

@@ -19,8 +19,7 @@
 //! at most) plus one blocking lower-priority packet must fit at link rate.
 
 use lit_net::{
-    DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionId, SessionSpec,
-    SessionTable,
+    DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionSpec, SessionTable,
 };
 use lit_sim::{Duration, Time};
 
@@ -100,10 +99,6 @@ impl Discipline for RcspDiscipline {
                 e_prev: None,
             },
         );
-    }
-
-    fn unregister_session(&mut self, id: SessionId) {
-        self.sessions.remove(id);
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {

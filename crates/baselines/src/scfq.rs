@@ -14,8 +14,7 @@
 //! end of a busy period, the virtual time and all session stamps reset.
 
 use lit_net::{
-    DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionId, SessionSpec,
-    SessionTable,
+    DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionSpec, SessionTable,
 };
 use lit_sim::Time;
 
@@ -70,10 +69,6 @@ impl Discipline for ScfqDiscipline {
                 f_last: 0.0,
             },
         );
-    }
-
-    fn unregister_session(&mut self, id: SessionId) {
-        self.sessions.remove(id);
     }
 
     #[expect(

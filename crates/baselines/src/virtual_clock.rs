@@ -14,9 +14,7 @@
 //! the test suite verify the paper's claim that Leave-in-Time with one
 //! admission class, `d = L/r`, and no jitter control behaves identically.
 
-use lit_net::{
-    DelayAssignment, Discipline, Packet, ScheduleDecision, SessionId, SessionSpec, SessionTable,
-};
+use lit_net::{DelayAssignment, Discipline, Packet, ScheduleDecision, SessionSpec, SessionTable};
 use lit_sim::{Duration, Time};
 
 /// Per-session VirtualClock state.
@@ -58,10 +56,6 @@ impl Discipline for VirtualClockDiscipline {
                 f_prev: None,
             },
         );
-    }
-
-    fn unregister_session(&mut self, id: SessionId) {
-        self.sessions.remove(id);
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {

@@ -26,8 +26,7 @@
 //! for measured cost.
 
 use lit_net::{
-    DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionId, SessionSpec,
-    SessionTable,
+    DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionSpec, SessionTable,
 };
 use lit_sim::Time;
 
@@ -116,10 +115,6 @@ impl Discipline for WfqDiscipline {
                 f_last: 0.0,
             },
         );
-    }
-
-    fn unregister_session(&mut self, id: SessionId) {
-        self.sessions.remove(id);
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {

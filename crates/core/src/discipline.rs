@@ -44,8 +44,8 @@
 )]
 
 use lit_net::{
-    DelayAssignment, DelayCoeffs, Discipline, LinkParams, Packet, ScheduleDecision, SessionId,
-    SessionSpec, SessionTable,
+    DelayAssignment, DelayCoeffs, Discipline, LinkParams, Packet, ScheduleDecision, SessionSpec,
+    SessionTable,
 };
 use lit_sim::{Duration, Time};
 
@@ -97,7 +97,7 @@ impl Discipline for LitDiscipline {
     }
 
     fn register_session(&mut self, spec: &SessionSpec, delay: &DelayAssignment) {
-        // A fresh row: a reused slot restarts the K-recursion at K₀ = t₁.
+        // A fresh row starts the K-recursion at K₀ = t₁.
         let row = LitSession {
             jitter: spec.jitter_control,
             rate_bps: spec.rate_bps,
@@ -110,10 +110,6 @@ impl Discipline for LitDiscipline {
 
     fn reserve(&mut self, sessions: usize) {
         self.sessions.reserve(sessions);
-    }
-
-    fn unregister_session(&mut self, id: SessionId) {
-        self.sessions.remove(id);
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
@@ -284,30 +280,5 @@ mod tests {
         let mut disc = LitDiscipline::new(LinkParams::paper_t1());
         let mut p = pkt(1);
         disc.on_arrival(&mut p, Time::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "unregistered session")]
-    fn unregistered_after_teardown_panics() {
-        let mut disc = mk(false);
-        disc.unregister_session(SessionId(0));
-        let mut p = pkt(1);
-        disc.on_arrival(&mut p, Time::ZERO);
-    }
-
-    #[test]
-    fn reregistered_slot_restarts_k_recursion() {
-        // Advance the K recursion, tear the session down, and register a
-        // new session in the same slot: its first packet must see
-        // K₀ = t₁ (deadline = E + d), not the previous tenant's K.
-        let mut disc = mk(false);
-        let mut p = pkt(1);
-        disc.on_arrival(&mut p, Time::ZERO); // K₁ = 13.25 ms
-        disc.unregister_session(SessionId(0));
-        disc.register_session(&spec(32_000, false), &DelayAssignment::LenOverRate);
-        let mut p = pkt(1);
-        disc.on_arrival(&mut p, Time::from_ms(1));
-        // Fresh recursion: F = 1 + 13.25, not max(1, 13.25) + 13.25.
-        assert_eq!(p.deadline, Time::from_us(14_250));
     }
 }

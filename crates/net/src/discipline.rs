@@ -18,7 +18,7 @@
 //! state. Eligible packets are served in increasing key order, ties broken
 //! FIFO — the paper's "ties are ordered arbitrarily" made deterministic.
 
-use crate::packet::{Packet, SessionId};
+use crate::packet::Packet;
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
 use lit_sim::{Duration, Time};
 use std::collections::VecDeque;
@@ -170,12 +170,6 @@ pub trait Discipline: Send {
     /// eq. (10)–(11) may be advanced here.
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision;
 
-    /// Connection teardown: the session's packets have all drained and its
-    /// id may be reused by a future establishment (see `IdSlab`). The
-    /// discipline drops per-session state so the reused slot starts fresh.
-    /// Default: no-op, for stateless disciplines.
-    fn unregister_session(&mut self, _id: SessionId) {}
-
     /// The packet began transmission at `now`. Optional hook; disciplines
     /// that define a virtual time by the packet in service (e.g. SCFQ)
     /// use it.
@@ -224,22 +218,5 @@ mod tests {
         let d = ScheduleDecision::at(Time::from_ms(1), Time::from_ms(5));
         assert_eq!(d.eligible, Time::from_ms(1));
         assert_eq!(d.key, u128::from(Time::from_ms(5)));
-    }
-
-    #[test]
-    fn default_unregister_is_a_no_op() {
-        struct Stateless;
-        impl Discipline for Stateless {
-            fn name(&self) -> &'static str {
-                "stateless"
-            }
-            fn register_session(&mut self, _: &SessionSpec, _: &DelayAssignment) {}
-            fn on_arrival(&mut self, _: &mut Packet, now: Time) -> ScheduleDecision {
-                ScheduleDecision::at(now, now)
-            }
-            fn on_departure(&mut self, _: &mut Packet, _: Time) {}
-        }
-        Stateless.reserve(3);
-        Stateless.unregister_session(SessionId(0));
     }
 }

@@ -109,10 +109,9 @@ impl IdSlab {
 
 /// A slab of per-session state keyed by dense [`SessionId`]s.
 ///
-/// Insert/remove/lookup are O(1); capacity is the id high-water mark, or
-/// what [`SessionTable::reserve`] asked for. Removing a session frees its
-/// state immediately (`Option` slot), so a reused id starts from a freshly
-/// inserted state, never a stale one.
+/// Insert and lookup are O(1); capacity is the id high-water mark, or
+/// what [`SessionTable::reserve`] asked for. A session's state lives in
+/// an `Option` slot, so an id that was never inserted reads as absent.
 #[derive(Clone, Debug)]
 pub struct SessionTable<S> {
     slots: Vec<Option<S>>,
@@ -148,19 +147,14 @@ impl<S> SessionTable<S> {
         }
     }
 
-    /// Remove and return the state for `id`, if present.
-    pub fn remove(&mut self, id: SessionId) -> Option<S> {
-        self.slots.get_mut(id.index()).and_then(Option::take)
-    }
-
     /// Mutable state for `id`, if present.
     pub fn get_mut(&mut self, id: SessionId) -> Option<&mut S> {
         self.slots.get_mut(id.index()).and_then(Option::as_mut)
     }
 
     /// Mutable state for the session a packet belongs to: a packet from a
-    /// session the discipline never registered (or tore down) is a wiring
-    /// bug, and stops the run here, at the caller.
+    /// session the discipline never registered is a wiring bug, and stops
+    /// the run here, at the caller.
     #[track_caller]
     pub fn registered_mut(&mut self, id: SessionId) -> &mut S {
         #[expect(
@@ -242,9 +236,7 @@ mod tests {
         assert_eq!(t.get_mut(SessionId(1)), None);
         assert_eq!(t.get_mut(SessionId(7)), None);
         *t.registered_mut(SessionId(0)) += 4;
-        assert_eq!(t.remove(SessionId(0)), Some(5));
-        assert_eq!(t.remove(SessionId(0)), None);
-        assert_eq!(t.values().copied().collect::<Vec<_>>(), [20]);
+        assert_eq!(t.values().copied().collect::<Vec<_>>(), [5, 20]);
         assert_eq!(t.slots.capacity(), 3, "reserved once, never regrown");
     }
 }

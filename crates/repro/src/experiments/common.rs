@@ -1,19 +1,22 @@
-//! Shared experiment machinery: run configuration, admission-driven
-//! session setup for the MIX and CROSS configurations, and bound helpers.
+//! Shared experiment machinery: run configuration, the paper tandem every
+//! figure admits its sessions into (`Tandem`), the MIX and CROSS
+//! configurations built on it, the replica runner that pools the
+//! single-run distribution experiments (`run_replicas`), and bound
+//! helpers.
 
 use crate::collect::Collector;
 use crate::scenario::RunOptions;
-use crate::topology::{cross_routes, five_hop, mix_routes, paper_tandem};
+use crate::topology::{cross_routes, five_hop, mix_routes, paper_tandem, Route};
 use lit_analysis::DurationHistogram;
 use lit_core::{
     ClassedAdmission, DRule, DelayClass, LitDiscipline, PathBounds, Procedure, SessionRequest,
 };
 use lit_net::{
-    DelayAssignment, DisciplineFactory, Network, NetworkBuilder, OccupancyHistogram, QueueKind,
-    SessionId, SessionSpec, SessionStats, StatsConfig,
+    DisciplineFactory, Network, NetworkBuilder, NodeId, OccupancyHistogram, QueueKind, SessionId,
+    SessionSpec, SessionStats, StatsConfig,
 };
 use lit_sim::{Duration, Time};
-use lit_traffic::{DeterministicSource, OnOffConfig, OnOffSource, PoissonSource, ATM_CELL_BITS};
+use lit_traffic::{OnOffConfig, OnOffSource, PoissonSource, Source, ATM_CELL_BITS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// T1 capacity, bits per second.
@@ -152,35 +155,21 @@ where
         return items.iter().enumerate().map(|(i, p)| f(i, p)).collect();
     }
     let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+    let claim = || {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        (i < n).then(|| (i, f(i, &items[i])))
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
-                })
-            })
+            .map(|_| s.spawn(|| std::iter::from_fn(&claim).collect::<Vec<_>>()))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
+            .flat_map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     });
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
-    for (i, r) in per_worker.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every sweep item computed"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Distribution statistics of one tagged session, pooled across replicas.
@@ -227,30 +216,50 @@ impl PooledSession {
         self.buffer_last.merge(&other.buffer_last);
         self.max_excess_ps = self.max_excess_ps.max(other.max_excess_ps);
     }
+}
 
-    /// Pool a whole replica set (one snapshot per replica, `≥ 1`).
-    pub fn pool(mut snapshots: Vec<PooledSession>) -> PooledSession {
-        let mut first = snapshots.remove(0);
-        for s in &snapshots {
-            first.absorb(s);
+/// What [`run_replicas`] measured: `N` tagged sessions pooled across the
+/// replicas, replica 0's bounds for each (bounds depend only on the
+/// admission sequence, identical in every replica), and the largest
+/// [`max_lateness_fraction`] of any replica.
+pub(crate) struct Pooled<const N: usize> {
+    /// The tagged sessions' statistics, pooled in replica order.
+    pub sessions: [PooledSession; N],
+    /// The tagged sessions' path bounds.
+    pub bounds: [PathBounds; N],
+    /// Scheduler-saturation diagnostic.
+    pub lateness_fraction: f64,
+}
+
+/// Run [`RunConfig::replicas`] independent copies of a single-run
+/// distribution experiment on the worker pool and pool them: replica `r`
+/// builds `build(`[`replica_seed`]`(seed, r))` — a network and its `N`
+/// tagged sessions — runs it to the horizon of the paper's 10-minute runs,
+/// snapshots the tagged sessions and retires the network to the collector.
+pub(crate) fn run_replicas<const N: usize>(
+    cfg: &RunConfig,
+    build: impl Fn(u64) -> (Network, [SessionId; N]) + Sync,
+) -> Pooled<N> {
+    let reps = run_points(cfg, &cfg.replica_seeds(), |_, &seed| {
+        let (mut net, tagged) = build(seed);
+        net.run_until(cfg.horizon(600));
+        let rep = Pooled {
+            sessions: tagged.map(|id| PooledSession::from_stats(net.session_stats(id))),
+            bounds: tagged.map(|id| PathBounds::for_session(&net, id)),
+            lateness_fraction: max_lateness_fraction(&net),
+        };
+        cfg.collector.retire(net);
+        rep
+    });
+    let mut reps = reps.into_iter();
+    let mut pooled = reps.next().expect("at least one replica");
+    for rep in reps {
+        for (p, s) in pooled.sessions.iter_mut().zip(&rep.sessions) {
+            p.absorb(s);
         }
-        first
+        pooled.lateness_fraction = pooled.lateness_fraction.max(rep.lateness_fraction);
     }
-
-    /// Largest pooled end-to-end delay.
-    pub fn max_delay(&self) -> Option<Duration> {
-        self.e2e.max()
-    }
-
-    /// Pooled jitter (max − min delay).
-    pub fn jitter(&self) -> Option<Duration> {
-        self.e2e.spread()
-    }
-
-    /// Pooled mean delay.
-    pub fn mean_delay(&self) -> Option<Duration> {
-        self.e2e.mean()
-    }
+    pooled
 }
 
 /// The a_OFF sweep of Figures 7 and 14–17, in milliseconds (§3: "the same
@@ -268,42 +277,116 @@ pub fn fine_stats() -> StatsConfig {
     }
 }
 
+/// The paper's five T1 nodes in tandem (Fig. 6), every session admitted
+/// hop by hop before it joins: the one place the experiments establish a
+/// session. Ids, and with them each session's RNG stream, follow
+/// [`Tandem::admit`] order.
+pub(crate) struct Tandem {
+    b: NetworkBuilder,
+    nodes: Vec<NodeId>,
+    admission: Vec<ClassedAdmission>,
+    rule: DRule,
+    queue: QueueKind,
+}
+
+impl Tandem {
+    /// An empty tandem seeded with `seed`, sized by [`fine_stats`], with
+    /// the exact eligible queue and `admission` under `rule` at every node.
+    pub(crate) fn new(seed: u64, admission: ClassedAdmission, rule: DRule) -> Self {
+        let mut b = NetworkBuilder::new().seed(seed).stats(fine_stats());
+        let nodes = paper_tandem(&mut b);
+        Tandem {
+            admission: vec![admission; nodes.len()],
+            b,
+            nodes,
+            rule,
+            queue: QueueKind::Exact,
+        }
+    }
+
+    /// [`Tandem::new`] under AC1 with one class: `d = L/r` at every hop.
+    pub(crate) fn one_class(seed: u64) -> Self {
+        Tandem::new(seed, ClassedAdmission::one_class(T1_BPS), DRule::PerPacket)
+    }
+
+    /// Replace the statistics sizing.
+    pub(crate) fn stats(mut self, cfg: StatsConfig) -> Self {
+        self.b = self.b.stats(cfg);
+        self
+    }
+
+    /// Replace the eligible-queue implementation.
+    pub(crate) fn queue(mut self, queue: QueueKind) -> Self {
+        self.b = self.b.queue_kind(queue);
+        self.queue = queue;
+        self
+    }
+
+    /// Admit an ATM session reserving `rate` bit/s into `class` at every
+    /// node of `route`, then add it with jitter control `jc`, fed by
+    /// `source`.
+    pub(crate) fn admit(
+        &mut self,
+        route: Route,
+        class: usize,
+        rate: u64,
+        jc: bool,
+        source: impl Source + 'static,
+    ) -> SessionId {
+        let req = SessionRequest::new(rate, ATM_CELL_BITS);
+        let hops = route
+            .node_indices()
+            .map(|n| {
+                let d = self.admission[n]
+                    .try_admit(class, &req, self.rule)
+                    .expect("the paper's configurations fit every link; admission must pass");
+                (self.nodes[n].0, d)
+            })
+            .collect();
+        let mut spec = SessionSpec::atm(SessionId(0), rate);
+        spec.jitter_control = jc;
+        self.b.add_session_with_hops(spec, hops, Box::new(source))
+    }
+
+    /// The Leave-in-Time network. A bucketed eligible queue deliberately
+    /// approximates deadline order, so the oracle's exactness invariants
+    /// apply, and the oracle runs, only over the exact queue.
+    pub(crate) fn build(self, cfg: &RunConfig) -> Network {
+        let checked = self.queue == QueueKind::Exact;
+        cfg.build(self.b, &LitDiscipline::factory(), checked)
+    }
+}
+
+/// Admit the MIX sessions in the paper's route order, all ON-OFF voice
+/// with mean OFF time `a_off`; `class_of(route, k)` gives the `k`-th
+/// session of `route` its class and jitter control. Returns the five-hop
+/// sessions in order.
+fn admit_mix(
+    t: &mut Tandem,
+    a_off: Duration,
+    class_of: impl Fn(Route, usize) -> (usize, bool),
+) -> Vec<SessionId> {
+    let mut five = Vec::new();
+    for (route, count) in mix_routes() {
+        for k in 0..count {
+            let (class, jc) = class_of(route, k);
+            let src = OnOffSource::new(OnOffConfig::paper_voice(a_off));
+            let id = t.admit(route, class, VOICE_BPS, jc, src);
+            if route == five_hop() {
+                five.push(id);
+            }
+        }
+    }
+    five
+}
+
 /// Build the MIX configuration, all sessions ON-OFF with the given mean
 /// OFF time, under admission control procedure 1 with one class
 /// (`d = L/r`). Returns the network and the tagged five-hop session.
 pub fn build_mix_one_class(cfg: &RunConfig, a_off: Duration) -> (Network, SessionId) {
-    let mut b = NetworkBuilder::new().seed(cfg.seed).stats(fine_stats());
-    let nodes = paper_tandem(&mut b);
-    let mut admission: Vec<ClassedAdmission> = nodes
-        .iter()
-        .map(|_| ClassedAdmission::one_class(T1_BPS))
-        .collect();
-    let req = SessionRequest::new(VOICE_BPS, ATM_CELL_BITS);
-    let mut tagged = None;
-    for (route, count) in mix_routes() {
-        for k in 0..count {
-            let hops: Vec<(u32, DelayAssignment)> = route
-                .node_indices()
-                .map(|n| {
-                    let a = admission[n]
-                        .try_admit(0, &req, DRule::PerPacket)
-                        .expect("MIX exactly fills every link; admission must pass");
-                    (nodes[n].0, a)
-                })
-                .collect();
-            let src = OnOffSource::new(OnOffConfig::paper_voice(a_off));
-            let id = b.add_session_with_hops(
-                SessionSpec::atm(SessionId(0), VOICE_BPS),
-                hops,
-                Box::new(src),
-            );
-            if route == five_hop() && k == 0 {
-                tagged = Some(id);
-            }
-        }
-    }
-    let net = cfg.build(b, &LitDiscipline::factory(), true);
-    (net, tagged.expect("MIX contains the five-hop route"))
+    let mut t = Tandem::one_class(cfg.seed);
+    let five = admit_mix(&mut t, a_off, |_, _| (0, false));
+    (t.build(cfg), five[0])
 }
 
 /// The four tagged five-hop sessions of Figures 14–17.
@@ -352,57 +435,23 @@ pub fn build_mix_classed(
     a_off: Duration,
     procedure: Procedure,
 ) -> (Network, Ac2Tagged) {
-    let mut b = NetworkBuilder::new().seed(cfg.seed).stats(fine_stats());
-    let nodes = paper_tandem(&mut b);
-    let mut admission: Vec<ClassedAdmission> = nodes
-        .iter()
-        .map(|_| {
-            ClassedAdmission::new(procedure, T1_BPS, ac2_two_classes())
-                .expect("paper class configuration is valid")
-        })
-        .collect();
-    let req = SessionRequest::new(VOICE_BPS, ATM_CELL_BITS);
-    let mut ids: Vec<(String, usize, SessionId)> = Vec::new();
-    for (route, count) in mix_routes() {
-        for k in 0..count {
-            // Class membership: first 5 sessions of a-j and of a-i.
-            let class = if (route == five_hop() || route.name() == "a-i") && k < 5 {
-                0
-            } else {
-                1
-            };
-            // Jitter control for two of the tagged five-hop sessions.
-            let jc = route == five_hop() && (k == 1 || k == 6);
-            let hops: Vec<(u32, DelayAssignment)> = route
-                .node_indices()
-                .map(|n| {
-                    let a = admission[n]
-                        .try_admit(class, &req, DRule::PerSessionMax)
-                        .expect("paper AC2 configuration satisfies all tests");
-                    (nodes[n].0, a)
-                })
-                .collect();
-            let mut spec = SessionSpec::atm(SessionId(0), VOICE_BPS);
-            spec.jitter_control = jc;
-            let src = OnOffSource::new(OnOffConfig::paper_voice(a_off));
-            let id = b.add_session_with_hops(spec, hops, Box::new(src));
-            ids.push((route.name(), k, id));
-        }
-    }
-    let find = |k: usize| {
-        ids.iter()
-            .find(|(r, kk, _)| r == "a-j" && *kk == k)
-            .expect("tagged session exists")
-            .2
-    };
+    let admission = ClassedAdmission::new(procedure, T1_BPS, ac2_two_classes())
+        .expect("paper class configuration is valid");
+    let mut t = Tandem::new(cfg.seed, admission, DRule::PerSessionMax);
+    let five = admit_mix(&mut t, a_off, |route, k| {
+        // Class 1: the first 5 sessions of a-j and of a-i. Jitter control
+        // for two of the tagged five-hop sessions.
+        let class1 = (route == five_hop() || route.name() == "a-i") && k < 5;
+        let jc = route == five_hop() && (k == 1 || k == 6);
+        (usize::from(!class1), jc)
+    });
     let tagged = Ac2Tagged {
-        class1_nojc: find(0),
-        class1_jc: find(1),
-        class2_nojc: find(5),
-        class2_jc: find(6),
+        class1_nojc: five[0],
+        class1_jc: five[1],
+        class2_nojc: five[5],
+        class2_jc: five[6],
     };
-    let net = cfg.build(b, &LitDiscipline::factory(), true);
-    (net, tagged)
+    (t.build(cfg), tagged)
 }
 
 /// Build the CROSS configuration of Figures 8/12/13: two tagged five-hop
@@ -421,139 +470,15 @@ pub fn build_cross_onoff_queued(
     seed: u64,
     queue: QueueKind,
 ) -> (Network, SessionId, SessionId) {
-    let mut b = NetworkBuilder::new()
-        .seed(seed)
-        .stats(fine_stats())
-        .queue_kind(queue);
-    let nodes = paper_tandem(&mut b);
-    let mut admission: Vec<ClassedAdmission> = nodes
-        .iter()
-        .map(|_| ClassedAdmission::one_class(T1_BPS))
-        .collect();
-    let add = |b: &mut NetworkBuilder,
-               admission: &mut Vec<ClassedAdmission>,
-               route: crate::topology::Route,
-               rate: u64,
-               jc: bool,
-               src: Box<dyn lit_traffic::Source>| {
-        let req = SessionRequest::new(rate, ATM_CELL_BITS);
-        let hops: Vec<(u32, DelayAssignment)> = route
-            .node_indices()
-            .map(|n| {
-                let a = admission[n]
-                    .try_admit(0, &req, DRule::PerPacket)
-                    .expect("CROSS fills links exactly; admission must pass");
-                (nodes[n].0, a)
-            })
-            .collect();
-        let mut spec = SessionSpec::atm(SessionId(0), rate);
-        spec.jitter_control = jc;
-        b.add_session_with_hops(spec, hops, src)
-    };
-    let onoff = || {
-        Box::new(OnOffSource::new(OnOffConfig::paper_voice(
-            Duration::from_ms(650),
-        ))) as Box<dyn lit_traffic::Source>
-    };
-    let no_jc = add(
-        &mut b,
-        &mut admission,
-        five_hop(),
-        VOICE_BPS,
-        false,
-        onoff(),
-    );
-    let jc = add(&mut b, &mut admission, five_hop(), VOICE_BPS, true, onoff());
+    let mut t = Tandem::one_class(seed).queue(queue);
+    let voice = || OnOffSource::new(OnOffConfig::paper_voice(Duration::from_ms(650)));
+    let no_jc = t.admit(five_hop(), 0, VOICE_BPS, false, voice());
+    let jc = t.admit(five_hop(), 0, VOICE_BPS, true, voice());
     for route in cross_routes() {
-        let src = Box::new(PoissonSource::new(CROSS_1472K_GAP, ATM_CELL_BITS));
-        add(&mut b, &mut admission, route, 1_472_000, false, src);
+        let src = PoissonSource::new(CROSS_1472K_GAP, ATM_CELL_BITS);
+        t.admit(route, 0, 1_472_000, false, src);
     }
-    // A bucketed eligible queue deliberately approximates deadline order,
-    // so the oracle's exactness invariants do not apply to the ablation
-    // arms — only the exact queue runs under the oracle.
-    let net = cfg.build(b, &LitDiscipline::factory(), queue == QueueKind::Exact);
-    (net, no_jc, jc)
-}
-
-/// The cross-traffic flavor of the tagged-Poisson experiments.
-#[derive(Clone, Copy, Debug)]
-pub enum CrossTraffic {
-    /// One Poisson session per one-hop route (Figs. 9 and 10).
-    Poisson {
-        /// Reserved rate of each cross session.
-        rate_bps: u64,
-        /// Mean interarrival time `a_P`.
-        mean_gap: Duration,
-    },
-    /// `count` phase-staggered 32 kbit/s CBR sessions per one-hop route
-    /// (Fig. 11).
-    Deterministic {
-        /// Sessions per cross route.
-        count: usize,
-    },
-}
-
-/// Build the CROSS configuration with one tagged five-hop **Poisson**
-/// session (rate `rate_bps`, mean gap `mean_gap`) and the given cross
-/// traffic (Figures 9–11). Returns `(network, tagged)`.
-pub fn build_cross_poisson(
-    cfg: &RunConfig,
-    rate_bps: u64,
-    mean_gap: Duration,
-    cross: CrossTraffic,
-    seed: u64,
-) -> (Network, SessionId) {
-    let mut b = NetworkBuilder::new().seed(seed).stats(fine_stats());
-    let nodes = paper_tandem(&mut b);
-    let mut admission: Vec<ClassedAdmission> = nodes
-        .iter()
-        .map(|_| ClassedAdmission::one_class(T1_BPS))
-        .collect();
-    let add = |b: &mut NetworkBuilder,
-               admission: &mut Vec<ClassedAdmission>,
-               route: crate::topology::Route,
-               rate: u64,
-               src: Box<dyn lit_traffic::Source>| {
-        let req = SessionRequest::new(rate, ATM_CELL_BITS);
-        let hops: Vec<(u32, DelayAssignment)> = route
-            .node_indices()
-            .map(|n| {
-                let a = admission[n]
-                    .try_admit(0, &req, DRule::PerPacket)
-                    .expect("CROSS rates fit the links; admission must pass");
-                (nodes[n].0, a)
-            })
-            .collect();
-        b.add_session_with_hops(SessionSpec::atm(SessionId(0), rate), hops, src)
-    };
-    let tagged = add(
-        &mut b,
-        &mut admission,
-        five_hop(),
-        rate_bps,
-        Box::new(PoissonSource::new(mean_gap, ATM_CELL_BITS)),
-    );
-    for route in cross_routes() {
-        match cross {
-            CrossTraffic::Poisson { rate_bps, mean_gap } => {
-                let src = Box::new(PoissonSource::new(mean_gap, ATM_CELL_BITS));
-                add(&mut b, &mut admission, route, rate_bps, src);
-            }
-            CrossTraffic::Deterministic { count } => {
-                for _ in 0..count {
-                    // All CBR sessions share the same phase (they all
-                    // start at connection time), so each frame delivers
-                    // one aligned 47-packet batch — the worst case the
-                    // paper's Figure 11 exercises, where the bound tightens
-                    // against the observation.
-                    let src = Box::new(DeterministicSource::paper_cbr());
-                    add(&mut b, &mut admission, route, VOICE_BPS, src);
-                }
-            }
-        }
-    }
-    let net = cfg.build(b, &LitDiscipline::factory(), true);
-    (net, tagged)
+    (t.build(cfg), no_jc, jc)
 }
 
 /// `PathBounds` for a session in a network, plus the token-bucket
@@ -571,7 +496,64 @@ pub fn voice_bounds(net: &Network, id: SessionId) -> (PathBounds, Duration) {
 pub fn max_lateness_fraction(net: &Network) -> f64 {
     let lmax = lit_net::LinkParams::paper_t1().lmax_time().as_ps() as f64;
     (0..net.num_nodes())
-        .filter_map(|n| net.node_stats(lit_net::NodeId(n as u32)).max_lateness())
+        .filter_map(|n| net.node_stats(NodeId(n as u32)).max_lateness())
         .map(|l| l as f64 / lmax)
         .fold(f64::NEG_INFINITY, f64::max)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One session of a built network: each hop's node and `d` in
+    /// hundredths of a millisecond, and its jitter control.
+    type Row = (Vec<(u32, u64)>, bool);
+
+    fn sessions(net: &Network) -> Vec<Row> {
+        let row = |id| {
+            let spec = net.session_spec(id);
+            let d = |a: &lit_net::DelayAssignment| a.d_max(ATM_CELL_BITS, spec.rate_bps).as_ps();
+            let hops = net.session_hops(id).iter();
+            let hops = hops.map(|(n, a)| (*n, (d(a) + 5_000_000) / 10_000_000));
+            (hops.collect(), spec.jitter_control)
+        };
+        (0..net.num_sessions() as u32)
+            .map(|i| row(SessionId(i)))
+            .collect()
+    }
+
+    /// The wiring [`Tandem`] centralises, read back from networks that are
+    /// built but never run.
+    #[test]
+    fn tandem_admits_the_papers_sessions() {
+        let collector = Collector::default();
+        let cfg = RunConfig::quick(&collector);
+        let per_link = |s: &[Row]| {
+            (0..5)
+                .map(|n| s.iter().filter(|r| r.0.iter().any(|h| h.0 == n)).count())
+                .collect::<Vec<_>>()
+        };
+        let jc = |s: &[Row]| (0..s.len()).filter(|&i| s[i].1).collect::<Vec<_>>();
+        let five = |d| (0..5).map(|n| (n, d)).collect::<Vec<_>>();
+
+        let ac1 = sessions(&build_mix_one_class(&cfg, Duration::from_ms(88)).0);
+        assert_eq!(per_link(&ac1), [48; 5]);
+        // One class: d = L/r = 13.25 ms at every hop.
+        assert!(ac1.iter().flat_map(|r| &r.0).all(|h| h.1 == 1325));
+
+        let (net, t) = build_mix_ac2(&cfg, Duration::from_ms(88));
+        let ac2 = sessions(&net);
+        assert_eq!(per_link(&ac2), [48; 5]);
+        let hops = |id: SessionId| &ac2[id.index()].0;
+        assert_eq!([hops(t.class1_nojc), hops(t.class1_jc)], [&five(277); 2]);
+        // Rule 2.3a: 5.52 + 13.25 ms.
+        assert_eq!([hops(t.class2_nojc), hops(t.class2_jc)], [&five(1877); 2]);
+        assert_eq!(jc(&ac2), [t.class1_jc.index(), t.class2_jc.index()]);
+
+        let (net, no_jc, with_jc) = build_cross_onoff(&cfg, cfg.seed);
+        let cross = sessions(&net);
+        let hops = |id: SessionId| &cross[id.index()].0;
+        assert_eq!([hops(no_jc), hops(with_jc)], [&five(1325); 2]);
+        assert_eq!(jc(&cross), [with_jc.index()]);
+    }
 }

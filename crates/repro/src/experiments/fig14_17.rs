@@ -145,12 +145,11 @@ pub fn procedure_comparison(cfg: &RunConfig, a_off: Duration) -> Table {
     for (name, procedure) in [("AC1", Procedure::Proc1), ("AC2", Procedure::Proc2)] {
         let (mut net, tagged) = build_mix_classed(cfg, a_off, procedure);
         net.run_until(cfg.horizon(300));
-        for (label, id, _jc) in [
-            ("class1-nojc", tagged.class1_nojc, false),
-            ("class2-nojc", tagged.class2_nojc, false),
+        for (label, id) in [
+            ("class1-nojc", tagged.class1_nojc),
+            ("class2-nojc", tagged.class2_nojc),
         ] {
-            let st = net.session_stats(id);
-            let (pb, dref) = voice_bounds(&net, id);
+            let m = measure(&net, id, false);
             let d = net.session_hops(id)[0]
                 .1
                 .d_max(424, net.session_spec(id).rate_bps);
@@ -158,9 +157,9 @@ pub fn procedure_comparison(cfg: &RunConfig, a_off: Duration) -> Table {
                 name.to_string(),
                 label.to_string(),
                 ms(d),
-                ms(st.max_delay().unwrap_or(Duration::ZERO)),
-                ms(st.jitter().unwrap_or(Duration::ZERO)),
-                ms(pb.delay_bound(dref)),
+                ms(m.max_delay),
+                ms(m.jitter),
+                ms(m.delay_bound),
             ]);
         }
         cfg.collector.retire(net);

@@ -10,12 +10,12 @@
 //!   the first and last nodes, against the calculated bounds (observed max
 //!   within about two packets of the bound).
 
-use super::common::{
-    build_cross_onoff, max_lateness_fraction, run_points, voice_bounds, PooledSession, RunConfig,
-};
+use super::common::{build_cross_onoff, run_replicas, Pooled, PooledSession, RunConfig, VOICE_BPS};
 use crate::report::{frac, ms, Table};
-use lit_net::{Network, SessionId};
+use lit_core::PathBounds;
 use lit_sim::Duration;
+use lit_traffic::ATM_CELL_BITS;
+use std::collections::BTreeMap;
 
 /// Everything measured in the Figure 8/12/13 run.
 #[derive(Clone, Debug)]
@@ -62,90 +62,46 @@ pub struct BufferSummary {
     pub pdf: Vec<(u64, f64)>,
 }
 
-/// Analytic bounds of one tagged session. Bounds depend only on the
-/// admission sequence, which is identical in every replica.
-#[derive(Clone, Copy, Debug)]
-struct SessionBounds {
-    jitter_bound: Duration,
-    delay_bound: Duration,
-    buffer_first_bound: u64,
-    buffer_last_bound: u64,
-}
-
-fn bounds_of(net: &Network, id: SessionId, jc: bool) -> SessionBounds {
-    let (pb, dref) = voice_bounds(net, id);
-    SessionBounds {
-        jitter_bound: pb.jitter_bound(dref, jc),
-        delay_bound: pb.delay_bound(dref),
-        buffer_first_bound: pb.buffer_bound_bits(dref, 0, jc),
-        buffer_last_bound: pb.buffer_bound_bits(dref, pb.hops() - 1, jc),
-    }
-}
-
-fn summarize(pooled: &PooledSession, b: &SessionBounds, jc: bool) -> SessionSummary {
+fn summarize(pooled: &PooledSession, pb: &PathBounds, jc: bool) -> SessionSummary {
+    // Both tagged sessions are 32 kbit/s voice: `D^ref_max = L/r`.
+    let dref = Duration::from_bits_at_rate(ATM_CELL_BITS as u64, VOICE_BPS);
     SessionSummary {
         jitter_control: jc,
         delivered: pooled.delivered,
-        jitter: pooled.jitter().unwrap_or(Duration::ZERO),
-        jitter_bound: b.jitter_bound,
-        max_delay: pooled.max_delay().unwrap_or(Duration::ZERO),
-        delay_bound: b.delay_bound,
-        mean_delay: pooled.mean_delay().unwrap_or(Duration::ZERO),
+        jitter: pooled.e2e.spread().unwrap_or(Duration::ZERO),
+        jitter_bound: pb.jitter_bound(dref, jc),
+        max_delay: pooled.e2e.max().unwrap_or(Duration::ZERO),
+        delay_bound: pb.delay_bound(dref),
+        mean_delay: pooled.e2e.mean().unwrap_or(Duration::ZERO),
         delay_pdf: pooled.e2e.pdf(),
         buffer_first: BufferSummary {
             max_bits: pooled.buffer_first.max_bits(),
-            bound_bits: b.buffer_first_bound,
+            bound_bits: pb.buffer_bound_bits(dref, 0, jc),
             pdf: pooled.buffer_first.pdf(),
         },
         buffer_last: BufferSummary {
             max_bits: pooled.buffer_last.max_bits(),
-            bound_bits: b.buffer_last_bound,
+            bound_bits: pb.buffer_bound_bits(dref, pb.hops() - 1, jc),
             pdf: pooled.buffer_last.pdf(),
         },
     }
 }
 
-/// One replica's measurements: the two tagged sessions plus diagnostics.
-struct Replica {
-    sessions: [PooledSession; 2],
-    bounds: [SessionBounds; 2],
-    lateness_fraction: f64,
-}
-
 /// Run the experiment: [`RunConfig::replicas`] independent runs on the
 /// worker pool, pooled into one pair of session distributions.
 pub fn run(cfg: &RunConfig) -> Fig8Result {
-    let seeds = cfg.replica_seeds();
-    let reps: Vec<Replica> = run_points(cfg, &seeds, |_, &seed| {
-        let (mut net, no_jc, jc) = build_cross_onoff(cfg, seed);
-        net.run_until(cfg.horizon(600));
-        let rep = Replica {
-            sessions: [
-                PooledSession::from_stats(net.session_stats(no_jc)),
-                PooledSession::from_stats(net.session_stats(jc)),
-            ],
-            bounds: [bounds_of(&net, no_jc, false), bounds_of(&net, jc, true)],
-            lateness_fraction: max_lateness_fraction(&net),
-        };
-        cfg.collector.retire(net);
-        rep
+    let Pooled {
+        sessions: [no_jc, jc],
+        bounds: [no_jc_pb, jc_pb],
+        lateness_fraction,
+    } = run_replicas(cfg, |seed| {
+        let (net, no_jc, jc) = build_cross_onoff(cfg, seed);
+        (net, [no_jc, jc])
     });
-    let bounds = reps[0].bounds;
-    let lateness_fraction = reps
-        .iter()
-        .map(|r| r.lateness_fraction)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let mut per_session: [Vec<PooledSession>; 2] = [Vec::new(), Vec::new()];
-    for rep in reps {
-        let [a, b] = rep.sessions;
-        per_session[0].push(a);
-        per_session[1].push(b);
-    }
-    let [no_jc_snaps, jc_snaps] = per_session;
     Fig8Result {
         sessions: [
-            summarize(&PooledSession::pool(no_jc_snaps), &bounds[0], false),
-            summarize(&PooledSession::pool(jc_snaps), &bounds[1], true),
+            summarize(&no_jc, &no_jc_pb, false),
+            summarize(&jc, &jc_pb, true),
         ],
         lateness_fraction,
     }
@@ -186,16 +142,10 @@ pub fn pdf_table(r: &Fig8Result) -> Table {
         "Figure 8 — delay distributions",
         &["delay_ms", "fraction_no_jc", "fraction_with_jc"],
     );
-    use std::collections::BTreeMap;
-    let mut bins: BTreeMap<u64, [f64; 2]> = BTreeMap::new();
-    for (i, s) in r.sessions.iter().enumerate() {
-        for &(edge, f) in &s.delay_pdf {
-            bins.entry(edge.as_ps()).or_default()[i] = f;
-        }
-    }
-    for (edge_ps, fr) in bins {
+    let [a, b] = &r.sessions;
+    for (edge, fr) in side_by_side(&a.delay_pdf, &b.delay_pdf) {
         t.push(vec![
-            format!("{:.3}", Duration::from_ps(edge_ps).as_millis_f64()),
+            format!("{:.3}", edge.as_millis_f64()),
             frac(fr[0]),
             frac(fr[1]),
         ]);
@@ -218,16 +168,20 @@ pub fn buffer_table(r: &Fig8Result, jc: bool) -> Table {
         ),
         &["buffer_bits", "fraction_first_node", "fraction_last_node"],
     );
-    use std::collections::BTreeMap;
-    let mut bins: BTreeMap<u64, [f64; 2]> = BTreeMap::new();
-    for &(bits, f) in &s.buffer_first.pdf {
-        bins.entry(bits).or_default()[0] = f;
-    }
-    for &(bits, f) in &s.buffer_last.pdf {
-        bins.entry(bits).or_default()[1] = f;
-    }
-    for (bits, fr) in bins {
+    for (bits, fr) in side_by_side(&s.buffer_first.pdf, &s.buffer_last.pdf) {
         t.push(vec![bits.to_string(), frac(fr[0]), frac(fr[1])]);
     }
     t
+}
+
+/// Two `(key, fraction)` distributions on their common key axis; a key
+/// missing from one reads 0 there.
+fn side_by_side<K: Ord + Copy>(a: &[(K, f64)], b: &[(K, f64)]) -> BTreeMap<K, [f64; 2]> {
+    let mut bins: BTreeMap<K, [f64; 2]> = BTreeMap::new();
+    for (i, pdf) in [a, b].into_iter().enumerate() {
+        for &(k, f) in pdf {
+            bins.entry(k).or_default()[i] = f;
+        }
+    }
+    bins
 }

@@ -14,7 +14,7 @@
 //! priority gives the lowest raw delay.
 
 use super::common::{
-    max_lateness_fraction, run_points, voice_bounds, RunConfig, FILLER_640K_GAP, T1_BPS, VOICE_BPS,
+    max_lateness_fraction, run_points, voice_bounds, RunConfig, FILLER_640K_GAP, VOICE_BPS,
 };
 use crate::report::{ms, Table};
 use crate::topology::{cross_routes, five_hop, paper_tandem};
@@ -23,8 +23,8 @@ use lit_baselines::{
     VirtualClockDiscipline, WfqDiscipline,
 };
 use lit_core::LitDiscipline;
-use lit_net::{DisciplineFactory, LinkParams, NetworkBuilder, SessionId, SessionSpec};
-use lit_sim::{Duration, Time};
+use lit_net::{DisciplineFactory, NetworkBuilder, SessionId, SessionSpec};
+use lit_sim::Duration;
 use lit_traffic::{BurstSource, OnOffConfig, OnOffSource, PoissonSource, ATM_CELL_BITS};
 
 /// Result for one discipline.
@@ -69,11 +69,10 @@ fn run_one(factory: &DisciplineFactory<'_>, name: &'static str, cfg: &RunConfig)
             Box::new(PoissonSource::new(FILLER_640K_GAP, ATM_CELL_BITS)),
         );
     }
-    let _ = T1_BPS; // victim + misbehaver + filler stay below C reserved
-                    // The pathwise bounds hold for ANY arrival pattern (the firewall
-                    // property itself), so the Leave-in-Time arm runs under the oracle —
-                    // misbehaving source included. Baseline disciplines use other
-                    // deadline semantics and are exempt.
+    // The pathwise bounds hold for ANY arrival pattern (the firewall
+    // property itself), so the Leave-in-Time arm runs under the oracle —
+    // misbehaving source included. Baseline disciplines use other
+    // deadline semantics and are exempt.
     let mut net = cfg.build(b, factory, name == "leave-in-time");
     net.run_until(cfg.horizon(120));
     let st = net.session_stats(victim);
@@ -90,50 +89,37 @@ fn run_one(factory: &DisciplineFactory<'_>, name: &'static str, cfg: &RunConfig)
     row
 }
 
-/// The disciplines of the comparison, in table order.
-pub const DISCIPLINES: [&str; 9] = [
-    "fcfs",
-    "leave-in-time",
-    "virtualclock",
-    "wfq",
-    "scfq",
-    "delay-edd",
-    "jitter-edd",
-    "rcsp",
-    "hrr",
-];
+/// Builds one discipline's factory.
+type MakeFactory = fn() -> Box<DisciplineFactory<'static>>;
 
-/// A factory for one discipline by name. Built fresh inside each worker
-/// so the rows can run concurrently (factories are not `Sync`).
-fn make_factory(name: &str) -> Box<DisciplineFactory<'static>> {
-    match name {
-        "fcfs" => Box::new(FcfsDiscipline::factory()),
-        "leave-in-time" => Box::new(|l: &LinkParams| {
-            Box::new(LitDiscipline::new(*l)) as Box<dyn lit_net::Discipline>
-        }),
-        "virtualclock" => Box::new(VirtualClockDiscipline::factory()),
-        "wfq" => Box::new(WfqDiscipline::factory()),
-        "scfq" => Box::new(ScfqDiscipline::factory()),
-        "delay-edd" => Box::new(EddDiscipline::factory(false)),
-        "jitter-edd" => Box::new(EddDiscipline::factory(true)),
-        // RCSP levels chosen so the 13.25 ms LenOverRate assignments land
-        // in the middle level.
-        "rcsp" => Box::new(RcspDiscipline::factory(vec![
-            Duration::from_ms(5),
-            Duration::from_ms(20),
-            Duration::from_ms(100),
-        ])),
-        // 48-slot frames = 13.25 ms, one slot per 32 kbit/s session.
-        "hrr" => Box::new(HrrDiscipline::factory(48)),
-        other => panic!("unknown discipline {other}"),
-    }
-}
+/// The disciplines of the comparison, in table order, each with the
+/// constructor of its factory. Factories are built inside each worker so
+/// the rows can run concurrently (factories are not `Sync`).
+const DISCIPLINES: [(&str, MakeFactory); 9] = [
+    ("fcfs", || Box::new(FcfsDiscipline::factory())),
+    ("leave-in-time", || Box::new(LitDiscipline::factory())),
+    ("virtualclock", || {
+        Box::new(VirtualClockDiscipline::factory())
+    }),
+    ("wfq", || Box::new(WfqDiscipline::factory())),
+    ("scfq", || Box::new(ScfqDiscipline::factory())),
+    ("delay-edd", || Box::new(EddDiscipline::factory(false))),
+    ("jitter-edd", || Box::new(EddDiscipline::factory(true))),
+    // RCSP levels chosen so the 13.25 ms LenOverRate assignments land in
+    // the middle level.
+    ("rcsp", || {
+        let levels = [5, 20, 100].map(Duration::from_ms);
+        Box::new(RcspDiscipline::factory(levels.to_vec()))
+    }),
+    // 48-slot frames = 13.25 ms, one slot per 32 kbit/s session.
+    ("hrr", || Box::new(HrrDiscipline::factory(48))),
+];
 
 /// Run the firewall comparison across all disciplines, one worker-pool
 /// item per discipline (the runs are fully independent).
 pub fn run(cfg: &RunConfig) -> Vec<FirewallRow> {
-    run_points(cfg, &DISCIPLINES, |_, &name| {
-        run_one(&*make_factory(name), name, cfg)
+    run_points(cfg, &DISCIPLINES, |_, &(name, make)| {
+        run_one(&*make(), name, cfg)
     })
 }
 
@@ -158,35 +144,5 @@ pub fn table(rows: &[FirewallRow]) -> Table {
             ms(r.lit_bound),
         ]);
     }
-    t
-}
-
-/// A quick self-check used by tests: only FCFS breaks the Leave-in-Time
-/// bound; every rate-based discipline honours it, and the
-/// work-conserving ones beat FCFS's max delay by at least 2×.
-pub fn fcfs_is_worst(rows: &[FirewallRow]) -> bool {
-    let fcfs = rows
-        .iter()
-        .find(|r| r.discipline == "fcfs")
-        .expect("fcfs row");
-    // HRR is framing-based: it isolates, but its own delay bound is
-    // 2 frames/hop, not the Leave-in-Time bound — exclude it from the
-    // LiT-bound check (like Stop-and-Go it plays a different game).
-    let others_bounded = rows
-        .iter()
-        .filter(|r| !matches!(r.discipline, "fcfs" | "hrr"))
-        .all(|r| r.max_delay < r.lit_bound);
-    // Jitter-EDD intentionally rides close to the bound and HRR holds
-    // packets per frame; compare raw max delay only for the
-    // work-conserving disciplines.
-    let work_conserving_win = rows
-        .iter()
-        .filter(|r| !matches!(r.discipline, "fcfs" | "jitter-edd" | "hrr"))
-        .all(|r| r.max_delay.as_ps() as u128 * 2 < fcfs.max_delay.as_ps() as u128);
-    fcfs.max_delay > fcfs.lit_bound && others_bounded && work_conserving_win
-}
-
-#[allow(dead_code)]
-fn _assert_horizon_type(t: Time) -> Time {
     t
 }

@@ -13,13 +13,10 @@
 //! shifted co-simulated reference CCDF. There is no analytic column —
 //! that is the point.
 
-use super::common::{
-    max_lateness_fraction, run_points, PooledSession, RunConfig, CROSS_1472K_GAP, T1_BPS,
-};
+use super::common::{run_replicas, Pooled, RunConfig, Tandem, CROSS_1472K_GAP, VOICE_BPS};
 use crate::report::{frac, Table};
-use crate::topology::{cross_routes, five_hop, paper_tandem};
-use lit_core::{ClassedAdmission, DRule, LitDiscipline, PathBounds, SessionRequest};
-use lit_net::{DelayAssignment, NetworkBuilder, SessionId, SessionSpec};
+use crate::topology::{cross_routes, five_hop};
+use lit_net::{Network, SessionId, StatsConfig};
 use lit_sim::Duration;
 use lit_traffic::{ParetoOnOffConfig, ParetoOnOffSource, PoissonSource, ATM_CELL_BITS};
 
@@ -50,80 +47,31 @@ pub struct HeavyTailResult {
     pub lateness_fraction: f64,
 }
 
-/// Build the heavy-tail CROSS network for one replica seed.
-fn build(cfg: &RunConfig, seed: u64) -> (lit_net::Network, SessionId) {
-    let mut b = NetworkBuilder::new().seed(seed);
-    let nodes = paper_tandem(&mut b);
-    let mut admission: Vec<ClassedAdmission> = nodes
-        .iter()
-        .map(|_| ClassedAdmission::one_class(T1_BPS))
-        .collect();
-
-    // Tagged: heavy-tailed voice-like session, reserved at 32 kbit/s.
-    let req = SessionRequest::new(32_000, ATM_CELL_BITS);
-    let hops: Vec<(u32, DelayAssignment)> = five_hop()
-        .node_indices()
-        .map(|n| {
-            let a = admission[n]
-                .try_admit(0, &req, DRule::PerPacket)
-                .expect("32 kbit/s fits");
-            (nodes[n].0, a)
-        })
-        .collect();
-    let tagged = b.add_session_with_hops(
-        SessionSpec::atm(SessionId(0), 32_000),
-        hops,
-        Box::new(ParetoOnOffSource::new(ParetoOnOffConfig::heavy_voice(
-            Duration::from_ms(650),
-        ))),
-    );
-    // Poisson cross load.
+/// Build the heavy-tail CROSS network for one replica seed: a
+/// heavy-tailed voice-like session reserved at 32 kbit/s, and Poisson
+/// cross load.
+fn build(cfg: &RunConfig, seed: u64) -> (Network, [SessionId; 1]) {
+    let mut t = Tandem::one_class(seed).stats(StatsConfig::default());
+    let src = ParetoOnOffSource::new(ParetoOnOffConfig::heavy_voice(Duration::from_ms(650)));
+    let tagged = t.admit(five_hop(), 0, VOICE_BPS, false, src);
     for route in cross_routes() {
-        let creq = SessionRequest::new(1_472_000, ATM_CELL_BITS);
-        let hops: Vec<(u32, DelayAssignment)> = route
-            .node_indices()
-            .map(|n| {
-                let a = admission[n]
-                    .try_admit(0, &creq, DRule::PerPacket)
-                    .expect("cross fits");
-                (nodes[n].0, a)
-            })
-            .collect();
-        b.add_session_with_hops(
-            SessionSpec::atm(SessionId(0), 1_472_000),
-            hops,
-            Box::new(PoissonSource::new(CROSS_1472K_GAP, ATM_CELL_BITS)),
-        );
+        let src = PoissonSource::new(CROSS_1472K_GAP, ATM_CELL_BITS);
+        t.admit(route, 0, 1_472_000, false, src);
     }
-
-    let net = cfg.build(b, &LitDiscipline::factory(), true);
-    (net, tagged)
+    (t.build(cfg), [tagged])
 }
 
 /// Run the heavy-tail extension on the CROSS topology (default horizon
 /// 10 minutes, as Figures 9–11): [`RunConfig::replicas`] independent
 /// runs on the worker pool, pooled into one distribution.
 pub fn run(cfg: &RunConfig) -> HeavyTailResult {
-    let seeds = cfg.replica_seeds();
-    let reps: Vec<(PooledSession, PathBounds, f64)> = run_points(cfg, &seeds, |_, &seed| {
-        let (mut net, tagged) = build(cfg, seed);
-        net.run_until(cfg.horizon(600));
-        let rep = (
-            PooledSession::from_stats(net.session_stats(tagged)),
-            PathBounds::for_session(&net, tagged),
-            max_lateness_fraction(&net),
-        );
-        cfg.collector.retire(net);
-        rep
-    });
-    let pb = reps[0].1.clone();
-    let lateness_fraction = reps
-        .iter()
-        .map(|&(_, _, l)| l)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let st = PooledSession::pool(reps.into_iter().map(|(s, _, _)| s).collect());
+    let Pooled {
+        sessions: [st],
+        bounds: [pb],
+        lateness_fraction,
+    } = run_replicas(cfg, |seed| build(cfg, seed));
 
-    let top = st.max_delay().unwrap_or(Duration::ZERO) + Duration::from_ms(20);
+    let top = st.e2e.max().unwrap_or(Duration::ZERO) + Duration::from_ms(20);
     let mut points = Vec::new();
     let mut d = Duration::ZERO;
     while d <= top {
@@ -137,11 +85,7 @@ pub fn run(cfg: &RunConfig) -> HeavyTailResult {
     HeavyTailResult {
         points,
         delivered: st.delivered,
-        max_excess_ps: if st.delivered > 0 {
-            st.max_excess_ps
-        } else {
-            i128::MIN
-        },
+        max_excess_ps: st.max_excess_ps,
         shift_ps: pb.shift_ps(),
         lateness_fraction,
     }

@@ -1,5 +1,9 @@
 //! One module per figure/table of the paper's evaluation, plus shared
-//! machinery. See DESIGN.md's experiment index for the mapping.
+//! machinery in [`common`]: every figure admits its sessions into the
+//! paper tandem through one builder, `common::Tandem`, and the single-run
+//! distribution experiments pool their replicas through one runner,
+//! `common::run_replicas`. See DESIGN.md's experiment index for the
+//! mapping.
 
 pub mod ablation;
 pub mod common;

@@ -483,7 +483,7 @@ fn main() -> ExitCode {
                     if undecided > 0 {
                         eprintln!(
                             "scenario: ac3 left {undecided} session(s) undecided \
-                             (decision budget or overflow; rejected conservatively)"
+                             (overflow; rejected conservatively)"
                         );
                     }
                     if tally.admitted == 0 {

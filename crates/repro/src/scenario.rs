@@ -620,8 +620,10 @@ pub struct RunOptions {
     /// with an exact eligible queue.
     pub oracle: OracleMode,
     /// Shard-worker count (see [`NetworkBuilder::shards`]); `None` is the
-    /// one-shard driver. Results are identical for every value; a probe
-    /// or panic-mode oracle forces one shard.
+    /// one-shard driver. Results are byte-identical across every `N ≥ 2`,
+    /// and equal to one shard's only when no two events share an instant
+    /// (see `lit_net::shard`); a probe or panic-mode oracle forces one
+    /// shard.
     pub shards: Option<usize>,
     /// Regulator-backend override; `None` follows the scenario's
     /// `regulator` directive (per-session where there is no scenario).
@@ -1792,9 +1794,8 @@ run 10s
         assert_eq!(rates(&nodes), before);
     }
 
-    /// `ac3_vet()`'s per-session verdicts, pinned to what the last
-    /// binary with a backend selector printed under `--ac3 fast` (and,
-    /// identically, under `--ac3 exact`):
+    /// `ac3_vet()`'s per-session verdicts, pinned to what `--ac3` prints
+    /// for each scenario:
     ///
     /// ```text
     /// misbehaver.scn   session 0 admitted
@@ -1807,7 +1808,7 @@ run 10s
     ///                  session 2 admitted
     /// ```
     #[test]
-    fn ac3_vet_verdicts_match_the_last_selectable_backend() {
+    fn ac3_vet_verdicts_are_pinned() {
         let show = |text: &str| -> Vec<String> {
             Scenario::parse(text)
                 .unwrap()
