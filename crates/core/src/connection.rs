@@ -12,7 +12,7 @@
 //! resources at every hop.
 
 use crate::admission::{AdmissionError, ClassedAdmission, DRule, SessionRequest};
-use lit_net::{DelayAssignment, IdSlab, SessionId};
+use lit_net::DelayAssignment;
 
 /// Why an establishment attempt failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,11 +35,6 @@ impl std::error::Error for EstablishError {}
 /// delay assignments granted at establishment.
 #[derive(Clone, Debug)]
 pub struct Connection {
-    /// Dense session id allocated at establishment; returned to the
-    /// manager's [`IdSlab`] at teardown so the next establishment reuses
-    /// the slot (and with it every per-session table entry in the
-    /// network).
-    pub id: SessionId,
     /// Node indices along the route.
     pub route: Vec<usize>,
     /// 0-based admission class used at every hop.
@@ -67,19 +62,13 @@ impl Connection {
 #[derive(Clone, Debug)]
 pub struct ConnectionManager {
     nodes: Vec<ClassedAdmission>,
-    /// Session-id allocator: teardown returns ids for reuse, bounding
-    /// per-session table capacity by the peak number of live connections.
-    ids: IdSlab,
 }
 
 impl ConnectionManager {
     /// A manager over the given per-node admission states (index =
     /// node id).
     pub fn new(nodes: Vec<ClassedAdmission>) -> Self {
-        ConnectionManager {
-            nodes,
-            ids: IdSlab::new(),
-        }
+        ConnectionManager { nodes }
     }
 
     /// A manager with `n` identical single-class (VirtualClock-mode)
@@ -89,14 +78,7 @@ impl ConnectionManager {
             nodes: (0..n)
                 .map(|_| ClassedAdmission::one_class(link_bps))
                 .collect(),
-            ids: IdSlab::new(),
         }
-    }
-
-    /// The session-id allocator (e.g. to inspect the high-water mark —
-    /// the bound on every per-session table's capacity).
-    pub fn ids(&self) -> &IdSlab {
-        &self.ids
     }
 
     /// Number of managed nodes.
@@ -138,7 +120,6 @@ impl ConnectionManager {
             }
         }
         Ok(Connection {
-            id: self.ids.alloc(),
             route: route.to_vec(),
             class,
             request,
@@ -146,13 +127,11 @@ impl ConnectionManager {
         })
     }
 
-    /// Tear a connection down, releasing its reservation at every hop and
-    /// returning its session id to the slab for reuse.
+    /// Tear a connection down, releasing its reservation at every hop.
     pub fn teardown(&mut self, conn: &Connection) {
         for &n in &conn.route {
             self.nodes[n].release(conn.class, &conn.request);
         }
-        self.ids.release(conn.id);
     }
 }
 
@@ -253,35 +232,6 @@ mod tests {
         for n in 0..4 {
             assert_eq!(cm.node(n).admitted_rate_bps(), 0, "node {n} leaked");
         }
-    }
-
-    #[test]
-    fn churn_reuses_session_ids() {
-        // Establish/teardown churn with at most 2 concurrent connections:
-        // ids must recycle, keeping the high-water mark (and with it the
-        // capacity of every per-session table) at the peak live count.
-        let mut cm = ConnectionManager::one_class(2, 1_536_000);
-        let mut live = std::collections::VecDeque::new();
-        for _ in 0..500 {
-            if live.len() == 2 {
-                let c = live.pop_front().unwrap();
-                cm.teardown(&c);
-            }
-            live.push_back(
-                cm.establish(&[0, 1], 0, req(32_000), DRule::PerPacket)
-                    .unwrap(),
-            );
-        }
-        assert_eq!(cm.ids().high_water(), 2, "ids leaked under churn");
-        assert_eq!(cm.ids().live_count(), 2);
-        // A torn-down id is observably reused by the next establishment.
-        let c = live.pop_front().unwrap();
-        let freed = c.id;
-        cm.teardown(&c);
-        let c2 = cm
-            .establish(&[0], 0, req(32_000), DRule::PerPacket)
-            .unwrap();
-        assert_eq!(c2.id, freed);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! Slots are recycled through an in-place free list on delivery, drop, or
 //! cross-shard handoff, so steady-state simulation performs **zero**
 //! allocator traffic: capacity grows to the high-water mark of
-//! concurrently live packets and then stays put, the same bounded-churn
-//! contract [`crate::IdSlab`] gives session ids.
+//! concurrently live packets and then stays put.
 //!
 //! References are *generational*: each slot carries a generation counter
 //! bumped on free, and a [`PacketRef`] embeds the generation it was minted
@@ -219,7 +218,7 @@ mod tests {
     #[test]
     fn churn_capacity_stays_bounded() {
         // 100k alloc/free cycles with at most 64 live packets: capacity
-        // must stop at the high-water mark, like IdSlab's id recycling.
+        // must stop at the high-water mark.
         let mut a = PacketArena::new();
         let mut live = Vec::new();
         for i in 0..100_000u64 {

@@ -2,23 +2,15 @@
 //!
 //! The paper notes that Leave-in-Time "uses an approximate sorted priority
 //! queue algorithm which runs in O(1) time with a small cost in emulation
-//! error". [`EligibleQueue`] makes that trade-off explicit and selectable:
-//!
-//! * [`QueueKind::Exact`] — a binary heap ordered by `(key, arrival seq)`:
-//!   exact deadline order, `O(log n)` per operation (the default);
-//! * [`QueueKind::Bucketed`] — deadlines quantized into buckets of a fixed
-//!   width, FIFO within a bucket: two packets whose deadlines differ by
-//!   less than one bucket may be served in arrival order instead of
-//!   deadline order, so the *emulation error* — extra lateness versus the
-//!   exact scheduler — is bounded by the bucket width. The engine is
-//!   `lit-sim`'s ring-array [`CalendarQueue`] keyed by the quantized
-//!   deadline, so push/pop run in amortized `O(1)` — the paper's claimed
-//!   line-card cost — with the identical one-bucket-width error bound the
-//!   earlier `BTreeMap`-of-FIFOs implementation had (same quantized key ⇒
-//!   same FIFO ordering, only the lookup cost changed).
-//!
-//! The `ablation-queue` command of `lit-repro` measures both the error and
-//! the cost on the paper's workloads.
+//! error". [`EligibleQueue`] reproduces that queue's *order*, not its
+//! line-card cost: one binary heap, `O(log n)` per operation, ordered by
+//! `(key / quantum, arrival seq)`. [`QueueKind::Exact`] is quantum 1, exact
+//! deadline order (the default). [`QueueKind::Bucketed`] is quantum = the
+//! bucket width: FIFO within a bucket, so two packets whose deadlines
+//! differ by less than one bucket may be served in arrival order, and the
+//! *emulation error* — extra lateness versus the exact scheduler — is
+//! bounded by the bucket width. The `ablation-queue` command of
+//! `lit-repro` measures that error on the paper's workloads.
 
 #![deny(
     clippy::unwrap_used,
@@ -32,109 +24,72 @@
     clippy::allow_attributes_without_reason
 )]
 
-use lit_sim::{CalendarQueue, Duration, KeyedEntry};
+use lit_sim::{Duration, KeyedEntry};
 use std::collections::BinaryHeap;
 
-/// Which eligible-queue implementation a node uses.
+/// Which eligible-queue order a node uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueKind {
-    /// Exact deadline order (binary heap).
+    /// Exact deadline order.
     #[default]
     Exact,
     /// Bucketed approximate order; emulation error < the bucket width.
     Bucketed {
-        /// Bucket width (quantization of the priority key, which for
-        /// time-keyed disciplines is picoseconds).
+        /// Bucket width: the quantum of the priority key (ps when time-keyed).
         bucket: Duration,
     },
 }
 
 /// The eligible queue of one node, generic over the queued payload (the
 /// node step stores dense [`crate::PacketRef`] arena indices).
-pub(crate) enum EligibleQueue<T> {
-    Exact {
-        heap: BinaryHeap<KeyedEntry<u128, T>>,
-        seq: u64,
-    },
-    Bucketed {
-        bucket_ps: u128,
-        /// Calendar ring keyed by `key / bucket_ps`; the ring's own push
-        /// sequence keeps packets FIFO within a quantization bucket.
-        ring: CalendarQueue<T>,
-    },
+pub(crate) struct EligibleQueue<T> {
+    heap: BinaryHeap<KeyedEntry<u128, T>>,
+    /// Push counter: the FIFO tie-break among equal quantized keys.
+    seq: u64,
+    /// The heap orders `key / quantum`: 1 when exact, else the bucket width.
+    quantum: u128,
 }
 
 impl<T> EligibleQueue<T> {
     pub(crate) fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Exact => EligibleQueue::Exact {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            },
+        let quantum = match kind {
+            QueueKind::Exact => 1,
             QueueKind::Bucketed { bucket } => {
                 assert!(bucket > Duration::ZERO, "bucketed queue: zero width");
-                EligibleQueue::Bucketed {
-                    bucket_ps: u128::from(bucket),
-                    ring: CalendarQueue::new(),
-                }
+                u128::from(bucket)
             }
+        };
+        EligibleQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            quantum,
         }
     }
 
-    pub(crate) fn push(&mut self, key: u128, pkt: T) {
-        match self {
-            EligibleQueue::Exact { heap, seq } => {
-                let s = *seq;
-                *seq += 1;
-                heap.push(KeyedEntry {
-                    key,
-                    seq: s,
-                    item: pkt,
-                });
-            }
-            EligibleQueue::Bucketed { bucket_ps, ring } => {
-                ring.push(key / *bucket_ps, pkt);
-            }
+    pub(crate) fn push(&mut self, mut key: u128, item: T) {
+        // The exact queue, the hot one, runs no u128 division.
+        if self.quantum != 1 {
+            key /= self.quantum;
         }
+        self.heap.push(KeyedEntry {
+            key,
+            seq: self.seq,
+            item,
+        });
+        self.seq += 1;
     }
 
     pub(crate) fn pop(&mut self) -> Option<T> {
-        match self {
-            EligibleQueue::Exact { heap, .. } => heap.pop().map(|e| e.item),
-            EligibleQueue::Bucketed { ring, .. } => {
-                let had = ring.len();
-                let popped = ring.pop().map(|(_, p)| p);
-                // The queue must never report packets and then fail to
-                // yield one — the predecessor of this code (a map of
-                // per-bucket FIFOs) could silently desync its length if
-                // a structurally present bucket turned up empty. The
-                // calendar owns its single length counter, making the
-                // invariant structural; keep it checked.
-                debug_assert_eq!(
-                    popped.is_some(),
-                    had > 0,
-                    "eligible queue: length says {had} but pop disagrees",
-                );
-                popped
-            }
-        }
+        self.heap.pop().map(|e| e.item)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        match self {
-            EligibleQueue::Exact { heap, .. } => heap.is_empty(),
-            EligibleQueue::Bucketed { ring, .. } => ring.is_empty(),
-        }
+        self.heap.is_empty()
     }
 
-    /// Packets awaiting service (excluding any packet in transmission).
-    /// Used by the observability probe to sample queue depth; both
-    /// variants answer in O(1).
+    /// Packets awaiting service, excluding any packet in transmission.
     pub(crate) fn len(&self) -> usize {
-        match self {
-            EligibleQueue::Exact { heap, .. } => heap.len(),
-            EligibleQueue::Bucketed { ring, .. } => ring.len(),
-        }
+        self.heap.len()
     }
 }
 
@@ -142,7 +97,7 @@ impl<T> EligibleQueue<T> {
 mod tests {
     use super::*;
     use crate::packet::{Packet, SessionId};
-    use lit_sim::Time;
+    use lit_sim::{SimRng, Time};
 
     fn pkt(seq: u64) -> Packet {
         Packet::new(SessionId(0), seq, 424, Time::ZERO)
@@ -158,6 +113,31 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|p| p.seq).collect();
         assert_eq!(order, vec![2, 3, 4, 1]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pops_follow_a_stable_sort_by_quantized_key() {
+        // Random interleaved pushes and pops: every pop must be the live
+        // entry first in `(key / quantum, push index)` order.
+        let mut rng = SimRng::seed_from(33);
+        let widths = [1, 33, 1_000].map(|ns| Some(Duration::from_ns(ns)));
+        for bucket in [None].into_iter().chain(widths) {
+            let kind = bucket.map_or(QueueKind::Exact, |bucket| QueueKind::Bucketed { bucket });
+            let quantum = bucket.map_or(1, u128::from);
+            let mut q = EligibleQueue::new(kind);
+            let mut live: Vec<(u128, u64)> = Vec::new();
+            for index in 0..4_000u64 {
+                if rng.below(5) < 3 {
+                    let key = u128::from(rng.below(4_000) * 250);
+                    q.push(key, index);
+                    live.push((key, index));
+                    continue;
+                }
+                let want = (0..live.len()).min_by_key(|&i| (live[i].0 / quantum, live[i].1));
+                assert_eq!(q.pop(), want.map(|i| live.remove(i).1), "{kind:?}");
+                assert_eq!(q.len(), live.len());
+            }
+        }
     }
 
     #[test]

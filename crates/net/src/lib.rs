@@ -60,7 +60,7 @@ pub use packet::{NodeId, Packet, SessionId};
 pub use refserver::{RefOutcome, ReferenceServer};
 pub use spec::{DelayAssignment, DelayCoeffs, LinkParams, SessionSpec};
 pub use stats::{DeliveryRecord, NodeStats, OccupancyHistogram, SessionStats, StatsConfig};
-pub use table::{IdSlab, SessionTable};
+pub use table::SessionTable;
 
 #[cfg(test)]
 mod tests {

@@ -1,20 +1,12 @@
-//! Dense per-session state tables and the `SessionId` free-list slab.
+//! Dense per-session state tables.
 //!
 //! Session identifiers are dense `u32` indices by construction (see
 //! [`SessionId`]), so per-session scheduler state never needs a hash map:
 //! a flat table indexed by `id.index()` is both O(1) and cache-linear.
-//! Two pieces live here:
-//!
-//! * [`IdSlab`] — the allocator that *keeps* ids dense across
-//!   connect/teardown churn. Without it, long-running experiments mint
-//!   monotonically growing ids and every table in every node leaks
-//!   capacity; with it, a torn-down session's slot is reused by the next
-//!   establishment and table footprints are bounded by the peak number of
-//!   concurrent sessions.
-//! * [`SessionTable`] — one row per session, keyed by `SessionId`: the
-//!   Leave-in-Time scheduler's eq. 10–11 state and every stateful
-//!   baseline's. A table the builder sizes up front ([`SessionTable::reserve`])
-//!   is one block of exactly that many rows.
+//! [`SessionTable`] is one row per session, keyed by `SessionId`: the
+//! Leave-in-Time scheduler's eq. 10–11 state and every stateful
+//! baseline's. A table the builder sizes up front ([`SessionTable::reserve`])
+//! is one block of exactly that many rows.
 
 #![deny(
     clippy::unwrap_used,
@@ -29,83 +21,6 @@
 )]
 
 use crate::packet::SessionId;
-
-/// Free-list allocator for dense [`SessionId`]s.
-///
-/// `alloc` pops the free list before growing the id space, so the
-/// high-water mark — and with it the capacity of every per-session table
-/// in the network — is bounded by the peak number of live sessions, not
-/// by the total number of establishments.
-///
-/// ```
-/// use lit_net::{IdSlab, SessionId};
-///
-/// let mut slab = IdSlab::new();
-/// let a = slab.alloc();
-/// let b = slab.alloc();
-/// assert_eq!((a, b), (SessionId(0), SessionId(1)));
-/// assert!(slab.release(a));
-/// assert_eq!(slab.alloc(), SessionId(0)); // slot reused
-/// assert_eq!(slab.high_water(), 2);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct IdSlab {
-    /// `live[i]` iff id `i` is currently allocated; `live.len()` is the
-    /// high-water mark of the id space.
-    live: Vec<bool>,
-    /// Released ids available for reuse (LIFO: warmest slot first).
-    free: Vec<u32>,
-}
-
-impl IdSlab {
-    /// An empty slab.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocate the lowest-overhead free id: a released slot if one
-    /// exists, otherwise a fresh id extending the space by one.
-    pub fn alloc(&mut self) -> SessionId {
-        if let Some(id) = self.free.pop() {
-            if let Some(slot) = self.live.get_mut(id as usize) {
-                *slot = true;
-            }
-            return SessionId(id);
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "control-plane growth path; 2^32 concurrent sessions exceeds any reachable configuration and must stop the run"
-        )]
-        let id = u32::try_from(self.live.len()).expect("session id space exhausted");
-        self.live.push(true);
-        SessionId(id)
-    }
-
-    /// Return `id` to the free list. `false` (and no state change) if the
-    /// id is unknown or already free — double releases must not poison
-    /// the free list with duplicates.
-    pub fn release(&mut self, id: SessionId) -> bool {
-        match self.live.get_mut(id.index()) {
-            Some(slot) if *slot => {
-                *slot = false;
-                self.free.push(id.0);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Number of currently allocated ids.
-    pub fn live_count(&self) -> usize {
-        self.live.len() - self.free.len()
-    }
-
-    /// Size of the id space ever used: the bound on every dense
-    /// per-session table's capacity.
-    pub fn high_water(&self) -> usize {
-        self.live.len()
-    }
-}
 
 /// A slab of per-session state keyed by dense [`SessionId`]s.
 ///
@@ -178,53 +93,6 @@ impl<S> SessionTable<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slab_reuses_released_ids() {
-        let mut slab = IdSlab::new();
-        let ids: Vec<_> = (0..4).map(|_| slab.alloc()).collect();
-        assert_eq!(
-            ids,
-            vec![SessionId(0), SessionId(1), SessionId(2), SessionId(3)]
-        );
-        assert!(slab.release(SessionId(1)));
-        assert!(slab.release(SessionId(2)));
-        // LIFO reuse: warmest slot first.
-        assert_eq!(slab.alloc(), SessionId(2));
-        assert_eq!(slab.alloc(), SessionId(1));
-        assert_eq!(slab.alloc(), SessionId(4));
-        assert_eq!(slab.high_water(), 5);
-        assert_eq!(slab.live_count(), 5);
-    }
-
-    #[test]
-    fn slab_rejects_double_release() {
-        let mut slab = IdSlab::new();
-        let a = slab.alloc();
-        assert!(slab.release(a));
-        assert!(!slab.release(a), "double release must be rejected");
-        assert!(!slab.release(SessionId(99)), "unknown id must be rejected");
-        // The free list holds exactly one entry: a single realloc, then
-        // fresh growth.
-        assert_eq!(slab.alloc(), a);
-        assert_eq!(slab.alloc(), SessionId(1));
-    }
-
-    #[test]
-    fn churn_bounds_high_water_at_peak_live() {
-        let mut slab = IdSlab::new();
-        // 1000 connect/teardown cycles with at most 3 concurrent sessions
-        // must not grow the id space past 3.
-        let mut held: Vec<SessionId> = Vec::new();
-        for i in 0..1000 {
-            if held.len() == 3 {
-                let id = held.remove(i % held.len());
-                assert!(slab.release(id));
-            }
-            held.push(slab.alloc());
-        }
-        assert_eq!(slab.high_water(), 3);
-    }
 
     #[test]
     fn table_insert_remove_get() {

@@ -2,12 +2,13 @@
 //!
 //! The paper: "Leave-in-Time uses an approximate sorted priority queue
 //! algorithm which runs in O(1) time with a small cost in emulation
-//! error". This experiment quantifies that cost on the Figure 8 workload:
-//! the same CROSS network is run with the exact deadline heap and with
-//! bucketed queues of increasing bucket width. Per-hop inversions are
-//! bounded by one bucket, so end-to-end delay/jitter may grow by at most
-//! `hops × bucket` — measured here alongside the wall-clock cost of each
-//! queue.
+//! error". This experiment measures that emulation error on the Figure 8
+//! workload: the same CROSS network is run with the exact deadline order
+//! and with bucketed orders of increasing bucket width. Per-hop inversions
+//! are bounded by one bucket, so end-to-end delay/jitter may grow by at
+//! most `hops × bucket`. Both orders run on the same binary heap (the
+//! bucketed one on a quantized key), so the O(1) line-card cost is not
+//! reproduced and `wall_s` is only each run's wall clock.
 
 use super::common::{build_cross_onoff_queued, max_lateness_fraction, run_points, RunConfig};
 use crate::report::{ms, Table};
@@ -28,7 +29,7 @@ pub struct AblationRow {
     /// Worst scheduler lateness as a fraction of `L_MAX/C` (may exceed 1
     /// for coarse buckets — that is the emulation error showing up).
     pub lateness_fraction: f64,
-    /// Wall-clock seconds for the run (throughput cost of the queue).
+    /// Wall-clock seconds for the run (not a line-card queue cost).
     pub wall_seconds: f64,
 }
 

@@ -46,7 +46,7 @@ use lit_repro::experiments::{
     ablation, fig14_17, fig7, fig8, fig9_11, firewall, heavytail, tables, RunConfig,
 };
 use lit_repro::report::Table;
-use lit_repro::scenario::{Ac3Tally, RunOptions, Scenario};
+use lit_repro::scenario::{regulator_fits, Ac3Tally, RunOptions, Scenario};
 use lit_sim::Duration;
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
@@ -152,7 +152,9 @@ fn usage() -> ! {
          --ladder applies to `scenario` only: re-target the file's `generate` stanzas at each offered \
          load (e.g. 0.5,0.8,0.95,1.2) and cross-check utilization, drainage and the delay frontier\n\
          --regulator overrides the eligibility-regulator backend of every network built, \
-         figure commands included (a scenario's `regulator` directive loses to it)"
+         figure commands included (a scenario's `regulator` directive loses to it); \
+         interleaved runs discipline lit only, so it is refused with `firewall`, `all` \
+         and a scenario of another discipline"
     );
     std::process::exit(2);
 }
@@ -233,6 +235,12 @@ fn parse_args() -> Args {
     }
     if ac3 && ladder.is_some() {
         usage_error("--ac3 and --ladder cannot be combined (the ladder does not vet sessions)");
+    }
+    // `firewall` (and so `all`) runs the baselines next to LiT.
+    if matches!(command.as_str(), "firewall" | "all") {
+        if let Err(e) = regulator_fits(engine.regulator.unwrap_or_default(), false) {
+            usage_error(&format!("--regulator: `{command}` runs baselines, and {e}"));
+        }
     }
     Args {
         quick,
@@ -455,6 +463,9 @@ fn main() -> ExitCode {
         let path = args.extra.first().cloned().unwrap_or_else(|| usage());
         return match Scenario::load(&path) {
             Ok(sc) => {
+                if let Some(Err(e)) = cfg.engine.regulator.map(|r| sc.regulator_fits(r)) {
+                    usage_error(&format!("{path}: --regulator: {e}"));
+                }
                 if let Some(rungs) = &args.ladder {
                     let report = lit_repro::heavy::run_ladder(&sc, rungs, &cfg.engine, &collector);
                     emit(

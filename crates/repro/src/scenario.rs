@@ -22,16 +22,18 @@
 //! per-hop delay; default is `L/r`), `shape=<rate>:<bits>` (pass the
 //! source through a token-bucket shaper). Sources: `onoff`, `poisson`,
 //! `cbr(gap,len[,offset])`, `burst(period,count,len)`. A zero rate,
-//! `lmax`, length, count, gap, period or ON spacing, a shaper that can
-//! never pass a packet, and a packet longer than `lmax` (it voids every
-//! `L_MAX/C` term of β) are errors at their line, not engine panics.
+//! `lmax`, length, count, gap, period, ON spacing or queue bucket, a
+//! shaper that can never pass a packet, and a packet longer than `lmax`
+//! (it voids every `L_MAX/C` term of β) are errors at their line, not
+//! engine panics.
 //!
 //! Further directives: `backend heap|calendar|wheel` selects the
 //! event-set implementation (default heap; all deliver identically);
 //! `regulator per-session|interleaved` selects the eligibility-regulator
-//! backend (default per-session — see
-//! [`lit_net::RegulatorBackend`]). A session may give an explicit node
-//! list where `route=A..B` would be contiguous: `session path=0,3,7 ...`.
+//! backend (default per-session — see [`lit_net::RegulatorBackend`];
+//! interleaved runs discipline `lit` only, see [`regulator_fits`]). A
+//! session may give an explicit node list where `route=A..B` would be
+//! contiguous: `session path=0,3,7 ...`.
 //!
 //! `generate` stanzas expand into whole session populations at a target
 //! offered load ρ (see [`Scenario::expanded`]):
@@ -674,6 +676,21 @@ impl RunOptions {
     }
 }
 
+/// Whether `regulator` may serve a discipline that is (`lit`) or is not
+/// Leave-in-Time. The interleaved regulator's one head-gated FIFO per
+/// node is analysed for Leave-in-Time only (Thomas–Le Boudec); under a
+/// baseline it couples one session's rate-controller or frame holds to
+/// every other session's at the node, so the pairing is refused wherever
+/// it is asked for: the `regulator` directive, `--regulator` with a
+/// scenario, and `--regulator` with the commands that run baselines.
+pub fn regulator_fits(regulator: RegulatorBackend, lit: bool) -> Result<(), &'static str> {
+    if lit || regulator == RegulatorBackend::PerSession {
+        Ok(())
+    } else {
+        Err("the interleaved regulator runs discipline lit only")
+    }
+}
+
 /// A count or rate literal that must not be zero.
 fn positive<T: std::str::FromStr + Default + PartialEq>(v: &str) -> Option<T> {
     v.parse().ok().filter(|n| *n != T::default())
@@ -738,6 +755,11 @@ impl Scenario {
         Scenario::parse(&text).map_err(|e| format!("{}:{}: {}", path.display(), e.line, e.message))
     }
 
+    /// [`regulator_fits`] for this scenario's discipline.
+    pub fn regulator_fits(&self, regulator: RegulatorBackend) -> Result<(), &'static str> {
+        regulator_fits(regulator, self.discipline == DisciplineChoice::Lit)
+    }
+
     /// Parse a scenario from text.
     pub fn parse(text: &str) -> Result<Scenario, ParseError> {
         let mut nodes = None;
@@ -749,6 +771,7 @@ impl Scenario {
         let mut sessions = Vec::new();
         let mut generators = Vec::new();
         let mut regulator = RegulatorBackend::PerSession;
+        let mut regulator_line = 0;
         let mut horizon = None;
         // `(line, packet length)` of every session and generator stanza,
         // held against `lmax` once the whole file is read.
@@ -832,8 +855,9 @@ impl Scenario {
                         .ok_or_else(|| err(ln, "queue: missing kind".into()))?;
                     queue = match keyval(kind) {
                         ("exact", None) => QueueKind::Exact,
-                        ("bucket", Some(v)) => QueueKind::Bucketed {
-                            bucket: parse_duration(v).map_err(|e| err(ln, e))?,
+                        ("bucket", Some(v)) => match parse_duration(v).map_err(|e| err(ln, e))? {
+                            bucket if bucket > Duration::ZERO => QueueKind::Bucketed { bucket },
+                            _ => return Err(err(ln, "queue: bucket must be positive".into())),
                         },
                         _ => return Err(err(ln, format!("unknown queue kind '{kind}'"))),
                     };
@@ -843,6 +867,7 @@ impl Scenario {
                         .next()
                         .ok_or_else(|| err(ln, "regulator: missing backend".into()))?;
                     regulator = name.parse().map_err(|e: String| err(ln, e))?;
+                    regulator_line = ln;
                 }
                 "generate" => {
                     let spec = toks
@@ -966,6 +991,8 @@ impl Scenario {
             }
         }
 
+        regulator_fits(regulator, discipline == DisciplineChoice::Lit)
+            .map_err(|e| err(regulator_line, e.into()))?;
         // A `generate` stanza implies its own node count; the `nodes`
         // directive is then optional and only raises the floor.
         let gen_nodes = generators.iter().map(GenSpec::num_nodes).max().unwrap_or(0);
@@ -1578,6 +1605,8 @@ run 10s
             "nodes 2 rate=0\nrun 1s => nodes: rate must be a positive",
             "nodes 2 lmax=0\nrun 1s => nodes: lmax must be a positive",
             "nodes 2\ngenerate tandem(n=2,rho=0.5,len=848)\nrun 1s => 848 exceeds lmax=424",
+            "nodes 2\nqueue bucket=0ms\nrun 1s => queue: bucket must be positive",
+            "nodes 2\nregulator interleaved\ndiscipline fcfs\nrun 1s => runs discipline lit only",
         ];
         // The options of `session route=0..1` on a 2-node network.
         let session = [

@@ -1,7 +1,8 @@
 //! `lit-repro` command-line behaviour, driven through the built binary:
 //! `--ac3` / `--ladder` are usage errors wherever they would be ignored,
 //! `--ac3 scenario FILE` prints one verdict per session and a tally,
-//! `--regulator` reaches the figure commands, and an output file that
+//! `--regulator` reaches the figure commands but refuses `interleaved`
+//! wherever a baseline discipline would run, and an output file that
 //! cannot be written fails the run.
 
 #![forbid(unsafe_code)]
@@ -95,6 +96,28 @@ fn regulator_flag_reaches_the_figure_commands() {
         "the default is the per-session regulator"
     );
     assert_ne!(per_session, csv("reg_il", &["--regulator", "interleaved"]));
+}
+
+#[test]
+fn interleaved_regulator_with_the_baselines_is_a_usage_error() {
+    for command in ["firewall", "all"] {
+        assert_usage_error(
+            &["--regulator", "interleaved", command],
+            "runs discipline lit only",
+        );
+    }
+}
+
+#[test]
+fn interleaved_regulator_with_a_baseline_scenario_names_the_file() {
+    let lit = std::fs::read_to_string(MISBEHAVER).expect("read misbehaver.scn");
+    let path = format!("{}/misbehaver_fcfs.scn", env!("CARGO_TARGET_TMPDIR"));
+    let fcfs = lit.replace("discipline lit", "discipline fcfs");
+    std::fs::write(&path, fcfs).expect("write the fcfs scenario");
+    assert_usage_error(
+        &["--regulator", "interleaved", "scenario", &path],
+        &format!("{path}: --regulator: the interleaved regulator runs discipline lit only"),
+    );
 }
 
 /// A path below a regular file: nothing can be created there.

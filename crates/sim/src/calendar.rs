@@ -1,6 +1,6 @@
-//! A ring-array **calendar queue** (Brown, CACM '88): the amortized-O(1)
-//! priority queue the paper alludes to when it says Leave-in-Time "uses an
-//! approximate sorted priority queue algorithm which runs in O(1) time".
+//! A ring-array **calendar queue** (Brown, CACM '88): an exact,
+//! amortized-O(1) priority queue, the engine behind
+//! `EventBackend::Calendar`.
 //!
 //! The structure is a ring of `N` buckets, each `width` key-units wide.
 //! Bucket `b` holds keys whose *day* `key / width` satisfies
@@ -184,20 +184,7 @@ struct MinPos {
 
 /// An exact min-priority queue over `u128` keys with amortized-O(1)
 /// push/pop and FIFO order among equal keys.
-///
-/// ```
-/// use lit_sim::CalendarQueue;
-///
-/// let mut q = CalendarQueue::new();
-/// q.push(30, "c");
-/// q.push(10, "a");
-/// q.push(10, "b"); // same key: FIFO
-/// assert_eq!(q.pop(), Some((10, "a")));
-/// assert_eq!(q.pop(), Some((10, "b")));
-/// assert_eq!(q.pop(), Some((30, "c")));
-/// assert_eq!(q.pop(), None);
-/// ```
-pub struct CalendarQueue<T> {
+pub(crate) struct CalendarQueue<T> {
     buckets: Vec<Bucket<T>>,
     /// Entries that did not fit their bucket's inline slots. Always the
     /// *largest* entries of their bucket, but possibly smaller than other
@@ -224,22 +211,11 @@ pub struct CalendarQueue<T> {
     debt: Cell<u64>,
 }
 
-impl<T> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> CalendarQueue<T> {
-    /// An empty calendar with the minimum bucket count.
-    pub fn new() -> Self {
-        Self::with_buckets(MIN_BUCKETS)
-    }
-
     /// An empty calendar pre-sized for roughly `cap` concurrent entries.
     /// The width starts at 1 and is estimated from live keys at the first
     /// debt-triggered recalibration or occupancy-triggered resize.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         Self::with_buckets(cap.max(MIN_BUCKETS).next_power_of_two())
     }
 
@@ -260,23 +236,13 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Number of queued entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the calendar is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total entries ever pushed (the next FIFO sequence number).
-    pub fn pushed(&self) -> u64 {
-        self.next_seq
     }
 
     /// Drop every entry, keeping the ring geometry and the push counter
     /// (so FIFO sequence numbers keep increasing across a clear).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for b in &mut self.buckets {
             for s in &mut b.slots {
                 *s = None;
@@ -296,7 +262,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Insert `key`; among equal keys, entries pop in push order.
-    pub fn push(&mut self, key: u128, item: T) {
+    pub(crate) fn push(&mut self, key: u128, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.len == 0 || key < self.cur.get() {
@@ -362,7 +328,7 @@ impl<T> CalendarQueue<T> {
 
     /// The smallest key, without removing it. Caches the found position,
     /// so the executor's peek-then-pop idiom scans once.
-    pub fn peek_key(&self) -> Option<u128> {
+    pub(crate) fn peek_key(&self) -> Option<u128> {
         if let Some(h) = self.hint.get() {
             return Some(h.key);
         }
@@ -373,7 +339,7 @@ impl<T> CalendarQueue<T> {
 
     /// The smallest-key entry (key and a borrow of its item), without
     /// removing it. Shares the cached position with `peek_key`/`pop`.
-    pub fn peek(&self) -> Option<(u128, &T)> {
+    pub(crate) fn peek(&self) -> Option<(u128, &T)> {
         let pos = match self.hint.get() {
             Some(h) => h,
             None => {
@@ -399,7 +365,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Remove and return the smallest-key entry (FIFO among equal keys).
-    pub fn pop(&mut self) -> Option<(u128, T)> {
+    pub(crate) fn pop(&mut self) -> Option<(u128, T)> {
         let pos = match self.hint.take() {
             Some(h) => h,
             None => self.find_min()?,
@@ -589,7 +555,7 @@ mod tests {
 
     #[test]
     fn pops_in_key_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::with_capacity(0);
         for key in [50u128, 10, 40, 20, 30, 0] {
             q.push(key, key);
         }
@@ -599,13 +565,12 @@ mod tests {
             out.push(k);
         }
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
-        assert!(q.is_empty());
-        assert_eq!(q.pushed(), 6);
+        assert_eq!((q.len(), q.next_seq), (0, 6));
     }
 
     #[test]
     fn fifo_among_equal_keys() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::with_capacity(0);
         q.push(7, "first");
         q.push(7, "second");
         q.push(3, "zeroth");
@@ -620,19 +585,19 @@ mod tests {
     fn fifo_survives_overflow_spills() {
         // > BUCKET_CAP entries with the same key force spills to the
         // overflow heap; pop order must stay strict push order.
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::with_capacity(0);
         for i in 0..100u64 {
             q.push(42, i);
         }
         for i in 0..100u64 {
             assert_eq!(q.pop(), Some((42, i)));
         }
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn interleaved_push_pop_with_backdated_keys() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::with_capacity(0);
         q.push(1_000, ());
         q.push(2_000, ());
         assert_eq!(q.pop().unwrap().0, 1_000);
@@ -652,7 +617,7 @@ mod tests {
         // empty and jumps the cursor — which must not pass the overflow's
         // 16 000s, or the next push drags it to 17 000 and the rebuild
         // that re-rings them leaves them behind it.
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::with_capacity(0);
         for key in [4_000, 16_000, 4_000, 16_000, 8_000, 16_000] {
             q.push(key, ());
         }
@@ -673,7 +638,7 @@ mod tests {
 
     #[test]
     fn survives_resize_cycles() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::with_capacity(0);
         // Grow well past several doublings, then drain to force shrinks.
         let n = 10_000u128;
         for i in 0..n {
@@ -692,7 +657,7 @@ mod tests {
 
     #[test]
     fn far_future_sentinels_are_handled() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::with_capacity(0);
         q.push(u64::MAX as u128, "sentinel");
         q.push(u64::MAX as u128, "sentinel2");
         for i in 0..100u128 {
@@ -708,14 +673,13 @@ mod tests {
 
     #[test]
     fn clear_keeps_seq_counter() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::with_capacity(0);
         q.push(5, ());
         q.push(6, ());
         q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pushed(), 2);
+        assert_eq!((q.len(), q.next_seq), (0, 2));
         q.push(1, ());
-        assert_eq!(q.pushed(), 3);
+        assert_eq!(q.next_seq, 3);
         assert_eq!(q.pop(), Some((1, ())));
     }
 
@@ -723,7 +687,7 @@ mod tests {
     fn hold_model_stays_sorted() {
         // The classic calendar workload: steady-state size, keys drift
         // upward. Exercises the day-window scan and width estimation.
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::with_capacity(0);
         let mut state = 0x1995_u64;
         let mut lcg = move || {
             state = state

@@ -1,13 +1,12 @@
 //! The shared keyed-entry helper behind the FIFO-stable priority queues
 //! that sit on std's `BinaryHeap`.
 //!
-//! `lit-net`'s eligible-packet queue, the [`crate::CalendarQueue`]'s
-//! overflow heap and the reference models of the event-set tests order
-//! their contents by `(key, push sequence)`: the key carries the
-//! priority (a [`crate::Time`] or a scheduler key), and the monotonically
-//! increasing sequence number makes same-key entries pop in push order,
-//! which is what keeps simulation runs bit-reproducible across
-//! refactors. (The future-event set's own heap keeps the same order in a
+//! `lit-net`'s eligible-packet queue, the calendar ring's overflow heap
+//! and the reference models of the event-set tests order their contents
+//! by `(key, push sequence)`: the key carries the priority (a
+//! [`crate::Time`] or a scheduler key), and the monotonically increasing
+//! sequence number makes same-key entries pop in push order, which is
+//! what keeps simulation runs bit-reproducible across refactors. (The future-event set's own heap keeps the same order in a
 //! purpose-built entry, see `heap.rs`.)
 
 use core::cmp::Ordering;

@@ -8,9 +8,9 @@
 //!   exact-enough rate arithmetic ([`Duration::from_bits_at_rate`]);
 //! * [`EventQueue`] — the future-event set, FIFO-stable among same-time
 //!   events so runs are bit-reproducible, with a pluggable engine
-//!   ([`EventBackend`]): 4-ary heap by default, amortized-O(1)
-//!   [`CalendarQueue`] ring or hierarchical [`TimerWheel`] opt-in; sorted
-//!   runs of events wait in FIFO [`Lane`]s beside the heap, same pop order;
+//!   ([`EventBackend`]): 4-ary heap by default, calendar ring or
+//!   hierarchical timer wheel opt-in; sorted runs of events wait in FIFO
+//!   [`Lane`]s beside the heap, same pop order;
 //! * [`KeyedEntry`] — the shared reversed-`Ord` entry for FIFO-stable
 //!   min-heaps throughout the workspace;
 //! * [`SimRng`] / [`SeedSeq`] — per-component reproducible random streams.
@@ -30,9 +30,7 @@ mod rng;
 mod time;
 mod wheel;
 
-pub use calendar::CalendarQueue;
 pub use entry::KeyedEntry;
 pub use queue::{EventBackend, EventQueue, Lane};
 pub use rng::{splitmix64_at, SeedSeq, SimRng};
 pub use time::{Duration, ParseDurationError, Time, PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};
-pub use wheel::TimerWheel;

@@ -9,10 +9,9 @@
 //!
 //! The queue has three interchangeable engines (see [`EventBackend`]):
 //! the default 4-ary heap of 32-byte entries (`heap.rs`, O(log₄ n) per
-//! op), the amortized-O(1) [`CalendarQueue`] ring and the hierarchical
-//! [`TimerWheel`]. All three pop the identical `(time, seq)` sequence —
-//! the calendar is an *exact* structure, not the paper's approximate
-//! line-card variant — so the choice is purely a performance knob.
+//! op), the amortized-O(1) calendar ring (`calendar.rs`) and the
+//! hierarchical timer wheel (`wheel.rs`). All three pop the identical
+//! `(time, seq)` sequence, so the choice is purely a performance knob.
 //! Payloads are `Copy`: the heap moves entries through a hole, not by
 //! swaps.
 //!
@@ -176,7 +175,7 @@ impl<E: Copy> EventQueue<E> {
             inner: match backend {
                 EventBackend::Heap => Inner::Heap(QuadHeap::with_capacity(cap)),
                 EventBackend::Calendar => Inner::Calendar(CalendarQueue::with_capacity(cap)),
-                EventBackend::Wheel => Inner::Wheel(TimerWheel::with_capacity(cap)),
+                EventBackend::Wheel => Inner::Wheel(TimerWheel::new()),
             },
             next_seq: 0,
             lanes: Vec::new(),

@@ -1,7 +1,7 @@
 //! Hierarchical (radix) timer wheel: exact, amortized-O(1) at any horizon.
 //!
 //! [`TimerWheel`] is the third engine behind `EventQueue` (besides the
-//! binary heap and the [`CalendarQueue`](crate::CalendarQueue)). Like the
+//! binary heap and the calendar ring, `calendar.rs`). Like the
 //! calendar it is an *exact* min-priority queue — it pops the identical
 //! `(key, seq)` sequence, FIFO among equal keys — but where the calendar
 //! keeps one ring whose bucket width must track the live-key distribution
@@ -76,20 +76,7 @@ struct MinPos {
 /// An exact min-priority queue over `u64` keys with amortized-O(1)
 /// push/pop and FIFO order among equal keys, backed by a hierarchical
 /// timer wheel.
-///
-/// ```
-/// use lit_sim::TimerWheel;
-///
-/// let mut w = TimerWheel::new();
-/// w.push(30, "c");
-/// w.push(10, "a");
-/// w.push(10, "b"); // same key: FIFO
-/// assert_eq!(w.pop(), Some((10, "a")));
-/// assert_eq!(w.pop(), Some((10, "b")));
-/// assert_eq!(w.pop(), Some((30, "c")));
-/// assert_eq!(w.pop(), None);
-/// ```
-pub struct TimerWheel<T> {
+pub(crate) struct TimerWheel<T> {
     /// `LEVELS * SLOTS` slot queues, flattened (`level * SLOTS + slot`).
     /// A slot queue is append-at-back / take-at-front, so both direct
     /// pushes and cascade re-placements preserve seq order.
@@ -106,16 +93,10 @@ pub struct TimerWheel<T> {
     hint: Cell<Option<MinPos>>,
 }
 
-impl<T> Default for TimerWheel<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> TimerWheel<T> {
     /// An empty wheel. The slot table is allocated eagerly (`704` empty
     /// queues) but the queues themselves allocate only on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimerWheel {
             slots: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
             occ: [0; LEVELS],
@@ -126,26 +107,14 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// An empty wheel; `cap` is accepted for interface parity with the
-    /// other engines but ignored — the wheel's geometry is fixed and its
-    /// slot queues grow on demand.
-    pub fn with_capacity(_cap: usize) -> Self {
-        Self::new()
-    }
-
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the wheel is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Drop all entries, keeping allocations. The seq counter keeps
     /// increasing so global FIFO order survives a clear.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         #[expect(
             clippy::indexing_slicing,
             reason = "l < LEVELS and s < SLOTS: 6-bit bitmap index"
@@ -193,7 +162,7 @@ impl<T> TimerWheel<T> {
     /// Insert `item` at `key`. Keys may arrive out of order; a key below
     /// the cursor (already-popped territory) forces a full rebuild, which
     /// executors never trigger because simulation time is monotone.
-    pub fn push(&mut self, key: u64, item: T) {
+    pub(crate) fn push(&mut self, key: u64, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.hint.set(None);
@@ -301,7 +270,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Remove and return the smallest-key entry (FIFO among equal keys).
-    pub fn pop(&mut self) -> Option<(u64, T)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, T)> {
         if self.len == 0 {
             return None;
         }
@@ -396,7 +365,7 @@ impl<T> TimerWheel<T> {
 
     /// The smallest key, without removing it. Caches the found position,
     /// so the executor's peek-then-pop idiom scans once.
-    pub fn peek_key(&self) -> Option<u64> {
+    pub(crate) fn peek_key(&self) -> Option<u64> {
         if let Some(h) = self.hint.get() {
             return Some(h.key);
         }
@@ -407,7 +376,7 @@ impl<T> TimerWheel<T> {
 
     /// The smallest-key entry (key and a borrow of its item), without
     /// removing it. Shares the cached position with `peek_key`/`pop`.
-    pub fn peek(&self) -> Option<(u64, &T)> {
+    pub(crate) fn peek(&self) -> Option<(u64, &T)> {
         let pos = match self.hint.get() {
             Some(h) => h,
             None => {
@@ -472,7 +441,7 @@ mod tests {
         for (i, &k) in keys.iter().enumerate() {
             w.push(k, i);
         }
-        while !w.is_empty() {
+        while w.len() > 0 {
             let pk = w.peek_key().unwrap();
             let (k2, &v) = w.peek().unwrap();
             let (k, v2) = w.pop().unwrap();
@@ -551,7 +520,7 @@ mod tests {
                 assert_eq!(w.pop(), Some((k, s)));
             }
             assert_eq!(w.pop(), None);
-            assert!(w.is_empty());
+            assert_eq!(w.len(), 0);
         }
     }
 
@@ -561,7 +530,7 @@ mod tests {
         w.push(10, 0);
         w.push(20, 1);
         w.clear();
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
         w.push(10, 2);
         w.push(10, 3);
         assert_eq!(w.pop(), Some((10, 2)));
