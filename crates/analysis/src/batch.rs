@@ -10,8 +10,6 @@
 //! t-interval, and the batch size grows automatically as samples arrive
 //! (batch doubling), so one pass works for any run length.
 
-use crate::stats::OnlineStats;
-
 /// Streaming batch-means accumulator with automatic batch doubling.
 ///
 /// Starts with `target_batches · 2` batches of `initial_batch` samples;
@@ -19,6 +17,13 @@ use crate::stats::OnlineStats;
 /// adjacent batches are merged pairwise and the batch size doubles —
 /// keeping the batch count in `[target_batches, 2·target_batches)` forever
 /// while each batch grows long enough to wash out autocorrelation.
+///
+/// Every completed batch holds exactly `batch_size` samples (a merge
+/// always pairs all of them), so the count and the grand mean follow
+/// from the batches and the batch in progress; nothing else is stored.
+/// The accumulator exists for the half-width: a caller that keeps an
+/// exact record of the samples, as `lit-net`'s delay histogram does,
+/// takes its point estimate from there.
 #[derive(Clone, Debug)]
 pub struct BatchMeans {
     target_batches: usize,
@@ -28,8 +33,6 @@ pub struct BatchMeans {
     /// Running sum/count of the batch in progress.
     cur_sum: f64,
     cur_n: u64,
-    /// All-sample statistics (for the point estimate).
-    all: OnlineStats,
 }
 
 impl BatchMeans {
@@ -44,7 +47,6 @@ impl BatchMeans {
             batches: Vec::new(),
             cur_sum: 0.0,
             cur_n: 0,
-            all: OnlineStats::new(),
         }
     }
 
@@ -55,7 +57,6 @@ impl BatchMeans {
 
     /// Record one observation.
     pub fn record(&mut self, x: f64) {
-        self.all.record(x);
         self.cur_sum += x;
         self.cur_n += 1;
         if self.cur_n == self.batch_size {
@@ -77,12 +78,15 @@ impl BatchMeans {
 
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
-        self.all.count()
+        self.batches.len() as u64 * self.batch_size + self.cur_n
     }
 
-    /// Point estimate: the grand mean over *all* samples.
+    /// Point estimate: the grand mean over *all* samples, the batches
+    /// weighted by their common size.
     pub fn mean(&self) -> Option<f64> {
-        self.all.mean()
+        let n = self.count();
+        let batched = self.batches.iter().sum::<f64>() * self.batch_size as f64;
+        (n > 0).then(|| (batched + self.cur_sum) / n as f64)
     }
 
     /// Number of completed batches.
@@ -133,6 +137,7 @@ fn t_975(df: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::OnlineStats;
     use lit_sim::SimRng;
 
     #[test]

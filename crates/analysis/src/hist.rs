@@ -86,8 +86,10 @@ impl Bins {
 
     /// Store bins `0..len` (`len ≤ nbins`).
     fn grow(&mut self, len: usize) {
-        let cap = (2 * self.hit.len()).clamp(len, self.nbins);
-        self.hit.reserve_exact(cap - self.hit.len());
+        if len > self.hit.capacity() {
+            let cap = (2 * self.hit.capacity()).clamp(len, self.nbins);
+            self.hit.reserve_exact(cap - self.hit.len());
+        }
         self.hit.resize(len, 0);
     }
 
@@ -339,6 +341,21 @@ mod tests {
 
     fn ms(x: u64) -> Duration {
         Duration::from_ms(x)
+    }
+
+    /// A prefix that climbs one bin at a time reallocates O(log nbins)
+    /// times, never past `nbins` counters.
+    #[test]
+    fn a_climbing_prefix_doubles_its_capacity() {
+        let mut b = Bins::new(1, 4_000);
+        let mut reallocs = 0;
+        for x in 0..4_000 {
+            let cap = b.hit.capacity();
+            b.record(x);
+            reallocs += usize::from(b.hit.capacity() != cap);
+        }
+        assert_eq!(reallocs, 13, "1, 2, 4, …, 2048, then the clamp at 4 000");
+        assert_eq!(b.hit.capacity(), 4_000);
     }
 
     #[test]

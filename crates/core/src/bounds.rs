@@ -89,10 +89,9 @@ impl PathBounds {
         let spec = net.session_spec(id);
         let hops = net
             .session_hops(id)
-            .iter()
             .map(|(n, assignment)| HopSpec {
-                link: *net.node_link(lit_net::NodeId(*n)),
-                assignment: *assignment,
+                link: *net.node_link(lit_net::NodeId(n)),
+                assignment,
             })
             .collect();
         PathBounds::new(spec.rate_bps, spec.max_len_bits, spec.min_len_bits, hops)

@@ -59,7 +59,9 @@ pub use oracle::{OracleConfig, OracleMode, OracleTotals, SessionBounds, Violatio
 pub use packet::{NodeId, Packet, SessionId};
 pub use refserver::{RefOutcome, ReferenceServer};
 pub use spec::{DelayAssignment, DelayCoeffs, LinkParams, SessionSpec};
-pub use stats::{DeliveryRecord, NodeStats, OccupancyHistogram, SessionStats, StatsConfig};
+pub use stats::{
+    DeliveryLog, DeliveryRecord, NodeStats, OccupancyHistogram, SessionStats, StatsConfig,
+};
 pub use table::SessionTable;
 
 #[cfg(test)]

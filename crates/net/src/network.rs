@@ -54,6 +54,7 @@ impl NetworkBuilder {
                 links: Vec::new(),
                 specs: Vec::new(),
                 hops: Vec::new(),
+                delays: Vec::new(),
                 route_start: vec![0],
             },
             sources: Vec::new(),
@@ -173,8 +174,7 @@ impl NetworkBuilder {
         route: &[NodeId],
         source: Box<dyn Source>,
     ) -> SessionId {
-        let hops = route.iter().map(|n| (n.0, spec.delay)).collect();
-        self.add_session_with_hops(spec, hops, source)
+        self.push_session(spec, route.iter().map(|n| (n.0, spec.delay)), source)
     }
 
     /// Add a session with an explicit per-hop delay assignment (delay
@@ -184,24 +184,40 @@ impl NetworkBuilder {
     /// Panics on an empty route or an unknown node id.
     pub fn add_session_with_hops(
         &mut self,
-        mut spec: SessionSpec,
+        spec: SessionSpec,
         hops: Vec<(u32, DelayAssignment)>,
         source: Box<dyn Source>,
     ) -> SessionId {
-        assert!(!hops.is_empty(), "session route is empty");
-        for &(n, _) in &hops {
-            assert!(
-                (n as usize) < self.topo.links.len(),
-                "route references unknown node {n}"
-            );
-        }
+        self.push_session(spec, hops, source)
+    }
+
+    /// The one way a session joins: its spec, then its hops straight into
+    /// the flat route table (a session owns no vector), then its source.
+    fn push_session(
+        &mut self,
+        mut spec: SessionSpec,
+        hops: impl IntoIterator<Item = (u32, DelayAssignment)>,
+        source: Box<dyn Source>,
+    ) -> SessionId {
         let id = SessionId(self.sources.len() as u32);
         spec.id = id;
-        // The route joins the flat table: a session owns no vector.
-        self.topo.specs.push(spec);
-        self.topo.hops.extend(hops);
-        let end = u32::try_from(self.topo.hops.len()).expect("routes pass u32::MAX hops in all");
-        self.topo.route_start.push(end);
+        let topo = &mut self.topo;
+        let start = topo.hops.len();
+        for (n, delay) in hops {
+            assert!(
+                (n as usize) < topo.links.len(),
+                "route references unknown node {n}"
+            );
+            if topo.delays.last() != Some(&delay) {
+                topo.delays.push(delay);
+            }
+            let at = u32::try_from(topo.delays.len() - 1).expect("fewer delays than hops");
+            topo.hops.push((n, at));
+        }
+        assert!(topo.hops.len() > start, "session route is empty");
+        let end = u32::try_from(topo.hops.len()).expect("routes pass u32::MAX hops in all");
+        topo.route_start.push(end);
+        topo.specs.push(spec);
         self.sources.push(source);
         id
     }
@@ -221,6 +237,7 @@ impl NetworkBuilder {
         // The tables grew by doubling and are final now.
         topo.specs.shrink_to_fit();
         topo.hops.shrink_to_fit();
+        topo.delays.shrink_to_fit();
         topo.route_start.shrink_to_fit();
         let topo = Arc::new(topo);
 
@@ -259,10 +276,13 @@ impl NetworkBuilder {
         let mut seeds = SeedSeq::new(self.master_seed);
         for (sid, (route, source)) in topo.routes().zip(sources).enumerate() {
             let rng = seeds.next_rng();
-            for (node, delay) in route {
-                shards[owner(*node)]
-                    .core
-                    .register_hop(sid, *node, delay, &self.stats_cfg);
+            for &(node, delay) in route {
+                shards[owner(node)].core.register_hop(
+                    sid,
+                    node,
+                    &topo.delays[delay as usize],
+                    &self.stats_cfg,
+                );
             }
             let first = &mut shards[first_owner(sid)];
             let events = &mut first.sink.events;
@@ -458,9 +478,15 @@ impl Network {
         self.topo.links.len()
     }
 
-    /// The per-hop delay assignments of a session (node index, assignment).
-    pub fn session_hops(&self, id: SessionId) -> &[(u32, DelayAssignment)] {
-        self.topo.route(id.index())
+    /// The per-hop delay assignments of a session (node index, assignment),
+    /// in route order.
+    pub fn session_hops(
+        &self,
+        id: SessionId,
+    ) -> impl ExactSizeIterator<Item = (u32, DelayAssignment)> + '_ {
+        let delays = &self.topo.delays;
+        let route = self.topo.route(id.index()).iter();
+        route.map(|&(node, d)| (node, delays[d as usize]))
     }
 
     /// The outgoing-link parameters of a node.

@@ -142,24 +142,29 @@ pub(crate) struct Topology {
     pub(crate) links: Vec<LinkParams>,
     /// The spec each session was registered with.
     pub(crate) specs: Vec<SessionSpec>,
-    /// `(node index, delay assignment at that node)` along every route,
-    /// session after session.
-    pub(crate) hops: Vec<(u32, DelayAssignment)>,
+    /// `(node index, index in delays)` along every route, session after
+    /// session: 8 bytes a hop.
+    pub(crate) hops: Vec<(u32, u32)>,
+    /// The hops' delay assignments, one entry per run of equal ones in
+    /// hop order: a route, or a class of sessions added one after another,
+    /// stores its assignment once.
+    pub(crate) delays: Vec<DelayAssignment>,
     /// Where each session's route starts in `hops`, then `hops.len()`:
     /// one entry more than there are sessions.
     pub(crate) route_start: Vec<u32>,
 }
 
 impl Topology {
-    /// The route of session `sid` (empty for an unknown session).
-    pub(crate) fn route(&self, sid: usize) -> &[(u32, DelayAssignment)] {
+    /// The route of session `sid` as `(node, index in delays)` (empty for
+    /// an unknown session).
+    pub(crate) fn route(&self, sid: usize) -> &[(u32, u32)] {
         let ends = self.route_start.get(sid).zip(self.route_start.get(sid + 1));
         ends.and_then(|(&from, &to)| self.hops.get(from as usize..to as usize))
             .unwrap_or(&[])
     }
 
     /// Every route, in session order.
-    pub(crate) fn routes(&self) -> impl Iterator<Item = &[(u32, DelayAssignment)]> {
+    pub(crate) fn routes(&self) -> impl Iterator<Item = &[(u32, u32)]> {
         (0..self.specs.len()).map(|sid| self.route(sid))
     }
 
@@ -206,7 +211,6 @@ struct NodeRt {
 struct Injector {
     source: Box<dyn Source>,
     rng: SimRng,
-    next_seq: u64,
     /// Next emission already pulled from the source, awaiting injection.
     pending: Option<Emission>,
     /// The session's reference server (eq. 1), co-simulated at injection.
@@ -377,7 +381,6 @@ impl NodeCore {
         let mut inj = Injector {
             source,
             rng,
-            next_seq: 1, // the paper numbers packets from 1
             pending: None,
             reference: ReferenceServer::new(self.topo.specs.get(sid).map_or(0, |s| s.rate_bps)),
             lane,
@@ -461,10 +464,7 @@ impl NodeCore {
         )]
         let e = s.pending.take().expect("Inject without pending emission");
         debug_assert_eq!(e.at, self.now);
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        let mut pkt = Packet::new(SessionId(sid), seq, e.len_bits, e.at);
-        pkt.ref_delay = s.reference.offer(e.at, e.len_bits).delay;
+        let ref_delay = s.reference.offer(e.at, e.len_bits).delay;
 
         // The next Inject is scheduled before anything the arrival below
         // schedules: same-instant order is emission order.
@@ -477,9 +477,13 @@ impl NodeCore {
             }
         }
 
+        // The first hop's core counts the session's injections, so the
+        // count numbers the packet: from 1, as the paper does.
         let st = owned(&mut self.stats, sid as usize);
         st.injected += 1;
-        st.reference.record(pkt.ref_delay);
+        st.reference.record(ref_delay);
+        let mut pkt = Packet::new(SessionId(sid), st.injected, e.len_bits, e.at);
+        pkt.ref_delay = ref_delay;
 
         let p = self.arena.alloc(pkt);
         self.arrive(p, sink);
@@ -732,7 +736,7 @@ impl NodeCore {
         st.delay_batches.record(delay.as_secs_f64());
         let excess = delay.signed_sub(pkt.ref_delay);
         st.max_excess_ps = st.max_excess_ps.max(excess);
-        st.log_delivery(DeliveryRecord {
+        st.deliveries.push(DeliveryRecord {
             seq: pkt.seq,
             created: pkt.created,
             delivered: delivery,
@@ -794,7 +798,8 @@ mod tests {
         let topo = Arc::new(Topology {
             links: vec![link],
             specs: vec![spec],
-            hops: vec![(0, spec.delay)],
+            hops: vec![(0, 0)],
+            delays: vec![spec.delay],
             route_start: vec![0, 1],
         });
         let factory = |_: &LinkParams| Box::new(Hold) as Box<dyn Discipline>;
@@ -886,6 +891,13 @@ mod tests {
         let seen = &obs.expect("an ObsProbe").shard;
         assert_eq!(seen.violation_total(), totals.total());
         (release, totals, seen.violations.keys().cloned().collect())
+    }
+
+    /// The packet count lives in the statistics row; the injector keeps
+    /// no second one.
+    #[test]
+    fn an_injector_is_104_bytes() {
+        assert_eq!(size_of::<Injector>(), 104);
     }
 
     #[test]

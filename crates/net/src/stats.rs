@@ -29,6 +29,7 @@
 
 use lit_analysis::{BatchMeans, Bins, BusyFraction, DurationHistogram};
 use lit_sim::{Duration, Time};
+use std::collections::{vec_deque, VecDeque};
 
 /// Sizing knobs for the statistics collectors.
 #[derive(Clone, Copy, Debug)]
@@ -102,6 +103,56 @@ impl DeliveryRecord {
     /// Pathwise excess `D_i − D^ref_i` in signed picoseconds.
     pub fn excess_ps(&self) -> i128 {
         self.delay().signed_sub(self.ref_delay)
+    }
+}
+
+/// The optional ring of a session's most recent deliveries: one word
+/// when off, a boxed `(cap, ring)` when [`StatsConfig::delivery_log_cap`]
+/// is positive. Memory stays bounded by the cap whatever the run length.
+#[derive(Clone, Debug)]
+pub struct DeliveryLog(Option<Box<(usize, VecDeque<DeliveryRecord>)>>);
+
+impl DeliveryLog {
+    /// A log keeping the last `cap` records (`0`: off, no allocation).
+    pub(crate) fn new(cap: usize) -> Self {
+        DeliveryLog((cap > 0).then(|| Box::new((cap, VecDeque::new()))))
+    }
+
+    /// Append `rec`, dropping the oldest record when full (no-op when off).
+    pub(crate) fn push(&mut self, rec: DeliveryRecord) {
+        if let Some((cap, ring)) = self.0.as_deref_mut() {
+            if ring.len() == *cap {
+                ring.pop_front();
+            }
+            ring.push_back(rec);
+        }
+    }
+
+    /// The kept records, oldest first.
+    pub fn iter(&self) -> vec_deque::Iter<'_, DeliveryRecord> {
+        self.0
+            .as_deref()
+            .map(|(_, ring)| ring.iter())
+            .unwrap_or_default()
+    }
+
+    /// Number of kept records.
+    pub fn len(&self) -> usize {
+        self.0.as_deref().map_or(0, |(_, ring)| ring.len())
+    }
+
+    /// Whether no record is kept.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<'a> IntoIterator for &'a DeliveryLog {
+    type Item = &'a DeliveryRecord;
+    type IntoIter = vec_deque::Iter<'a, DeliveryRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 
@@ -196,10 +247,9 @@ pub struct SessionStats {
     /// Batch-means accumulator over end-to-end delays (seconds), for
     /// autocorrelation-robust confidence intervals on the mean.
     pub delay_batches: BatchMeans,
-    /// Ring of the most recent deliveries (empty unless
+    /// The most recent deliveries (empty unless
     /// [`StatsConfig::delivery_log_cap`] > 0).
-    pub deliveries: std::collections::VecDeque<DeliveryRecord>,
-    pub(crate) delivery_cap: usize,
+    pub deliveries: DeliveryLog,
     /// Conformance-oracle violations that name this session: every check
     /// on one of its packets, at any hop or at delivery, plus the drain
     /// check of ineq. 16; always 0 when the oracle is off.
@@ -218,8 +268,7 @@ impl SessionStats {
                 .collect(),
             max_excess_ps: i128::MIN,
             delay_batches: BatchMeans::default_config(),
-            deliveries: std::collections::VecDeque::new(),
-            delivery_cap: cfg.delivery_log_cap,
+            deliveries: DeliveryLog::new(cfg.delivery_log_cap),
             oracle_violations: 0,
         }
     }
@@ -259,24 +308,13 @@ impl SessionStats {
         self.max_excess_ps = self.max_excess_ps.max(o.max_excess_ps);
         // Delivery-derived batch means live entirely on the last-hop
         // shard; adopt the one non-empty accumulator.
-        if o.delay_batches.count() > 0 && self.delay_batches.count() == 0 {
+        if o.delivered > 0 && self.delay_batches.count() == 0 {
             self.delay_batches = o.delay_batches.clone();
         }
         for r in &o.deliveries {
-            self.log_delivery(*r);
+            self.deliveries.push(*r);
         }
         self.oracle_violations += o.oracle_violations;
-    }
-
-    /// Append to the delivery ring (no-op when the log is off).
-    pub(crate) fn log_delivery(&mut self, rec: DeliveryRecord) {
-        if self.delivery_cap == 0 {
-            return;
-        }
-        if self.deliveries.len() == self.delivery_cap {
-            self.deliveries.pop_front();
-        }
-        self.deliveries.push_back(rec);
     }
 
     /// Largest observed end-to-end delay.
@@ -302,14 +340,16 @@ impl SessionStats {
     }
 
     /// Batch-means ~95 % confidence interval on the mean end-to-end delay
-    /// `(mean, half_width)`, if enough batches completed.
+    /// `(mean, half_width)`, if enough batches completed. The mean is the
+    /// exact one of [`SessionStats::mean_delay`]; the batches give only
+    /// the half-width.
     #[expect(
         clippy::disallowed_methods,
-        reason = "reporting boundary: a batch-means CI is float statistics, converted back to a Duration for display only"
+        reason = "reporting boundary: a batch-means half-width is float statistics, converted back to a Duration for display only"
     )]
     pub fn mean_delay_ci(&self) -> Option<(Duration, Duration)> {
-        let (m, h) = self.delay_batches.interval()?;
-        Some((Duration::from_secs_f64(m), Duration::from_secs_f64(h)))
+        let h = self.delay_batches.half_width()?;
+        Some((self.mean_delay()?, Duration::from_secs_f64(h)))
     }
 }
 

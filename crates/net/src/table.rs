@@ -4,9 +4,10 @@
 //! [`SessionId`]), so per-session scheduler state never needs a hash map:
 //! a flat table indexed by `id.index()` is both O(1) and cache-linear.
 //! [`SessionTable`] is one row per session, keyed by `SessionId`: the
-//! Leave-in-Time scheduler's eq. 10–11 state and every stateful
-//! baseline's. A table the builder sizes up front ([`SessionTable::reserve`])
-//! is one block of exactly that many rows.
+//! Leave-in-Time scheduler's eq. 11 state (`K` and the index of the
+//! session's shared admission profile) and every stateful baseline's. A
+//! table the builder sizes up front ([`SessionTable::reserve`]) is one
+//! block of exactly that many rows.
 
 #![deny(
     clippy::unwrap_used,

@@ -513,8 +513,8 @@ mod tests {
         let row = |id| {
             let spec = net.session_spec(id);
             let d = |a: &lit_net::DelayAssignment| a.d_max(ATM_CELL_BITS, spec.rate_bps).as_ps();
-            let hops = net.session_hops(id).iter();
-            let hops = hops.map(|(n, a)| (*n, (d(a) + 5_000_000) / 10_000_000));
+            let hops = net.session_hops(id);
+            let hops = hops.map(|(n, a)| (n, (d(&a) + 5_000_000) / 10_000_000));
             (hops.collect(), spec.jitter_control)
         };
         (0..net.num_sessions() as u32)

@@ -150,9 +150,8 @@ pub fn procedure_comparison(cfg: &RunConfig, a_off: Duration) -> Table {
             ("class2-nojc", tagged.class2_nojc),
         ] {
             let m = measure(&net, id, false);
-            let d = net.session_hops(id)[0]
-                .1
-                .d_max(424, net.session_spec(id).rate_bps);
+            let (_, first_hop) = net.session_hops(id).next().expect("a route has a hop");
+            let d = first_hop.d_max(424, net.session_spec(id).rate_bps);
             t.push(vec![
                 name.to_string(),
                 label.to_string(),

@@ -10,8 +10,8 @@
 use leave_in_time::analysis::DurationHistogram;
 use leave_in_time::core::LitDiscipline;
 use leave_in_time::net::{
-    LinkParams, Network, NetworkBuilder, OccupancyHistogram, SessionId, SessionSpec, SessionStats,
-    StatsConfig,
+    DelayAssignment, LinkParams, Network, NetworkBuilder, OccupancyHistogram, SessionId,
+    SessionSpec, SessionStats, StatsConfig,
 };
 use leave_in_time::sim::{Duration, Time};
 use leave_in_time::traffic::DeterministicSource;
@@ -76,8 +76,11 @@ fn live(since: (isize, isize)) -> (isize, isize) {
 /// `lit-bench`'s `sessions_100k` builder at `n` sessions: 2-node T1
 /// tandem, reserved rate 0.8·C/n each, every second session
 /// jitter-controlled, phases spread over one gap plus 37 ns,
-/// `StatsConfig::compact()`.
-fn sessions(n: u64) -> Network {
+/// `StatsConfig::compact()`. With `distinct`, the traffic stays the same
+/// but session `i` reserves `i` bit/s more and gets its own rule (1.3)
+/// assignment, so no two sessions share a rate or a delay (the
+/// reservations overbook the link: nothing here checks a bound).
+fn sessions(n: u64, distinct: bool) -> Network {
     let link = LinkParams::paper_t1();
     let mut b = NetworkBuilder::new().seed(1).stats(StatsConfig::compact());
     let nodes = b.tandem(2, link);
@@ -86,11 +89,42 @@ fn sessions(n: u64) -> Network {
     for i in 0..n {
         let mut spec = SessionSpec::atm(SessionId(0), rate);
         spec.jitter_control = i % 2 == 1;
+        if distinct {
+            spec.rate_bps += i;
+            spec.delay = DelayAssignment::Linear {
+                num: link.rate_bps,
+                den: u128::from(spec.rate_bps) * u128::from(link.rate_bps),
+                base: Duration::from_ms(1) + Duration::from_ns(i),
+            };
+        }
         let offset = gap * i / n + Duration::from_ns(37);
         let source = DeterministicSource::new(gap, 424).with_offset(offset);
         b.add_session(spec, &nodes, Box::new(source));
     }
     b.build(&LitDiscipline::factory())
+}
+
+/// Build `n` sessions, run `secs` simulated seconds, and return the
+/// blocks per session live after the build, then the bytes and blocks per
+/// session live at the horizon.
+fn live_per_session(n: u64, secs: u64, distinct: bool) -> (f64, f64, f64) {
+    let before = LIVE.get();
+    let mut net = sessions(n, distinct);
+    let (_, built_blocks) = live(before);
+    net.run_until(Time::ZERO + Duration::from_secs(secs));
+    let (bytes, blocks) = live(before);
+    assert!(net.session_stats(SessionId(0)).delivered > 0);
+    let per_session = |x: isize| x as f64 / n as f64;
+    let (built, bytes, blocks) = (
+        per_session(built_blocks),
+        per_session(bytes),
+        per_session(blocks),
+    );
+    println!(
+        "{n} sessions (distinct: {distinct}): {built:.2} blocks/session after build; \
+         {bytes:.1} B in {blocks:.2} blocks/session at {secs} s"
+    );
+    (built, bytes, blocks)
 }
 
 /// Build `n` sessions, run `secs` simulated seconds, and hold the heap
@@ -99,30 +133,19 @@ fn sessions(n: u64) -> Network {
 /// away, the 100 000-session build read 2 112 B in 8.0 blocks per session
 /// (EXPERIMENTS.md, "Performance", has the table by allocation site).
 fn hold_to_budget(n: u64, secs: u64) {
-    let before = LIVE.get();
-    let mut net = sessions(n);
-    let (_, built_blocks) = live(before);
-    net.run_until(Time::ZERO + Duration::from_secs(secs));
-    let (bytes, blocks) = live(before);
-    let per_session = |x: isize| x as f64 / n as f64;
-    println!(
-        "{n} sessions: {:.2} blocks/session after build; {:.1} B in {:.2} blocks/session at {secs} s",
-        per_session(built_blocks),
-        per_session(bytes),
-        per_session(blocks),
-    );
+    let (built_blocks, bytes, blocks) = live_per_session(n, secs, false);
     // A boxed source and the per-hop rows, and a few dozen tables.
     assert!(
-        per_session(built_blocks) <= 2.01,
-        "{built_blocks} blocks after build"
+        built_blocks <= 2.01,
+        "{built_blocks} blocks/session after build"
     );
     // Plus two hop prefixes, and an e2e prefix on the half that is not
     // jitter-controlled (the other half's delays all overflow 1 s).
-    assert!(per_session(blocks) <= 5.0, "{blocks} blocks at {secs} s");
-    // LiT's two 80-byte rows included, sized once at build: 1 188 B at
-    // 10 000 sessions and 75 s, 1 290 B if the row tables regrow.
-    assert!(per_session(bytes) <= 1_200.0, "{bytes} B live at {secs} s");
-    assert!(net.session_stats(SessionId(0)).delivered > 0);
+    assert!(blocks <= 5.0, "{blocks} blocks/session at {secs} s");
+    // LiT's two 16-byte rows included, sized once at build, and one
+    // shared profile and route delay: 860 B at 10 000 sessions and 75 s
+    // (1 188 B when the rows, the route and the statistics copied them).
+    assert!(bytes <= 900.0, "{bytes} B/session live at {secs} s");
 }
 
 /// A histogram holds one word per bin up to the highest bin hit — nothing
@@ -149,12 +172,30 @@ fn a_histogram_costs_the_prefix_it_reached() {
 #[test]
 fn a_compact_session_fits_its_budget() {
     hold_to_budget(10_000, 75);
-    assert!(size_of::<SessionStats>() <= 384);
+    assert!(size_of::<SessionStats>() <= 288);
     assert!(
         size_of::<OccupancyHistogram>() <= 64,
         "one cache line a hop"
     );
 }
+
+/// No two sessions alike: whatever is stored once per distinct rate or
+/// delay assignment is stored once per session here, and must still cost
+/// no more than the per-row copies did.
+#[test]
+fn distinct_sessions_cost_no_more_than_copies_did() {
+    let (_, bytes, _) = live_per_session(10_000, 75, true);
+    assert!(
+        bytes <= PARENT_DISTINCT_BYTES_PER_SESSION,
+        "{bytes} B/session live at 75 s"
+    );
+}
+
+/// What `distinct_sessions_cost_no_more_than_copies_did` read when every
+/// LiT row, route hop and statistics row held its own copy of the
+/// session's rate and delay assignment (80-byte LiT rows, 64-byte route
+/// hops, 368-byte statistics rows): 11 950 333 B over 10 000 sessions.
+const PARENT_DISTINCT_BYTES_PER_SESSION: f64 = 1_195.033_3;
 
 /// The benchmark's own size and horizon (~10 s with `-O`).
 #[test]
@@ -166,8 +207,8 @@ fn sessions_100k_fits_its_budget() {
 /// The paper-sized runs size their histograms at `StatsConfig::default()`
 /// (4 000 + 4 000 + 256·hops words a session). Live heap at the end of
 /// `gen_tandem_ladder.scn`'s own 10 s run, 36 sessions of which four
-/// cross all 8 hops: 2 530 565 B in 421 blocks at the parent commit,
-/// 105 143 B in 349 blocks here.
+/// cross all 8 hops: 2 530 565 B in 421 blocks with dense bin arrays,
+/// 82 125 B in 303 blocks with bins grown on first hit.
 #[test]
 fn a_paper_sized_run_pays_for_the_bins_it_hit() {
     let path = format!(
