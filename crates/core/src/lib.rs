@@ -9,9 +9,10 @@
 //! * [`ClassedAdmission`] (procedures 1 and 2) and [`Ac3Fast`]
 //!   (procedure 3, incremental and residency-independent, with
 //!   teardown) — the delay-shifting admission control framework;
-//! * [`ConnectionManager`] — all-or-nothing end-to-end establishment with
+//! * [`establish`] — all-or-nothing end-to-end establishment with
 //!   rollback, per the paper's "satisfied in all the nodes along the
-//!   session's route";
+//!   session's route", over any per-node admission controller;
+//!   [`ConnectionManager`] runs it over one [`ClassedAdmission`] per node;
 //! * [`PathBounds`] — the service commitments as executable formulas:
 //!   end-to-end delay (ineq. 12/15), delay distribution (ineq. 16), delay
 //!   jitter (ineq. 17), and per-node buffer space.
@@ -37,5 +38,5 @@ pub use admission::{
     AdmissionError, ClassedAdmission, ConfigError, DRule, DelayClass, Procedure, SessionRequest,
 };
 pub use bounds::{install_oracle_bounds, stop_and_go_comparison, HopSpec, PathBounds};
-pub use connection::{Connection, ConnectionManager, EstablishError};
+pub use connection::{establish, Connection, ConnectionManager, EstablishError};
 pub use discipline::LitDiscipline;

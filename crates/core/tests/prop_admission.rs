@@ -181,18 +181,17 @@ fn connection_manager_conserves_capacity() {
         let mut shadow = [0u64; 5]; // committed rate per node
         for (a, b, rate) in script {
             let (lo, hi) = (a.min(b), a.max(b));
-            let route: Vec<usize> = (lo..=hi).collect();
             let req = SessionRequest::new(rate, 424);
-            match cm.establish(&route, 0, req, DRule::PerPacket) {
+            match cm.establish(lo..=hi, 0, req, DRule::PerPacket) {
                 Ok(c) => {
-                    for &n in &c.route {
+                    for &(n, _) in &c.assignments {
                         shadow[n] += rate;
                     }
                     live.push(c);
                 }
                 Err(_) => {
                     if let Some(c) = live.pop() {
-                        for &n in &c.route {
+                        for &(n, _) in &c.assignments {
                             shadow[n] -= c.request.rate_bps;
                         }
                         cm.teardown(&c);

@@ -185,7 +185,7 @@ impl NetworkBuilder {
     pub fn add_session_with_hops(
         &mut self,
         spec: SessionSpec,
-        hops: Vec<(u32, DelayAssignment)>,
+        hops: impl IntoIterator<Item = (u32, DelayAssignment)>,
         source: Box<dyn Source>,
     ) -> SessionId {
         self.push_session(spec, hops, source)

@@ -9,7 +9,8 @@ use crate::scenario::RunOptions;
 use crate::topology::{cross_routes, five_hop, mix_routes, paper_tandem, Route};
 use lit_analysis::DurationHistogram;
 use lit_core::{
-    ClassedAdmission, DRule, DelayClass, LitDiscipline, PathBounds, Procedure, SessionRequest,
+    ClassedAdmission, ConnectionManager, DRule, DelayClass, LitDiscipline, PathBounds, Procedure,
+    SessionRequest,
 };
 use lit_net::{
     DisciplineFactory, Network, NetworkBuilder, NodeId, OccupancyHistogram, QueueKind, SessionId,
@@ -277,14 +278,13 @@ pub fn fine_stats() -> StatsConfig {
     }
 }
 
-/// The paper's five T1 nodes in tandem (Fig. 6), every session admitted
-/// hop by hop before it joins: the one place the experiments establish a
-/// session. Ids, and with them each session's RNG stream, follow
-/// [`Tandem::admit`] order.
+/// The paper's five T1 nodes in tandem (Fig. 6), every session
+/// established through a [`ConnectionManager`] before it joins: the one
+/// place the experiments establish a session. Ids, and with them each
+/// session's RNG stream, follow [`Tandem::admit`] order.
 pub(crate) struct Tandem {
     b: NetworkBuilder,
-    nodes: Vec<NodeId>,
-    admission: Vec<ClassedAdmission>,
+    cm: ConnectionManager,
     rule: DRule,
     queue: QueueKind,
 }
@@ -294,11 +294,12 @@ impl Tandem {
     /// the exact eligible queue and `admission` under `rule` at every node.
     pub(crate) fn new(seed: u64, admission: ClassedAdmission, rule: DRule) -> Self {
         let mut b = NetworkBuilder::new().seed(seed).stats(fine_stats());
+        // A fresh builder numbers the tandem's nodes 0..5, the indices
+        // the connection manager and `Route::node_indices` use.
         let nodes = paper_tandem(&mut b);
         Tandem {
-            admission: vec![admission; nodes.len()],
+            cm: ConnectionManager::new(vec![admission; nodes.len()]),
             b,
-            nodes,
             rule,
             queue: QueueKind::Exact,
         }
@@ -334,18 +335,14 @@ impl Tandem {
         source: impl Source + 'static,
     ) -> SessionId {
         let req = SessionRequest::new(rate, ATM_CELL_BITS);
-        let hops = route
-            .node_indices()
-            .map(|n| {
-                let d = self.admission[n]
-                    .try_admit(class, &req, self.rule)
-                    .expect("the paper's configurations fit every link; admission must pass");
-                (self.nodes[n].0, d)
-            })
-            .collect();
+        let conn = self
+            .cm
+            .establish(route.node_indices(), class, req, self.rule)
+            .expect("the paper's configurations fit every link; admission must pass");
         let mut spec = SessionSpec::atm(SessionId(0), rate);
         spec.jitter_control = jc;
-        self.b.add_session_with_hops(spec, hops, Box::new(source))
+        self.b
+            .add_session_with_hops(spec, conn.hops(), Box::new(source))
     }
 
     /// The Leave-in-Time network. A bucketed eligible queue deliberately

@@ -158,26 +158,25 @@ impl SessionLine {
         }
     }
 
-    /// Establish this session hop by hop against per-node procedure-3
-    /// state; a refusal releases the hops already granted.
+    /// Establish this session against per-node procedure-3 state through
+    /// [`lit_core::establish`]; a refusal releases the hops already
+    /// granted and names the refusing node.
     fn ac3_establish(&self, nodes: &mut [Ac3Fast]) -> Ac3Verdict {
         let len = self.source.len();
         let d = self
             .d
             .unwrap_or_else(|| Duration::from_bits_at_rate(len as u64, self.rate));
-        let mut granted = Vec::new();
-        for n in self.route_nodes() {
-            match nodes[n].try_admit(self.rate, len, d) {
-                Ok((h, _)) => granted.push((n, h)),
-                Err(e) => {
-                    for (m, h) in granted {
-                        nodes[m].release(h);
-                    }
-                    return Err((n, e));
-                }
-            }
-        }
-        Ok(())
+        let route = self.route_nodes();
+        lit_core::establish(
+            nodes,
+            route.iter().copied(),
+            |n| n.try_admit(self.rate, len, d).map(|(h, _)| h),
+            |n, h| {
+                n.release(h);
+            },
+        )
+        .map(|_| ())
+        .map_err(|e| (route[e.hop], e.error))
     }
 
     /// Human-readable route for report tables.
@@ -294,6 +293,10 @@ fn cbr_line(
     }
 }
 
+/// The most nodes a scenario may ask for, by its `nodes` directive or a
+/// generator stanza: a run allocates per node, and node ids are `u32`.
+const MAX_NODES: usize = 4_096;
+
 /// A `generate` stanza: a parameterized scenario family that
 /// [`Scenario::expanded`] resolves into concrete CBR session lines at a
 /// target offered load ρ.
@@ -406,8 +409,8 @@ impl GenSpec {
                     rho_bp,
                     len,
                 };
-                if g.num_nodes() > 4_096 {
-                    return Err("generate fattree: more than 4096 nodes".into());
+                if g.num_nodes() > MAX_NODES {
+                    return Err(format!("generate fattree: more than {MAX_NODES} nodes"));
                 }
                 g
             }
@@ -415,7 +418,7 @@ impl GenSpec {
                 allow(&["nodes", "flows", "rho", "len"])?;
                 let nodes = req("nodes")?;
                 let flows = req("flows")?;
-                if nodes == 0 || nodes > 4_096 || flows == 0 || flows > 4_096 {
+                if nodes == 0 || nodes > MAX_NODES || flows == 0 || flows > 4_096 {
                     return Err("generate wan: nodes/flows out of range [1, 4096]".into());
                 }
                 GenSpec::Wan {
@@ -774,8 +777,10 @@ impl Scenario {
         let mut regulator_line = 0;
         let mut horizon = None;
         // `(line, packet length)` of every session and generator stanza,
-        // held against `lmax` once the whole file is read.
+        // held against `lmax` once the whole file is read; `(line, highest
+        // node)` of every session, held against the node count.
         let mut lens = Vec::new();
+        let mut highs = Vec::new();
 
         let err = |line: usize, message: String| ParseError { line, message };
 
@@ -812,6 +817,9 @@ impl Scenario {
                         .ok_or_else(|| err(ln, "nodes: missing count".into()))?
                         .parse()
                         .map_err(|_| err(ln, "nodes: bad count".into()))?;
+                    if count > MAX_NODES {
+                        return Err(err(ln, format!("nodes: more than {MAX_NODES}")));
+                    }
                     for tok in toks {
                         match keyval(tok) {
                             ("rate", Some(v)) => {
@@ -970,6 +978,7 @@ impl Scenario {
                         }
                     }
                     lens.push((ln, source.len()));
+                    highs.push((ln, path.iter().flatten().copied().fold(b, usize::max)));
                     sessions.push(SessionLine {
                         first: a,
                         last: b,
@@ -1007,11 +1016,8 @@ impl Scenario {
             let lmax = link.lmax_bits;
             return Err(err(ln, format!("packet length {len} exceeds lmax={lmax}")));
         }
-        for s in &sessions {
-            let hi = s.route_nodes().into_iter().max().unwrap_or(0);
-            if hi >= nodes {
-                return Err(err(0, format!("route ends at node {hi} of {nodes}")));
-            }
+        if let Some(&(ln, hi)) = highs.iter().find(|&&(_, hi)| hi >= nodes) {
+            return Err(err(ln, format!("route ends at node {hi} of {nodes}")));
         }
         if sessions.is_empty() && generators.is_empty() {
             return Err(err(0, "no sessions defined".into()));
@@ -1165,8 +1171,8 @@ impl Scenario {
     /// (the CLI's `--ac3` flag), one [`Ac3Fast`] per node at the
     /// scenario's link rate. Returns one verdict per session in
     /// definition order; a session admits only if every node on its
-    /// route accepts it (a mid-route rejection rolls back the hops
-    /// already granted, mirroring [`lit_core::ConnectionManager`]).
+    /// route accepts it (one [`lit_core::establish`] per session, so a
+    /// mid-route rejection rolls back the hops already granted).
     ///
     /// The per-hop delay submitted is the session's `d=` option when
     /// present, else the `L/r` default the run itself would use. A
@@ -1607,6 +1613,10 @@ run 10s
             "nodes 2\ngenerate tandem(n=2,rho=0.5,len=848)\nrun 1s => 848 exceeds lmax=424",
             "nodes 2\nqueue bucket=0ms\nrun 1s => queue: bucket must be positive",
             "nodes 2\nregulator interleaved\ndiscipline fcfs\nrun 1s => runs discipline lit only",
+            "nodes 2\nsession route=0..5 rate=1 source=cbr(gap=1ms,len=1)\nrun 1s => node 5 of 2",
+            "nodes 2\nsession path=0,7 rate=1 source=cbr(gap=1ms,len=1)\nrun 1s => node 7 of 2",
+            // Parsing only: the count is refused before anything is built.
+            "nodes 4097\nrun 1s => nodes: more than 4096",
         ];
         // The options of `session route=0..1` on a 2-node network.
         let session = [

@@ -34,10 +34,9 @@ fn main() {
         let a = (rng.below(NODES as u64)) as usize;
         let b = (rng.below(NODES as u64)) as usize;
         let (lo, hi) = (a.min(b), a.max(b));
-        let route: Vec<usize> = (lo..=hi).collect();
         let rate = [32_000u64, 64_000, 128_000, 256_000][rng.below(4) as usize];
         let req = SessionRequest::new(rate, ATM_CELL_BITS);
-        match cm.establish(&route, 0, req, DRule::PerPacket) {
+        match cm.establish(lo..=hi, 0, req, DRule::PerPacket) {
             Ok(conn) => {
                 // Admitted: become a real (shaped, hence conforming)
                 // session in the network.

@@ -15,7 +15,8 @@
 #![forbid(unsafe_code)]
 
 use leave_in_time::core::{
-    ClassedAdmission, DRule, DelayClass, LitDiscipline, PathBounds, Procedure, SessionRequest,
+    ClassedAdmission, ConnectionManager, DRule, DelayClass, LitDiscipline, PathBounds, Procedure,
+    SessionRequest,
 };
 use leave_in_time::net::{LinkParams, NetworkBuilder, SessionId, SessionSpec};
 use leave_in_time::prelude::*;
@@ -41,34 +42,23 @@ fn main() {
 
     let mut builder = NetworkBuilder::new().seed(3);
     let nodes = builder.tandem(HOPS, LinkParams::paper_t1());
-    let mut admission: Vec<ClassedAdmission> = nodes
-        .iter()
-        .map(|_| {
-            ClassedAdmission::new(Procedure::Proc2, 1_536_000, classes.clone())
-                .expect("valid class ladder")
-        })
-        .collect();
+    let node =
+        ClassedAdmission::new(Procedure::Proc2, 1_536_000, classes).expect("valid class ladder");
+    let mut cm = ConnectionManager::new(vec![node; nodes.len()]);
 
     let req = SessionRequest::new(32_000, ATM_CELL_BITS);
     let mut ids = Vec::new();
     for i in 0..SESSIONS {
         let class = usize::from(i >= CLASS1); // first CLASS1 sessions → class 1
-        let hops: Vec<_> = nodes
-            .iter()
-            .enumerate()
-            .map(|(n, node)| {
-                let a = admission[n]
-                    .try_admit(class, &req, DRule::PerSessionMax)
-                    .expect("configuration chosen to pass all tests");
-                (node.0, a)
-            })
-            .collect();
+        let conn = cm
+            .establish(0..nodes.len(), class, req, DRule::PerSessionMax)
+            .expect("configuration chosen to pass all tests");
         // Voice-like bursts at 80 % duty: enough contention for the class
         // hierarchy to matter.
         let src = OnOffSource::new(OnOffConfig::paper_voice(Duration::from_ms(88)));
         let id = builder.add_session_with_hops(
             SessionSpec::atm(SessionId(0), 32_000),
-            hops,
+            conn.hops(),
             Box::new(src),
         );
         ids.push((class, id));

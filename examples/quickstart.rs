@@ -12,7 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-use leave_in_time::core::{ClassedAdmission, DRule, LitDiscipline, PathBounds, SessionRequest};
+use leave_in_time::core::{ConnectionManager, DRule, LitDiscipline, PathBounds, SessionRequest};
 use leave_in_time::net::{LinkParams, NetworkBuilder, SessionId, SessionSpec};
 use leave_in_time::prelude::*;
 use leave_in_time::traffic::{PoissonSource, ShapedSource, ATM_CELL_BITS};
@@ -26,23 +26,13 @@ fn main() {
     // One admission controller per node; the session must pass at every
     // hop (the paper's "admission control tests ... in all the nodes along
     // the session's route").
-    let mut admission: Vec<ClassedAdmission> = nodes
-        .iter()
-        .map(|_| ClassedAdmission::one_class(1_536_000))
-        .collect();
+    let mut cm = ConnectionManager::one_class(nodes.len(), 1_536_000);
 
     let rate = 64_000;
     let req = SessionRequest::new(rate, ATM_CELL_BITS);
-    let hops: Vec<_> = nodes
-        .iter()
-        .enumerate()
-        .map(|(n, node)| {
-            let assignment = admission[n]
-                .try_admit(0, &req, DRule::PerPacket)
-                .expect("link has room for 64 kbit/s");
-            (node.0, assignment)
-        })
-        .collect();
+    let conn = cm
+        .establish(0..nodes.len(), 0, req, DRule::PerPacket)
+        .expect("link has room for 64 kbit/s");
 
     // The session's traffic: Poisson at ~80 % of the reservation, shaped
     // through a (r, 3-cell) token bucket so the closed-form delay bound
@@ -53,18 +43,21 @@ fn main() {
         rate,
         bucket_depth,
     );
-    let session =
-        builder.add_session_with_hops(SessionSpec::atm(SessionId(0), rate), hops, Box::new(source));
+    let session = builder.add_session_with_hops(
+        SessionSpec::atm(SessionId(0), rate),
+        conn.hops(),
+        Box::new(source),
+    );
 
     // Background: one best-effort-ish heavy Poisson session per hop.
     for node in &nodes {
         let bg_req = SessionRequest::new(1_400_000, ATM_CELL_BITS);
-        let a = admission[node.index()]
-            .try_admit(0, &bg_req, DRule::PerPacket)
+        let bg = cm
+            .establish([node.index()], 0, bg_req, DRule::PerPacket)
             .expect("background fits");
         builder.add_session_with_hops(
             SessionSpec::atm(SessionId(0), 1_400_000),
-            vec![(node.0, a)],
+            bg.hops(),
             Box::new(PoissonSource::new(Duration::from_us(310), ATM_CELL_BITS)),
         );
     }
