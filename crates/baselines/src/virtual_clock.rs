@@ -58,6 +58,7 @@ impl Discipline for VirtualClockDiscipline {
         );
     }
 
+    /// Paper: eq. 2
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
         let s = self.sessions.registered_mut(pkt.session);
         let service = Duration::from_bits_at_rate(pkt.len_bits as u64, s.rate_bps);

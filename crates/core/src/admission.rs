@@ -260,6 +260,7 @@ impl ClassedAdmission {
     /// (0-based), without admitting it. This is the pure rule
     /// (1.3)/(1.3a)/(2.3)/(2.3a) arithmetic, used by the paper's worked
     /// examples.
+    /// Paper: (1.3), (1.3a), (2.3), (2.3a)
     pub fn d_assignment(&self, class: usize, req: &SessionRequest, rule: DRule) -> DelayAssignment {
         let (num_bps, sigma) = match self.procedure {
             // Rule (1.3): slope R_j, offset σ_{j-1} (σ_0 = 0).
@@ -299,6 +300,7 @@ impl ClassedAdmission {
     /// Try to admit a session into `class` (0-based). On success the
     /// session's resources are recorded and its [`DelayAssignment`] for
     /// this node is returned.
+    /// Paper: (1.1), (1.2), (2.2)
     pub fn try_admit(
         &mut self,
         class: usize,

@@ -154,10 +154,18 @@ impl Ac3Witness {
             let rd = c.d.picobits_at_rate(c.rate_bps);
             sum_rd = sum_rd.checked_add(rd.checked_mul(n)?)?;
         }
-        let lhs = sum_l.checked_mul(sum_r)?.checked_mul(PS)?;
-        let rhs = (link_bps as u128).checked_mul(sum_rd)?;
-        Some(lhs > rhs)
+        ineq19_violated(link_bps, sum_l, sum_r, sum_rd)
     }
+}
+
+/// Whether a set with totals `Σ L`, `Σ r`, `Σ r·d` breaks ineq. (19) on a
+/// link of `link_bps`: `PS·Σ L·Σ r > C·Σ r·d`, cross-multiplied exactly;
+/// `None` if a product overflows `u128`.
+/// Paper: ineq. 19
+fn ineq19_violated(link_bps: u64, sum_l: u128, sum_r: u128, sum_rd: u128) -> Option<bool> {
+    let lhs = sum_l.checked_mul(sum_r)?.checked_mul(PS)?;
+    let rhs = (link_bps as u128).checked_mul(sum_rd)?;
+    Some(lhs > rhs)
 }
 
 /// Rejections from the fast procedure-3 service.
@@ -300,6 +308,7 @@ impl Ac3Fast {
     /// Try to admit a session with rate `rate_bps`, maximum length
     /// `max_len_bits`, and requested constant delay `d`. On success
     /// returns the teardown handle and the granted (fixed) assignment.
+    /// Paper: ineq. 18
     pub fn try_admit(
         &mut self,
         rate_bps: u64,
@@ -391,17 +400,9 @@ impl Ac3Fast {
         Ac3Handle { slot: idx, gen: 0 }
     }
 
-    /// Is ineq. (19) violated for the set with totals `(sum_l, sum_r,
-    /// sum_rd)`? Exact cross-multiplied comparison, `Err` on overflow.
+    /// [`ineq19_violated`] on this link, `Err` on overflow.
     fn violated(&self, sum_l: u128, sum_r: u128, sum_rd: u128) -> Result<bool, Ac3FastError> {
-        let lhs = sum_l
-            .checked_mul(sum_r)
-            .and_then(|p| p.checked_mul(PS))
-            .ok_or(Ac3FastError::Overflow)?;
-        let rhs = (self.link_bps as u128)
-            .checked_mul(sum_rd)
-            .ok_or(Ac3FastError::Overflow)?;
-        Ok(lhs > rhs)
+        ineq19_violated(self.link_bps, sum_l, sum_r, sum_rd).ok_or(Ac3FastError::Overflow)
     }
 
     /// The full subset test for one candidate class key.

@@ -109,17 +109,20 @@ impl PathBounds {
             .d_max(self.max_len_bits, self.rate_bps)
     }
 
-    /// `β^{1,N}` (eq. 13): fixed per-hop overheads plus the delay
-    /// increments of all hops but the last.
-    pub fn beta(&self) -> Duration {
-        let mut beta = Duration::ZERO;
-        for h in &self.hops {
-            beta += h.link.lmax_time() + h.link.propagation;
-        }
-        for n in 0..self.hops.len() - 1 {
-            beta += self.d_max(n);
-        }
-        beta
+    /// `β^{1,N}` (eq. 13) in signed picoseconds, exact past `u64::MAX`:
+    /// fixed per-hop overheads plus the delay increments of all hops but
+    /// the last.
+    /// Paper: eq. 13
+    pub fn beta_ps(&self) -> i128 {
+        let overheads: i128 = self
+            .hops
+            .iter()
+            .map(|h| i128::from(h.link.lmax_time()) + i128::from(h.link.propagation))
+            .sum();
+        let increments: i128 = (0..self.hops.len() - 1)
+            .map(|n| i128::from(self.d_max(n)))
+            .sum();
+        overheads + increments
     }
 
     /// `α^N = max_i { d^N_i − L_i/r }` in signed picoseconds. All three
@@ -139,33 +142,53 @@ impl PathBounds {
     /// `β + α` in signed picoseconds — the shift of ineq. 16 and the
     /// "+ constants" of ineq. 12.
     pub fn shift_ps(&self) -> i128 {
-        i128::from(self.beta()) + self.alpha_ps()
+        self.beta_ps() + self.alpha_ps()
     }
 
-    /// `δⁿ_max = L_MAX/Cₙ + dⁿ_max − L_min,s/Cₙ` — hop `n`'s jitter
-    /// contribution (0-based).
-    pub fn delta_max(&self, n: usize) -> Duration {
-        let link = &self.hops[n].link;
-        let lmin = Duration::from_bits_at_rate(self.min_len_bits as u64, link.rate_bps);
-        link.lmax_time() + self.d_max(n) - lmin
+    /// The jitter accumulated upstream of hop `n` (0-based), in signed
+    /// picoseconds: `δ^{n−1}_max` with jitter control, `Δ^{1,n−1}` without,
+    /// zero at the first hop; `δᵐ_max = L_MAX/Cₘ + dᵐ_max − L_min,s/Cₘ`.
+    fn upstream_ps(&self, n: usize, jitter_control: bool) -> i128 {
+        let first = if jitter_control {
+            n.saturating_sub(1)
+        } else {
+            0
+        };
+        let delta_max = |m: usize| {
+            let link = &self.hops[m].link;
+            i128::from(link.lmax_time()) + self.d_max(m).signed_sub(link.tx_time(self.min_len_bits))
+        };
+        (first..n).map(delta_max).sum()
     }
 
-    /// `Δ^{1,n} = Σ_{m=1..n} δᵐ_max` over the first `n` hops (0 ⇒ zero).
-    pub fn delta_sum(&self, n: usize) -> Duration {
-        (0..n).map(|m| self.delta_max(m)).sum()
+    /// The window of a session's bits present at hop `n` beyond its
+    /// reference delay: `upstream + L_MAX/Cₙ + dⁿ_max`.
+    fn buffer_window_ps(&self, n: usize, jitter_control: bool) -> i128 {
+        self.upstream_ps(n, jitter_control)
+            + i128::from(self.hops[n].link.lmax_time())
+            + i128::from(self.d_max(n))
     }
 
     /// Upper bound on end-to-end delay (ineq. 12), given the session's
     /// reference-server delay bound `D^ref_max`.
+    /// Paper: ineq. 12
     pub fn delay_bound(&self, dref_max: Duration) -> Duration {
         Duration::from_signed_clamped(i128::from(dref_max) + self.shift_ps())
+    }
+
+    /// `D^ref_max = b₀/r` for a session conforming to a token bucket
+    /// `(r_s, b₀)`.
+    /// Paper: eq. 14
+    pub fn dref_token_bucket(&self, b0_bits: u64) -> Duration {
+        Duration::from_bits_at_rate(b0_bits, self.rate_bps)
     }
 
     /// Ineq. (15): the delay bound for a session conforming to a token
     /// bucket `(r_s, b₀)`, using `D^ref_max = b₀/r` (eq. 14). With
     /// `d = L/r` at every hop this is exactly the PGPS bound.
+    /// Paper: ineq. 15
     pub fn delay_bound_token_bucket(&self, b0_bits: u64) -> Duration {
-        self.delay_bound(Duration::from_bits_at_rate(b0_bits, self.rate_bps))
+        self.delay_bound(self.dref_token_bucket(b0_bits))
     }
 
     /// Upper bound on end-to-end delay **jitter** (max − min delay over
@@ -185,17 +208,11 @@ impl PathBounds {
     /// * with jitter control: `r·(D^ref_max + δ^{n−1}_max + L_MAX/Cₙ + dⁿ_max)`,
     ///
     /// with `δ⁰ = Δ^{1,0} = 0`. Rounded **up** to stay a valid bound.
+    /// Paper: buffer (no JC), buffer (JC)
     pub fn buffer_bound_bits(&self, dref_max: Duration, n: usize, jitter_control: bool) -> u64 {
-        let upstream = if n == 0 {
-            Duration::ZERO
-        } else if jitter_control {
-            self.delta_max(n - 1)
-        } else {
-            self.delta_sum(n)
-        };
-        let window = dref_max + upstream + self.hops[n].link.lmax_time() + self.d_max(n);
+        let window = i128::from(dref_max) + self.buffer_window_ps(n, jitter_control);
         // ceil(window · r) bits.
-        window.bits_at_rate_ceil(self.rate_bps)
+        Duration::from_signed_clamped(window).bits_at_rate_ceil(self.rate_bps)
     }
 
     /// Upper bound on the buffer-space *distribution* at hop `n`:
@@ -216,14 +233,7 @@ impl PathBounds {
         jitter_control: bool,
         q_bits: u64,
     ) -> f64 {
-        let upstream = if n == 0 {
-            Duration::ZERO
-        } else if jitter_control {
-            self.delta_max(n - 1)
-        } else {
-            self.delta_sum(n)
-        };
-        let fixed = upstream + self.hops[n].link.lmax_time() + self.d_max(n);
+        let fixed = Duration::from_signed_clamped(self.buffer_window_ps(n, jitter_control));
         // q bits at rate r take q/r seconds to accumulate.
         let q_time = Duration::from_bits_at_rate(q_bits, self.rate_bps);
         match q_time.checked_sub(fixed) {
@@ -238,17 +248,13 @@ impl PathBounds {
     /// compare against the *empirical* reference maximum — both bound
     /// forms are pathwise in `D^ref_i`, so the substitution stays a
     /// theorem).
+    /// Paper: ineq. 17, jitter (no JC)
     pub fn oracle_bounds(&self, jitter_control: bool) -> lit_net::SessionBounds {
         let n = self.hops.len();
-        let upstream = if jitter_control {
-            self.delta_max(n - 1)
-        } else {
-            self.delta_sum(n)
-        };
-        let spread_ps = upstream.signed_sub(self.d_max(n - 1));
+        let upstream = self.upstream_ps(n, jitter_control);
         lit_net::SessionBounds {
             shift_ps: self.shift_ps(),
-            jitter_spread_ps: spread_ps + self.alpha_ps(),
+            jitter_spread_ps: upstream - i128::from(self.d_max(n - 1)) + self.alpha_ps(),
         }
     }
 
@@ -259,6 +265,7 @@ impl PathBounds {
     /// `ref_ccdf` may be analytic (e.g. `lit_analysis::Md1::sojourn_ccdf`)
     /// or empirical (a measured reference-server histogram — the paper's
     /// "simulated upper bound").
+    /// Paper: ineq. 16
     pub fn delay_ccdf_bound<F: Fn(Duration) -> f64>(&self, ref_ccdf: F, d: Duration) -> f64 {
         let arg_ps = i128::from(d) - self.shift_ps();
         if arg_ps < 0 {
@@ -275,7 +282,8 @@ impl PathBounds {
 /// Stop-and-Go's end-to-end delay is `αHT ± T` with `α ∈ [1, 2)` while the
 /// per-link increase of the Leave-in-Time bound is `L_MAX/C + d_max`.
 /// Returns `(sng_low, sng_high, lit_bound)` end-to-end bounds over `hops`
-/// identical links, reproducing the paper's worked example.
+/// identical links (at least one), reproducing the paper's worked
+/// example, whose links have no propagation delay.
 pub fn stop_and_go_comparison(
     frame: Duration,
     hops: usize,
@@ -288,17 +296,13 @@ pub fn stop_and_go_comparison(
     let h = hops as u64;
     let sng_low = frame * h - frame;
     let sng_high = frame * (2 * h) + frame;
-    // Leave-in-Time (ineq. 15, no propagation as in the paper's footnote):
-    // D^ref_max = T (bucket (r, rT)) and per link L_MAX/C + d_max.
-    let dref = frame;
-    let per_link = link.lmax_time() + d_max;
-    let mut lit = dref;
-    for _ in 0..hops {
-        lit += per_link;
-    }
-    // The last hop's d_max is not part of β, but α^N = d_max − L/r adds it
-    // back for the fixed-d session of the example; keep the simple form.
-    let _ = rate_bps;
+    // Leave-in-Time: ineq. 12 with D^ref_max = T (bucket (r, rT)). With
+    // L_min = 0, α^N = d_max, so every link adds L_MAX/C + Γ + d_max.
+    let hop = HopSpec {
+        link: *link,
+        assignment: DelayAssignment::Fixed(d_max),
+    };
+    let lit = PathBounds::new(rate_bps, link.lmax_bits, 0, vec![hop; hops]).delay_bound(frame);
     (sng_low, sng_high, lit)
 }
 
@@ -335,11 +339,11 @@ mod tests {
     fn beta_matches_hand_computation() {
         // β = 5·(L_MAX/C + Γ) + 4·d_max
         //   = 5·(0.276042 ms + 1 ms) + 4·13.25 ms = 59.380208 ms.
-        let b = paper_path(false).beta();
+        let b = paper_path(false).beta_ps();
         let want = (LinkParams::paper_t1().lmax_time() + Duration::from_ms(1)) * 5
             + Duration::from_us(13_250) * 4;
-        assert_eq!(b, want);
-        assert!((b.as_millis_f64() - 59.38).abs() < 0.01);
+        assert_eq!(b, i128::from(want));
+        assert!((want.as_millis_f64() - 59.38).abs() < 0.01);
     }
 
     #[test]
@@ -491,8 +495,46 @@ mod tests {
         let (lo, hi, lit) = stop_and_go_comparison(t, 5, &link, 153_600, d_max);
         assert_eq!(lo, Duration::from_ms(40));
         assert_eq!(hi, Duration::from_ms(110));
-        // LiT: T + 5·(0.276042 + 1) ms ≈ 16.38 ms — well below S&G's low end.
+        // LiT: T + 5·(L_MAX/C + Γ + d_max) = 10 + 5·(0.276042 + 1 + 1) ms
+        // ≈ 21.38 ms — well below S&G's low end.
+        assert_eq!(lit, t + (link.lmax_time() + link.propagation + d_max) * 5);
         assert!(lit < lo, "lit={lit} sng_low={lo}");
+    }
+
+    #[test]
+    fn sums_past_u64_picoseconds_saturate_instead_of_panicking() {
+        // Five hops at d = 5·10⁶ s: β alone is 2·10¹⁹ ps > u64::MAX ps.
+        let d = Duration::from_secs(5_000_000);
+        let hop = HopSpec {
+            link: LinkParams::paper_t1(),
+            assignment: DelayAssignment::Fixed(d),
+        };
+        let pb = PathBounds::new(32_000, 424, 424, vec![hop; 5]);
+        let per_hop = LinkParams::paper_t1().lmax_time() + Duration::from_ms(1);
+        let beta = i128::from(per_hop) * 5 + i128::from(d) * 4;
+        assert_eq!(pb.beta_ps(), beta);
+        let dref = pb.dref_token_bucket(424);
+        assert_eq!(pb.shift_ps(), beta + d.signed_sub(dref));
+        assert_eq!(pb.delay_bound(dref), Duration::MAX);
+        assert_eq!(pb.delay_bound_token_bucket(424), Duration::MAX);
+        assert_eq!(pb.delay_ccdf_bound(|_| 0.0, Duration::MAX), 1.0);
+        // With jitter control only the last hop counts: D^ref + δ⁵ − d + α
+        // = 13.25 ms + 0.276 ms + d − 13.25 ms − 0.276 ms = d.
+        assert_eq!(pb.jitter_bound(dref, true), d);
+        assert_eq!(pb.jitter_bound(dref, false), Duration::MAX);
+        for jc in [false, true] {
+            let ob = pb.oracle_bounds(jc);
+            assert_eq!(ob.shift_ps, pb.shift_ps());
+            let spread = i128::from(pb.jitter_bound(dref, jc)) - i128::from(dref);
+            assert!(ob.jitter_spread_ps >= spread, "jc={jc}");
+            for n in 0..5 {
+                assert!(pb.buffer_bound_bits(dref, n, jc) >= d.bits_at_rate(32_000));
+                assert_eq!(pb.buffer_ccdf_bound(|_| 0.0, n, jc, 424), 1.0);
+            }
+        }
+        // The window past u64::MAX ps clamps once, then converts.
+        let max_bits = Duration::MAX.bits_at_rate_ceil(32_000);
+        assert_eq!(pb.buffer_bound_bits(dref, 4, false), max_bits);
     }
 
     #[test]

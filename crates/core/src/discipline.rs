@@ -143,6 +143,7 @@ impl Discipline for LitDiscipline {
         self.sessions.reserve(sessions);
     }
 
+    /// Paper: eq. 6, eq. 7, eq. 10, eq. 11
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
         let s = self.sessions.registered_mut(pkt.session);
         let p = profile(&self.profiles, s);
@@ -163,6 +164,7 @@ impl Discipline for LitDiscipline {
         ScheduleDecision::at(eligible, f)
     }
 
+    /// Paper: eq. 8, eq. 9
     fn on_departure(&mut self, pkt: &mut Packet, finish: Time) {
         let row = self.sessions.registered_mut(pkt.session);
         let d_max = profile(&self.profiles, row).d_max;

@@ -650,6 +650,29 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_fifo_releases_a_gated_packet_at_its_leader_s_instant() {
+        // Session 2's cell is held 2 ms; session 1's, arriving 100 µs
+        // later, only 1 ms. It waits behind session 2's in the shared FIFO
+        // and leaves at the leader's instant, max(last release, E), which
+        // the oracle's regulator check must accept.
+        let mut b = NetworkBuilder::new()
+            .oracle(OracleConfig::new(OracleMode::Count))
+            .regulator(RegulatorBackend::Interleaved);
+        let nodes = b.tandem(1, LinkParams::paper_t1());
+        for at_us in [10_000, 1_100, 1_000] {
+            let cell = [(Time::from_us(at_us), 424)];
+            let src = Box::new(TraceSource::from_pairs(cell));
+            b.add_session(SessionSpec::atm(SessionId(0), 32_000), &nodes, src);
+        }
+        let mut net = b.build(&staggered_factory(Duration::from_ms(1), 3));
+        net.run_until(Time::from_secs(1));
+        assert_eq!(net.oracle_violations(), 0);
+        let tx = LinkParams::paper_t1().lmax_time();
+        let gated = Duration::from_us(1_900) + tx * 2 + Duration::from_ms(1);
+        assert_eq!(net.session_stats(SessionId(1)).max_delay(), Some(gated));
+    }
+
+    #[test]
     fn oracle_counts_lateness_under_fifo_contention() {
         // Three same-instant packets with 500 µs of deadline slack on a T1
         // (tx = 276 µs): packet k finishes (k+1)·tx after eligibility, so

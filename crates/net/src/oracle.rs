@@ -473,6 +473,25 @@ mod tests {
     }
 
     #[test]
+    fn pathwise_checks_are_strict_at_their_edges() {
+        // F̂ < F + L_MAX/C, D − D^ref < β + α and jitter < D^ref_max +
+        // spread: each bound itself is already a violation.
+        let mut o = OracleRt::new(OracleConfig::new(OracleMode::Count), 1, 1);
+        o.bounds[0] = Some(SessionBounds {
+            shift_ps: 100_000,
+            jitter_spread_ps: 5_000,
+        });
+        let lmax = Duration::from_ns(50);
+        assert!(o.departure(49_999, lmax).is_none());
+        assert!(o.departure(50_000, lmax).is_some());
+        let dref = Duration::from_ns(10);
+        let below = o.delivery(0, dref, 99_999, Some(Duration::from_ns(14)));
+        assert!(below.iter().all(Option::is_none));
+        let at = o.delivery(0, dref, 100_000, Some(Duration::from_ns(15)));
+        assert!(at.iter().all(Option::is_some));
+    }
+
+    #[test]
     fn mode_parses() {
         assert_eq!("off".parse(), Ok(OracleMode::Off));
         assert_eq!("count".parse(), Ok(OracleMode::Count));

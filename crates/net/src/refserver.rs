@@ -64,6 +64,7 @@ impl ReferenceServer {
     /// Offer packet `i` arriving (last bit) at `t` with length `len_bits`.
     /// Arrivals need not be time-sorted (eq. 1 only needs the max), but
     /// feeding order defines the packet numbering.
+    /// Paper: eq. 1
     pub fn offer(&mut self, t: Time, len_bits: u32) -> RefOutcome {
         let service = Duration::from_bits_at_rate(len_bits as u64, self.rate_bps);
         let start = match self.w_prev {

@@ -483,7 +483,7 @@ pub fn build_cross_onoff_queued(
 /// paper's ON-OFF and CBR sessions emit at most one cell per `L/r`).
 pub fn voice_bounds(net: &Network, id: SessionId) -> (PathBounds, Duration) {
     let pb = PathBounds::for_session(net, id);
-    let dref = Duration::from_bits_at_rate(ATM_CELL_BITS as u64, net.session_spec(id).rate_bps);
+    let dref = pb.dref_token_bucket(ATM_CELL_BITS as u64);
     (pb, dref)
 }
 

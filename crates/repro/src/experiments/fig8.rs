@@ -10,7 +10,7 @@
 //!   the first and last nodes, against the calculated bounds (observed max
 //!   within about two packets of the bound).
 
-use super::common::{build_cross_onoff, run_replicas, Pooled, PooledSession, RunConfig, VOICE_BPS};
+use super::common::{build_cross_onoff, run_replicas, Pooled, PooledSession, RunConfig};
 use crate::report::{frac, ms, Table};
 use lit_core::PathBounds;
 use lit_sim::Duration;
@@ -63,8 +63,8 @@ pub struct BufferSummary {
 }
 
 fn summarize(pooled: &PooledSession, pb: &PathBounds, jc: bool) -> SessionSummary {
-    // Both tagged sessions are 32 kbit/s voice: `D^ref_max = L/r`.
-    let dref = Duration::from_bits_at_rate(ATM_CELL_BITS as u64, VOICE_BPS);
+    // Both tagged sessions are 32 kbit/s voice: a one-cell bucket.
+    let dref = pb.dref_token_bucket(ATM_CELL_BITS as u64);
     SessionSummary {
         jitter_control: jc,
         delivered: pooled.delivered,

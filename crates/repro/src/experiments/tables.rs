@@ -135,13 +135,13 @@ pub fn virtualclock_bounds(max_hops: usize) -> Table {
         ],
     );
     let link = LinkParams::paper_t1();
-    let dref = Duration::from_us(13_250); // b0/r for a one-cell bucket
     for n in 1..=max_hops {
         let hop = HopSpec {
             link,
             assignment: DelayAssignment::LenOverRate,
         };
         let pb = PathBounds::new(32_000, 424, 424, vec![hop; n]);
+        let dref = pb.dref_token_bucket(424); // a one-cell bucket
         t.push(vec![
             n.to_string(),
             ms(pb.delay_bound(dref)),
@@ -204,11 +204,27 @@ mod tests {
     #[test]
     fn stop_and_go_lit_wins_at_every_frame_size() {
         let csv = stop_and_go_table().to_csv();
+        let link = LinkParams {
+            rate_bps: 1_536_000,
+            propagation: Duration::ZERO,
+            lmax_bits: 424,
+        };
+        let mut frames = 0;
         for line in csv.lines().skip(1) {
             let cells: Vec<&str> = line.split(',').collect();
             let lo: f64 = cells[1].parse().unwrap();
             let lit: f64 = cells[3].parse().unwrap();
             assert!(lit < lo, "{line}");
+            // Ineq. 12 through `PathBounds` is the paper's hand form
+            // T + H·(L_MAX/C + d_max), to the picosecond.
+            let frame = Duration::from_ms(cells[0].parse().unwrap());
+            let d_max = frame / 10;
+            let hand = frame + (link.lmax_time() + d_max) * 5;
+            let (_, _, got) = stop_and_go_comparison(frame, 5, &link, 153_600, d_max);
+            assert_eq!(got, hand, "{line}");
+            assert_eq!(cells[3], ms(hand), "{line}");
+            frames += 1;
         }
+        assert_eq!(frames, 5);
     }
 }

@@ -32,6 +32,7 @@
 use crate::collect::Collector;
 use crate::report::{frac, Table};
 use crate::scenario::{parse_rho, RunOptions, Scenario};
+use lit_core::PathBounds;
 use lit_net::{NodeId, OracleMode, RegulatorBackend};
 
 /// One ladder rung's measurements.
@@ -130,9 +131,9 @@ pub fn run_ladder(
             delivered += st.delivered;
             if let Some(m) = st.mean_delay() {
                 weighted_ms += m.as_millis_f64() * st.delivered as f64;
-                let spec = net.session_spec(*id);
-                let dref_ms = spec.max_len_bits as f64 / spec.rate_bps as f64 * 1e3;
-                weighted_norm += m.as_millis_f64() / dref_ms * st.delivered as f64;
+                let b0 = u64::from(net.session_spec(*id).max_len_bits);
+                let dref = PathBounds::for_session(&net, *id).dref_token_bucket(b0);
+                weighted_norm += m.as_millis_f64() / dref.as_millis_f64() * st.delivered as f64;
             }
         }
         let drain = if injected == 0 {

@@ -735,13 +735,13 @@ fn parse_discipline(name: &str) -> Result<DisciplineChoice, String> {
         "jitter-edd" => DisciplineChoice::JitterEdd,
         other => {
             if let Some(frame) = other.strip_prefix("stop-and-go:frame=") {
-                DisciplineChoice::StopAndGo(parse_duration(frame)?)
-            } else if let Some(slots) = other.strip_prefix("hrr:slots=") {
-                DisciplineChoice::Hrr(
-                    slots
-                        .parse()
-                        .map_err(|_| "hrr: bad slot count".to_string())?,
+                DisciplineChoice::StopAndGo(
+                    Some(parse_duration(frame)?)
+                        .filter(|d| *d > Duration::ZERO)
+                        .ok_or("stop-and-go: frame must be positive")?,
                 )
+            } else if let Some(slots) = other.strip_prefix("hrr:slots=") {
+                DisciplineChoice::Hrr(positive(slots).ok_or("hrr: bad slot count")?)
             } else {
                 return Err(format!("unknown discipline '{other}'"));
             }
@@ -1385,15 +1385,8 @@ impl Scenario {
         for (i, id) in ids.iter().enumerate() {
             let st = net.session_stats(*id);
             let bound = if bounded {
-                let (pb, dref) = {
-                    let pb = PathBounds::for_session(&net, *id);
-                    let dref = Duration::from_bits_at_rate(
-                        net.session_spec(*id).max_len_bits as u64,
-                        net.session_spec(*id).rate_bps,
-                    );
-                    (pb, dref)
-                };
-                ms(pb.delay_bound(dref))
+                let b0 = net.session_spec(*id).max_len_bits as u64;
+                ms(PathBounds::for_session(&net, *id).delay_bound_token_bucket(b0))
             } else {
                 "-".to_string()
             };
@@ -1456,6 +1449,27 @@ run 10s
         assert!(j1 < j0, "jc {j1} !< plain {j0}");
         let report = sc.run_report(&RunOptions::default(), &Collector::default());
         assert_eq!(report.len(), 7);
+    }
+
+    #[test]
+    fn bounds_past_u64_picoseconds_report_instead_of_panicking() {
+        // Both paths sum past u64::MAX ps ≈ 1.84·10⁷ s: β holds four
+        // d = 5·10⁶ s, or two Γ = 10⁷ s.
+        let cbr = "rate=32000 source=cbr(gap=20ms,len=424)";
+        for text in [
+            format!("nodes 5\nsession route=0..4 {cbr} d=5000000s jc\nrun 1s"),
+            format!("nodes 2 prop=10000000s\nsession route=0..1 {cbr}\nrun 1s"),
+        ] {
+            let sc = Scenario::parse(&text).unwrap();
+            let report = sc.run_report(&RunOptions::default(), &Collector::default());
+            assert_eq!(report.len(), 1, "{text}");
+            let counted = RunOptions {
+                oracle: OracleMode::Count,
+                ..RunOptions::default()
+            };
+            let (net, _) = sc.run_probed(&counted, None);
+            assert_eq!(net.oracle_totals().total(), 0, "{text}");
+        }
     }
 
     #[test]
@@ -1600,6 +1614,8 @@ run 10s
             "nodes x\nrun 1s => bad count",
             "nodes 2\ndiscipline tardis\nrun 1s => unknown discipline",
             "nodes 2\ndiscipline hrr:slots=zero\nrun 1s => bad slot count",
+            "nodes 2\ndiscipline hrr:slots=0\nrun 1s => bad slot count",
+            "nodes 2\ndiscipline stop-and-go:frame=0ms\nrun 1s => frame must be positive",
             "nodes 2\nqueue fifo\nrun 1s => unknown queue kind",
             "nodes 2\nbackend abacus\nrun 1s => unknown backend",
             "nodes 2\nseed minus-one\nrun 1s => bad value",

@@ -500,5 +500,5 @@ fn bounds_hold_on_heterogeneous_link_rates() {
         assignment: leave_in_time::net::DelayAssignment::LenOverRate,
     };
     let t1 = PathBounds::new(64_000, 424, 424, vec![t1_hop; 3]);
-    assert_ne!(pb.beta(), t1.beta());
+    assert_ne!(pb.beta_ps(), t1.beta_ps());
 }
