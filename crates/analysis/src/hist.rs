@@ -9,8 +9,9 @@
 //!
 //! The counts live in [`Bins`], which costs what it has seen: the bin
 //! count is a ceiling, and only the prefix of bins up to the highest one
-//! hit is in memory. `lit_net::OccupancyHistogram` sits on the same store
-//! (bits instead of picoseconds).
+//! hit is in memory, bin 0 inline: a histogram takes a heap block from its
+//! first sample past bin 0. `lit_net::OccupancyHistogram` sits on the same
+//! store (bits instead of picoseconds).
 
 #![deny(
     clippy::unwrap_used,
@@ -28,22 +29,31 @@ use lit_sim::Duration;
 
 /// The counts of a fixed-bin-width histogram over `u64` samples, stored as
 /// far as the data reached: bins `0..nbins` exist logically, the prefix up
-/// to the highest bin ever hit exists in memory (nothing until the first
-/// sample), and samples at or past `nbins · width` share one overflow
-/// counter. Every answer is the one a dense array of `nbins` counters
-/// would give.
+/// to the highest bin ever hit exists in memory, and samples at or past
+/// `nbins · width` share one overflow counter. Bin 0 lives inline, so a
+/// store whose samples all fall in bin 0 (or all overflow) owns no heap
+/// block; the first sample past bin 0 moves the prefix to the heap. Every
+/// answer is the one a dense array of `nbins` counters would give.
 #[derive(Clone, Debug)]
 pub struct Bins {
     width: u64,
-    /// `hit[i]` counts samples in `[i·width, (i+1)·width)`; bins from
-    /// `hit.len()` on are all zero.
-    hit: Vec<u64>,
+    /// `stored()[i]` counts samples in `[i·width, (i+1)·width)`; bins
+    /// from `stored().len()` on are all zero.
+    hit: Hit,
     nbins: usize,
     overflow: u64,
 }
 
+/// The stored prefix: bin 0 alone, inline, or bins `0..len` on the heap
+/// (`len ≥ 2`). The same 24 bytes as a bare `Vec`.
+#[derive(Clone, Debug)]
+enum Hit {
+    One(u64),
+    Many(Vec<u64>),
+}
+
 impl Bins {
-    /// `nbins` logical bins of `width` each, none of them stored yet.
+    /// `nbins` logical bins of `width` each, none of them on the heap.
     ///
     /// # Panics
     /// Panics if `width` or `nbins` is zero.
@@ -52,7 +62,7 @@ impl Bins {
         assert!(nbins > 0, "histogram: zero bins");
         Bins {
             width,
-            hit: Vec::new(),
+            hit: Hit::One(0),
             nbins,
             overflow: 0,
         }
@@ -62,7 +72,7 @@ impl Bins {
     #[inline]
     pub fn record(&mut self, x: u64) {
         let idx = (x / self.width) as usize;
-        match self.hit.get_mut(idx) {
+        match self.stored_mut().get_mut(idx) {
             Some(c) => *c += 1,
             None => self.record_past_prefix(idx),
         }
@@ -79,18 +89,46 @@ impl Bins {
             return;
         }
         self.grow(idx + 1);
-        if let Some(c) = self.hit.last_mut() {
+        if let Some(c) = self.stored_mut().last_mut() {
             *c = 1;
         }
     }
 
-    /// Store bins `0..len` (`len ≤ nbins`).
+    /// Store bins `0..len` (`stored().len() < len ≤ nbins`). Leaving bin 0
+    /// alone allocates once, exactly `len` bins: what a one-bin heap prefix
+    /// would have doubled to, as `len ≥ 2`.
     fn grow(&mut self, len: usize) {
-        if len > self.hit.capacity() {
-            let cap = (2 * self.hit.capacity()).clamp(len, self.nbins);
-            self.hit.reserve_exact(cap - self.hit.len());
+        match &mut self.hit {
+            Hit::One(c) => {
+                let mut v = Vec::with_capacity(len);
+                v.push(*c);
+                v.resize(len, 0);
+                self.hit = Hit::Many(v);
+            }
+            Hit::Many(v) => {
+                if len > v.capacity() {
+                    let cap = (2 * v.capacity()).clamp(len, self.nbins);
+                    v.reserve_exact(cap - v.len());
+                }
+                v.resize(len, 0);
+            }
         }
-        self.hit.resize(len, 0);
+    }
+
+    /// The stored prefix, bin 0 first: never empty.
+    fn stored(&self) -> &[u64] {
+        match &self.hit {
+            Hit::One(c) => std::slice::from_ref(c),
+            Hit::Many(v) => v,
+        }
+    }
+
+    /// Mutable twin of [`Bins::stored`].
+    fn stored_mut(&mut self) -> &mut [u64] {
+        match &mut self.hit {
+            Hit::One(c) => std::slice::from_mut(c),
+            Hit::Many(v) => v,
+        }
     }
 
     /// Samples counted, overflow included: one pass over the stored bins.
@@ -100,19 +138,20 @@ impl Bins {
 
     /// Samples in bins `0..idx`.
     fn below(&self, idx: usize) -> u64 {
-        let stored = self.hit.iter().take(idx);
+        let stored = self.stored().iter().take(idx);
         stored.fold(0, |sum, &c| sum.saturating_add(c))
     }
 
     /// All `nbins` logical counts in bin order: the stored prefix, then
     /// zeros.
     fn counts(&self) -> impl ExactSizeIterator<Item = &u64> + '_ {
-        (0..self.nbins).map(|i| self.hit.get(i).unwrap_or(&0))
+        let stored = self.stored();
+        (0..self.nbins).map(|i| stored.get(i).unwrap_or(&0))
     }
 
     /// `(bin_lower_edge, count)` of every non-empty bin, in bin order.
     fn nonempty(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let bins = self.hit.iter().enumerate().filter(|(_, &c)| c > 0);
+        let bins = self.stored().iter().enumerate().filter(|(_, &c)| c > 0);
         bins.map(|(i, &c)| (i as u64 * self.width, c))
     }
 
@@ -143,8 +182,8 @@ impl Bins {
         let mut out = Vec::new();
         let mut remaining = total;
         // Past the stored prefix every bin is empty and adds no row; bin 0
-        // has its row even when nothing is stored (every sample overflowed).
-        for (i, &c) in self.counts().enumerate().take(self.hit.len().max(1)) {
+        // has its row even when it is empty (every sample overflowed).
+        for (i, &c) in self.stored().iter().enumerate() {
             if remaining == 0 {
                 break;
             }
@@ -169,10 +208,11 @@ impl Bins {
     pub fn merge(&mut self, other: &Bins) {
         assert_eq!(self.width, other.width, "merge: bin width mismatch");
         assert_eq!(self.nbins, other.nbins, "merge: bin count mismatch");
-        if self.hit.len() < other.hit.len() {
-            self.grow(other.hit.len());
+        let theirs = other.stored();
+        if self.stored().len() < theirs.len() {
+            self.grow(theirs.len());
         }
-        for (a, b) in self.hit.iter_mut().zip(&other.hit) {
+        for (a, b) in self.stored_mut().iter_mut().zip(theirs) {
             *a = a.saturating_add(*b);
         }
         self.overflow = self.overflow.saturating_add(other.overflow);
@@ -343,6 +383,14 @@ mod tests {
         Duration::from_ms(x)
     }
 
+    /// Bins held: 1 inline, else the heap prefix's capacity.
+    fn capacity(b: &Bins) -> usize {
+        match &b.hit {
+            Hit::One(_) => 1,
+            Hit::Many(v) => v.capacity(),
+        }
+    }
+
     /// A prefix that climbs one bin at a time reallocates O(log nbins)
     /// times, never past `nbins` counters.
     #[test]
@@ -350,12 +398,28 @@ mod tests {
         let mut b = Bins::new(1, 4_000);
         let mut reallocs = 0;
         for x in 0..4_000 {
-            let cap = b.hit.capacity();
+            let cap = capacity(&b);
             b.record(x);
-            reallocs += usize::from(b.hit.capacity() != cap);
+            reallocs += usize::from(capacity(&b) != cap);
         }
-        assert_eq!(reallocs, 13, "1, 2, 4, …, 2048, then the clamp at 4 000");
-        assert_eq!(b.hit.capacity(), 4_000);
+        assert_eq!(reallocs, 12, "2, 4, …, 2048, then the clamp at 4 000");
+        assert_eq!(capacity(&b), 4_000);
+    }
+
+    /// Bin 0 and overflow stay inline however often they are hit; the
+    /// first sample past bin 0 takes bin 0's count along to the heap.
+    #[test]
+    fn bin_0_is_inline_until_a_sample_passes_it() {
+        let mut b = Bins::new(10, 50);
+        for x in [0, 9, 3, 500, 9] {
+            b.record(x);
+        }
+        assert!(matches!(b.hit, Hit::One(4)));
+        b.record(25);
+        assert_eq!(b.stored(), [4, 0, 1]);
+        assert_eq!(capacity(&b), 3);
+        assert_eq!(b.total(), 6);
+        assert_eq!(size_of::<Hit>(), size_of::<Vec<u64>>());
     }
 
     #[test]

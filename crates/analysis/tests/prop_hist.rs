@@ -1,7 +1,7 @@
 //! Property tests: the grow-on-first-hit histograms against a dense model.
 //!
 //! [`DurationHistogram`] and `lit_net::OccupancyHistogram` store only the
-//! prefix of bins the data reached; the model below is the layout they
+//! prefix of bins the data reached, bin 0 inline; the model below is the layout they
 //! replaced — every bin allocated up front, the textbook loops over all
 //! of them. After every step of a random program of `record` / `merge` /
 //! clone, everything either type lets a caller see must equal what the
@@ -412,5 +412,108 @@ fn merges_saturate_like_the_dense_model() {
     check("merges_saturate_like_the_dense_model", |g| {
         saturates::<DurationHistogram>(g);
         saturates::<OccupancyHistogram>(g);
+    });
+}
+
+/// A subject and its dense twin, fed and merged together.
+type Twin<S> = (S, Dense);
+
+/// `len` samples inside bin 0, the one the store keeps inline.
+fn bin_0_run<S: Subject>(g: &mut Gen, h: &mut Twin<S>, width: u64, len: usize) {
+    for _ in 0..len {
+        let x = g.below(width);
+        h.0.record(x);
+        h.1.record(x);
+    }
+}
+
+/// One sample past bin 0: into a later bin, which moves the prefix to
+/// the heap, or (always when `nbins` is 1) into overflow, which does not.
+fn past_bin_0<S: Subject>(g: &mut Gen, h: &mut Twin<S>, width: u64, nbins: u64) {
+    let x = width + g.below((nbins + 1) * width);
+    h.0.record(x);
+    h.1.record(x);
+}
+
+fn merge<S: Subject>(into: &mut Twin<S>, from: &Twin<S>) {
+    into.0.merge(&from.0);
+    into.1.merge(&from.1);
+}
+
+fn agree<S: Subject>(g: &mut Gen, h: &Twin<S>, width: u64, nbins: u64, what: &str) {
+    let probes = gen_probes(g, width, nbins);
+    assert_eq!(
+        h.0.seen(&probes),
+        h.1.seen(&probes, S::DURATION),
+        "{what}, width {width}, nbins {nbins}, probes at {:?} q {:?}",
+        probes.at,
+        probes.q
+    );
+}
+
+/// The shape the engine's histograms have: long runs in bin 0, where the
+/// count is inline, and now and then one sample past it. First the four
+/// merges by the stores' shapes — inline into inline, heap into inline,
+/// inline into heap, heap into heap — and a clone of each shape, then a
+/// random program of the same moves; the dense model agrees throughout.
+fn bin_0_heavy<S: Subject>(g: &mut Gen) {
+    let width = *g.pick(&[1, 7, 424, 250_000_000]);
+    let nbins = *g.pick(&[1, 2, 3, 8, 50]);
+    let fresh = || -> Twin<S> { (S::new(width, nbins), Dense::new(width, nbins)) };
+    let n = nbins as u64;
+    let mut pool = [fresh(), fresh(), fresh(), fresh()];
+    for (k, h) in pool.iter_mut().enumerate() {
+        let len = g.size(1, 300);
+        bin_0_run(g, h, width, len);
+        if k >= 2 {
+            past_bin_0(g, h, width, n);
+            let len = g.size(0, 30);
+            bin_0_run(g, h, width, len);
+        }
+        agree(g, h, width, n, &format!("setup {k}"));
+    }
+    let [inline, to_heap, heap, heap2] = &mut pool;
+    merge(inline, &to_heap.clone());
+    agree(g, inline, width, n, "inline into inline");
+    merge(to_heap, &heap.clone());
+    agree(g, to_heap, width, n, "heap into inline");
+    merge(heap, &inline.clone());
+    agree(g, heap, width, n, "inline into heap");
+    merge(heap2, &to_heap.clone());
+    agree(g, heap2, width, n, "heap into heap");
+    for h in &pool {
+        agree(g, &h.clone(), width, n, "clone");
+    }
+    let mut merges = 4;
+    for step in 0..g.size(0, 60) {
+        let i = g.size(0, 4);
+        let j = g.size(0, 4);
+        let op = g.weighted(&[8, 1, 2, 1, 1]);
+        match op {
+            // Merges at most double the counts: stop recording before
+            // they can saturate (see `lockstep`).
+            0 if merges < 40 => {
+                let len = g.size(1, 200);
+                bin_0_run(g, &mut pool[i], width, len);
+            }
+            1 if merges < 40 => past_bin_0(g, &mut pool[i], width, n),
+            2 => {
+                let other = pool[j].clone();
+                merge(&mut pool[i], &other);
+                merges += 1;
+            }
+            3 => pool[i] = pool[j].clone(),
+            4 => pool[i] = fresh(),
+            _ => {}
+        }
+        agree(g, &pool[i], width, n, &format!("step {step} (op {op})"));
+    }
+}
+
+#[test]
+fn bin_0_runs_match_the_dense_model() {
+    check("bin_0_runs_match_the_dense_model", |g| {
+        bin_0_heavy::<DurationHistogram>(g);
+        bin_0_heavy::<OccupancyHistogram>(g);
     });
 }

@@ -9,7 +9,7 @@
 
 use crate::discipline::{DisciplineFactory, RegulatorBackend};
 use crate::equeue::QueueKind;
-use crate::node::{Ev, NodeCore, Topology};
+use crate::node::{Ev, NodeCore, SpecRow, Topology};
 use crate::oracle::{
     ccdf_shift_violation, OracleConfig, OracleMode, OracleTotals, SessionBounds, ViolationKind,
 };
@@ -217,7 +217,7 @@ impl NetworkBuilder {
         assert!(topo.hops.len() > start, "session route is empty");
         let end = u32::try_from(topo.hops.len()).expect("routes pass u32::MAX hops in all");
         topo.route_start.push(end);
-        topo.specs.push(spec);
+        topo.specs.push(SpecRow::new(&spec));
         self.sources.push(source);
         id
     }
@@ -278,7 +278,7 @@ impl NetworkBuilder {
             let rng = seeds.next_rng();
             for &(node, delay) in route {
                 shards[owner(node)].core.register_hop(
-                    sid,
+                    SessionId(sid as u32),
                     node,
                     &topo.delays[delay as usize],
                     &self.stats_cfg,
@@ -463,9 +463,12 @@ impl Network {
         }
     }
 
-    /// The spec a session was registered with.
-    pub fn session_spec(&self, id: SessionId) -> &SessionSpec {
-        &self.topo.specs[id.index()]
+    /// The spec a session was registered with, its `delay` the
+    /// assignment at its first hop ([`Network::session_hops`] has them
+    /// all).
+    pub fn session_spec(&self, id: SessionId) -> SessionSpec {
+        let (_, first) = self.topo.route(id.index())[0];
+        self.topo.specs[id.index()].spec(id, self.topo.delays[first as usize])
     }
 
     /// Number of sessions.

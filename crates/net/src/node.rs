@@ -140,8 +140,9 @@ impl Sink for EventQueue<Ev> {
 pub(crate) struct Topology {
     /// Outgoing link of each node.
     pub(crate) links: Vec<LinkParams>,
-    /// The spec each session was registered with.
-    pub(crate) specs: Vec<SessionSpec>,
+    /// The spec each session was registered with, less what `hops`
+    /// and `delays` already hold.
+    pub(crate) specs: Vec<SpecRow>,
     /// `(node index, index in delays)` along every route, session after
     /// session: 8 bytes a hop.
     pub(crate) hops: Vec<(u32, u32)>,
@@ -152,6 +153,41 @@ pub(crate) struct Topology {
     /// Where each session's route starts in `hops`, then `hops.len()`:
     /// one entry more than there are sessions.
     pub(crate) route_start: Vec<u32>,
+}
+
+/// What the topology keeps of a session's spec: the id is the row's
+/// index and each hop's delay assignment sits in `delays`, so a row is
+/// 24 bytes where a whole [`SessionSpec`] is 80.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SpecRow {
+    rate_bps: u64,
+    max_len_bits: u32,
+    min_len_bits: u32,
+    jitter_control: bool,
+}
+
+impl SpecRow {
+    /// The row of `spec`.
+    pub(crate) fn new(spec: &SessionSpec) -> Self {
+        SpecRow {
+            rate_bps: spec.rate_bps,
+            max_len_bits: spec.max_len_bits,
+            min_len_bits: spec.min_len_bits,
+            jitter_control: spec.jitter_control,
+        }
+    }
+
+    /// The spec of session `id` at a hop assigned `delay`.
+    pub(crate) fn spec(&self, id: SessionId, delay: DelayAssignment) -> SessionSpec {
+        SessionSpec {
+            id,
+            rate_bps: self.rate_bps,
+            max_len_bits: self.max_len_bits,
+            min_len_bits: self.min_len_bits,
+            jitter_control: self.jitter_control,
+            delay,
+        }
+    }
 }
 
 impl Topology {
@@ -348,19 +384,21 @@ impl NodeCore {
         std::mem::replace(&mut self.probe, probe)
     }
 
-    /// Connection establishment at one owned hop: register session `sid`
-    /// with the node's discipline and make sure its statistics row exists.
+    /// Connection establishment at one owned hop: register session `id`
+    /// with the node's discipline, its spec carrying this hop's `delay`,
+    /// and make sure its statistics row exists.
     pub(crate) fn register_hop(
         &mut self,
-        sid: usize,
+        id: SessionId,
         node: u32,
         delay: &DelayAssignment,
         cfg: &StatsConfig,
     ) {
-        if let Some(spec) = self.topo.specs.get(sid) {
+        let sid = id.index();
+        if let Some(row) = self.topo.specs.get(sid) {
             owned(&mut self.nodes, node as usize)
                 .discipline
-                .register_session(spec, delay);
+                .register_session(&row.spec(id, *delay), delay);
         }
         let hops = self.topo.route(sid).len();
         if let Some(row) = self.stats.get_mut(sid) {
@@ -797,7 +835,7 @@ mod tests {
         let spec = SessionSpec::atm(SessionId(0), 32_000);
         let topo = Arc::new(Topology {
             links: vec![link],
-            specs: vec![spec],
+            specs: vec![SpecRow::new(&spec)],
             hops: vec![(0, 0)],
             delays: vec![spec.delay],
             route_start: vec![0, 1],
@@ -812,7 +850,7 @@ mod tests {
             regulator,
             &mut EventQueue::new(),
         );
-        core.register_hop(0, 0, &spec.delay, &StatsConfig::default());
+        core.register_hop(SessionId(0), 0, &spec.delay, &StatsConfig::default());
         let cells = [(Time::from_us(1_000), 424), (Time::from_us(1_100), 424)];
         let source = Box::new(TraceSource::from_pairs(cells));
         let first = core.install_injector(0, source, SimRng::seed_from(1), None);
@@ -893,11 +931,18 @@ mod tests {
         (release, totals, seen.violations.keys().cloned().collect())
     }
 
-    /// The packet count lives in the statistics row; the injector keeps
-    /// no second one.
+    /// The packet count lives in the statistics row, and the reference
+    /// server's `W_0` is `Time::ZERO`, not a `None`: no second count, no
+    /// option tag.
     #[test]
-    fn an_injector_is_104_bytes() {
-        assert_eq!(size_of::<Injector>(), 104);
+    fn an_injector_is_96_bytes() {
+        assert_eq!(size_of::<Injector>(), 96);
+    }
+
+    /// A session's spec row holds no id and no delay assignment.
+    #[test]
+    fn a_spec_row_is_24_bytes() {
+        assert_eq!(size_of::<SpecRow>(), 24);
     }
 
     #[test]

@@ -38,8 +38,9 @@ use lit_sim::{Duration, Time};
 #[derive(Clone, Debug)]
 pub struct ReferenceServer {
     rate_bps: u64,
-    /// `W_{i-1}`; `None` before the first packet (then `W_0 = t_1`).
-    w_prev: Option<Time>,
+    /// `W_{i-1}`, starting at `Time::ZERO`: then `max{t_1, W_0} = t_1`,
+    /// which is eq. 1's `W_0 = t_1`.
+    w_prev: Time,
 }
 
 /// Outcome of offering one packet to the reference server.
@@ -57,7 +58,7 @@ impl ReferenceServer {
     pub fn new(rate_bps: u64) -> Self {
         ReferenceServer {
             rate_bps,
-            w_prev: None,
+            w_prev: Time::ZERO,
         }
     }
 
@@ -67,12 +68,8 @@ impl ReferenceServer {
     /// Paper: eq. 1
     pub fn offer(&mut self, t: Time, len_bits: u32) -> RefOutcome {
         let service = Duration::from_bits_at_rate(len_bits as u64, self.rate_bps);
-        let start = match self.w_prev {
-            Some(w) => t.max(w),
-            None => t, // W_0 = t_1
-        };
-        let finish = start + service;
-        self.w_prev = Some(finish);
+        let finish = t.max(self.w_prev) + service;
+        self.w_prev = finish;
         RefOutcome {
             finish,
             delay: finish - t,

@@ -11,9 +11,11 @@
 //! * per-node link utilization and scheduler lateness (finish − deadline),
 //!   the saturation diagnostic.
 //!
-//! A session's row costs what its traffic touched: histogram bins exist
-//! from their first hit ([`Bins`]), and the per-hop rows — gauge, maximum
-//! and counts, 64 bytes a hop — are the row's one allocation at build.
+//! A session's row costs what its traffic touched: a histogram's bin 0
+//! is inline and the bins past it exist from their first hit ([`Bins`]),
+//! so the per-hop rows — gauge, maximum and counts, 64 bytes a hop — are
+//! the row's one allocation at build, and its only one for as long as
+//! every sample lands in bin 0 or overflows.
 
 #![deny(
     clippy::unwrap_used,

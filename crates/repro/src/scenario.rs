@@ -1386,7 +1386,11 @@ impl Scenario {
             let st = net.session_stats(*id);
             let bound = if bounded {
                 let b0 = net.session_spec(*id).max_len_bits as u64;
-                ms(PathBounds::for_session(&net, *id).delay_bound_token_bucket(b0))
+                match PathBounds::for_session(&net, *id).delay_bound_token_bucket(b0) {
+                    // Saturated: the bound's sum passed u64 picoseconds.
+                    Duration::MAX => "inf".to_string(),
+                    bound => ms(bound),
+                }
             } else {
                 "-".to_string()
             };
@@ -1470,6 +1474,25 @@ run 10s
             let (net, _) = sc.run_probed(&counted, None);
             assert_eq!(net.oracle_totals().total(), 0, "{text}");
         }
+    }
+
+    /// A bound past u64 picoseconds saturates to `Duration::MAX`; the
+    /// report says `inf`, not the sentinel's 18446744073.710 ms.
+    #[test]
+    fn a_saturated_bound_reports_inf() {
+        let cbr = "rate=32000 source=cbr(gap=20ms,len=424)";
+        let bound_column = |text: &str| {
+            let sc = Scenario::parse(text).unwrap();
+            let csv = sc
+                .run_report(&RunOptions::default(), &Collector::default())
+                .to_csv();
+            let row = csv.lines().nth(1).unwrap().to_string();
+            row.rsplit(',').next().unwrap().to_string()
+        };
+        let saturated = format!("nodes 5\nsession route=0..4 {cbr} d=5000000s jc\nrun 1s");
+        assert_eq!(bound_column(&saturated), "inf");
+        let finite = format!("nodes 5\nsession route=0..4 {cbr} d=5s jc\nrun 1s");
+        assert!(bound_column(&finite).parse::<f64>().unwrap() > 25_000.0);
     }
 
     #[test]
