@@ -34,17 +34,24 @@
 //!    `F0 = PS·cl·cr − C·cw`, `u_i = PS·(cl·R_i + L_i·cr + L_i·R_i) −
 //!    C·W_i` and `q_ij = PS·(L_i·R_j + L_j·R_i) ≥ 0`. Nonnegative pairwise
 //!    coefficients make `F` supermodular, so its maximum is one minimum
-//!    s–t cut (Picard–Ratliff 1975).
+//!    s–t cut (Picard–Ratliff 1975). Since `q·x_i·x_j = q·x_i −
+//!    q·x_i·(1 − x_j)` whichever way the arc `i → j` points, the nodes may
+//!    come in any order: the cut value, the verdict and the source side
+//!    (the minimal maximizer) are the same for all of them.
 //!
-//! The decision pipeline: aggregate resident sessions into `(r, L, d)`
-//! classes (a [`BTreeMap`], so iteration — and therefore every witness —
-//! is deterministic), prune with (2), accept at once when every
+//! The decision pipeline: the resident sessions are kept as a table of
+//! `(r, L, d)` classes sorted by key, each with its totals cached (so
+//! iteration — and therefore every witness — is deterministic, and no
+//! decision re-aggregates); prune with (2), accept at once when every
 //! survivor's `d` clears `PS·TL/C`, and otherwise answer with one
-//! max-flow over the `m` surviving classes (`Ac3Fast::cut_reject`):
+//! max-flow over the `m` surviving classes (`Scratch::cut_reject`), fed
+//! in ascending order of `u_i`, which leaves the flow less to route:
 //! exact and polynomial in `m`, with no budget and no fallback. A
 //! rejection's witness is the minimal maximizer of `F`. The differential
 //! suite (`crates/core/tests/diff_ac3.rs`) pins the pipeline to the
-//! exhaustive oracle.
+//! exhaustive oracle. Every buffer a decision uses lives in the
+//! instance: an admitted request allocates nothing, a rejected one only
+//! its witness.
 //!
 //! All subset arithmetic is exact `u128`, `checked_*` throughout; any
 //! overflow is a conservative [`Ac3FastError::Overflow`] rejection rather
@@ -64,16 +71,12 @@
 
 use lit_net::DelayAssignment;
 use lit_sim::{Duration, PS_PER_SEC};
-use std::collections::BTreeMap;
 
 /// Picoseconds per second, widened once for the cross-multiplied tests.
 const PS: u128 = PS_PER_SEC as u128;
 
 /// Sentinel for "no free slot" in the handle free list.
 const NO_SLOT: u32 = u32::MAX;
-
-/// Level of a node the residual search has not reached.
-const UNSEEN: u32 = u32::MAX;
 
 /// One `(r, L_max, d)` parameter class; the unit of aggregation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -202,9 +205,10 @@ impl std::fmt::Display for Ac3FastError {
 
 impl std::error::Error for Ac3FastError {}
 
-/// Per-class aggregate used by one admission decision: the class key, its
-/// session count, the per-member `r·d` product, and the class totals.
-#[derive(Clone, Copy)]
+/// One admitted parameter class: its key, its session count, the
+/// per-member `r·d` product, and the class totals, kept current by
+/// [`Ac3Fast::try_admit`] and [`Ac3Fast::release`].
+#[derive(Clone, Copy, Debug)]
 struct Agg {
     key: ClassKey,
     count: u64,
@@ -240,9 +244,10 @@ impl Agg {
 /// A candidate is admitted iff ineq. (19) holds for every subset
 /// containing it — the contract of the paper's `2^n` enumeration — but
 /// the decision cost depends on the number of *distinct parameter
-/// classes*, not the number of resident sessions, and
-/// [`Ac3Fast::release`] returns a session's reservation to the pool in
-/// `O(log #classes)`.
+/// classes*, not the number of resident sessions. The classes are one
+/// table sorted by key, with each class's totals cached:
+/// [`Ac3Fast::release`] returns a session's reservation to the pool with
+/// one binary search, plus an `O(#classes)` shift when its class empties.
 ///
 /// ```
 /// use lit_core::admission::fast::Ac3Fast;
@@ -262,7 +267,9 @@ pub struct Ac3Fast {
     live: u64,
     slots: Vec<Slot>,
     free_head: u32,
-    classes: BTreeMap<ClassKey, u64>,
+    /// The admitted classes, sorted by key; none has `count == 0`.
+    classes: Vec<Agg>,
+    scratch: Scratch,
 }
 
 impl Ac3Fast {
@@ -275,7 +282,8 @@ impl Ac3Fast {
             live: 0,
             slots: Vec::new(),
             free_head: NO_SLOT,
-            classes: BTreeMap::new(),
+            classes: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -330,16 +338,16 @@ impl Ac3Fast {
             d,
         };
         self.check_feasible(key)?;
-        match self.classes.entry(key) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let n = e.get_mut();
-                let Some(next) = n.checked_add(1) else {
-                    return Err(Ac3FastError::Overflow);
-                };
-                *n = next;
+        match self.classes.binary_search_by_key(&key, |a| a.key) {
+            Ok(i) => {
+                if let Some(class) = self.classes.get_mut(i) {
+                    let grown = class.count.checked_add(1).and_then(|n| Agg::new(key, n));
+                    *class = grown.ok_or(Ac3FastError::Overflow)?;
+                }
             }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(1);
+            Err(i) => {
+                let class = Agg::new(key, 1).ok_or(Ac3FastError::Overflow)?;
+                self.classes.insert(i, class);
             }
         }
         self.admitted_rate_bps = total_rate;
@@ -361,13 +369,20 @@ impl Ac3Fast {
         if gen != handle.gen {
             return false;
         }
-        match self.classes.get_mut(&key) {
-            Some(n) if *n > 1 => *n -= 1,
-            Some(_) => {
-                self.classes.remove(&key);
+        // Unreachable `Err`: a live slot always has a class entry.
+        let Ok(i) = self.classes.binary_search_by_key(&key, |a| a.key) else {
+            return false;
+        };
+        match self.classes.get_mut(i) {
+            Some(class) if class.count > 1 => {
+                // A smaller count of a class that fit fits.
+                if let Some(shrunk) = Agg::new(key, class.count - 1) {
+                    *class = shrunk;
+                }
             }
-            // Unreachable: a live slot always has a class entry.
-            None => return false,
+            _ => {
+                self.classes.remove(i);
+            }
         }
         *slot = Slot::Free {
             // A generation that would wrap retires the slot instead (it
@@ -400,38 +415,33 @@ impl Ac3Fast {
         Ac3Handle { slot: idx, gen: 0 }
     }
 
-    /// [`ineq19_violated`] on this link, `Err` on overflow.
-    fn violated(&self, sum_l: u128, sum_r: u128, sum_rd: u128) -> Result<bool, Ac3FastError> {
-        ineq19_violated(self.link_bps, sum_l, sum_r, sum_rd).ok_or(Ac3FastError::Overflow)
-    }
-
     /// The full subset test for one candidate class key.
-    fn check_feasible(&self, cand: ClassKey) -> Result<(), Ac3FastError> {
+    fn check_feasible(&mut self, cand: ClassKey) -> Result<(), Ac3FastError> {
+        let Ac3Fast {
+            link_bps,
+            classes,
+            scratch,
+            ..
+        } = self;
+        let violated = |l, r, w| ineq19_violated(*link_bps, l, r, w).ok_or(Ac3FastError::Overflow);
         let cl = cand.len_bits as u128;
         let cr = cand.rate_bps as u128;
         let cw = cand.d.picobits_at_rate(cand.rate_bps);
 
         // Singleton set {candidate}: d ≥ L/C.
-        if self.violated(cl, cr, cw)? {
-            return Err(Ac3FastError::Infeasible(Ac3Witness {
-                candidate: spec_of(cand, 1),
-                classes: Vec::new(),
-            }));
+        if violated(cl, cr, cw)? {
+            return Err(Ac3FastError::Infeasible(witness(cand, classes, &[])));
         }
-        if self.classes.is_empty() {
+        if classes.is_empty() {
             return Ok(());
         }
 
-        // Aggregate resident sessions into classes (deterministic order)
-        // and take the full-set totals (candidate included).
-        let mut aggs: Vec<Agg> = Vec::with_capacity(self.classes.len());
+        // The full-set totals, candidate included.
         let (mut tl, mut tr, mut tw) = (cl, cr, cw);
-        for (&key, &count) in &self.classes {
-            let a = Agg::new(key, count).ok_or(Ac3FastError::Overflow)?;
+        for a in classes.iter() {
             tl = tl.checked_add(a.tot_l).ok_or(Ac3FastError::Overflow)?;
             tr = tr.checked_add(a.tot_r).ok_or(Ac3FastError::Overflow)?;
             tw = tw.checked_add(a.tot_w).ok_or(Ac3FastError::Overflow)?;
-            aggs.push(a);
         }
 
         // Dominance pruning (module docs, fact 2): shrink from the full
@@ -439,15 +449,15 @@ impl Ac3Fast {
         // current totals; re-check the surviving set each round. The
         // first `violated` call also proves the full-set products fit
         // u128, which bounds every subset product below.
-        let mut alive = vec![true; aggs.len()];
+        let keep = &mut scratch.keep;
+        keep.clear();
+        keep.resize(classes.len(), true);
         loop {
-            if self.violated(tl, tr, tw)? {
-                return Err(Ac3FastError::Infeasible(witness(cand, &aggs, |i| {
-                    alive.get(i).copied().unwrap_or(false)
-                })));
+            if violated(tl, tr, tw)? {
+                return Err(Ac3FastError::Infeasible(witness(cand, classes, keep)));
             }
             let mut removed = false;
-            for (a, flag) in aggs.iter().zip(alive.iter_mut()) {
+            for (a, flag) in classes.iter().zip(keep.iter_mut()) {
                 if !*flag {
                     continue;
                 }
@@ -461,7 +471,7 @@ impl Ac3Fast {
                     .and_then(|x| x.checked_sub(l * r))
                     .and_then(|x| x.checked_mul(PS))
                     .ok_or(Ac3FastError::Overflow)?;
-                let cost = (self.link_bps as u128)
+                let cost = (*link_bps as u128)
                     .checked_mul(a.w_each)
                     .ok_or(Ac3FastError::Overflow)?;
                 if gain < cost {
@@ -476,143 +486,297 @@ impl Ac3Fast {
                 break;
             }
         }
-        let mut keep = alive.iter();
-        aggs.retain(|_| keep.next() == Some(&true));
-        if aggs.is_empty() {
+        let mut survivors = classes.iter().zip(keep.iter()).filter(|(_, &k)| k);
+        let Some(min_d) = survivors.next().map(|(a, _)| a.key.d) else {
             return Ok(());
-        }
+        };
 
         // Quick accept: if C·d_s ≥ PS·TL for every survivor and the
         // candidate, then for any subset A, C·Σr·d ≥ PS·TL·Σr ≥
         // PS·L_A·R_A — all subsets feasible. (Overflow here only skips
         // the shortcut.)
         if let Some(ps_tl) = tl.checked_mul(PS) {
-            let min_d = aggs.iter().fold(cand.d, |m, a| m.min(a.key.d));
-            if min_d.picobits_at_rate(self.link_bps) >= ps_tl {
+            let min_d = survivors.fold(cand.d.min(min_d), |m, (a, _)| m.min(a.key.d));
+            if min_d.picobits_at_rate(*link_bps) >= ps_tl {
                 return Ok(());
             }
         }
 
-        match self.cut_reject((cl, cr, cw), &aggs) {
-            Some(inset) => Err(Ac3FastError::Infeasible(witness(cand, &aggs, |i| {
-                inset.get(i) == Some(&true)
-            }))),
-            None => Ok(()),
+        if scratch.cut_reject(*link_bps as u128, (cl, cr, cw), classes) {
+            Err(Ac3FastError::Infeasible(witness(
+                cand,
+                classes,
+                &scratch.keep,
+            )))
+        } else {
+            Ok(())
         }
     }
+}
 
-    /// Maximize `F` over unions of the surviving classes `live`,
-    /// candidate pinned, as one minimum s–t cut (module docs, fact 3):
-    /// membership in the minimal maximizer when it violates, `None` when
-    /// every subset is feasible. Node 0 is the source, survivor `i` is
-    /// node `i + 1` and node `m + 1` the sink; a cut with source side `A`
+/// The buffers one decision works in, kept by the instance so that a
+/// decision allocates nothing once they have grown to the class count.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Per class, in key order: survived pruning so far; after a
+    /// rejecting cut, belongs to the witness.
+    keep: Vec<bool>,
+    /// The survivors in the cut's node order, ascending in `u_i`:
+    /// `(u_i ≥ 0, |u_i| if so else !|u_i|, class index)`, so that the
+    /// derived order compares `u_i` exactly and breaks ties by key.
+    order: Vec<(bool, u128, usize)>,
+    flow: Dinic,
+}
+
+impl Scratch {
+    /// Maximize `F` over unions of the classes `keep` marks, candidate
+    /// `(cl, cr, cw)` pinned, as one minimum s–t cut (module docs, fact
+    /// 3): `true` iff the maximum violates, and then `keep` marks the
+    /// minimal maximizer. Node 0 is the source, the survivor of rank `k`
+    /// in ascending `u_i` is node `k + 1`, and node `m + 1` the sink; arc
+    /// `i → j` for `i < j` carries `q_ij`, and a cut with source side `A`
     /// costs `T + F0 − F(A)`. Every capacity and `T + PS·cl·cr` is a sum
     /// of distinct terms of the overflow-checked `PS·TL·TR`, or at most
     /// `C·TW`; each node pair has capacity one way only, so no residual
     /// exceeds it, and the flow never exceeds `T`: plain arithmetic.
-    fn cut_reject(&self, cand: (u128, u128, u128), live: &[Agg]) -> Option<Vec<bool>> {
+    fn cut_reject(&mut self, link: u128, cand: (u128, u128, u128), classes: &[Agg]) -> bool {
         let (cl, cr, cw) = cand;
-        let link = self.link_bps as u128;
-        let n = live.len() + 2;
-        let mut cap = vec![0; n * n];
-        let mut set = |u: usize, v: usize, c: u128| {
-            if let Some(x) = cap.get_mut(u * n + v) {
-                *x = c;
-            }
-        };
+        self.order.clear();
+        for ((i, a), _) in classes
+            .iter()
+            .enumerate()
+            .zip(&self.keep)
+            .filter(|(_, &k)| k)
+        {
+            let gain = PS * (cl * a.tot_r + a.tot_l * cr + a.tot_l * a.tot_r);
+            let cost = link * a.tot_w;
+            self.order.push(if gain >= cost {
+                (true, gain - cost, i)
+            } else {
+                (false, !(cost - gain), i)
+            });
+        }
+        self.order.sort_unstable();
+
+        let n = self.order.len() + 2;
+        let flow = &mut self.flow;
+        flow.reset(n);
         // T + PS·cl·cr, so that need = T + F0 = this − C·cw is unsigned.
         let mut t_and_ps_clcr = PS * cl * cr;
-        for (i, a) in live.iter().enumerate() {
+        for (i, &(nonneg, u, ai)) in self.order.iter().enumerate() {
+            let a = classes.get(ai);
             let mut q_sum = 0;
-            for (j, b) in live.iter().enumerate().skip(i + 1) {
+            for (j, &(_, _, bj)) in self.order.iter().enumerate().skip(i + 1) {
+                let (Some(a), Some(b)) = (a, classes.get(bj)) else {
+                    continue;
+                };
                 let q = PS * (a.tot_l * b.tot_r + b.tot_l * a.tot_r);
-                set(i + 1, j + 1, q);
+                flow.set(i + 1, j + 1, q);
                 q_sum += q;
             }
-            // a_i = −u_i − Σ_{j>i} q_ij = cost − gain.
-            let gain = PS * (cl * a.tot_r + a.tot_l * cr + a.tot_l * a.tot_r) + q_sum;
-            let cost = link * a.tot_w;
-            if cost >= gain {
-                set(i + 1, n - 1, cost - gain);
+            // −a_i = u_i + Σ_{j>i} q_ij = up − down: an arc from the
+            // source if positive, else one to the sink.
+            let (up, down) = if nonneg { (u + q_sum, 0) } else { (q_sum, !u) };
+            if up > down {
+                flow.set(0, i + 1, up - down);
+                t_and_ps_clcr += up - down;
             } else {
-                set(0, i + 1, gain - cost);
-                t_and_ps_clcr += gain - cost;
+                flow.set(i + 1, n - 1, down - up);
             }
         }
         // need ≤ 0: no cut costs less, so every subset is feasible.
-        let need = t_and_ps_clcr.checked_sub(link * cw).filter(|&x| x > 0)?;
-        flow_short_of(&mut cap, n, need)
+        let Some(need) = t_and_ps_clcr.checked_sub(link * cw).filter(|&x| x > 0) else {
+            return false;
+        };
+        if !flow.short_of(need) {
+            return false;
+        }
+        self.keep.fill(false);
+        for (k, &(_, _, i)) in self.order.iter().enumerate() {
+            if let (true, Some(x)) = (has(&flow.seen, k + 1), self.keep.get_mut(i)) {
+                *x = true;
+            }
+        }
+        true
     }
 }
 
-/// Dinic's max-flow from node 0 to node `n − 1` of the dense `n × n`
-/// residual matrix `cap`, stopped as soon as it reaches `need`: `None` if
-/// it does, otherwise which of nodes `1 … n − 1` the source still reaches.
-fn flow_short_of(cap: &mut [u128], n: usize, need: u128) -> Option<Vec<bool>> {
-    let (mut level, mut next, mut queue) = (vec![UNSEEN; n], vec![0; n], Vec::with_capacity(n));
-    let mut flow = 0;
-    loop {
-        for (v, l) in level.iter_mut().enumerate() {
-            *l = if v == 0 { 0 } else { UNSEEN };
+/// Dinic's max-flow over a dense residual matrix whose rows also keep a
+/// bitset of their nonzero arcs: level sets are ORs of those rows, and
+/// the blocking-flow search picks its next arc by `trailing_zeros` of
+/// `row ∧ next level ∧ not yet dead`.
+#[derive(Clone, Debug, Default)]
+struct Dinic {
+    /// Nodes; 0 is the source, `n − 1` the sink.
+    n: usize,
+    /// 64-bit words per node set, `⌈n/64⌉`.
+    words: usize,
+    /// Residual capacities, row-major `n × n`.
+    cap: Vec<u128>,
+    /// Row `u` (`words` words): bit `v` set iff `cap[u][v] > 0`.
+    adj: Vec<u64>,
+    /// The current phase's level sets, `words` words each.
+    layer: Vec<u64>,
+    /// Nodes the last search reached from the source.
+    seen: Vec<u64>,
+    /// Nodes the current phase has not found dead.
+    alive: Vec<u64>,
+}
+
+/// Whether node set `set` holds `v`.
+fn has(set: &[u64], v: usize) -> bool {
+    set.get(v / 64).is_some_and(|x| x >> (v % 64) & 1 == 1)
+}
+
+/// Set or clear bit `v` of a node set.
+fn flip(set: &mut [u64], v: usize, on: bool) {
+    if let Some(x) = set.get_mut(v / 64) {
+        let bit = 1 << (v % 64);
+        *x = if on { *x | bit } else { *x & !bit };
+    }
+}
+
+impl Dinic {
+    /// An `n`-node network with no arcs.
+    fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.words = n.div_ceil(64);
+        for (v, len) in [
+            (&mut self.adj, n * self.words),
+            (&mut self.layer, n * self.words),
+            (&mut self.seen, self.words),
+            (&mut self.alive, self.words),
+        ] {
+            v.clear();
+            v.resize(len, 0);
         }
-        queue.clear();
-        queue.push(0);
-        let mut head = 0;
-        while let Some(&u) = queue.get(head) {
-            head += 1;
-            let deeper = level.get(u).map_or(UNSEEN, |&l| l + 1);
-            let row = cap.get(u * n..(u + 1) * n).unwrap_or_default();
-            for (v, (&c, l)) in row.iter().zip(level.iter_mut()).enumerate() {
-                if c > 0 && *l == UNSEEN {
-                    *l = deeper;
-                    queue.push(v);
-                }
-            }
+        self.cap.clear();
+        self.cap.resize(n * n, 0);
+    }
+
+    /// Give arc `u → v` capacity `c` (it has none yet).
+    fn set(&mut self, u: usize, v: usize, c: u128) {
+        if let (Some(x), true) = (self.cap.get_mut(u * self.n + v), c > 0) {
+            *x = c;
+            self.arc(u, v, true);
         }
-        if level.last() == Some(&UNSEEN) {
-            return Some(level.iter().skip(1).map(|&l| l != UNSEEN).collect());
+    }
+
+    /// Mark arc `u → v` as present in (`on`) or absent from row `u`.
+    fn arc(&mut self, u: usize, v: usize, on: bool) {
+        let w = self.words;
+        if let Some(row) = self.adj.get_mut(u * w..(u + 1) * w) {
+            flip(row, v, on);
         }
-        next.fill(0);
-        loop {
-            let pushed = augment(cap, &level, &mut next, 0, u128::MAX);
-            if pushed == 0 {
-                break;
-            }
-            flow += pushed;
+    }
+
+    /// Push flow from the source until it reaches `need`: `false` if it
+    /// does, `true` if the maximum flow falls short, and then `seen` is
+    /// the source side of the minimum cut closest to the source.
+    fn short_of(&mut self, need: u128) -> bool {
+        let mut flow = 0;
+        while self.levels() {
+            self.alive.fill(u64::MAX);
+            flow += self.push(0, 0, need - flow);
             if flow >= need {
-                return None;
+                return false;
             }
         }
+        true
     }
-}
 
-/// Push one path of at most `limit` from `u` to the sink along `level`,
-/// advancing the current-arc pointers `next`; the amount pushed.
-fn augment(cap: &mut [u128], level: &[u32], next: &mut [usize], u: usize, limit: u128) -> u128 {
-    let n = level.len();
-    if u + 1 == n {
-        return limit;
-    }
-    let deeper = level.get(u).map_or(UNSEEN, |&l| l + 1);
-    while let Some(&v) = next.get(u).filter(|&&v| v < n) {
-        let c = cap.get(u * n + v).copied().unwrap_or(0);
-        if c > 0 && level.get(v) == Some(&deeper) {
-            let pushed = augment(cap, level, next, v, limit.min(c));
-            if pushed > 0 {
-                if let Some(x) = cap.get_mut(u * n + v) {
-                    *x -= pushed;
+    /// Breadth-first level sets from the source into `layer`, stopping at
+    /// the sink's level, whose set is the sink alone: `false` (with
+    /// `seen` the residual reach of the source) if the sink is cut off.
+    fn levels(&mut self) -> bool {
+        let (w, sink) = (self.words, self.n - 1);
+        self.seen.fill(0);
+        flip(&mut self.seen, 0, true);
+        self.layer.fill(0);
+        flip(&mut self.layer, 0, true);
+        for depth in 0..self.n {
+            let (done, rest) = self.layer.split_at_mut((depth + 1) * w);
+            let (Some(frontier), Some(next)) = (done.get(depth * w..), rest.get_mut(..w)) else {
+                return false;
+            };
+            for (k, &word) in frontier.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let u = k * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let row = self.adj.get(u * w..(u + 1) * w).unwrap_or_default();
+                    for (x, &a) in next.iter_mut().zip(row) {
+                        *x |= a;
+                    }
                 }
-                if let Some(x) = cap.get_mut(v * n + u) {
-                    *x += pushed;
-                }
-                return pushed;
+            }
+            let mut any = false;
+            for (x, &s) in next.iter_mut().zip(&self.seen) {
+                *x &= !s;
+                any |= *x != 0;
+            }
+            if !any {
+                return false;
+            }
+            if has(next, sink) {
+                next.fill(0);
+                flip(next, sink, true);
+                return true;
+            }
+            for (s, &x) in self.seen.iter_mut().zip(next.iter()) {
+                *s |= x;
             }
         }
-        if let Some(p) = next.get_mut(u) {
-            *p += 1;
-        }
+        false
     }
-    0
+
+    /// The lowest-numbered live node of level `depth + 1` that `u` has
+    /// residual capacity to.
+    fn next_arc(&self, u: usize, depth: usize) -> Option<usize> {
+        let w = self.words;
+        let row = self.adj.get(u * w..(u + 1) * w)?;
+        let next = self.layer.get((depth + 1) * w..(depth + 2) * w)?;
+        let words = row.iter().zip(next).zip(&self.alive);
+        words.enumerate().find_map(|(k, ((&a, &l), &z))| {
+            let x = a & l & z;
+            (x != 0).then(|| k * 64 + x.trailing_zeros() as usize)
+        })
+    }
+
+    /// Push up to `limit` from `u` (at level `depth`) to the sink along
+    /// the level sets, as many paths as it takes; `u` is marked dead once
+    /// it has no arc left. The amount pushed.
+    fn push(&mut self, u: usize, depth: usize, limit: u128) -> u128 {
+        let n = self.n;
+        if u + 1 == n {
+            return limit;
+        }
+        let mut pushed = 0;
+        while pushed < limit {
+            let Some(v) = self.next_arc(u, depth) else {
+                flip(&mut self.alive, u, false);
+                break;
+            };
+            let c = self.cap.get(u * n + v).copied().unwrap_or(0);
+            let got = self.push(v, depth + 1, c.min(limit - pushed));
+            if got == 0 {
+                flip(&mut self.alive, v, false);
+                continue;
+            }
+            if let Some(x) = self.cap.get_mut(u * n + v) {
+                *x -= got;
+                if *x == 0 {
+                    self.arc(u, v, false);
+                }
+            }
+            if let Some(x) = self.cap.get_mut(v * n + u) {
+                *x += got;
+            }
+            self.arc(v, u, true);
+            pushed += got;
+        }
+        pushed
+    }
 }
 
 /// A witness class from a raw key.
@@ -625,17 +789,16 @@ fn spec_of(key: ClassKey, count: u64) -> Ac3ClassSpec {
     }
 }
 
-/// Assemble a witness from the aggregate table and a membership
-/// predicate over aggregate indices.
-fn witness(cand: ClassKey, aggs: &[Agg], member: impl Fn(usize) -> bool) -> Ac3Witness {
+/// Assemble a witness from the class table and per-class membership
+/// flags (a class past the end of `member` is not in it), in one
+/// exact-size allocation.
+fn witness(cand: ClassKey, classes: &[Agg], member: &[bool]) -> Ac3Witness {
+    let mut set = Vec::with_capacity(member.iter().filter(|&&m| m).count());
+    let members = classes.iter().zip(member).filter(|(_, &m)| m);
+    set.extend(members.map(|(a, _)| spec_of(a.key, a.count)));
     Ac3Witness {
         candidate: spec_of(cand, 1),
-        classes: aggs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| member(*i))
-            .map(|(_, a)| spec_of(a.key, a.count))
-            .collect(),
+        classes: set,
     }
 }
 
@@ -805,8 +968,38 @@ mod tests {
         (l * r * PS) as i128 - (link as u128 * w) as i128
     }
 
+    /// An instance holding `n` sessions of each `key` (merged), without
+    /// admission: the tests below place classes the pipeline would refuse.
+    fn holding(link: u64, keys: impl IntoIterator<Item = (ClassKey, u64)>) -> Ac3Fast {
+        let mut merged = std::collections::BTreeMap::new();
+        for (k, n) in keys {
+            *merged.entry(k).or_insert(0) += n;
+        }
+        let mut ac = Ac3Fast::new(link);
+        ac.classes = merged
+            .into_iter()
+            .flat_map(|(k, n)| Agg::new(k, n))
+            .collect();
+        ac
+    }
+
+    /// Run the cut over every class of `ac`: its membership flags when it
+    /// rejects.
+    fn cut_all(ac: &Ac3Fast, cand: Agg) -> Option<Vec<bool>> {
+        let mut scratch = Scratch {
+            keep: vec![true; ac.classes.len()],
+            ..Scratch::default()
+        };
+        let link = ac.link_bps as u128;
+        let cand = (cand.tot_l, cand.tot_r, cand.tot_w);
+        scratch
+            .cut_reject(link, cand, &ac.classes)
+            .then_some(scratch.keep)
+    }
+
     /// The cut over every class against a brute force over class subsets:
-    /// same verdict, and a witness that attains the maximum of `F`; the
+    /// same verdict, and a witness that is the minimal maximizer of `F`
+    /// (the intersection of every subset attaining the maximum); the
     /// whole pipeline gives the same verdict. Ranges keep `PS·TL·TR` and
     /// `C·TW` below 2¹¹⁶.
     #[test]
@@ -842,26 +1035,27 @@ mod tests {
                 keys.push((key(r, l as u32, d), n));
             }
             // The first key is the candidate; the rest are residents.
-            let (cand, mut ac) = (keys[0].0, Ac3Fast::new(link));
-            for &(k, n) in &keys[1..] {
-                *ac.classes.entry(k).or_insert(0) += n;
-            }
-            let aggs: Vec<_> = ac
-                .classes
-                .iter()
-                .flat_map(|(&k, &n)| Agg::new(k, n))
-                .collect();
+            let (cand, mut ac) = (keys[0].0, holding(link, keys[1..].iter().copied()));
+            let aggs = ac.classes.clone();
             let c = Agg::new(cand, 1).unwrap();
-            let subsets =
-                (0..1u32 << aggs.len()).map(|m| f_of(link, c, &aggs, |i| m >> i & 1 == 1));
-            let best = subsets.max().unwrap();
+            let f: Vec<_> = (0..1u32 << aggs.len())
+                .map(|m| f_of(link, c, &aggs, |i| m >> i & 1 == 1))
+                .collect();
+            let best = *f.iter().max().unwrap();
+            let minimal = (0..f.len() as u32)
+                .filter(|&m| f[m as usize] == best)
+                .fold(u32::MAX, |x, m| x & m);
 
-            let cut = ac.cut_reject((c.tot_l, c.tot_r, c.tot_w), &aggs);
+            let cut = cut_all(&ac, c);
             assert_eq!(cut.is_some(), best > 0, "cut verdict at max F = {best}");
             if let Some(inset) = cut {
                 let member = |i: usize| inset[i];
                 assert_eq!(f_of(link, c, &aggs, member), best, "no maximizer");
-                assert_eq!(witness(cand, &aggs, member).violates(link), Some(true));
+                let got = (0..aggs.len())
+                    .filter(|&i| inset[i])
+                    .fold(0, |x, i| x | 1 << i);
+                assert_eq!(got, minimal, "not the minimal maximizer");
+                assert_eq!(witness(cand, &aggs, &inset).violates(link), Some(true));
             }
             match ac.check_feasible(cand) {
                 Ok(()) => assert!(best <= 0, "admitted at max F = {best}"),
@@ -869,5 +1063,111 @@ mod tests {
                 Err(e) => panic!("rejected at max F = {best}: {e:?}"),
             }
         });
+    }
+
+    /// Every class and the candidate share one `L/r` (here 0.1 s, so
+    /// `L = ρ·R` for any set): then `F = PS·ρ·R² − C·W`, every maximizer
+    /// takes each class of smaller `d` than one it holds (and every class
+    /// of equal `d`), and the minimal maximizer is the shortest maximizing
+    /// prefix in `d` order. The cut over 62, 63, 64, 65 and 130 classes
+    /// (64 to 132 nodes: one, two and three mask words) and the whole
+    /// pipeline, against that prefix scan.
+    #[test]
+    fn collinear_classes_cut_at_the_shortest_maximizing_prefix() {
+        const LINK: u64 = 1_000_000_000;
+        // The candidate: 1 000 bit/s and 100 bit; the classes are k times
+        // that, k ∈ {1, 2, 3}, in groups of one to three sharing a d.
+        let cr: u64 = 1_000;
+        let mut rng = lit_sim::SimRng::seed_from(40);
+        for m in [62, 63, 64, 65, 130] {
+            let (mut rejects, mut accepts) = (0, 0);
+            for trial in 0..8 {
+                // Group g at total rate Y before it and r_g in it gets
+                // d = 100·(2Y + r_g) + δ_g ps, which changes F by exactly
+                // −C·r_g·δ_g: the prefixes' F are a random walk in the
+                // δ's, and d rises from group to group. The last δ is not
+                // positive, so pruning keeps every class.
+                let (mut keys, mut y, mut walk, mut low) = (Vec::new(), cr, 0i128, 0i128);
+                while keys.len() < m {
+                    let size = (1 + rng.below(3) as usize).min(m - keys.len());
+                    let first = rng.below(3);
+                    let ks: Vec<u64> = (0..size as u64).map(|t| 1 + (first + t) % 3).collect();
+                    let r_g: u64 = ks.iter().map(|k| k * cr).sum();
+                    let mut delta = match rng.below(4) {
+                        0 => 0,
+                        _ => rng.below(100_001) as i64 - 50_000,
+                    };
+                    if keys.len() + size == m {
+                        delta = -delta.abs();
+                    }
+                    let d = Duration::from_ps((100 * (2 * y + r_g) as i64 + delta) as u64);
+                    keys.extend(ks.iter().map(|&k| (key(k * cr, 100 * k as u32, d), 1)));
+                    y += r_g;
+                    walk += r_g as i128 * delta as i128;
+                    low = low.min(walk);
+                }
+                // With the candidate's d = L/C + ε, F(prefix) = −C·(cr·ε +
+                // walk): the least ε that keeps every prefix at F ≤ 0
+                // accepts (at F = 0 when cr divides the walk's low), one
+                // ps less rejects.
+                let eps = (-low as u64).div_ceil(cr).saturating_sub(trial % 2);
+                let cand = key(cr, 100, Duration::from_ps(100 * cr + eps));
+                let mut ac = holding(LINK, keys.iter().copied());
+                assert_eq!(ac.num_classes(), m);
+
+                // The prefix scan over groups of equal d.
+                let c = Agg::new(cand, 1).unwrap();
+                let mut by_d = ac.classes.clone();
+                by_d.sort_by_key(|a| a.key.d);
+                let (mut best, mut cut_d) = (f_of(LINK, c, &[], |_| true), None);
+                for (i, a) in by_d.iter().enumerate() {
+                    if by_d.get(i + 1).is_some_and(|b| b.key.d == a.key.d) {
+                        continue;
+                    }
+                    let fp = f_of(LINK, c, &by_d[..=i], |_| true);
+                    if fp > best {
+                        (best, cut_d) = (fp, Some(a.key.d));
+                    }
+                }
+                let expect: Vec<bool> = ac
+                    .classes
+                    .iter()
+                    .map(|a| cut_d.is_some_and(|d| a.key.d <= d))
+                    .collect();
+                let full = f_of(LINK, c, &ac.classes, |_| true);
+
+                let cut = cut_all(&ac, c);
+                assert_eq!(
+                    cut.is_some(),
+                    best > 0,
+                    "m = {m}: cut verdict at max F = {best}"
+                );
+                if let Some(inset) = &cut {
+                    assert_eq!(
+                        inset, &expect,
+                        "m = {m}: not the shortest maximizing prefix"
+                    );
+                }
+                match ac.check_feasible(cand) {
+                    Ok(()) => {
+                        assert!(best <= 0, "m = {m}: admitted at max F = {best}");
+                        accepts += 1;
+                    }
+                    Err(Ac3FastError::Infeasible(w)) if best > 0 => {
+                        assert_eq!(w.violates(LINK), Some(true));
+                        // Unless the full set violates, the cut decided.
+                        if full <= 0 {
+                            assert_eq!(w, witness(cand, &ac.classes, &expect), "m = {m}");
+                        }
+                        rejects += 1;
+                    }
+                    Err(e) => panic!("m = {m}: rejected at max F = {best}: {e:?}"),
+                }
+            }
+            assert!(
+                rejects > 0 && accepts > 0,
+                "m = {m}: {rejects} rejects, {accepts} accepts"
+            );
+        }
     }
 }

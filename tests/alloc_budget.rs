@@ -7,15 +7,16 @@
 //! the bins past it exist from their first hit, a session's per-hop rows
 //! are one block, its route lives in the topology's flat table. The
 //! budgets below fail when a per-session `Vec` or a dense bin array comes
-//! back, or when the steady state starts to allocate.
+//! back, or when the steady state starts to allocate. The same counter
+//! holds procedure 3's admission to one allocation per rejection.
 
 use leave_in_time::analysis::DurationHistogram;
-use leave_in_time::core::LitDiscipline;
+use leave_in_time::core::{Ac3Fast, Ac3FastError, LitDiscipline};
 use leave_in_time::net::{
     DelayAssignment, LinkParams, Network, NetworkBuilder, OccupancyHistogram, SessionId,
     SessionSpec, SessionStats, StatsConfig,
 };
-use leave_in_time::sim::{Duration, Time};
+use leave_in_time::sim::{Duration, SimRng, Time};
 use leave_in_time::traffic::DeterministicSource;
 use lit_repro::scenario::{RunOptions, Scenario};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -270,3 +271,57 @@ fn a_paper_sized_run_pays_for_the_bins_it_hit() {
 /// What `a_paper_sized_run_pays_for_the_bins_it_hit` read at the parent
 /// commit (dense bin arrays).
 const PARENT_LIVE_BYTES: isize = 2_530_565;
+
+/// Admit/release churn on one `Ac3Fast` at the edge of ineq. (19):
+/// `lit-bench`'s `ac3_storm` palette (12 classes, delays divided by 55)
+/// on a 1 Gbit/s link, which puts the edge near 10 300 residents. Prefill
+/// 10 000, let 55 % admits climb to the edge, then over 10 000 more
+/// operations a decision may allocate only its rejection witness (one
+/// `Vec` each): the cut, its flow and the class totals work in buffers
+/// the server keeps.
+#[test]
+fn an_ac3_decision_allocates_only_its_witness() {
+    let class = |k: u64| {
+        let k = k % 12;
+        let d = (Duration::from_ms(200) + Duration::from_ms(50) * k) / 55;
+        (2_000 + 500 * k, 400 + 100 * k as u32, d)
+    };
+    let mut ac = Ac3Fast::new(1_000_000_000);
+    let mut handles = Vec::with_capacity(20_000);
+    for k in 0..10_000 {
+        let (r, l, d) = class(k);
+        handles.push(ac.try_admit(r, l, d).expect("the prefill is feasible").0);
+    }
+    let mut rng = SimRng::seed_from(40);
+    let mut churn = |ops: u64| {
+        let (mut admitted, mut rejected) = (0u64, 0u64);
+        for _ in 0..ops {
+            let x = rng.next_u64();
+            if x % 100 < 55 {
+                let (r, l, d) = class(x >> 8);
+                match ac.try_admit(r, l, d) {
+                    Ok((h, _)) => {
+                        handles.push(h);
+                        admitted += 1;
+                    }
+                    Err(Ac3FastError::Infeasible(_)) => rejected += 1,
+                    Err(e) => panic!("undecided: {e}"),
+                }
+            } else {
+                let h = handles.swap_remove((x >> 8) as usize % handles.len());
+                assert!(ac.release(h));
+            }
+        }
+        (admitted, rejected)
+    };
+    churn(10_000);
+    let calls = CALLS.get();
+    let (admitted, rejected) = churn(10_000);
+    let calls = CALLS.get() - calls;
+    println!("AC3 churn: {calls} allocation calls, {admitted} admits, {rejected} rejections");
+    assert!(admitted > 1_000 && rejected > 1_000, "not at the edge");
+    assert!(
+        calls <= rejected,
+        "{calls} allocation calls for {rejected} rejections"
+    );
+}
