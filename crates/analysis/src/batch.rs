@@ -12,10 +12,10 @@
 
 /// Streaming batch-means accumulator with automatic batch doubling.
 ///
-/// Starts with `target_batches · 2` batches of `initial_batch` samples;
-/// whenever the number of completed batches reaches `2 · target_batches`,
+/// Starts with batches of `initial_batch` samples; whenever the number of
+/// completed batches reaches `2 ·` [`BatchMeans::TARGET`],
 /// adjacent batches are merged pairwise and the batch size doubles —
-/// keeping the batch count in `[target_batches, 2·target_batches)` forever
+/// keeping the batch count in `[TARGET, 2·TARGET)` forever
 /// while each batch grows long enough to wash out autocorrelation.
 ///
 /// Every completed batch holds exactly `batch_size` samples (a merge
@@ -26,7 +26,6 @@
 /// takes its point estimate from there.
 #[derive(Clone, Debug)]
 pub struct BatchMeans {
-    target_batches: usize,
     batch_size: u64,
     /// Completed batch means.
     batches: Vec<f64>,
@@ -36,13 +35,14 @@ pub struct BatchMeans {
 }
 
 impl BatchMeans {
-    /// An accumulator aiming for `target_batches` batches (≥ 2), starting
+    /// The number of batches every accumulator aims for.
+    pub const TARGET: usize = 32;
+
+    /// An accumulator aiming for [`BatchMeans::TARGET`] batches, starting
     /// from batches of `initial_batch` samples (≥ 1).
-    pub fn new(target_batches: usize, initial_batch: u64) -> Self {
-        assert!(target_batches >= 2, "batch means: need at least 2 batches");
+    pub fn new(initial_batch: u64) -> Self {
         assert!(initial_batch >= 1, "batch means: empty batches");
         BatchMeans {
-            target_batches,
             batch_size: initial_batch,
             batches: Vec::new(),
             cur_sum: 0.0,
@@ -50,9 +50,9 @@ impl BatchMeans {
         }
     }
 
-    /// A sensible default: 32 batches, starting at 64 samples per batch.
+    /// A sensible default: batches of 64 samples to start with.
     pub fn default_config() -> Self {
-        BatchMeans::new(32, 64)
+        BatchMeans::new(64)
     }
 
     /// Record one observation.
@@ -63,7 +63,7 @@ impl BatchMeans {
             self.batches.push(self.cur_sum / self.cur_n as f64);
             self.cur_sum = 0.0;
             self.cur_n = 0;
-            if self.batches.len() >= 2 * self.target_batches {
+            if self.batches.len() >= 2 * Self::TARGET {
                 // Merge adjacent batches; double the batch size.
                 let merged: Vec<f64> = self
                     .batches
@@ -147,7 +147,7 @@ mod tests {
         let mut covered = 0;
         for seed in 0..40u64 {
             let mut rng = SimRng::seed_from(seed);
-            let mut bm = BatchMeans::new(16, 32);
+            let mut bm = BatchMeans::new(32);
             for _ in 0..20_000 {
                 bm.record(rng.unit_f64()); // mean 0.5
             }
@@ -164,7 +164,7 @@ mod tests {
         // An AR(1)-ish stream: the naive s/sqrt(n) interval would be ~3x
         // too small at phi = 0.8; batch means must widen accordingly.
         let mut rng = SimRng::seed_from(5);
-        let mut bm = BatchMeans::new(16, 32);
+        let mut bm = BatchMeans::new(32);
         let mut naive = OnlineStats::new();
         let mut x = 0.0f64;
         for _ in 0..50_000 {
@@ -182,18 +182,23 @@ mod tests {
 
     #[test]
     fn batch_doubling_caps_batch_count() {
-        let mut bm = BatchMeans::new(8, 1);
+        let mut bm = BatchMeans::new(1);
         for i in 0..10_000 {
             bm.record(i as f64);
         }
-        assert!(bm.num_batches() < 16, "batches={}", bm.num_batches());
-        assert!(bm.num_batches() >= 8);
+        let target = BatchMeans::TARGET;
+        assert!(
+            bm.num_batches() < 2 * target,
+            "batches={}",
+            bm.num_batches()
+        );
+        assert!(bm.num_batches() >= target);
         assert_eq!(bm.count(), 10_000);
     }
 
     #[test]
     fn too_few_batches_gives_none() {
-        let mut bm = BatchMeans::new(4, 1000);
+        let mut bm = BatchMeans::new(1000);
         for _ in 0..10 {
             bm.record(1.0);
         }

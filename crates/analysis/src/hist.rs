@@ -10,8 +10,10 @@
 //! The counts live in [`Bins`], which costs what it has seen: the bin
 //! count is a ceiling, and only the prefix of bins up to the highest one
 //! hit is in memory, bin 0 inline: a histogram takes a heap block from its
-//! first sample past bin 0. `lit_net::OccupancyHistogram` sits on the same
-//! store (bits instead of picoseconds).
+//! first sample past bin 0. The layout (bin width and count) is stored
+//! once per distinct layout and referred to by every store of it, so a
+//! `DurationHistogram` is one 64-byte line. `lit_net::OccupancyHistogram`
+//! sits on the same store (bits instead of picoseconds).
 
 #![deny(
     clippy::unwrap_used,
@@ -26,30 +28,66 @@
 )]
 
 use lit_sim::Duration;
+use std::sync::OnceLock;
+
+/// The layout of a histogram: `nbins` bins of `width` each. Every store of
+/// one layout refers to one shared copy ([`BinShape::of`]), so a store
+/// carries an 8-byte reference where it carried the two numbers.
+#[derive(Debug, PartialEq, Eq)]
+struct BinShape {
+    width: u64,
+    nbins: usize,
+}
+
+impl BinShape {
+    /// The shared copy of the layout `(width, nbins)`, interned for the
+    /// life of the process: the first 64 distinct layouts live in a static
+    /// table (no heap), any past them in a leaked 16-byte box each. A
+    /// lookup scans that table, so a caller building many histograms of
+    /// one layout builds one and clones it: a clone of an empty store is
+    /// a copy of four words.
+    ///
+    /// # Panics
+    /// Panics if `width` or `nbins` is zero.
+    fn of(width: u64, nbins: usize) -> &'static BinShape {
+        assert!(width > 0, "histogram: zero bin width");
+        assert!(nbins > 0, "histogram: zero bins");
+        static SHAPES: [OnceLock<BinShape>; 64] = [const { OnceLock::new() }; 64];
+        let want = BinShape { width, nbins };
+        for slot in &SHAPES {
+            let shape = slot.get_or_init(|| BinShape { width, nbins });
+            if *shape == want {
+                return shape;
+            }
+        }
+        Box::leak(Box::new(want))
+    }
+}
 
 /// The counts of a fixed-bin-width histogram over `u64` samples, stored as
-/// far as the data reached: bins `0..nbins` exist logically, the prefix up
-/// to the highest bin ever hit exists in memory, and samples at or past
-/// `nbins · width` share one overflow counter. Bin 0 lives inline, so a
-/// store whose samples all fall in bin 0 (or all overflow) owns no heap
+/// far as the data reached: bins `0..nbins` exist logically, a prefix
+/// reaching the highest bin ever hit exists in memory, and samples at or
+/// past `nbins · width` share one overflow counter. Bin 0 lives inline, so
+/// a store whose samples all fall in bin 0 (or all overflow) owns no heap
 /// block; the first sample past bin 0 moves the prefix to the heap. Every
-/// answer is the one a dense array of `nbins` counters would give.
+/// answer is the one a dense array of `nbins` counters would give. The
+/// layout is shared by every store of it: a store is 32 bytes.
 #[derive(Clone, Debug)]
 pub struct Bins {
-    width: u64,
+    shape: &'static BinShape,
     /// `stored()[i]` counts samples in `[i·width, (i+1)·width)`; bins
     /// from `stored().len()` on are all zero.
     hit: Hit,
-    nbins: usize,
     overflow: u64,
 }
 
 /// The stored prefix: bin 0 alone, inline, or bins `0..len` on the heap
-/// (`len ≥ 2`). The same 24 bytes as a bare `Vec`.
+/// (`len ≥ 2`), whose tail past the highest bin hit is zeros. 16 bytes:
+/// the inline count sits beside the box's non-null pointer.
 #[derive(Clone, Debug)]
 enum Hit {
     One(u64),
-    Many(Vec<u64>),
+    Many(Box<[u64]>),
 }
 
 impl Bins {
@@ -58,12 +96,9 @@ impl Bins {
     /// # Panics
     /// Panics if `width` or `nbins` is zero.
     pub fn new(width: u64, nbins: usize) -> Self {
-        assert!(width > 0, "histogram: zero bin width");
-        assert!(nbins > 0, "histogram: zero bins");
         Bins {
-            width,
+            shape: BinShape::of(width, nbins),
             hit: Hit::One(0),
-            nbins,
             overflow: 0,
         }
     }
@@ -71,7 +106,7 @@ impl Bins {
     /// Count one sample.
     #[inline]
     pub fn record(&mut self, x: u64) {
-        let idx = (x / self.width) as usize;
+        let idx = (x / self.shape.width) as usize;
         match self.stored_mut().get_mut(idx) {
             Some(c) => *c += 1,
             None => self.record_past_prefix(idx),
@@ -79,40 +114,35 @@ impl Bins {
     }
 
     /// The first sample of a bin past the stored prefix: count an
-    /// overflow, or grow the prefix to reach the bin. Capacity doubles,
+    /// overflow, or grow the prefix to reach the bin. The prefix doubles,
     /// so filling up costs O(log nbins) reallocations, and is clamped to
     /// `nbins`, so the store never holds more than the dense layout did.
     #[cold]
     fn record_past_prefix(&mut self, idx: usize) {
-        if idx >= self.nbins {
+        if idx >= self.shape.nbins {
             self.overflow += 1;
             return;
         }
         self.grow(idx + 1);
-        if let Some(c) = self.stored_mut().last_mut() {
+        if let Some(c) = self.stored_mut().get_mut(idx) {
             *c = 1;
         }
     }
 
-    /// Store bins `0..len` (`stored().len() < len ≤ nbins`). Leaving bin 0
-    /// alone allocates once, exactly `len` bins: what a one-bin heap prefix
-    /// would have doubled to, as `len ≥ 2`.
+    /// Store at least bins `0..len` (`stored().len() < len ≤ nbins`).
+    /// Leaving bin 0 alone allocates exactly `len` bins, what a one-bin
+    /// heap prefix would have doubled to, as `len ≥ 2`; a heap prefix
+    /// doubles, clamped to `[len, nbins]`.
     fn grow(&mut self, len: usize) {
-        match &mut self.hit {
-            Hit::One(c) => {
-                let mut v = Vec::with_capacity(len);
-                v.push(*c);
-                v.resize(len, 0);
-                self.hit = Hit::Many(v);
-            }
-            Hit::Many(v) => {
-                if len > v.capacity() {
-                    let cap = (2 * v.capacity()).clamp(len, self.nbins);
-                    v.reserve_exact(cap - v.len());
-                }
-                v.resize(len, 0);
-            }
-        }
+        let stored = self.stored();
+        let cap = match self.hit {
+            Hit::One(_) => len,
+            Hit::Many(_) => (2 * stored.len()).clamp(len, self.shape.nbins),
+        };
+        let mut v = Vec::with_capacity(cap);
+        v.extend_from_slice(stored);
+        v.resize(cap, 0);
+        self.hit = Hit::Many(v.into_boxed_slice());
     }
 
     /// The stored prefix, bin 0 first: never empty.
@@ -133,7 +163,7 @@ impl Bins {
 
     /// Samples counted, overflow included: one pass over the stored bins.
     pub fn total(&self) -> u64 {
-        self.below(self.nbins).saturating_add(self.overflow)
+        self.below(self.shape.nbins).saturating_add(self.overflow)
     }
 
     /// Samples in bins `0..idx`.
@@ -146,13 +176,13 @@ impl Bins {
     /// zeros.
     fn counts(&self) -> impl ExactSizeIterator<Item = &u64> + '_ {
         let stored = self.stored();
-        (0..self.nbins).map(|i| stored.get(i).unwrap_or(&0))
+        (0..self.shape.nbins).map(|i| stored.get(i).unwrap_or(&0))
     }
 
     /// `(bin_lower_edge, count)` of every non-empty bin, in bin order.
     fn nonempty(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let bins = self.stored().iter().enumerate().filter(|(_, &c)| c > 0);
-        bins.map(|(i, &c)| (i as u64 * self.width, c))
+        bins.map(|(i, &c)| (i as u64 * self.shape.width, c))
     }
 
     /// `(bin_lower_edge, fraction of all samples)` of every non-empty bin.
@@ -170,7 +200,7 @@ impl Bins {
         if total == 0 {
             return 0.0;
         }
-        let below = self.below((x / self.width) as usize);
+        let below = self.below((x / self.shape.width) as usize);
         total.saturating_sub(below) as f64 / total as f64
     }
 
@@ -189,7 +219,10 @@ impl Bins {
             }
             remaining = remaining.saturating_sub(c);
             if c > 0 || i == 0 {
-                out.push(((i as u64 + 1) * self.width, remaining as f64 / total as f64));
+                out.push((
+                    (i as u64 + 1) * self.shape.width,
+                    remaining as f64 / total as f64,
+                ));
             }
         }
         if self.overflow > 0 {
@@ -206,8 +239,14 @@ impl Bins {
     /// # Panics
     /// Panics on mismatched bin width or bin count.
     pub fn merge(&mut self, other: &Bins) {
-        assert_eq!(self.width, other.width, "merge: bin width mismatch");
-        assert_eq!(self.nbins, other.nbins, "merge: bin count mismatch");
+        assert_eq!(
+            self.shape.width, other.shape.width,
+            "merge: bin width mismatch"
+        );
+        assert_eq!(
+            self.shape.nbins, other.shape.nbins,
+            "merge: bin count mismatch"
+        );
         let theirs = other.stored();
         if self.stored().len() < theirs.len() {
             self.grow(theirs.len());
@@ -296,7 +335,7 @@ impl DurationHistogram {
 
     /// The configured bin width.
     pub fn bin_width(&self) -> Duration {
-        Duration::from_ps(self.bins.width)
+        Duration::from_ps(self.bins.shape.width)
     }
 
     /// Count in the overflow bucket.
@@ -356,7 +395,7 @@ impl DurationHistogram {
         for (edge, c) in self.bins.nonempty() {
             cum = cum.saturating_add(c);
             if cum >= target {
-                return Some(Duration::from_ps(edge + self.bins.width));
+                return Some(Duration::from_ps(edge + self.bins.shape.width));
             }
         }
         Some(self.max)
@@ -383,12 +422,9 @@ mod tests {
         Duration::from_ms(x)
     }
 
-    /// Bins held: 1 inline, else the heap prefix's capacity.
+    /// Bins held: 1 inline, else the heap prefix's length.
     fn capacity(b: &Bins) -> usize {
-        match &b.hit {
-            Hit::One(_) => 1,
-            Hit::Many(v) => v.capacity(),
-        }
+        b.stored().len()
     }
 
     /// A prefix that climbs one bin at a time reallocates O(log nbins)
@@ -417,9 +453,19 @@ mod tests {
         assert!(matches!(b.hit, Hit::One(4)));
         b.record(25);
         assert_eq!(b.stored(), [4, 0, 1]);
-        assert_eq!(capacity(&b), 3);
         assert_eq!(b.total(), 6);
-        assert_eq!(size_of::<Hit>(), size_of::<Vec<u64>>());
+        assert_eq!(size_of::<Hit>(), size_of::<Box<[u64]>>());
+    }
+
+    /// One copy of each layout, referred to by every store of it.
+    #[test]
+    fn a_layout_is_stored_once() {
+        let (a, b) = (Bins::new(7, 9), Bins::new(7, 9));
+        assert!(std::ptr::eq(a.shape, b.shape));
+        assert!(std::ptr::eq(a.shape, a.clone().shape));
+        assert!(!std::ptr::eq(a.shape, Bins::new(7, 10).shape));
+        assert_eq!(size_of::<Bins>(), 32);
+        assert_eq!(size_of::<DurationHistogram>(), 64);
     }
 
     #[test]

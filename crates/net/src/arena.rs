@@ -15,6 +15,15 @@
 //! with. A stale reference (use after free/take) is therefore detected
 //! instead of silently aliasing an unrelated packet — `get`/`take` return
 //! `None` and the executor's debug assertions catch the wiring bug.
+//!
+//! A slot is 104 bytes: the 80-byte packet and generation, and the 24-byte
+//! `(key, until)` a per-session regulator parks with a packet it holds
+//! ([`PacketArena::hold`]). Only held packets need the pair, but on the
+//! workload where slots are many (10⁵ sessions, half of them
+//! jitter-controlled) nearly every live packet is a held one, so a side
+//! table for held packets alone would hold as many entries and save
+//! nothing; the pair stays in the slot, where a release reads it with the
+//! packet.
 
 #![deny(
     clippy::unwrap_used,

@@ -16,7 +16,7 @@ use crate::oracle::{
 use crate::packet::{NodeId, SessionId};
 use crate::shard::{owner_of, Shard};
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
-use crate::stats::{NodeStats, SessionStats, StatsConfig};
+use crate::stats::{BlankRows, NodeStats, SessionStats, StatsConfig};
 use lit_obs::{PacketView, Probe};
 use lit_sim::{Duration, EventBackend, EventQueue, Lane, SeedSeq, Time};
 use lit_traffic::Source;
@@ -240,6 +240,7 @@ impl NetworkBuilder {
         topo.delays.shrink_to_fit();
         topo.route_start.shrink_to_fit();
         let topo = Arc::new(topo);
+        let blank = BlankRows::new(&self.stats_cfg);
 
         let mut shards: Vec<Shard> = (0..nshards)
             .map(|id| {
@@ -281,7 +282,7 @@ impl NetworkBuilder {
                     SessionId(sid as u32),
                     node,
                     &topo.delays[delay as usize],
-                    &self.stats_cfg,
+                    &blank,
                 );
             }
             let first = &mut shards[first_owner(sid)];
@@ -290,7 +291,11 @@ impl NetworkBuilder {
                 .period()
                 .and_then(|period| periods.get_mut(&(first_owner(sid), period)))
                 .filter(|(sharing, _)| *sharing >= 2)
-                .map(|(_, lane)| *lane.get_or_insert_with(|| events.lane()));
+                .map(|(sharing, lane)| {
+                    // One pending injection per source: the lane never
+                    // holds more than `sharing`.
+                    *lane.get_or_insert_with(|| events.lane_with_capacity(*sharing))
+                });
             if let Some(at) = first.core.install_injector(sid, source, rng, lane) {
                 let ev = Ev::Inject { sid: sid as u32 };
                 match lane {
@@ -316,7 +321,7 @@ impl NetworkBuilder {
             topo,
             shards,
             lookahead_ps,
-            stats_cfg: self.stats_cfg,
+            blank,
             merged_sessions: Vec::new(),
             merged_nodes: Vec::new(),
         };
@@ -387,7 +392,8 @@ pub struct Network {
     shards: Vec<Shard>,
     /// Minimum cross-shard propagation delay (the lookahead `L`).
     lookahead_ps: u64,
-    stats_cfg: StatsConfig,
+    /// The empty rows the merged view starts from.
+    blank: BlankRows,
     /// The merged view of the shards' rows; empty with one shard, whose
     /// rows are read in place.
     merged_sessions: Vec<SessionStats>,
@@ -418,7 +424,7 @@ impl Network {
         }
         self.merged_sessions = (0..self.topo.specs.len())
             .map(|sid| {
-                let mut row = SessionStats::new(&self.stats_cfg, self.topo.route(sid).len());
+                let mut row = SessionStats::new(&self.blank, self.topo.route(sid).len());
                 for st in self
                     .shards
                     .iter()

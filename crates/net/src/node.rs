@@ -16,13 +16,17 @@
 //! node under the one-shard driver, one contiguous block under the
 //! k-shard driver — plus the injectors of the sessions that start there,
 //! the statistics rows those nodes write, the conformance oracle and an
-//! optional probe. Packets live in the core's [`PacketArena`]; events
-//! carry 8-byte [`PacketRef`]s. The step functions never touch a
-//! future-event set: everything they schedule goes through a [`Sink`],
-//! which is what lets the two drivers in [`crate::shard`] differ only in
-//! *when* they hand events back (event-set FIFO order, or canonically
-//! sorted same-instant groups inside lookahead windows) and a unit test
-//! drive a node with no event set at all.
+//! optional probe. An injector is 56 bytes and holds no random state:
+//! the core keeps a stream only for each source that draws from one
+//! (`lit_traffic::Source::draws`), in its own table, and hands every
+//! other source one shared stream it never reads. Packets live in the
+//! core's [`PacketArena`]; events carry 8-byte [`PacketRef`]s. The step
+//! functions never touch a future-event set: everything they schedule
+//! goes through a [`Sink`], which is what lets the two drivers in
+//! [`crate::shard`] differ only in *when* they hand events back
+//! (event-set FIFO order, or canonically sorted same-instant groups
+//! inside lookahead windows) and a unit test drive a node with no event
+//! set at all.
 //!
 //! The oracle and the probe observe the lifecycle points: arrival,
 //! regulator release, service start, departure and delivery. A point
@@ -68,10 +72,10 @@ use crate::oracle::{Finding, OracleConfig, OracleRt, ViolationKind};
 use crate::packet::{Packet, SessionId};
 use crate::refserver::ReferenceServer;
 use crate::spec::{DelayAssignment, LinkParams, SessionSpec};
-use crate::stats::{DeliveryRecord, NodeStats, SessionStats, StatsConfig};
+use crate::stats::{BlankRows, DeliveryRecord, NodeStats, SessionStats};
 use lit_obs::{PacketView, Probe};
 use lit_sim::{Duration, EventQueue, Lane, SimRng, Time};
-use lit_traffic::{Emission, Source};
+use lit_traffic::Source;
 use std::sync::Arc;
 
 /// Events of a node step. Packets are named by arena reference and no
@@ -243,12 +247,18 @@ struct NodeRt {
     releases: Lane,
 }
 
-/// The injector of one session, owned by the core of its first hop.
+/// The injector of one session, owned by the core of its first hop: 56
+/// bytes. Its random stream is not in it: most sources never draw.
 struct Injector {
     source: Box<dyn Source>,
-    rng: SimRng,
-    /// Next emission already pulled from the source, awaiting injection.
-    pending: Option<Emission>,
+    /// The emission the scheduled `Inject` materializes, already pulled
+    /// from the source, as two fields so that `stream` fills what would
+    /// be an emission's padding. Once the source is exhausted nothing
+    /// is scheduled and they are the last one injected.
+    at: Time,
+    len_bits: u32,
+    /// Where the source's stream is in the core's `streams`.
+    stream: u32,
     /// The session's reference server (eq. 1), co-simulated at injection.
     reference: ReferenceServer,
     /// The event-set lane of the source's period, if it shares one.
@@ -315,8 +325,13 @@ pub(crate) struct NodeCore {
     nodes: Vec<Option<NodeRt>>,
     /// Per-node statistics, globally indexed; only owned rows are written.
     pub(crate) node_stats: Vec<NodeStats>,
-    /// Session injectors, globally indexed; `Some` iff hop 0 is owned.
+    /// Session injectors, globally indexed; `Some` iff hop 0 is owned and
+    /// the source emits at all.
     injectors: Vec<Option<Injector>>,
+    /// The random streams of the injectors' sources: first the one that
+    /// every source which never draws ([`Source::draws`]) is handed, then
+    /// one per source that does, its session's own.
+    streams: Vec<SimRng>,
     /// Per-session statistics rows; `Some` iff any hop is owned. Rows are
     /// field-disjoint across cores (each field is written only by the
     /// core owning the hop that produces it; violation counts add).
@@ -369,6 +384,7 @@ impl NodeCore {
                 .collect(),
             node_stats: topo.links.iter().map(|_| NodeStats::new()).collect(),
             injectors: (0..sessions).map(|_| None).collect(),
+            streams: vec![SimRng::seed_from(0)],
             stats: (0..sessions).map(|_| None).collect(),
             topo,
             regulator,
@@ -386,13 +402,13 @@ impl NodeCore {
 
     /// Connection establishment at one owned hop: register session `id`
     /// with the node's discipline, its spec carrying this hop's `delay`,
-    /// and make sure its statistics row exists.
+    /// and make sure its statistics row exists, a copy of `blank`.
     pub(crate) fn register_hop(
         &mut self,
         id: SessionId,
         node: u32,
         delay: &DelayAssignment,
-        cfg: &StatsConfig,
+        blank: &BlankRows,
     ) {
         let sid = id.index();
         if let Some(row) = self.topo.specs.get(sid) {
@@ -402,33 +418,40 @@ impl NodeCore {
         }
         let hops = self.topo.route(sid).len();
         if let Some(row) = self.stats.get_mut(sid) {
-            row.get_or_insert_with(|| SessionStats::new(cfg, hops));
+            row.get_or_insert_with(|| SessionStats::new(blank, hops));
         }
     }
 
     /// Install the injector of session `sid` (whose first hop this core
     /// owns), scheduling through `lane` if given, and pull its first
-    /// emission; returns when to inject it.
+    /// emission; returns when to inject it. `rng` is the session's own
+    /// stream, kept only if the source draws.
     pub(crate) fn install_injector(
         &mut self,
         sid: usize,
-        source: Box<dyn Source>,
+        mut source: Box<dyn Source>,
         rng: SimRng,
         lane: Option<Lane>,
     ) -> Option<Time> {
-        let mut inj = Injector {
+        let stream = if source.draws() {
+            self.streams.push(rng);
+            self.streams.len() - 1
+        } else {
+            0
+        };
+        let next = source.next_emission(self.streams.get_mut(stream)?)?;
+        let inj = Injector {
             source,
-            rng,
-            pending: None,
+            at: next.at,
+            len_bits: next.len_bits,
+            stream: u32::try_from(stream).ok()?,
             reference: ReferenceServer::new(self.topo.specs.get(sid).map_or(0, |s| s.rate_bps)),
             lane,
         };
-        inj.pending = inj.source.next_emission(&mut inj.rng);
-        let at = inj.pending.map(|e| e.at);
         if let Some(slot) = self.injectors.get_mut(sid) {
             *slot = Some(inj);
         }
-        at
+        Some(next.at)
     }
 
     /// Whether this core owns `node`.
@@ -492,23 +515,27 @@ impl NodeCore {
         }
     }
 
-    /// Materialize the pending emission of `sid` as a packet at hop 0 and
+    /// Materialize the pulled emission of `sid` as a packet at hop 0 and
     /// pull/schedule the next one.
     fn inject<S: Sink>(&mut self, sid: u32, sink: &mut S) {
         let s = owned(&mut self.injectors, sid as usize);
-        #[expect(
-            clippy::expect_used,
-            reason = "executor invariant: an Inject event is only emitted when `pending` was just filled"
-        )]
-        let e = s.pending.take().expect("Inject without pending emission");
-        debug_assert_eq!(e.at, self.now);
-        let ref_delay = s.reference.offer(e.at, e.len_bits).delay;
+        let (at, len_bits) = (s.at, s.len_bits);
+        debug_assert_eq!(at, self.now);
+        let ref_delay = s.reference.offer(at, len_bits).delay;
 
         // The next Inject is scheduled before anything the arrival below
         // schedules: same-instant order is emission order.
-        s.pending = s.source.next_emission(&mut s.rng);
-        if let Some(next) = s.pending {
-            debug_assert!(next.at >= e.at, "source emitted into the past");
+        #[expect(
+            clippy::expect_used,
+            reason = "executor invariant: `install_injector` pushed the stream an injector names"
+        )]
+        let rng = self
+            .streams
+            .get_mut(s.stream as usize)
+            .expect("unknown stream");
+        if let Some(next) = s.source.next_emission(rng) {
+            debug_assert!(next.at >= at, "source emitted into the past");
+            (s.at, s.len_bits) = (next.at, next.len_bits);
             match s.lane {
                 Some(lane) => sink.emit_lane(lane, next.at, Ev::Inject { sid }),
                 None => sink.emit(next.at, Ev::Inject { sid }),
@@ -520,7 +547,7 @@ impl NodeCore {
         let st = owned(&mut self.stats, sid as usize);
         st.injected += 1;
         st.reference.record(ref_delay);
-        let mut pkt = Packet::new(SessionId(sid), st.injected, e.len_bits, e.at);
+        let mut pkt = Packet::new(SessionId(sid), st.injected, len_bits, at);
         pkt.ref_delay = ref_delay;
 
         let p = self.arena.alloc(pkt);
@@ -796,6 +823,7 @@ mod tests {
     use super::*;
     use crate::discipline::ScheduleDecision;
     use crate::oracle::{OracleMode, OracleTotals};
+    use crate::stats::StatsConfig;
     use lit_obs::ObsProbe;
     use lit_traffic::TraceSource;
 
@@ -850,7 +878,8 @@ mod tests {
             regulator,
             &mut EventQueue::new(),
         );
-        core.register_hop(SessionId(0), 0, &spec.delay, &StatsConfig::default());
+        let blank = BlankRows::new(&StatsConfig::default());
+        core.register_hop(SessionId(0), 0, &spec.delay, &blank);
         let cells = [(Time::from_us(1_000), 424), (Time::from_us(1_100), 424)];
         let source = Box::new(TraceSource::from_pairs(cells));
         let first = core.install_injector(0, source, SimRng::seed_from(1), None);
@@ -931,12 +960,14 @@ mod tests {
         (release, totals, seen.violations.keys().cloned().collect())
     }
 
-    /// The packet count lives in the statistics row, and the reference
-    /// server's `W_0` is `Time::ZERO`, not a `None`: no second count, no
-    /// option tag.
+    /// The packet count lives in the statistics row, the reference
+    /// server's `W_0` is `Time::ZERO`, not a `None`, and the random stream
+    /// is an index: no second count, no option tag, no state a
+    /// deterministic source never reads.
     #[test]
-    fn an_injector_is_96_bytes() {
-        assert_eq!(size_of::<Injector>(), 96);
+    fn an_injector_is_56_bytes() {
+        assert_eq!(size_of::<Injector>(), 56);
+        assert_eq!(size_of::<Option<Injector>>(), 56);
     }
 
     /// A session's spec row holds no id and no delay assignment.

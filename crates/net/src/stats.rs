@@ -13,9 +13,13 @@
 //!
 //! A session's row costs what its traffic touched: a histogram's bin 0
 //! is inline and the bins past it exist from their first hit ([`Bins`]),
-//! so the per-hop rows — gauge, maximum and counts, 64 bytes a hop — are
+//! so the per-hop rows — gauge, maximum and counts, 48 bytes a hop — are
 //! the row's one allocation at build, and its only one for as long as
-//! every sample lands in bin 0 or overflows.
+//! every sample lands in bin 0 or overflows. What every row shares is
+//! stored once: each histogram refers to its layout, which the
+//! [`StatsConfig`] fixes, instead of holding the bin width and count, and
+//! rows start as copies of the config's empty histograms (`BlankRows`),
+//! so a [`SessionStats`] row is 240 bytes.
 
 #![deny(
     clippy::unwrap_used,
@@ -158,7 +162,7 @@ impl<'a> IntoIterator for &'a DeliveryLog {
     }
 }
 
-/// One hop's buffer occupancy of one session, one 64-byte row: the gauge
+/// One hop's buffer occupancy of one session, one 48-byte row: the gauge
 /// (bits held there now), the exact maximum, and the histogram of the
 /// samples, on the same grow-on-first-hit [`Bins`] as `DurationHistogram`.
 #[derive(Clone, Debug)]
@@ -241,7 +245,7 @@ pub struct SessionStats {
     /// session's reserved rate, fed by the same arrivals).
     pub reference: DurationHistogram,
     /// Per-hop buffer occupancy distributions, one per route hop.
-    pub buffer: Vec<OccupancyHistogram>,
+    pub buffer: Box<[OccupancyHistogram]>,
     /// Largest observed `D_i − D_i^ref` over delivered packets, in signed
     /// picoseconds. The pathwise content of ineq. (12): under
     /// Leave-in-Time this never reaches `β + α`.
@@ -258,19 +262,38 @@ pub struct SessionStats {
     pub oracle_violations: u64,
 }
 
+/// The empty histograms of a [`StatsConfig`], built once and copied into
+/// every row: each histogram refers to its layout instead of holding it,
+/// and copying an empty one copies that reference, where building one
+/// looks the layout up.
+#[derive(Debug)]
+pub(crate) struct BlankRows {
+    delay: DurationHistogram,
+    buffer: OccupancyHistogram,
+    delivery_log_cap: usize,
+}
+
+impl BlankRows {
+    pub(crate) fn new(cfg: &StatsConfig) -> Self {
+        BlankRows {
+            delay: DurationHistogram::new(cfg.delay_bin, cfg.delay_bins),
+            buffer: OccupancyHistogram::new(cfg.buffer_bin_bits, cfg.buffer_bins),
+            delivery_log_cap: cfg.delivery_log_cap,
+        }
+    }
+}
+
 impl SessionStats {
-    pub(crate) fn new(cfg: &StatsConfig, hops: usize) -> Self {
+    pub(crate) fn new(blank: &BlankRows, hops: usize) -> Self {
         SessionStats {
             injected: 0,
             delivered: 0,
-            e2e: DurationHistogram::new(cfg.delay_bin, cfg.delay_bins),
-            reference: DurationHistogram::new(cfg.delay_bin, cfg.delay_bins),
-            buffer: (0..hops)
-                .map(|_| OccupancyHistogram::new(cfg.buffer_bin_bits, cfg.buffer_bins))
-                .collect(),
+            e2e: blank.delay.clone(),
+            reference: blank.delay.clone(),
+            buffer: vec![blank.buffer.clone(); hops].into_boxed_slice(),
             max_excess_ps: i128::MIN,
             delay_batches: BatchMeans::default_config(),
-            deliveries: DeliveryLog::new(cfg.delivery_log_cap),
+            deliveries: DeliveryLog::new(blank.delivery_log_cap),
             oracle_violations: 0,
         }
     }
@@ -458,8 +481,7 @@ mod tests {
 
     #[test]
     fn session_stats_jitter_is_spread() {
-        let cfg = StatsConfig::default();
-        let mut s = SessionStats::new(&cfg, 2);
+        let mut s = SessionStats::new(&BlankRows::new(&StatsConfig::default()), 2);
         s.e2e.record(Duration::from_ms(10));
         s.e2e.record(Duration::from_ms(4));
         s.e2e.record(Duration::from_ms(7));

@@ -11,6 +11,7 @@
 #![deny(missing_docs)]
 
 pub mod collect;
+pub mod commands;
 pub mod experiments;
 pub mod fuzz;
 pub mod heavy;

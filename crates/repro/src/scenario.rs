@@ -1419,6 +1419,9 @@ impl Source for BoxedSource {
     fn mean_rate_bps(&self) -> Option<f64> {
         self.0.mean_rate_bps()
     }
+    fn draws(&self) -> bool {
+        self.0.draws()
+    }
 }
 
 #[cfg(test)]

@@ -224,8 +224,20 @@ impl<E: Copy> EventQueue<E> {
     /// Open a lane: a FIFO for events the caller expects to schedule in
     /// non-decreasing time order (see the module docs).
     pub fn lane(&mut self) -> Lane {
+        self.lane_with_capacity(0)
+    }
+
+    /// [`EventQueue::lane`] with room for `cap` events before the lane
+    /// grows: a caller that knows how many it will hold at once (one per
+    /// source of a period) saves the doubling's slack. Only the heap has
+    /// lanes to fill; the other engines allocate nothing for it.
+    pub fn lane_with_capacity(&mut self, cap: usize) -> Lane {
         let id = self.lanes.len() as u32;
-        self.lanes.push(VecDeque::new());
+        let cap = match self.inner {
+            Inner::Heap(_) => cap,
+            Inner::Calendar(_) | Inner::Wheel(_) => 0,
+        };
+        self.lanes.push(VecDeque::with_capacity(cap));
         Lane(id)
     }
 

@@ -65,6 +65,10 @@ impl Source for DeterministicSource {
     fn period(&self) -> Option<Duration> {
         Some(self.gap)
     }
+
+    fn draws(&self) -> bool {
+        false
+    }
 }
 
 /// An adversarial source: every `period`, emits `burst` packets
@@ -118,6 +122,10 @@ impl Source for BurstSource {
 
     fn mean_rate_bps(&self) -> Option<f64> {
         Some(self.burst as f64 * self.len_bits as f64 / self.period.as_secs_f64())
+    }
+
+    fn draws(&self) -> bool {
+        false
     }
 }
 

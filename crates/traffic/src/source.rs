@@ -51,6 +51,14 @@ pub trait Source: Send {
     fn period(&self) -> Option<Duration> {
         None
     }
+
+    /// Whether [`Source::next_emission`] ever draws from its `rng`. A
+    /// source that answers `false` is handed a stream shared with the
+    /// other sources that never draw, so the executor keeps random state
+    /// only for sources that use it; `true` is always a valid answer.
+    fn draws(&self) -> bool {
+        true
+    }
 }
 
 /// Extension helpers for working with sources outside the event loop.

@@ -177,6 +177,10 @@ impl<S: Source> Source for ShapedSource<S> {
             r.min(self.bucket.rate_bps() as f64)
         })
     }
+
+    fn draws(&self) -> bool {
+        self.inner.draws()
+    }
 }
 
 #[cfg(test)]

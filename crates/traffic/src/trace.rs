@@ -97,6 +97,10 @@ impl Source for TraceSource {
         self.pos += 1;
         Some(e)
     }
+
+    fn draws(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
